@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -323,6 +324,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Run every capacity point and write results.csv plus JSON artifacts."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if cfg.family == "linear_poly":  # polynomial density needs an exponential moment
+        screen = processes.exp_moment_check(
+            cfg.sampler, alpha=1.0, K=min(2, max(0, (cfg.target.spec.memory or 2))),
+            sample_sizes=(20_000, 40_000, 80_000), seed=cfg.seed_train + 1)
+        if screen.verdict is processes.MomentVerdict.SUSPECT_INFINITE:  # heuristic: warn only
+            warnings.warn("input law flagged by the exponential-moment screen; polynomial "
+                          "readout families may not be dense for this process",
+                          RuntimeWarning, stacklevel=2)
     rows = []
     for capacity in cfg.capacity:
         model, esp, diag, extras = _build_point(cfg, capacity)
@@ -347,12 +356,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             "family": cfg.family,
             "capacity": capacity,
             "state_dimension": model.system.N,
-            "esp": {
-                "certified": esp.certified,
-                "method": esp.method,
-                "bound": esp.bound,
-                "nilpotency_index": esp.nilpotency_index,
-            },
+            "esp": esp.summary(),
             "training": diag,
             "truncation_bound": tail,
             "estimate": {"p": est.p, "value": est.value, "stderr": est.stderr,

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .core import Window
+from .core import Window, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -224,20 +223,15 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
     burn = s.burn_in()
     total = burn + T
     p = s.params
+    eps = np.empty((M, total))
+    for i in range(M):
+        eps[i] = path_rng(seed, path_offset + i).standard_normal(total)
     if s.kind == "arma":
-        ar, ma, std = p["ar"], p["ma"], p["std"]
-        eps = np.empty((M, total))
-        for i in range(M):
-            eps[i] = std * path_rng(seed, path_offset + i).standard_normal(total)
+        eps *= p["std"]
         # x_t = sum ar_i x_{t-i} + eps_t + sum ma_j eps_{t-j}
-        b = np.r_[1.0, ma]
-        a = np.r_[1.0, [-c for c in ar]]
-        series = lfilter(b, a, eps, axis=1)
+        series = _lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps)
     elif s.kind == "garch11":
         omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
-        eps = np.empty((M, total))
-        for i in range(M):
-            eps[i] = path_rng(seed, path_offset + i).standard_normal(total)
         series = np.empty((M, total))
         var = np.full(M, omega / (1.0 - alpha - beta))  # start at unconditional variance
         for t in range(total):
@@ -248,6 +242,21 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
         raise AssertionError(s.kind)
     out[:, :, 0] = series[:, burn:][:, ::-1]
     return out
+
+
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x, axis=1) for a[0] = 1, operation for operation."""
+    if len(a) == 1:  # no AR part: lfilter convolves each row
+        return np.stack([np.convolve(b, row)[: x.shape[1]] for row in x])
+    L = max(len(a), len(b))
+    b, a = np.r_[b, np.zeros(L - len(b))], np.r_[a, np.zeros(L - len(a))]
+    y, z = np.empty_like(x), np.zeros((L - 1, x.shape[0]))  # z: transposed direct form II delays
+    for t in range(x.shape[1]):
+        xt = x[:, t]
+        yt = y[:, t] = z[0] + b[0] * xt
+        z[:-1] = z[1:] + np.outer(b[1:-1], xt) - np.outer(a[1:-1], yt)
+        z[-1] = xt * b[-1] - yt * a[-1]
+    return y
 
 
 def sample_windows(s: ProcessSampler, T: int, M: int, seed: int) -> list[Window]:
@@ -385,12 +394,6 @@ def shift_invariance_probe(
         sub_seed = (seed * 1_000_003 + j) & _MASK64
         data = sample_paths(s, T + deepest, M, sub_seed)
         view = data[:, -t : -t + T, :]
-        vals = _eval_spec(spec, view)
+        vals = evaluate_functional_batch(spec, view)
         out[t] = metrics.lp_norm_of_values(vals, p=p, seed=sub_seed)
     return out
-
-
-def _eval_spec(spec, data):
-    from .core import evaluate_functional_batch
-
-    return evaluate_functional_batch(spec, data)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "Activation",
@@ -44,7 +43,8 @@ class Activation:
 
 
 def _logistic(x):
-    return special.expit(x)
+    with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709 gives the limit 0
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _hard_sigmoid(x):

@@ -61,26 +61,92 @@ class EspNotCertifiedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# system types
-
-
-def _as_matrix(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be 2-d, got shape {arr.shape}")
-    return arr
+# echo state certificates
 
 
 @dataclass(frozen=True)
-class LinearReservoir:
-    """x_t = A x_{t-1} + c z_t with A (N, N) and c (N, n)."""
+class EspReport:
+    """Certificate for the echo state property.
+
+    For geometric methods (spectral, lipschitz-spectral) bound is a
+    per-step contraction factor and certification requires bound < 1.  For
+    the nilpotent method bound is still a sound per-step growth factor
+    (it may exceed 1) and state discrepancies vanish exactly after
+    nilpotency_index steps.  empirical_decay_rate is informational only
+    and never certifies.
+    """
+
+    certified: bool
+    method: str  # spectral | nilpotent | lipschitz-spectral | empirical
+    bound: float
+    empirical_decay_rate: float | None = None
+    nilpotency_index: int | None = None
+
+    def summary(self) -> dict:
+        """The structural fields, as written to artifacts and system documents."""
+        return {"certified": self.certified, "method": self.method, "bound": self.bound,
+                "nilpotency_index": self.nilpotency_index}
+
+
+def _support_nilpotency_index(support: np.ndarray) -> int | None:
+    """Smallest m with support^m = 0 under boolean reachability, else None."""
+    N = support.shape[0]
+    power = support.copy()
+    for m in range(1, N + 1):
+        if not power.any():
+            return m
+        power = (power.astype(np.int64) @ support.astype(np.int64)) > 0
+    return None
+
+
+def _structural_report(method: str, bound: float, support: np.ndarray) -> EspReport:
+    """Nilpotent coupling support certifies outright; else bound < 1 must hold."""
+    idx = _support_nilpotency_index(support)
+    if idx is not None:
+        return EspReport(True, "nilpotent", bound, nilpotency_index=idx)
+    return EspReport(bound < 1.0, method, bound)
+
+
+# ---------------------------------------------------------------------------
+# system types
+
+
+def _frozen(x, matrix: str | None = None) -> np.ndarray:
+    """Read-only float64 copy, so later writes by the caller cannot reach it."""
+    arr = np.array(x, dtype=np.float64)
+    if matrix is not None and arr.ndim != 2:
+        raise ValueError(f"{matrix} must be 2-d, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+class _ReservoirSystem:
+    """Base of the system types; caches the structural ESP certificate."""
+
+    def certificate(self) -> EspReport:
+        """Structural ESP report, proved once: the system arrays are read-only."""
+        report = self.__dict__.get("_certificate")
+        if report is None:
+            report = self._prove()
+            object.__setattr__(self, "_certificate", report)
+        return report
+
+
+@dataclass(frozen=True)
+class LinearReservoir(_ReservoirSystem):
+    """x_t = A x_{t-1} + c z_t with A (N, N) and c (N, n).
+
+    Interface: N, n, step(x, z) for state batches (M, N) and inputs (M, n),
+    certificate() (nilpotent support of A, else ||A||_2 < 1), to_dict(),
+    from_dict().
+    """
 
     A: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        c = _as_matrix(self.c, "c")
+        A = _frozen(self.A, "A")
+        c = _frozen(self.c, "c")
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if c.shape[0] != A.shape[0]:
@@ -96,14 +162,29 @@ class LinearReservoir:
     def n(self) -> int:
         return self.c.shape[1]
 
+    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # overflow surfaces as a StateOverflowError from the finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return x @ self.A.T + z @ self.c.T
+
+    def _prove(self) -> EspReport:
+        return _structural_report("spectral", float(np.linalg.norm(self.A, 2)), self.A != 0.0)
+
+    def to_dict(self) -> dict:
+        return {"variant": "linear", "A": self.A.tolist(), "c": self.c.tolist()}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "LinearReservoir":
+        return cls(doc["A"], doc["c"])
+
 
 @dataclass(frozen=True)
 class TrigPolynomial:
     """Matrix-valued trig polynomial R(z) = sum_k A_k cos(u_k.z) + B_k sin(v_k.z).
 
-    Stored as stacked arrays: cos_mats/sin_mats have shape (r, rows, cols)
-    and cos_freqs/sin_freqs shape (r, n).  A term may use only one of its
-    two matrices (the other all zeros).
+    Stored as stacked read-only arrays: cos_mats/sin_mats have shape
+    (r, rows, cols) and cos_freqs/sin_freqs shape (r, n).  A term may use
+    only one of its two matrices (the other all zeros).
     """
 
     cos_mats: np.ndarray
@@ -112,10 +193,10 @@ class TrigPolynomial:
     sin_freqs: np.ndarray
 
     def __post_init__(self):
-        cm = np.asarray(self.cos_mats, dtype=np.float64)
-        sm = np.asarray(self.sin_mats, dtype=np.float64)
-        cf = np.atleast_2d(np.asarray(self.cos_freqs, dtype=np.float64))
-        sf = np.atleast_2d(np.asarray(self.sin_freqs, dtype=np.float64))
+        cm = _frozen(self.cos_mats)
+        sm = _frozen(self.sin_mats)
+        cf = np.atleast_2d(_frozen(self.cos_freqs))
+        sf = np.atleast_2d(_frozen(self.sin_freqs))
         if cm.ndim != 3 or sm.shape != cm.shape:
             raise ValueError("cos_mats and sin_mats must share shape (r, rows, cols)")
         r = cm.shape[0]
@@ -183,19 +264,36 @@ class TrigPolynomial:
             sup |= self.sin_mats[k] != 0.0
         return sup
 
+    def to_dict(self) -> dict:
+        names = ("cos_mats", "sin_mats", "cos_freqs", "sin_freqs")
+        return {"shape": [self.r, self.rows, self.cols, self.n],
+                **{name: getattr(self, name).tolist() for name in names}}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrigPolynomial":
+        r, rows, cols, n = doc["shape"]
+        mats, freqs = (r, rows, cols), (r, n)
+        return cls(np.reshape(doc["cos_mats"], mats), np.reshape(doc["sin_mats"], mats),
+                   np.reshape(doc["cos_freqs"], freqs), np.reshape(doc["sin_freqs"], freqs))
+
 
 @dataclass(frozen=True)
-class TrigSAS:
-    """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t), y_t = W . x_t."""
+class TrigSAS(_ReservoirSystem):
+    """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t), y_t = W . x_t.
+
+    Interface: N, n, step(x, z), certificate() (nilpotent support of P,
+    else P.norm_bound() < 1, else esp_hint), to_dict(), from_dict();
+    esp_hint is not serialized.
+    """
 
     P: TrigPolynomial
     Q: TrigPolynomial
     W: np.ndarray
     # certificate attached by constructors that guarantee ESP structurally
-    esp_hint: "EspReport | None" = field(default=None, compare=False, repr=False)
+    esp_hint: EspReport | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        W = np.atleast_1d(np.asarray(self.W, dtype=np.float64))
+        W = np.atleast_1d(_frozen(self.W))
         if self.P.rows != self.P.cols:
             raise ValueError("P must be square")
         if self.Q.cols != 1 or self.Q.rows != self.P.rows:
@@ -214,10 +312,32 @@ class TrigSAS:
     def n(self) -> int:
         return self.Q.n if self.Q.r else self.P.n
 
+    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return self.P.apply(z, x) + self.Q.value_vector(z)
+
+    def _prove(self) -> EspReport:
+        report = _structural_report("spectral", self.P.norm_bound(), self.P.support())
+        if not report.certified and self.esp_hint is not None:
+            return self.esp_hint
+        return report
+
+    def to_dict(self) -> dict:
+        return {"variant": "trig_sas", "P": self.P.to_dict(), "Q": self.Q.to_dict(),
+                "W": self.W.tolist()}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrigSAS":
+        return cls(TrigPolynomial.from_dict(doc["P"]), TrigPolynomial.from_dict(doc["Q"]),
+                   doc["W"])
+
 
 @dataclass(frozen=True)
-class EchoStateNetwork:
-    """x_t = sigma(A x_{t-1} + C z_t + bias), y_t = W . x_t."""
+class EchoStateNetwork(_ReservoirSystem):
+    """x_t = sigma(A x_{t-1} + C z_t + bias), y_t = W . x_t.
+
+    Interface: N, n, step(x, z), certificate() (nilpotent support of A,
+    else Lip(sigma) ||A||_2 < 1), to_dict(), from_dict().
+    """
 
     A: np.ndarray
     C: np.ndarray
@@ -226,10 +346,10 @@ class EchoStateNetwork:
     activation: str = "logistic"
 
     def __post_init__(self):
-        A = _as_matrix(self.A, "A")
-        C = _as_matrix(self.C, "C")
-        bias = np.atleast_1d(np.asarray(self.bias, dtype=np.float64))
-        W = np.atleast_1d(np.asarray(self.W, dtype=np.float64))
+        A = _frozen(self.A, "A")
+        C = _frozen(self.C, "C")
+        bias = np.atleast_1d(_frozen(self.bias))
+        W = np.atleast_1d(_frozen(self.W))
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         N = A.shape[0]
@@ -247,27 +367,62 @@ class EchoStateNetwork:
     def n(self) -> int:
         return self.C.shape[1]
 
+    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return get_activation(self.activation).fn(x @ self.A.T + z @ self.C.T + self.bias)
+
+    def _prove(self) -> EspReport:
+        L = get_activation(self.activation).lipschitz
+        factor = float(L * np.linalg.norm(self.A, 2))
+        return _structural_report("lipschitz-spectral", factor, self.A != 0.0)
+
+    def to_dict(self) -> dict:
+        return {"variant": "esn", "A": self.A.tolist(), "C": self.C.tolist(),
+                "bias": self.bias.tolist(), "W": self.W.tolist(),
+                "activation": self.activation}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "EchoStateNetwork":
+        return cls(doc["A"], doc["C"], doc["bias"], doc["W"], doc["activation"])
+
+
+_VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNetwork}
+
 
 # ---------------------------------------------------------------------------
 # running
 
 
-def _step(system, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if isinstance(system, LinearReservoir):
-        # overflow surfaces as a StateOverflowError from the finite check
-        with np.errstate(over="ignore", invalid="ignore"):
-            return x @ system.A.T + z @ system.c.T
-    if isinstance(system, TrigSAS):
-        return system.P.apply(z, x) + system.Q.value_vector(z)
-    if isinstance(system, EchoStateNetwork):
-        act = get_activation(system.activation)
-        return act.fn(x @ system.A.T + z @ system.C.T + system.bias)
-    raise TypeError(f"not a reservoir system: {type(system).__name__}")
+def _step(system, x: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """One update of a batch of states at lag k; non-finite states raise."""
+    x = system.step(x, z)
+    if not np.all(np.isfinite(x)):
+        raise StateOverflowError(f"non-finite state at lag {k}")
+    return x
 
 
-def _check_input(system, n: int) -> None:
+def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
+                 trajectory: np.ndarray | None = None) -> np.ndarray:
+    """Final states over a batch of windows, (M, T, n) -> (M, N).
+
+    Windows are consumed oldest row first.  When trajectory, an array of
+    shape (T, M, N), is given, its row k receives the states at lag k.
+    Raises StateOverflowError on non-finite states.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError(f"batch data must be (M, T, n), got shape {data.shape}")
+    M, T, n = data.shape
     if n != system.n:
         raise ValueError(f"system expects {system.n} channels, window has {n}")
+    if x_init is None:
+        x = np.zeros((M, system.N))
+    else:
+        x = np.broadcast_to(np.asarray(x_init, dtype=np.float64), (M, system.N)).copy()
+    for k in range(T - 1, -1, -1):
+        x = _step(system, x, data[:, k, :], k)
+        if trajectory is not None:
+            trajectory[k] = x
+    return x
 
 
 def run_reservoir(system, w: Window, x_init: np.ndarray | None = None):
@@ -278,70 +433,11 @@ def run_reservoir(system, w: Window, x_init: np.ndarray | None = None):
     linear readout, else None.  Raises StateOverflowError on non-finite
     states.
     """
-    _check_input(system, w.n)
-    N = system.N
-    x = np.zeros((1, N)) if x_init is None else np.asarray(x_init, dtype=np.float64).reshape(1, N)
-    states = np.empty((w.T, N))
-    for k in range(w.T - 1, -1, -1):
-        x = _step(system, x, w.data[k][None, :])
-        if not np.all(np.isfinite(x)):
-            raise StateOverflowError(f"non-finite state at lag {k}")
-        states[k] = x[0]
-    if isinstance(system, LinearReservoir):
-        return states, None
-    return states, float(states[0] @ system.W)
-
-
-def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None) -> np.ndarray:
-    """Final states over a batch of windows, (M, T, n) -> (M, N)."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(f"batch data must be (M, T, n), got shape {data.shape}")
-    M, T, n = data.shape
-    _check_input(system, n)
-    if x_init is None:
-        x = np.zeros((M, system.N))
-    else:
-        x = np.broadcast_to(np.asarray(x_init, dtype=np.float64), (M, system.N)).copy()
-    for k in range(T - 1, -1, -1):
-        x = _step(system, x, data[:, k, :])
-        if not np.all(np.isfinite(x)):
-            raise StateOverflowError(f"non-finite state at lag {k}")
-    return x
-
-
-# ---------------------------------------------------------------------------
-# echo state property
-
-
-@dataclass(frozen=True)
-class EspReport:
-    """Certificate for the echo state property.
-
-    For geometric methods (spectral, lipschitz-spectral) bound is a
-    per-step contraction factor and certification requires bound < 1.  For
-    the nilpotent method bound is still a sound per-step growth factor
-    (it may exceed 1) and state discrepancies vanish exactly after
-    nilpotency_index steps.  empirical_decay_rate is informational only
-    and never certifies.
-    """
-
-    certified: bool
-    method: str  # spectral | nilpotent | lipschitz-spectral | empirical
-    bound: float
-    empirical_decay_rate: float | None = None
-    nilpotency_index: int | None = None
-
-
-def _support_nilpotency_index(support: np.ndarray) -> int | None:
-    """Smallest m with support^m = 0 under boolean reachability, else None."""
-    N = support.shape[0]
-    power = support.copy()
-    for m in range(1, N + 1):
-        if not power.any():
-            return m
-        power = (power.astype(np.int64) @ support.astype(np.int64)) > 0
-    return None
+    states = np.empty((w.T, 1, system.N))
+    final_states(system, w.data[None, :, :], x_init, trajectory=states)
+    states = states[:, 0, :]
+    W = getattr(system, "W", None)
+    return states, None if W is None else float(states[0] @ W)
 
 
 def certify_esp(system, window: Window | None = None, seed: int = 0) -> EspReport:
@@ -351,41 +447,14 @@ def certify_esp(system, window: Window | None = None, seed: int = 0) -> EspRepor
     report carries a fitted empirical decay rate with certified=False and
     method 'empirical'.
     """
-    if isinstance(system, LinearReservoir):
-        sigma = float(np.linalg.norm(system.A, 2))
-        idx = _support_nilpotency_index(system.A != 0.0)
-        if idx is not None:
-            return EspReport(True, "nilpotent", sigma, nilpotency_index=idx)
-        if sigma < 1.0:
-            return EspReport(True, "spectral", sigma)
-        report = EspReport(False, "spectral", sigma)
-    elif isinstance(system, TrigSAS):
-        bound = system.P.norm_bound()
-        idx = _support_nilpotency_index(system.P.support())
-        if idx is not None:
-            return EspReport(True, "nilpotent", bound, nilpotency_index=idx)
-        if bound < 1.0:
-            return EspReport(True, "spectral", bound)
-        if system.esp_hint is not None:
-            return system.esp_hint
-        report = EspReport(False, "spectral", bound)
-    elif isinstance(system, EchoStateNetwork):
-        L = get_activation(system.activation).lipschitz
-        factor = float(L * np.linalg.norm(system.A, 2))
-        idx = _support_nilpotency_index(system.A != 0.0)
-        if idx is not None:
-            return EspReport(True, "nilpotent", factor, nilpotency_index=idx)
-        if factor < 1.0:
-            return EspReport(True, "lipschitz-spectral", factor)
-        report = EspReport(False, "lipschitz-spectral", factor)
-    else:
+    if not isinstance(system, _ReservoirSystem):
         raise TypeError(f"not a reservoir system: {type(system).__name__}")
-
-    if window is not None:
-        dists = washout_decay(system, window, seed=seed)
-        return EspReport(False, "empirical", report.bound,
-                         empirical_decay_rate=fit_decay_rate(dists))
-    return report
+    report = system.certificate()
+    if report.certified or window is None:
+        return report
+    dists = washout_decay(system, window, seed=seed)
+    return EspReport(False, "empirical", report.bound,
+                     empirical_decay_rate=fit_decay_rate(dists))
 
 
 def washout_decay(
@@ -400,20 +469,11 @@ def washout_decay(
     Returns an array of length T + 1; entry 0 is the initial distance.
     Missing initial states are drawn standard normal from the seed.
     """
-    _check_input(system, w.n)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(system.N) if x_init_a is None else np.asarray(x_init_a, float)
     b = rng.standard_normal(system.N) if x_init_b is None else np.asarray(x_init_b, float)
-    xa, xb = a.reshape(1, -1), b.reshape(1, -1)
-    dists = np.empty(w.T + 1)
-    dists[0] = np.linalg.norm(xa - xb)
-    for i, k in enumerate(range(w.T - 1, -1, -1)):
-        z = w.data[k][None, :]
-        xa, xb = _step(system, xa, z), _step(system, xb, z)
-        if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-            raise StateOverflowError(f"non-finite state at lag {k}")
-        dists[i + 1] = np.linalg.norm(xa - xb)
-    return dists
+    gaps = run_reservoir(system, w, a)[0] - run_reservoir(system, w, b)[0]  # row k: lag k
+    return np.array([np.linalg.norm(a - b)] + [np.linalg.norm(g) for g in gaps[::-1]])
 
 
 def fit_decay_rate(distances: np.ndarray) -> float:
@@ -810,56 +870,13 @@ class ReservoirModel:
 # serialization
 
 
-def _poly_to_dict(p: TrigPolynomial) -> dict:
-    return {
-        "shape": [p.r, p.rows, p.cols, p.n],
-        "cos_mats": p.cos_mats.tolist(),
-        "sin_mats": p.sin_mats.tolist(),
-        "cos_freqs": p.cos_freqs.tolist(),
-        "sin_freqs": p.sin_freqs.tolist(),
-    }
-
-
-def _poly_from_dict(doc: dict) -> TrigPolynomial:
-    r, rows, cols, n = doc["shape"]
-    return TrigPolynomial(
-        np.array(doc["cos_mats"], dtype=np.float64).reshape(r, rows, cols),
-        np.array(doc["sin_mats"], dtype=np.float64).reshape(r, rows, cols),
-        np.array(doc["cos_freqs"], dtype=np.float64).reshape(r, n),
-        np.array(doc["sin_freqs"], dtype=np.float64).reshape(r, n),
-    )
-
-
 def system_to_dict(system, readout=None, include_esp: bool = True) -> dict:
     """Variant-tagged JSON document; floats survive a round trip bit-exact."""
-    if isinstance(system, LinearReservoir):
-        doc = {"variant": "linear", "A": system.A.tolist(), "c": system.c.tolist()}
-    elif isinstance(system, TrigSAS):
-        doc = {
-            "variant": "trig_sas",
-            "P": _poly_to_dict(system.P),
-            "Q": _poly_to_dict(system.Q),
-            "W": system.W.tolist(),
-        }
-    elif isinstance(system, EchoStateNetwork):
-        doc = {
-            "variant": "esn",
-            "A": system.A.tolist(),
-            "C": system.C.tolist(),
-            "bias": system.bias.tolist(),
-            "W": system.W.tolist(),
-            "activation": system.activation,
-        }
-    else:
+    if not isinstance(system, _ReservoirSystem):
         raise TypeError(f"not a reservoir system: {type(system).__name__}")
+    doc = system.to_dict()
     if include_esp:
-        rep = certify_esp(system)
-        doc["esp"] = {
-            "certified": rep.certified,
-            "method": rep.method,
-            "bound": rep.bound,
-            "nilpotency_index": rep.nilpotency_index,
-        }
+        doc["esp"] = certify_esp(system).summary()
     if readout is not None:
         doc["readout"] = readout_to_dict(readout)
     return doc
@@ -868,17 +885,7 @@ def system_to_dict(system, readout=None, include_esp: bool = True) -> dict:
 def system_from_dict(doc: dict):
     """Inverse of system_to_dict; returns (system, readout_or_None)."""
     variant = doc.get("variant")
-    readout = readout_from_dict(doc["readout"]) if "readout" in doc else None
-    if variant == "linear":
-        system = LinearReservoir(np.array(doc["A"]), np.array(doc["c"]))
-    elif variant == "trig_sas":
-        system = TrigSAS(_poly_from_dict(doc["P"]), _poly_from_dict(doc["Q"]),
-                         np.array(doc["W"]))
-    elif variant == "esn":
-        system = EchoStateNetwork(
-            np.array(doc["A"]), np.array(doc["C"]), np.array(doc["bias"]),
-            np.array(doc["W"]), doc["activation"],
-        )
-    else:
+    if variant not in _VARIANTS:
         raise ValueError(f"unknown system variant {variant!r}")
-    return system, readout
+    readout = readout_from_dict(doc["readout"]) if "readout" in doc else None
+    return _VARIANTS[variant].from_dict(doc), readout

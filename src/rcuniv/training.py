@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FunctionalSpec, evaluate_functional_batch
-from .processes import ProcessSampler, exp_moment_check, sample_paths
+from .processes import ProcessSampler, sample_paths
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -135,30 +135,16 @@ def fit_linear_readout(system, target: FunctionalSpec, sampler: ProcessSampler,
 
 
 def fit_polynomial_readout(system: LinearReservoir, degree: int, target: FunctionalSpec,
-                           sampler: ProcessSampler, cfg: TrainConfig,
-                           check_moments: bool = True):
+                           sampler: ProcessSampler, cfg: TrainConfig):
     """Ridge-fit a polynomial readout of the given degree on final states.
 
-    With check_moments the input law is screened for the exponential moment
-    condition underlying polynomial density; a suspect verdict only warns,
-    since the screen is heuristic.
+    The input law's exponential-moment screen runs once per experiment, in
+    harness.run_experiment, not here.
     """
     if not isinstance(system, LinearReservoir):
         raise TypeError("polynomial readouts are fit on linear reservoir states")
     states, y = _sample_states(system, target, sampler, cfg)
     C = feature_count(system.N, degree)
-    if check_moments:
-        diag_m = exp_moment_check(
-            sampler, alpha=1.0, K=min(2, max(0, (target.memory or 2))),
-            sample_sizes=(20_000, 40_000, 80_000), seed=cfg.seed + 1,
-        )
-        if diag_m.verdict.value == "suspect_infinite":
-            warnings.warn(
-                "input law flagged by the exponential-moment screen; polynomial "
-                "readout families may not be dense for this process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     feats = poly_features(states, degree)
     w, diag = _fit_on_features(feats, y, cfg)
     coeffs = {

@@ -1,6 +1,8 @@
 """Experiment configs, the run/verify/sample CLI, and output artifacts."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +167,47 @@ def test_linear_poly_capacity_sweep(tmp_path):
     assert set(art["training"]) >= {"lambda", "rmse_train", "rmse_holdout"}
 
 
+def test_moment_screen_warns_once_per_experiment(tmp_path, monkeypatch):
+    screens = []
+    screen = rc.processes.exp_moment_check
+    monkeypatch.setattr(rc.processes, "exp_moment_check",
+                        lambda *a, **k: screens.append(k) or screen(*a, **k))
+    doc = _base_doc(
+        family="linear_poly",
+        capacity=[1, 2],
+        sampler={"kind": "iid_lognormal", "n": 1},
+        target={"name": "log_sine"},
+        T=2,
+        M_train=200,
+        M_eval=200,
+        ridge=1e-8,
+    )
+    with pytest.warns(RuntimeWarning, match="exponential-moment screen") as record:
+        run_experiment(load_config(doc), tmp_path)
+    assert len([w for w in record if "moment" in str(w.message)]) == 1
+    # memory 0 is falsy, so the screen reads the default depth 2
+    assert screens == [{"alpha": 1.0, "K": 2, "sample_sizes": (20_000, 40_000, 80_000),
+                        "seed": 12}]
+
+
+def test_each_point_proves_its_certificate_once(tmp_path, monkeypatch):
+    # training, the point builder and the artifact all ask for the certificate
+    proofs = []
+    prove = rc.reservoirs._support_nilpotency_index
+    monkeypatch.setattr(rc.reservoirs, "_support_nilpotency_index",
+                        lambda support: proofs.append(support.shape) or prove(support))
+    doc = _base_doc(
+        family="esn",
+        capacity=[4, 6],
+        target={"name": "geometric_ma", "params": {"decay": 0.5}},
+        T=12,
+        M_train=40,
+        M_eval=30,
+    )
+    run_experiment(load_config(doc), tmp_path)
+    assert proofs == [(4, 4), (6, 6)]
+
+
 def test_trig_sas_family_runs(tmp_path):
     doc = _base_doc(
         family="trig_sas",
@@ -212,6 +255,14 @@ def _write_cfg(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, rcuniv, rcuniv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_run_ok(tmp_path, capsys):

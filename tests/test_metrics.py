@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import rcuniv as rc
 from rcuniv.metrics import lp_norm_of_values
@@ -46,8 +47,11 @@ def test_empirical_triangle_and_jensen():
 def test_kurtosis_warning_fires_on_heavy_tails():
     rng = np.random.default_rng(2)
     heavy = np.exp(rng.normal(size=4000) * 3.0)
-    with pytest.warns(RuntimeWarning, match="kurtosis"):
+    with pytest.warns(RuntimeWarning, match="kurtosis") as record:
         lp_norm_of_values(heavy, p=4.0)
+    # the numpy moment ratio reports scipy's (non-excess, biased) kurtosis
+    expected = stats.kurtosis(np.abs(heavy) ** 4.0, fisher=False)
+    assert f"kurtosis {expected:.1f} exceeds" in str(record[0].message)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lp_norm_of_values(rng.normal(size=4000), p=2.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.signal import lfilter
 
 import rcuniv as rc
 from rcuniv.processes import path_rng
@@ -92,6 +93,24 @@ def test_arma_validation():
     with pytest.raises(ValueError):
         rc.arma(ma=(-1.0,))  # MA root on the unit circle
     rc.arma(ar=(0.5,), ma=(0.3,))  # fine
+
+
+@pytest.mark.parametrize("ar, ma", [
+    ((0.5,), (0.3,)),  # the valid case above
+    ((0.5,), ()),
+    ((), (0.3,)),
+    ((0.6, -0.2), (0.4, 0.25, 0.1)),
+    ((), (0.4, 0.25, 0.1, 0.05, 0.3)),
+])
+def test_arma_paths_match_scipy_lfilter_bit_for_bit(ar, ma):
+    s = rc.arma(ar=ar, ma=ma, std=1.5)
+    T, M, seed = 8, 30, 5
+    total = s.burn_in() + T
+    eps = np.stack([1.5 * rc.processes.path_rng(seed, i).standard_normal(total)
+                    for i in range(M)])
+    series = lfilter(np.r_[1.0, ma], np.r_[1.0, [-c for c in ar]], eps, axis=1)
+    data = rc.sample_paths(s, T, M, seed)
+    np.testing.assert_array_equal(data[:, :, 0], series[:, -T:][:, ::-1])
 
 
 def test_ar1_stationary_variance_and_autocorr():

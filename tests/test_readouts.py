@@ -1,5 +1,7 @@
 """Polynomial feature maps, readout evaluation, activations, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,23 @@ def test_activation_table():
     )
     with pytest.raises(ValueError):
         get_activation("relu")  # unbounded activations stay out of the table
+
+
+def test_logistic_within_two_ulps_of_expit():
+    # numpy's exp and the C library's exp that expit calls differ by up to
+    # an ulp, and 1 / (1 + e) can carry that into a second ulp
+    from scipy.special import expit
+
+    x = np.concatenate([np.linspace(-800.0, 800.0, 40001),
+                        np.random.default_rng(0).normal(scale=8.0, size=40000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # exp overflow must stay silent
+        got = rc.readouts.get_activation("logistic").fn(x)
+    ref = expit(x)
+    ulps = np.abs(got.view(np.int64) - ref.view(np.int64))
+    assert ulps.max() <= 2
+    assert np.mean(ulps > 0) < 0.05
+    assert got[0] == 0.0 and got[40000] == 1.0
 
 
 def test_serialization_round_trip_exact():

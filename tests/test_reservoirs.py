@@ -11,6 +11,7 @@ import rcuniv as rc
 from rcuniv.readouts import get_activation
 from rcuniv.reservoirs import (
     TrigPolynomial,
+    final_states,
     fit_decay_rate,
     identity_fit_error,
 )
@@ -427,6 +428,44 @@ def test_serialization_round_trips():
         np.testing.assert_array_equal(states_a, states_b)
         assert ya == yb
         assert doc["esp"]["certified"] == rc.certify_esp(system).certified
+        # the recorded trajectory ends exactly where the batch loop does
+        x0 = rng.normal(size=system.N)
+        np.testing.assert_array_equal(states_a[0], final_states(system, w.data[None])[0])
+        np.testing.assert_array_equal(rc.run_reservoir(system, w, x0)[0][0],
+                                      final_states(system, w.data[None], x0)[0])
+
+
+def _system_and_its_inputs(kind):
+    rng = np.random.default_rng(47)
+    if kind == "linear":
+        A, c = np.diag(np.ones(2), -1), rng.normal(size=(3, 1))  # nilpotent shift
+        return rc.LinearReservoir(A, c), (A, c)
+    if kind == "trig_sas":
+        arrays = (np.zeros((1, 3, 3)), 0.2 * rng.normal(size=(1, 3, 3)),
+                  rng.normal(size=(1, 1)), rng.normal(size=(1, 1)))
+        W = rng.normal(size=3)
+        Q = rc.random_trig_sas(3, 1, terms=1, seed=48).Q
+        return rc.TrigSAS(TrigPolynomial(*arrays), Q, W), arrays + (W,)
+    arrays = (0.1 * rng.normal(size=(3, 3)), rng.normal(size=(3, 1)),
+              rng.normal(size=3), rng.normal(size=3))
+    return rc.EchoStateNetwork(*arrays, "tanh"), arrays
+
+
+@pytest.mark.parametrize("kind", ["linear", "trig_sas", "esn"])
+def test_systems_copy_their_inputs_and_keep_their_certificate(kind):
+    system, inputs = _system_and_its_inputs(kind)
+    before = json.dumps(rc.system_to_dict(system))
+    report = rc.certify_esp(system)
+    for arr in inputs:
+        arr[...] = 7.0  # would break every certificate if it reached the system
+    assert json.dumps(rc.system_to_dict(system)) == before
+    assert rc.certify_esp(system) is report and report.certified
+    frozen = [v for v in vars(system).values() if isinstance(v, np.ndarray)]
+    if kind == "trig_sas":
+        frozen.append(system.P.sin_mats)
+    for arr in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
 
 
 def test_serialization_rejects_unknown_variant():

@@ -76,7 +76,7 @@ def test_polynomial_recovery_frozen_coefficients():
     target = rc.finite_poly(1, 1, 2, {(2, 0): 1.0, (1, 1): 1.0}).spec
     cfg = rc.TrainConfig(ridge=1e-10, paths=200, window_length=6, seed=4)
     readout, diag = rc.fit_polynomial_readout(
-        sr, 2, target, rc.iid_gaussian(1), cfg, check_moments=False
+        sr, 2, target, rc.iid_gaussian(1), cfg
     )
     np.testing.assert_allclose(
         readout.coefficient_vector(), [0.0, 0.0, 0.0, 1.0, 1.0, 0.0], atol=1e-6
@@ -90,7 +90,7 @@ def test_degree_zero_fits_the_mean():
     target = rc.geometric_ma(0.5).spec
     cfg = rc.TrainConfig(ridge=0.0, paths=500, window_length=20, seed=5)
     readout, _ = rc.fit_polynomial_readout(
-        sr, 0, target, rc.iid_gaussian(1), cfg, check_moments=False
+        sr, 0, target, rc.iid_gaussian(1), cfg
     )
     data = rc.sample_paths(rc.iid_gaussian(1), 20, 500, seed=5)
     y = rc.evaluate_functional_batch(target, data)
@@ -121,7 +121,6 @@ def test_training_respects_whitelist():
     with pytest.raises(ValueError):
         rc.fit_polynomial_readout(
             sr, 1, rc.peak_hold(0, 1).spec, rc.iid_gaussian(1), cfg,
-            check_moments=False,
         )
 
 
@@ -169,18 +168,9 @@ def test_polynomials_plateau_on_lognormal_log_sine():
     for degree in (1, 3, 6):
         cfg = rc.TrainConfig(ridge=1e-8, paths=3000, window_length=2, seed=15)
         _, diag = rc.fit_polynomial_readout(
-            sr, degree, target, samp, cfg, check_moments=False
+            sr, degree, target, samp, cfg
         )
         assert diag["rmse_holdout"] > 0.7 * floor
-
-
-def test_moment_screen_warns_during_fit():
-    sr = rc.build_shift_register(1, 0)
-    cfg = rc.TrainConfig(ridge=1e-8, paths=200, window_length=2, seed=16)
-    with pytest.warns(RuntimeWarning, match="moment"):
-        rc.fit_polynomial_readout(
-            sr, 2, rc.log_sine().spec, rc.iid_lognormal(1), cfg, check_moments=True
-        )
 
 
 def test_fits_are_deterministic():

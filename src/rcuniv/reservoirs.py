@@ -89,14 +89,23 @@ class EspReport:
 
 
 def _support_nilpotency_index(support: np.ndarray) -> int | None:
-    """Smallest m with support^m = 0 under boolean reachability, else None."""
-    N = support.shape[0]
-    power = support.copy()
-    for m in range(1, N + 1):
-        if not power.any():
-            return m
-        power = (power.astype(np.int64) @ support.astype(np.int64)) > 0
-    return None
+    """Smallest m with support^m = 0 under boolean reachability, else None.
+
+    Level peeling on the digraph j -> i where support[i, j]: each round drops
+    the nodes no remaining node points to; the index (longest walk plus one)
+    is the number of rounds that empty the graph, and a round that drops
+    nothing meets a cycle.  O(N^2) to read the support plus O(N) per round.
+    """
+    indeg, alive = support.sum(axis=1), np.ones(support.shape[0], dtype=bool)
+    rounds = 0
+    while alive.any():
+        roots = np.flatnonzero(alive & (indeg == 0))
+        if roots.size == 0:
+            return None
+        alive[roots] = False
+        indeg -= support[:, roots].sum(axis=1)
+        rounds += 1
+    return rounds or None
 
 
 def _structural_report(method: str, bound: float, support: np.ndarray) -> EspReport:
@@ -229,13 +238,19 @@ class TrigPolynomial:
         return self.cos_freqs.shape[1]
 
     def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """R(z_m) x_m per row for z (M, n) and x (M, cols) -> (M, rows)."""
+        """R(z_m) x_m per row for z (M, n) and x (M, cols) -> (M, rows).
+
+        One BLAS matmul per coefficient matrix, weighted by its cos or sin
+        column and added term by term into one (M, rows) output.
+        """
+        out = np.zeros((z.shape[0], self.rows))
         if self.r == 0:
-            return np.zeros((z.shape[0], self.rows))
+            return out
         c = np.cos(z @ self.cos_freqs.T)
         s = np.sin(z @ self.sin_freqs.T)
-        out = np.einsum("mk,kij,mj->mi", c, self.cos_mats, x)
-        out += np.einsum("mk,kij,mj->mi", s, self.sin_mats, x)
+        for k in range(self.r):
+            out += c[:, k, None] * (x @ self.cos_mats[k].T)
+            out += s[:, k, None] * (x @ self.sin_mats[k].T)
         return out
 
     def value_vector(self, z: np.ndarray) -> np.ndarray:
@@ -258,11 +273,7 @@ class TrigPolynomial:
 
     def support(self) -> np.ndarray:
         """Boolean (rows, cols) union of coefficient supports."""
-        sup = np.zeros((self.rows, self.cols), dtype=bool)
-        for k in range(self.r):
-            sup |= self.cos_mats[k] != 0.0
-            sup |= self.sin_mats[k] != 0.0
-        return sup
+        return np.any(self.cos_mats != 0.0, axis=0) | np.any(self.sin_mats != 0.0, axis=0)
 
     def to_dict(self) -> dict:
         names = ("cos_mats", "sin_mats", "cos_freqs", "sin_freqs")
@@ -568,15 +579,17 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
     return TrigSAS(P, Q, W)
 
 
-def _embed_terms(poly: TrigPolynomial, rows: int, cols: int, r0: int, c0: int,
-                 n: int) -> tuple[np.ndarray, ...]:
-    cm = np.zeros((poly.r, rows, cols))
-    sm = np.zeros((poly.r, rows, cols))
-    cm[:, r0 : r0 + poly.rows, c0 : c0 + poly.cols] = poly.cos_mats
-    sm[:, r0 : r0 + poly.rows, c0 : c0 + poly.cols] = poly.sin_mats
-    cf = poly.cos_freqs if poly.r else np.zeros((0, n))
-    sf = poly.sin_freqs if poly.r else np.zeros((0, n))
-    return cm, sm, cf, sf
+def _block_terms(p1: TrigPolynomial, p2: TrigPolynomial, rows: int, cols: int,
+                 r0: int, c0: int, n: int) -> TrigPolynomial:
+    """The terms of p1 placed at (0, 0) and of p2 at (r0, c0) of a (rows, cols) polynomial."""
+    parts = []
+    for poly, i, j in ((p1, 0, 0), (p2, r0, c0)):
+        cm, sm = np.zeros((2, poly.r, rows, cols))
+        cm[:, i : i + poly.rows, j : j + poly.cols] = poly.cos_mats
+        sm[:, i : i + poly.rows, j : j + poly.cols] = poly.sin_mats
+        cf, sf = (poly.cos_freqs, poly.sin_freqs) if poly.r else np.zeros((2, 0, n))
+        parts.append((cm, sm, cf, sf))
+    return TrigPolynomial(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
 def direct_sum_sas(s1: TrigSAS, s2: TrigSAS, lam: float) -> TrigSAS:
@@ -591,23 +604,10 @@ def direct_sum_sas(s1: TrigSAS, s2: TrigSAS, lam: float) -> TrigSAS:
         raise ValueError("direct sum requires both systems ESP-certified")
     if s1.n != s2.n:
         raise ValueError("systems must share the input channel count")
-    N1, N2, n = s1.N, s2.N, s1.n
-    N = N1 + N2
+    N1, n, N = s1.N, s1.n, s1.N + s2.N
 
-    # P blocks: top-left and bottom-right
-    pc1, ps1, pf1c, pf1s = _embed_terms(s1.P, N, N, 0, 0, n)
-    pc2, ps2, pf2c, pf2s = _embed_terms(s2.P, N, N, N1, N1, n)
-    P = TrigPolynomial(
-        np.concatenate([pc1, pc2]), np.concatenate([ps1, ps2]),
-        np.concatenate([pf1c, pf2c]), np.concatenate([pf1s, pf2s]),
-    )
-    # Q blocks: stacked column
-    qc1, qs1, qf1c, qf1s = _embed_terms(s1.Q, N, 1, 0, 0, n)
-    qc2, qs2, qf2c, qf2s = _embed_terms(s2.Q, N, 1, N1, 0, n)
-    Q = TrigPolynomial(
-        np.concatenate([qc1, qc2]), np.concatenate([qs1, qs2]),
-        np.concatenate([qf1c, qf2c]), np.concatenate([qf1s, qf2s]),
-    )
+    P = _block_terms(s1.P, s2.P, N, N, N1, N1, n)  # block diagonal
+    Q = _block_terms(s1.Q, s2.Q, N, 1, N1, 0, n)  # stacked column
     W = np.concatenate([s1.W, lam * s2.W])
 
     hint = None

@@ -185,8 +185,7 @@ def test_moment_screen_warns_once_per_experiment(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning, match="exponential-moment screen") as record:
         run_experiment(load_config(doc), tmp_path)
     assert len([w for w in record if "moment" in str(w.message)]) == 1
-    # memory 0 is falsy, so the screen reads the default depth 2
-    assert screens == [{"alpha": 1.0, "K": 2, "sample_sizes": (20_000, 40_000, 80_000),
+    assert screens == [{"alpha": 1.0, "K": 0, "sample_sizes": (20_000, 40_000, 80_000),
                         "seed": 12}]
 
 

@@ -11,6 +11,7 @@ import rcuniv as rc
 from rcuniv.readouts import get_activation
 from rcuniv.reservoirs import (
     TrigPolynomial,
+    _support_nilpotency_index,
     final_states,
     fit_decay_rate,
     identity_fit_error,
@@ -144,6 +145,61 @@ def test_certify_rejects_unknown_type():
         rc.certify_esp(object())
 
 
+def _power_nilpotency_index(support):
+    """Boolean powers of the support until one vanishes: the O(N^4) reference."""
+    N = support.shape[0]
+    power = support.copy()
+    for m in range(1, N + 1):
+        if not power.any():
+            return m
+        power = (power.astype(np.int64) @ support.astype(np.int64)) > 0
+    return None
+
+
+def _random_supports(seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, 40))
+    lower = np.tril(rng.uniform(size=(N, N)) < rng.uniform(0.05, 0.9), -1)
+    perm = rng.permutation(N)
+    looped = lower.copy()
+    looped[rng.integers(N), rng.integers(N)] = True  # may close a cycle or not
+    self_loop = lower.copy()
+    i = rng.integers(N)
+    self_loop[i, i] = True
+    return {
+        "dense": np.ones((N, N), dtype=bool),
+        "shift": np.eye(N, k=-1, dtype=bool),
+        "lower": lower,
+        "permuted_dag": lower[np.ix_(perm, perm)],
+        "dag_plus_edge": looped,
+        "self_loop": self_loop,
+        "sparse": rng.uniform(size=(N, N)) < 2.0 / N,
+        "zero": np.zeros((N, N), dtype=bool),
+    }
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_nilpotency_index_matches_matrix_powers(seed):
+    supports = _random_supports(seed)
+    for kind, support in supports.items():
+        assert _support_nilpotency_index(support) == _power_nilpotency_index(support), kind
+    N = supports["zero"].shape[0]
+    assert _support_nilpotency_index(supports["shift"]) == N
+    assert _support_nilpotency_index(supports["self_loop"]) is None
+    assert _support_nilpotency_index(supports["zero"]) == 1
+
+
+def test_nilpotency_index_of_an_empty_support_is_none():
+    empty = np.zeros((0, 0), dtype=bool)
+    assert _support_nilpotency_index(empty) is None
+    assert _power_nilpotency_index(empty) is None
+
+
+def test_nilpotency_index_at_scale():
+    # the longest path of a full strictly lower-triangular support visits all nodes
+    assert _support_nilpotency_index(np.tri(1000, k=-1, dtype=bool)) == 1000
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -220,6 +276,45 @@ def test_nilpotent_sas_time_invariant_beyond_depth():
     long_vals = model.values(data)
     short_vals = model.values(np.ascontiguousarray(data[:, :2]))
     np.testing.assert_array_equal(long_vals, short_vals)
+
+
+def _einsum_apply(poly, z, x):
+    """The three-operand einsum form of TrigPolynomial.apply: the reference."""
+    if poly.r == 0:
+        return np.zeros((z.shape[0], poly.rows))
+    c = np.cos(z @ poly.cos_freqs.T)
+    s = np.sin(z @ poly.sin_freqs.T)
+    out = np.einsum("mk,kij,mj->mi", c, poly.cos_mats, x)
+    out += np.einsum("mk,kij,mj->mi", s, poly.sin_mats, x)
+    return out
+
+
+def _polynomials():
+    rng = np.random.default_rng(23)
+    sas = rc.random_trig_sas(25, 2, terms=4, seed=24)
+    return {
+        "random_P": sas.P,
+        "random_Q": sas.Q,
+        "random_P_n1": rc.random_trig_sas(50, 1, terms=3, seed=25).P,
+        "empty": TrigPolynomial(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)),
+                                np.zeros((0, 2)), np.zeros((0, 2))),
+        "non_square": TrigPolynomial(rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6)),
+                                     rng.normal(size=(3, 2)), rng.normal(size=(3, 2))),
+        "one_matrix_per_term": rc.build_nilpotent_trig_sas(
+            rng.normal(size=(4, 2)), sine_lags=(0, 2)).P,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_polynomials()))
+def test_apply_matches_einsum(name):
+    poly = _polynomials()[name]
+    rng = np.random.default_rng(26)
+    z = rng.normal(size=(300, poly.n))
+    x = rng.normal(size=(300, poly.cols))
+    got, want = poly.apply(z, x), _einsum_apply(poly, z, x)
+    assert got.shape == want.shape == (300, poly.rows)
+    scale = np.abs(want).max(initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -202,13 +202,20 @@ def garch11(omega: float, alpha: float, beta: float) -> ProcessSampler:
 # ---------------------------------------------------------------------------
 # path generation
 
+# dependent kinds are simulated in blocks of paths holding about this many
+# float64 noise values (32 MiB); values do not depend on it
+_BLOCK_VALUES = 1 << 22
+
 
 def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int = 0) -> np.ndarray:
     """M stationary windows as an array of shape (M, T, n).
 
     Path i uses the stream keyed by (seed, path_offset + i).  Dependent
     kinds simulate burn_in() + T chronological steps per path and keep the
-    last T, reversed into lag order.
+    last T, reversed into lag order.  They run in blocks of paths whose
+    working arrays stay within a fixed byte budget, so memory beyond the
+    (M, T, n) result does not grow with M; paths are independent, so the
+    values do not depend on the block size.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -222,26 +229,37 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     burn = s.burn_in()
     total = burn + T
+    block = max(1, _BLOCK_VALUES // total)
+    eps_buf = np.empty((min(block, M), total))
+    for b0 in range(0, M, block):
+        eps = eps_buf[: min(block, M - b0)]
+        for j in range(len(eps)):
+            eps[j] = path_rng(seed, path_offset + b0 + j).standard_normal(total)
+        out[b0 : b0 + len(eps), :, 0] = _simulate(s, eps, burn)[:, ::-1]
+    return out
+
+
+def _simulate(s: ProcessSampler, eps: np.ndarray, burn: int) -> np.ndarray:
+    """Chronological steps burn.. of a dependent kind driven by noise eps (paths x steps).
+
+    eps may be overwritten.
+    """
     p = s.params
-    eps = np.empty((M, total))
-    for i in range(M):
-        eps[i] = path_rng(seed, path_offset + i).standard_normal(total)
     if s.kind == "arma":
         eps *= p["std"]
         # x_t = sum ar_i x_{t-i} + eps_t + sum ma_j eps_{t-j}
-        series = _lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps)
-    elif s.kind == "garch11":
+        return _lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps)[:, burn:]
+    if s.kind == "garch11":
         omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
-        series = np.empty((M, total))
-        var = np.full(M, omega / (1.0 - alpha - beta))  # start at unconditional variance
-        for t in range(total):
+        kept = np.empty((len(eps), eps.shape[1] - burn))
+        var = np.full(len(eps), omega / (1.0 - alpha - beta))  # start at unconditional variance
+        for t in range(eps.shape[1]):
             z = np.sqrt(var) * eps[:, t]
-            series[:, t] = z
+            if t >= burn:
+                kept[:, t - burn] = z
             var = omega + alpha * z**2 + beta * var
-    else:
-        raise AssertionError(s.kind)
-    out[:, :, 0] = series[:, burn:][:, ::-1]
-    return out
+        return kept
+    raise AssertionError(s.kind)
 
 
 def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -320,13 +338,8 @@ def exp_moment_check(
         vals = s.draw(path_rng(seed, 0), (S, K + 1, s.n))
         exponent = alpha * np.abs(vals).sum(axis=(1, 2))
     else:
-        # dependent kinds: exponent over actual joint windows, chunked paths
-        exponent = np.empty(S)
-        chunk = 20_000
-        for start in range(0, S, chunk):
-            stop = min(start + chunk, S)
-            w = sample_paths(s, K + 1, stop - start, seed, path_offset=start)
-            exponent[start:stop] = alpha * np.abs(w).sum(axis=(1, 2))
+        # dependent kinds: exponent over actual joint windows
+        exponent = alpha * np.abs(sample_paths(s, K + 1, S, seed)).sum(axis=(1, 2))
 
     with np.errstate(over="ignore"):
         expvals = np.exp(exponent)

@@ -1,6 +1,7 @@
 """Path samplers: determinism, stationarity, moment screening, probes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,16 +96,17 @@ def test_arma_validation():
     rc.arma(ar=(0.5,), ma=(0.3,))  # fine
 
 
-@pytest.mark.parametrize("ar, ma", [
-    ((0.5,), (0.3,)),  # the valid case above
-    ((0.5,), ()),
-    ((), (0.3,)),
-    ((0.6, -0.2), (0.4, 0.25, 0.1)),
-    ((), (0.4, 0.25, 0.1, 0.05, 0.3)),
-])
-def test_arma_paths_match_scipy_lfilter_bit_for_bit(ar, ma):
+@pytest.mark.parametrize("ar, ma, M", [
+    ((0.5,), (0.3,), 30),  # the valid case above
+    ((0.5,), (), 30),
+    ((), (0.3,), 30),
+    ((0.6, -0.2), (0.4, 0.25, 0.1), 30),
+    ((), (0.4, 0.25, 0.1, 0.05, 0.3), 30),
+    ((0.6, -0.2), (0.4,), 4200),  # one block of 4161 paths plus a remainder
+], ids=["ar0-ma0", "ar1-ma1", "ar2-ma2", "ar3-ma3", "ar4-ma4", "block_edge"])
+def test_arma_paths_match_scipy_lfilter_bit_for_bit(ar, ma, M):
     s = rc.arma(ar=ar, ma=ma, std=1.5)
-    T, M, seed = 8, 30, 5
+    T, seed = 8, 5
     total = s.burn_in() + T
     eps = np.stack([1.5 * rc.processes.path_rng(seed, i).standard_normal(total)
                     for i in range(M)])
@@ -153,6 +155,67 @@ def test_garch_stationary_variance_and_fat_tails():
     # volatility clustering: squared values correlate across one lag
     c = np.corrcoef(data[:, 0, 0] ** 2, data[:, 1, 0] ** 2)[0, 1]
     assert c > 0.05
+
+
+def _garch_full_array(s, T, M, seed, path_offset=0):
+    """GARCH(1,1) windows simulated over full (M, burn_in + T) arrays: the oracle."""
+    burn = s.burn_in()
+    total = burn + T
+    p = s.params
+    eps = np.empty((M, total))
+    for i in range(M):
+        eps[i] = path_rng(seed, path_offset + i).standard_normal(total)
+    omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
+    series = np.empty((M, total))
+    var = np.full(M, omega / (1.0 - alpha - beta))
+    for t in range(total):
+        z = np.sqrt(var) * eps[:, t]
+        series[:, t] = z
+        var = omega + alpha * z**2 + beta * var
+    return series[:, burn:][:, ::-1, None]
+
+
+def _block_paths(s, T):
+    return rc.processes._BLOCK_VALUES // (s.burn_in() + T)
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 1003, 1], ids=["default", "3_paths", "1_path"])
+def test_garch_paths_match_full_array_oracle(monkeypatch, budget):
+    s = rc.garch11(0.1, 0.1, 0.8)
+    T, offset, seed = 3, 123, 2**63 + 5
+    if budget is not None:
+        monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", budget)
+    M = 2 * _block_paths(s, T) + 7 if budget is None else 10
+    data = rc.sample_paths(s, T, M, seed, path_offset=offset)
+    np.testing.assert_array_equal(data, _garch_full_array(s, T, M, seed, offset))
+
+
+def test_garch_moment_screen_matches_chunked_oracle(monkeypatch):
+    s, kw = rc.garch11(0.1, 0.1, 0.8), dict(alpha=1.0, K=2, sample_sizes=(2000, 4000, 9000), seed=4)
+    assert 9000 > 2 * _block_paths(s, 3)
+    diag = rc.exp_moment_check(s, **kw)
+
+    def chunked(s, T, M, seed):  # windows from the oracle, drawn in chunks of paths
+        return np.concatenate([_garch_full_array(s, T, min(4000, M - a), seed, a)
+                               for a in range(0, M, 4000)])
+
+    monkeypatch.setattr(rc.processes, "sample_paths", chunked)
+    assert diag == rc.exp_moment_check(s, **kw)
+
+
+@pytest.mark.parametrize("s", [rc.garch11(0.1, 0.1, 0.8), rc.arma(ar=(0.5,), ma=(0.3,))],
+                         ids=["garch11", "arma"])
+def test_dependent_paths_memory_does_not_grow_with_M(s):
+    def peak(M):
+        tracemalloc.start()
+        try:
+            rc.sample_paths(s, 3, M, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # full (M, burn_in + 3) arrays would make the first peak about 5x the second
+    assert peak(40_000) <= 1.1 * peak(2 * _block_paths(s, 3))
 
 
 def test_burn_in_scales_with_memory():

@@ -9,6 +9,9 @@ registers the concrete evaluators.
 from __future__ import annotations
 
 import csv
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -162,6 +165,77 @@ def nilpotent_product(N: int, indices) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# block runs on several threads
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _positive_int(raw: str | None) -> int | None:
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        return None
+    return value if value > 0 else None
+
+
+def _worker_count() -> int:
+    """Threads for block runs: RCUNIV_WORKERS, else usable CPUs per BLAS thread.
+
+    The BLAS thread count is read from the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS that is set; unset (or not a
+    positive integer) lets BLAS use every core and gives one worker, so
+    workers are never stacked on a threaded BLAS.
+    """
+    raw = os.environ.get("RCUNIV_WORKERS")
+    if raw is not None:
+        return _positive_int(raw) or 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None)
+    return max(1, cpus // (_positive_int(blas) or cpus))
+
+
+def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int) -> None:
+    """Call fill(start, stop) on each fixed block of rows rows covering range(M).
+
+    The calling thread and a pool of _worker_count() - 1 threads take blocks
+    in turn.  fill must write only its own rows, so results do not depend on
+    the worker count.  When blocks raise, the exception of the lowest-index
+    one is raised, whatever the worker count.
+    """
+    blocks = range(0, M, rows)
+    workers = min(_worker_count(), len(blocks))
+    starts = iter(blocks)
+    lock = threading.Lock()
+    failed: dict[int, Exception] = {}
+
+    def drain():
+        while True:
+            with lock:
+                start = next(starts, None)
+                if start is None or (failed and start > min(failed)):
+                    return
+            try:
+                fill(start, min(start + rows, M))
+            except Exception as exc:  # re-raised in the calling thread below
+                with lock:
+                    failed[start] = exc
+
+    if workers <= 1:
+        drain()
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(workers - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
+    if failed:
+        raise failed[min(failed)]
+
+
+# ---------------------------------------------------------------------------
 # truncated conditional expectation
 
 
@@ -216,24 +290,33 @@ def truncated_conditional_error(
     deep = T - (K + 1)  # rows to resample per inner draw
     diffs = np.empty(M)
     chunk = max(1, int(2_000_000 // max(1, R * T * n)))
-    for start in range(0, M, chunk):
-        stop = min(start + chunk, M)
+
+    def fill(start, stop):
         m = stop - start
-        base = np.stack(
-            [sampler.draw(path_rng(seed, i), (T, n)) for i in range(start, stop)]
-        )
+        base = np.empty((m, T, n))
+        rep = np.empty((m, R, T, n)) if deep else None
+
+        def draw(a, b):
+            for i in range(a, b):
+                base[i] = sampler.draw(path_rng(seed, start + i), (T, n))
+                if deep:
+                    # replicas keep lags 0..K and redraw the deeper past
+                    rep[i, :, : K + 1] = base[i, : K + 1]
+                    rep[i, :, K + 1 :] = sampler.draw(path_rng(seed, M + start + i), (R, deep, n))
+
+        # paths draw from their own streams, so the 16-path tasks move no value
+        _run_blocks(draw, m, 16)
         h_base = evaluate_functional_batch(spec, base)
         if deep == 0:
             # H is measurable w.r.t. the kept lags; conditional error is zero
             diffs[start:stop] = 0.0
-            continue
-        rep = np.broadcast_to(base[:, None, :, :], (m, R, T, n)).copy()
-        for i in range(m):
-            rng = path_rng(seed, M + start + i)
-            rep[i, :, K + 1 :, :] = sampler.draw(rng, (R, deep, n))
+            return
         cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n))
-        cond = cond.reshape(m, R).mean(axis=1)
-        diffs[start:stop] = h_base - cond
+        diffs[start:stop] = h_base - cond.reshape(m, R).mean(axis=1)
+
+    # one chunk's replicas in memory at a time
+    for start in range(0, M, chunk):
+        fill(start, min(start + chunk, M))
     return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
 
 

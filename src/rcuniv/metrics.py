@@ -3,19 +3,19 @@
 Estimates are (1/M sum |X_i|^p)^(1/p) over independent paths with a
 delta-method standard error.  Path values are filled independently per
 path index and reduced with a single pairwise sum, so results do not
-depend on chunking or worker count.
+depend on chunking or worker count; the worker threads run inside the
+state loop (reservoirs.final_states), not here.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FunctionalSpec, evaluate_functional_batch
+from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths, shift_invariance_probe
 from .reservoirs import ReservoirModel
 from .targets import check_sampler
@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 KURTOSIS_WARN = 100.0
+# paths sampled and evaluated at a time; bounds the memory of evaluation
+_EVAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -74,32 +76,13 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     return LpEstimate(p=p, value=float(value), stderr=float(stderr), M=M, seed=seed)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RCUNIV_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _collect_values(value_fn, sampler: ProcessSampler, T: int, M: int, seed: int) -> np.ndarray:
-    """Fill per-path values chunk by chunk; identical for any worker count."""
+    """Fill per-path values, _EVAL_CHUNK paths at a time."""
     out = np.empty(M)
-    chunk = max(256, min(M, 4096))
-    ranges = [(s, min(s + chunk, M)) for s in range(0, M, chunk)]
-
-    def fill(rng_pair):
-        start, stop = rng_pair
-        data = sample_paths(sampler, T, stop - start, seed, path_offset=start)
-        out[start:stop] = value_fn(data)
-
-    workers = _worker_count()
-    if workers == 1 or len(ranges) == 1:
-        for pair in ranges:
-            fill(pair)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, ranges))
+    for start in range(0, M, _EVAL_CHUNK):
+        stop = min(start + _EVAL_CHUNK, M)
+        out[start:stop] = value_fn(sample_paths(sampler, T, stop - start, seed,
+                                                path_offset=start))
     return out
 
 

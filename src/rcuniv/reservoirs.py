@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Window
+from .core import Window, _run_blocks
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -240,17 +240,21 @@ class TrigPolynomial:
     def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
         """R(z_m) x_m per row for z (M, n) and x (M, cols) -> (M, rows).
 
-        One BLAS matmul per coefficient matrix, weighted by its cos or sin
-        column and added term by term into one (M, rows) output.
+        One BLAS matmul per coefficient matrix into one scratch buffer,
+        weighted by its cos or sin column and added term by term into one
+        (M, rows) output.
         """
         out = np.zeros((z.shape[0], self.rows))
         if self.r == 0:
             return out
         c = np.cos(z @ self.cos_freqs.T)
         s = np.sin(z @ self.sin_freqs.T)
+        term = np.empty_like(out)
         for k in range(self.r):
-            out += c[:, k, None] * (x @ self.cos_mats[k].T)
-            out += s[:, k, None] * (x @ self.sin_mats[k].T)
+            for mats, weights in ((self.cos_mats, c), (self.sin_mats, s)):
+                np.matmul(x, mats[k].T, out=term)
+                term *= weights[:, k, None]
+                out += term
         return out
 
     def value_vector(self, z: np.ndarray) -> np.ndarray:
@@ -261,7 +265,9 @@ class TrigPolynomial:
             return np.zeros((z.shape[0], self.rows))
         c = np.cos(z @ self.cos_freqs.T)
         s = np.sin(z @ self.sin_freqs.T)
-        return c @ self.cos_mats[:, :, 0] + s @ self.sin_mats[:, :, 0]
+        out = c @ self.cos_mats[:, :, 0]
+        out += s @ self.sin_mats[:, :, 0]
+        return out
 
     def norm_bound(self) -> float:
         """sup_z ||R(z)||_2 <= sum_k ||A_k||_2 + ||B_k||_2."""
@@ -324,7 +330,9 @@ class TrigSAS(_ReservoirSystem):
         return self.Q.n if self.Q.r else self.P.n
 
     def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return self.P.apply(z, x) + self.Q.value_vector(z)
+        out = self.P.apply(z, x)
+        out += self.Q.value_vector(z)
+        return out
 
     def _prove(self) -> EspReport:
         report = _structural_report("spectral", self.P.norm_bound(), self.P.support())
@@ -403,6 +411,11 @@ _VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNet
 # running
 
 
+# windows per block of a state run; fixed, because BLAS rounding can depend
+# on the number of rows in a product
+_BLOCK_ROWS = 512
+
+
 def _step(system, x: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
     """One update of a batch of states at lag k; non-finite states raise."""
     x = system.step(x, z)
@@ -415,9 +428,12 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
                  trajectory: np.ndarray | None = None) -> np.ndarray:
     """Final states over a batch of windows, (M, T, n) -> (M, N).
 
-    Windows are consumed oldest row first.  When trajectory, an array of
-    shape (T, M, N), is given, its row k receives the states at lag k.
-    Raises StateOverflowError on non-finite states.
+    Windows are consumed oldest row first, in fixed blocks of 512 windows
+    (rows 0-511, 512-1023, ...) spread over the worker threads, so the
+    worker count never moves a value.  When trajectory, an array of shape
+    (T, M, N), is given, its row k receives the states at lag k.  Raises
+    StateOverflowError on non-finite states, naming the lag of the first
+    block, in window order, that overflowed.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3:
@@ -425,15 +441,22 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
     M, T, n = data.shape
     if n != system.n:
         raise ValueError(f"system expects {system.n} channels, window has {n}")
-    if x_init is None:
-        x = np.zeros((M, system.N))
-    else:
-        x = np.broadcast_to(np.asarray(x_init, dtype=np.float64), (M, system.N)).copy()
-    for k in range(T - 1, -1, -1):
-        x = _step(system, x, data[:, k, :], k)
-        if trajectory is not None:
-            trajectory[k] = x
-    return x
+    if x_init is not None:
+        x_init = np.broadcast_to(np.asarray(x_init, dtype=np.float64), (M, system.N))
+    out = np.empty((M, system.N))
+
+    def run(start, stop):
+        # the state lives in out, so a worker thread allocates only one
+        # step's temporaries, which keeps its malloc arena small
+        x = out[start:stop]
+        x[...] = 0.0 if x_init is None else x_init[start:stop]
+        for k in range(T - 1, -1, -1):
+            x[...] = _step(system, x, data[start:stop, k, :], k)
+            if trajectory is not None:
+                trajectory[k, start:stop] = x
+
+    _run_blocks(run, M, _BLOCK_ROWS)
+    return out
 
 
 def run_reservoir(system, w: Window, x_init: np.ndarray | None = None):

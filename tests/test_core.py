@@ -1,14 +1,25 @@
 """Window container, functional evaluation, nilpotent shift algebra,
-conditional truncation error, and window CSV round trips."""
+conditional truncation error, worker threads, and window CSV round trips."""
 
 import io
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import rcuniv as rc
-from rcuniv.core import NilpotentShift, nilpotent_product
+from rcuniv.core import (
+    NilpotentShift,
+    _run_blocks,
+    _worker_count,
+    evaluate_functional_batch,
+    nilpotent_product,
+)
+from rcuniv.metrics import lp_norm_of_values
+from rcuniv.processes import path_rng
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +212,93 @@ def test_truncation_error_input_validation():
         rc.truncated_conditional_error(spec, K=-1, sampler=samp, p=2.0, M=16, seed=0)
     with pytest.raises(ValueError):
         rc.truncated_conditional_error(spec, K=1, sampler=samp, p=2.0, M=1, seed=0)
+
+
+def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
+    # the serial chunk loop of the estimator, kept as the bit-level reference
+    n, deep = sampler.n, T - (K + 1)
+    chunk = max(1, 2_000_000 // (R * T * n))
+    diffs = np.empty(M)
+    for start in range(0, M, chunk):
+        stop = min(start + chunk, M)
+        m = stop - start
+        base = np.stack([sampler.draw(path_rng(seed, i), (T, n)) for i in range(start, stop)])
+        rep = np.broadcast_to(base[:, None], (m, R, T, n)).copy()
+        for i in range(m):
+            rep[i, :, K + 1 :] = sampler.draw(path_rng(seed, M + start + i), (R, deep, n))
+        cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n)).reshape(m, R)
+        diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.mean(axis=1)
+    return lp_norm_of_values(diffs, p=p, seed=seed)
+
+
+def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
+    # 2_000_000 // (100 inner draws * 40 rows) = 500 paths per chunk: 3 chunks
+    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    sampler = rc.iid_gaussian(1)
+    oracle = _conditional_error_oracle(spec, 2, sampler, 2.0, 1100, 5, T=40, R=100)
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        est = rc.truncated_conditional_error(spec, K=2, sampler=sampler, p=2.0, M=1100,
+                                             seed=5, window_length=40, inner_samples=100)
+        assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),  # BLAS free to use all 8 cores
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4),
+    ({"MKL_NUM_THREADS": "4"}, 2),
+    ({"OMP_NUM_THREADS": "3"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 8),
+    ({"RCUNIV_WORKERS": "3", "OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"RCUNIV_WORKERS": "3"}, 3),
+    ({"RCUNIV_WORKERS": "0"}, 1),
+    ({"RCUNIV_WORKERS": "x", "OPENBLAS_NUM_THREADS": "1"}, 1),
+])
+def test_default_worker_count_is_cpus_per_blas_thread(monkeypatch, env, workers):
+    for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _worker_count() == workers
+
+
+def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
+    for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _worker_count() == 3
+
+
+def test_run_blocks_fills_every_block_once_under_thread_switching(monkeypatch):
+    # more workers than cores and a tiny switch interval: a block taken
+    # twice or dropped would show in the record
+    monkeypatch.setenv("RCUNIV_WORKERS", "8")
+    seen = []
+    runner = threading.Thread(target=_run_blocks,
+                              args=(lambda a, b: seen.append((a, b)), 20_003, 10))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(seen) == [(s, min(s + 10, 20_003)) for s in range(0, 20_003, 10)]
 
 
 # ---------------------------------------------------------------------------

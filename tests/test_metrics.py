@@ -108,13 +108,28 @@ def test_lp_norm_tail_bound_warning():
 
 
 def test_worker_env_does_not_change_results(monkeypatch):
+    # M = 3000 is two evaluation chunks, and the model's states run in
+    # six 512-row blocks spread over the workers
     spec = rc.geometric_ma(0.5).spec
     samp = rc.iid_gaussian(1)
-    base = rc.lp_norm(spec, samp, p=2.0, T=16, M=3000, seed=8)
-    monkeypatch.setenv("RCUNIV_WORKERS", "4")
-    threaded = rc.lp_norm(spec, samp, p=2.0, T=16, M=3000, seed=8)
-    assert base.value == threaded.value
-    assert base.stderr == threaded.stderr
+    esn = rc.random_esn(20, 1, seed=8)
+    readout = rc.LinearReadout(np.random.default_rng(8).normal(size=20))
+    model = rc.ReservoirModel(esn, readout, train_seed=1)
+    results = {}
+    for workers in ("1", "2", "4"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        estimates = (rc.lp_norm(spec, samp, p=2.0, T=16, M=3000, seed=8),
+                     rc.lp_norm(model, samp, p=2.0, T=16, M=3000, seed=8),
+                     rc.approx_error(spec, model, samp, p=2.0, T=16, M=3000, seed=8))
+        results[workers] = [(e.value, e.stderr) for e in estimates]
+    assert results["2"] == results["1"] and results["4"] == results["1"]
+
+
+def test_metrics_reexports_the_worker_count():
+    # perfbench/child.py reads metrics._worker_count for its run manifest
+    from rcuniv import core, metrics
+
+    assert metrics._worker_count is core._worker_count
 
 
 def test_approx_error_exact_model_is_tiny():

@@ -530,6 +530,60 @@ def test_serialization_round_trips():
                                       final_states(system, w.data[None], x0)[0])
 
 
+def _block_run_system(kind):
+    rng = np.random.default_rng(61)
+    if kind == "esn":
+        return rc.random_esn(20, 2, seed=62)
+    if kind == "trig_sas":
+        return rc.random_trig_sas(12, 2, terms=3, seed=63)
+    A = rng.normal(size=(10, 10))
+    return rc.LinearReservoir(0.9 * A / np.linalg.norm(A, 2), rng.normal(size=(10, 2)))
+
+
+@pytest.mark.parametrize("kind", ["esn", "trig_sas", "linear"])
+def test_final_states_do_not_depend_on_workers_or_batch(monkeypatch, kind):
+    system = _block_run_system(kind)
+    M, T = 3 * 512 + 7, 6
+    data = _gauss_windows(T, system.n, M, 64)
+    x0 = np.random.default_rng(65).normal(size=(M, system.N))
+    runs = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        trajectory = np.empty((T, M, system.N))
+        runs[workers] = (final_states(system, data),
+                         final_states(system, data, x0, trajectory=trajectory), trajectory)
+    for workers in ("2", "3"):
+        for a, b in zip(runs["1"], runs[workers]):
+            np.testing.assert_array_equal(a, b)
+    plain, started, trajectory = runs["1"]
+    np.testing.assert_array_equal(trajectory[0], started)
+    # blocks are fixed at 512 rows: the caller's batch does not move a bit
+    for s in range(0, M, 512):
+        block = slice(s, s + 512)
+        np.testing.assert_array_equal(final_states(system, data[block]), plain[block])
+        np.testing.assert_array_equal(final_states(system, data[block], x0[block]),
+                                      started[block])
+
+
+def test_overflow_names_the_first_block_for_any_worker_count(monkeypatch):
+    system = rc.LinearReservoir(1e3 * np.eye(2), np.ones((2, 1)))
+    M, T = 3 * 512 + 7, 200
+    data = _gauss_windows(T, 1, M, 66)
+    data[:512] *= 1e-100  # block 0 overflows about 33 steps after the others
+    messages = set()
+    for workers in ("1", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        with pytest.raises(rc.StateOverflowError) as err:
+            final_states(system, data)
+        messages.add(str(err.value))
+    with pytest.raises(rc.StateOverflowError) as first:
+        final_states(system, data[:512])
+    with pytest.raises(rc.StateOverflowError) as later:
+        final_states(system, data[512:])
+    assert messages == {str(first.value)}
+    assert str(later.value) != str(first.value)
+
+
 def _system_and_its_inputs(kind):
     rng = np.random.default_rng(47)
     if kind == "linear":

@@ -9,12 +9,13 @@ core convention: row k holds the value k steps in the past.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import Window, evaluate_functional_batch
+from .core import Window, _run_blocks, _worker_count, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_thread = threading.local()
 
 
 def path_rng(seed: int, path: int) -> np.random.Generator:
@@ -40,10 +42,20 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
 
     The 128-bit key is seed in the high word and path index in the low
     word; streams for distinct (seed, path) pairs are independent and the
-    mapping contains no global state.
+    mapping contains no global state.  Each thread owns one generator that
+    every call re-keys (counter 0, empty buffer), so the draws equal those
+    of a fresh np.random.Philox(key=...) but the returned generator is only
+    valid until the calling thread's next path_rng call.
     """
-    key = ((int(seed) & _MASK64) << 64) | (int(path) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    try:
+        rng, state = _thread.rng, _thread.state
+    except AttributeError:
+        rng = _thread.rng = np.random.Generator(np.random.Philox(key=0))
+        state = _thread.state = rng.bit_generator.state
+    key = state["state"]["key"]
+    key[0], key[1] = int(path) & _MASK64, int(seed) & _MASK64
+    rng.bit_generator.state = state
+    return rng
 
 
 _IID_KINDS = ("iid_gaussian", "iid_uniform_bounded", "iid_lognormal")
@@ -202,9 +214,10 @@ def garch11(omega: float, alpha: float, beta: float) -> ProcessSampler:
 # ---------------------------------------------------------------------------
 # path generation
 
-# dependent kinds are simulated in blocks of paths holding about this many
-# float64 noise values (32 MiB); values do not depend on it
-_BLOCK_VALUES = 1 << 22
+# the noise of one sample_paths call of a dependent kind holds at most this
+# many float64 values (30 MiB), shared by the blocks that run at once; values
+# do not depend on it
+_BLOCK_VALUES = (1 << 22) - (1 << 18)
 
 
 def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int = 0) -> np.ndarray:
@@ -212,10 +225,12 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     Path i uses the stream keyed by (seed, path_offset + i).  Dependent
     kinds simulate burn_in() + T chronological steps per path and keep the
-    last T, reversed into lag order.  They run in blocks of paths whose
-    working arrays stay within a fixed byte budget, so memory beyond the
-    (M, T, n) result does not grow with M; paths are independent, so the
-    values do not depend on the block size.
+    last T, reversed into lag order.  They run in blocks of paths on the
+    calling thread and the worker threads (core._run_blocks), and the
+    blocks running at once share one noise array of a fixed byte budget,
+    so memory beyond the (M, T, n) result grows neither with M nor with
+    the worker count; paths are independent, so the values depend neither
+    on the worker count nor on the block size.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -229,13 +244,24 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     burn = s.burn_in()
     total = burn + T
-    block = max(1, _BLOCK_VALUES // total)
-    eps_buf = np.empty((min(block, M), total))
-    for b0 in range(0, M, block):
-        eps = eps_buf[: min(block, M - b0)]
-        for j in range(len(eps)):
-            eps[j] = path_rng(seed, path_offset + b0 + j).standard_normal(total)
-        out[b0 : b0 + len(eps), :, 0] = _simulate(s, eps, burn)[:, ::-1]
+    workers = _worker_count()
+    # split a short call evenly rather than into one full block and a sliver
+    rows = max(1, min(_BLOCK_VALUES // (total * workers), -(-M // workers)))
+    slots = min(workers, -(-M // rows))
+    free = list(np.empty((slots, rows, total)))  # one noise slot per running block
+    lock = threading.Lock()
+
+    def fill(start, stop):
+        with lock:
+            slot = free.pop()
+        eps = slot[: stop - start]
+        for j in range(stop - start):
+            path_rng(seed, path_offset + start + j).standard_normal(total, out=eps[j])
+        out[start:stop, :, 0] = _simulate(s, eps, burn)[:, ::-1]
+        with lock:
+            free.append(slot)
+
+    _run_blocks(fill, M, rows)
     return out
 
 
@@ -248,7 +274,7 @@ def _simulate(s: ProcessSampler, eps: np.ndarray, burn: int) -> np.ndarray:
     if s.kind == "arma":
         eps *= p["std"]
         # x_t = sum ar_i x_{t-i} + eps_t + sum ma_j eps_{t-j}
-        return _lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps)[:, burn:]
+        return _lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps, burn)
     if s.kind == "garch11":
         omega, alpha, beta = p["omega"], p["alpha"], p["beta"]
         kept = np.empty((len(eps), eps.shape[1] - burn))
@@ -262,16 +288,25 @@ def _simulate(s: ProcessSampler, eps: np.ndarray, burn: int) -> np.ndarray:
     raise AssertionError(s.kind)
 
 
-def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """scipy.signal.lfilter(b, a, x, axis=1) for a[0] = 1, operation for operation."""
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, burn: int) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x, axis=1)[:, burn:] for a[0] = 1, operation for operation.
+
+    Only the kept steps t >= burn are stored.
+    """
+    total = x.shape[1]
+    y = np.empty((x.shape[0], total - burn))
     if len(a) == 1:  # no AR part: lfilter convolves each row
-        return np.stack([np.convolve(b, row)[: x.shape[1]] for row in x])
+        for y_row, x_row in zip(y, x):
+            y_row[:] = np.convolve(b, x_row)[burn:total]
+        return y
     L = max(len(a), len(b))
     b, a = np.r_[b, np.zeros(L - len(b))], np.r_[a, np.zeros(L - len(a))]
-    y, z = np.empty_like(x), np.zeros((L - 1, x.shape[0]))  # z: transposed direct form II delays
-    for t in range(x.shape[1]):
+    z = np.zeros((L - 1, x.shape[0]))  # transposed direct form II delays
+    for t in range(total):
         xt = x[:, t]
-        yt = y[:, t] = z[0] + b[0] * xt
+        yt = z[0] + b[0] * xt
+        if t >= burn:
+            y[:, t - burn] = yt
         z[:-1] = z[1:] + np.outer(b[1:-1], xt) - np.outer(a[1:-1], yt)
         z[-1] = xt * b[-1] - yt * a[-1]
     return y

@@ -1,6 +1,8 @@
 """Path samplers: determinism, stationarity, moment screening, probes."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,64 @@ def test_path_rng_keying():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def _fresh_rng(seed, path):
+    """The stream path_rng must reproduce: a new Philox keyed (seed << 64) | path."""
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | path))
+
+
+def _draw(rng, how):
+    return rng.standard_normal(70) if how == "normal" else rng.uniform(-2.0, 3.0, size=9)
+
+
+@pytest.mark.parametrize("how", ["normal", "uniform"])
+@pytest.mark.parametrize("path", [0, 1, 2**40])
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+def test_path_rng_matches_fresh_philox(seed, path, how):
+    # leave the shared generator mid-buffer with a spare 32-bit word first
+    path_rng(7, 3).integers(0, 10, size=3, dtype=np.uint32)
+    np.testing.assert_array_equal(_draw(path_rng(seed, path), how),
+                                  _draw(_fresh_rng(seed, path), how))
+
+
+def test_path_rng_is_one_generator_per_thread():
+    first = path_rng(0, 0)
+    assert path_rng(5, 9) is first
+    other = []
+    worker = threading.Thread(target=lambda: other.append(path_rng(0, 0)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert other[0] is not first
+
+
+def test_path_rng_interleaved_threads_get_the_serial_streams():
+    paths, threads = 400, 4
+    got = {}
+    start = threading.Barrier(threads)
+
+    def run(k):
+        start.wait()
+        for i in range(k, paths, threads):
+            rng = path_rng(11, i)
+            got[i] = (rng.standard_normal(5), rng.uniform(size=3))
+
+    workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for i in range(paths):
+        rng = _fresh_rng(11, i)
+        np.testing.assert_array_equal(got[i][0], rng.standard_normal(5))
+        np.testing.assert_array_equal(got[i][1], rng.uniform(size=3))
 
 
 def test_sample_paths_deterministic_and_prefix_stable():
@@ -102,7 +162,7 @@ def test_arma_validation():
     ((), (0.3,), 30),
     ((0.6, -0.2), (0.4, 0.25, 0.1), 30),
     ((), (0.4, 0.25, 0.1, 0.05, 0.3), 30),
-    ((0.6, -0.2), (0.4,), 4200),  # one block of 4161 paths plus a remainder
+    ((0.6, -0.2), (0.4,), 4200),  # more paths than one block
 ], ids=["ar0-ma0", "ar1-ma1", "ar2-ma2", "ar3-ma3", "ar4-ma4", "block_edge"])
 def test_arma_paths_match_scipy_lfilter_bit_for_bit(ar, ma, M):
     s = rc.arma(ar=ar, ma=ma, std=1.5)
@@ -203,19 +263,87 @@ def test_garch_moment_screen_matches_chunked_oracle(monkeypatch):
     assert diag == rc.exp_moment_check(s, **kw)
 
 
-@pytest.mark.parametrize("s", [rc.garch11(0.1, 0.1, 0.8), rc.arma(ar=(0.5,), ma=(0.3,))],
-                         ids=["garch11", "arma"])
-def test_dependent_paths_memory_does_not_grow_with_M(s):
-    def peak(M):
-        tracemalloc.start()
-        try:
-            rc.sample_paths(s, 3, M, seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+_GARCH, _ARMA = rc.garch11(0.1, 0.1, 0.8), rc.arma(ar=(0.5,), ma=(0.3,))
 
-    # full (M, burn_in + 3) arrays would make the first peak about 5x the second
-    assert peak(40_000) <= 1.1 * peak(2 * _block_paths(s, 3))
+
+def _peak_bytes(s, T, M):
+    """tracemalloc peak of one sample_paths call."""
+    tracemalloc.start()
+    try:
+        rc.sample_paths(s, T, M, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("s", [_GARCH, _ARMA], ids=["garch11", "arma"])
+def test_dependent_paths_memory_does_not_grow_with_M(s):
+    # tracemalloc slows the per-path draws, so this takes a few seconds; it
+    # has no time bound.  Full (M, burn_in + 3) arrays would make the first
+    # peak about 5x the second.
+    assert _peak_bytes(s, 3, 40_000) <= 1.1 * _peak_bytes(s, 3, 2 * _block_paths(s, 3))
+
+
+@pytest.mark.parametrize("s", [_ARMA, rc.arma(ma=(0.3,))], ids=["arma", "ma_only"])
+def test_arma_keeps_only_the_emitted_window(s):
+    # the filtered burn-in is never stored, so ARMA needs no more than GARCH
+    assert _peak_bytes(s, 3, 20_000) <= 1.1 * _peak_bytes(_GARCH, 3, 20_000)
+
+
+def _arma_oracle(s, T, M, seed, path_offset=0):
+    """ARMA windows from scipy's lfilter over the paths' full noise arrays."""
+    p = s.params
+    total = s.burn_in() + T
+    eps = np.stack([p["std"] * path_rng(seed, path_offset + i).standard_normal(total)
+                    for i in range(M)])
+    series = lfilter(np.r_[1.0, p["ma"]], np.r_[1.0, [-c for c in p["ar"]]], eps, axis=1)
+    return series[:, -T:][:, ::-1, None]
+
+
+@pytest.mark.parametrize("extra", ["two_blocks", "one_block"])
+@pytest.mark.parametrize("s, oracle", [(_GARCH, _garch_full_array), (_ARMA, _arma_oracle)],
+                         ids=["garch11", "arma"])
+def test_dependent_paths_do_not_depend_on_worker_count(monkeypatch, s, oracle, extra):
+    T, offset, seed = 3, 123, 2**63 + 5
+    rows = _block_paths(s, T)  # one worker's block
+    M = 2 * rows + 7 if extra == "two_blocks" else rows + 1
+    # the oracle in chunks of 2000 paths, to bound the test's own memory
+    want = np.concatenate([oracle(s, T, min(2000, M - a), seed, offset + a)
+                           for a in range(0, M, 2000)])
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        np.testing.assert_array_equal(rc.sample_paths(s, T, M, seed, path_offset=offset), want)
+
+
+def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypatch):
+    # 8 workers on one-path blocks take and return noise slots hundreds of
+    # times; a slot handed to two blocks at once would mix their paths
+    monkeypatch.setenv("RCUNIV_WORKERS", "8")
+    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 1)
+    T, M, seed = 3, 300, 9
+    got = []
+    runner = threading.Thread(target=lambda: got.append(rc.sample_paths(_GARCH, T, M, seed)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    np.testing.assert_array_equal(got[0], _garch_full_array(_GARCH, T, M, seed))
+
+
+@pytest.mark.parametrize("s", [_GARCH, _ARMA], ids=["garch11", "arma"])
+def test_dependent_paths_memory_does_not_grow_with_workers(monkeypatch, s):
+    M = 2 * _block_paths(s, 3) + 7
+    peaks = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        peaks[workers] = _peak_bytes(s, 3, M)
+    # the noise budget is per call, not per worker
+    assert peaks["2"] <= 1.05 * peaks["1"]
+    assert peaks["3"] <= 1.05 * peaks["1"]
 
 
 def test_burn_in_scales_with_memory():

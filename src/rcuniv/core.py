@@ -178,13 +178,15 @@ def _positive_int(raw: str | None) -> int | None:
     return value if value > 0 else None
 
 
-def _worker_count() -> int:
-    """Threads for block runs: RCUNIV_WORKERS, else usable CPUs per BLAS thread.
+def _worker_count(blas: bool = True) -> int:
+    """Threads for block runs: RCUNIV_WORKERS, else usable CPUs (per BLAS thread).
 
-    The BLAS thread count is read from the first of OPENBLAS_NUM_THREADS,
-    MKL_NUM_THREADS and OMP_NUM_THREADS that is set; unset (or not a
-    positive integer) lets BLAS use every core and gives one worker, so
-    workers are never stacked on a threaded BLAS.
+    Blocks that never call BLAS (blas=False) use every usable CPU.  For
+    blocks that do, the CPUs are divided by the BLAS thread count, read
+    from the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
+    OMP_NUM_THREADS that is set; unset (or not a positive integer) lets
+    BLAS use every core and gives one worker, so workers are never stacked
+    on a threaded BLAS.
     """
     raw = os.environ.get("RCUNIV_WORKERS")
     if raw is not None:
@@ -193,20 +195,23 @@ def _worker_count() -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    blas = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None)
-    return max(1, cpus // (_positive_int(blas) or cpus))
+    if not blas:
+        return cpus
+    blas_threads = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None)
+    return max(1, cpus // (_positive_int(blas_threads) or cpus))
 
 
-def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int) -> None:
+def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, blas: bool = True) -> None:
     """Call fill(start, stop) on each fixed block of rows rows covering range(M).
 
-    The calling thread and a pool of _worker_count() - 1 threads take blocks
-    in turn.  fill must write only its own rows, so results do not depend on
-    the worker count.  When blocks raise, the exception of the lowest-index
-    one is raised, whatever the worker count.
+    The calling thread and a pool of _worker_count(blas) - 1 threads take
+    blocks in turn; pass blas=False when fill never calls BLAS.  fill must
+    write only its own rows, so results do not depend on the worker count.
+    When blocks raise, the exception of the lowest-index one is raised,
+    whatever the worker count.
     """
     blocks = range(0, M, rows)
-    workers = min(_worker_count(), len(blocks))
+    workers = min(_worker_count(blas), len(blocks))
     starts = iter(blocks)
     lock = threading.Lock()
     failed: dict[int, Exception] = {}
@@ -305,7 +310,7 @@ def truncated_conditional_error(
                     rep[i, :, K + 1 :] = sampler.draw(path_rng(seed, M + start + i), (R, deep, n))
 
         # paths draw from their own streams, so the 16-path tasks move no value
-        _run_blocks(draw, m, 16)
+        _run_blocks(draw, m, 16, blas=False)
         h_base = evaluate_functional_batch(spec, base)
         if deep == 0:
             # H is measurable w.r.t. the kept lags; conditional error is zero

@@ -226,11 +226,16 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
     Path i uses the stream keyed by (seed, path_offset + i).  Dependent
     kinds simulate burn_in() + T chronological steps per path and keep the
     last T, reversed into lag order.  They run in blocks of paths on the
-    calling thread and the worker threads (core._run_blocks), and the
-    blocks running at once share one noise array of a fixed byte budget,
-    so memory beyond the (M, T, n) result grows neither with M nor with
-    the worker count; paths are independent, so the values depend neither
-    on the worker count nor on the block size.
+    calling thread and the worker threads (core._run_blocks; no block
+    calls BLAS, so every usable CPU takes part), and the blocks running at
+    once share one noise array of a fixed byte budget, so memory beyond
+    the (M, T, n) result grows neither with M nor with the worker count.
+    Every worker draws noise, but only one block at a time runs the
+    recursion (_simulate): it holds the GIL between its short per-step
+    ufunc calls, so two recursions at once only queue on it, while the
+    draws release it.  Paths are independent, so the values depend
+    neither on the worker count, the block size nor the order the blocks
+    run in.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -244,12 +249,12 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     burn = s.burn_in()
     total = burn + T
-    workers = _worker_count()
+    workers = _worker_count(blas=False)
     # split a short call evenly rather than into one full block and a sliver
     rows = max(1, min(_BLOCK_VALUES // (total * workers), -(-M // workers)))
     slots = min(workers, -(-M // rows))
     free = list(np.empty((slots, rows, total)))  # one noise slot per running block
-    lock = threading.Lock()
+    lock, recursion = threading.Lock(), threading.Lock()
 
     def fill(start, stop):
         with lock:
@@ -257,11 +262,13 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
         eps = slot[: stop - start]
         for j in range(stop - start):
             path_rng(seed, path_offset + start + j).standard_normal(total, out=eps[j])
-        out[start:stop, :, 0] = _simulate(s, eps, burn)[:, ::-1]
+        with recursion:
+            kept = _simulate(s, eps, burn)
+        out[start:stop, :, 0] = kept[:, ::-1]
         with lock:
             free.append(slot)
 
-    _run_blocks(fill, M, rows)
+    _run_blocks(fill, M, rows, blas=False)
     return out
 
 

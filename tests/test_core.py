@@ -274,6 +274,23 @@ def test_default_worker_count_is_cpus_per_blas_thread(monkeypatch, env, workers)
     assert _worker_count() == workers
 
 
+@pytest.mark.parametrize("env, workers", [
+    ({}, 8),  # the draws never call BLAS, so a threaded BLAS takes no core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8),
+    ({"OMP_NUM_THREADS": "16"}, 8),
+    ({"RCUNIV_WORKERS": "3"}, 3),
+    ({"RCUNIV_WORKERS": "0"}, 1),
+])
+def test_blas_free_worker_count_is_every_cpu(monkeypatch, env, workers):
+    for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _worker_count(blas=False) == workers
+
+
 def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):
     for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
         monkeypatch.delenv(var, raising=False)

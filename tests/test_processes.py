@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -332,6 +333,35 @@ def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypa
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
     np.testing.assert_array_equal(got[0], _garch_full_array(_GARCH, T, M, seed))
+
+
+@pytest.mark.parametrize("s, oracle", [(_GARCH, _garch_full_array), (_ARMA, _arma_oracle)],
+                         ids=["garch11", "arma"])
+def test_dependent_path_blocks_run_one_recursion_at_a_time(monkeypatch, s, oracle):
+    # the 1 ms sleep lets the other workers finish their draws meanwhile,
+    # so unlocked blocks would enter _simulate together
+    simulate, guard = rc.processes._simulate, threading.Lock()
+    active, peak = [0], [0]
+
+    def counting(*args):
+        with guard:
+            active[0] += 1
+            peak[0] = max(peak[0], active[0])
+        try:
+            time.sleep(1e-3)
+            return simulate(*args)
+        finally:
+            with guard:
+                active[0] -= 1
+
+    T, M, seed = 3, 9, 11
+    monkeypatch.setenv("RCUNIV_WORKERS", "3")
+    monkeypatch.setattr(rc.processes, "_simulate", counting)
+    # 2-path blocks for 3 workers: 4 full blocks and a 1-path remainder
+    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 3 * 2 * (s.burn_in() + T))
+    got = rc.sample_paths(s, T, M, seed)
+    assert peak[0] == 1
+    np.testing.assert_array_equal(got, oracle(s, T, M, seed))
 
 
 @pytest.mark.parametrize("s", [_GARCH, _ARMA], ids=["garch11", "arma"])

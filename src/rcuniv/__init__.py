@@ -7,7 +7,6 @@ and Monte Carlo L^p approximation metrics, with a CLI harness.
 
 from .core import (
     FunctionalSpec,
-    NilpotentShift,
     Window,
     evaluate_functional,
     evaluate_functional_batch,
@@ -16,7 +15,7 @@ from .core import (
     truncated_conditional_error,
     write_window_csv,
 )
-from .metrics import LpEstimate, approx_error, filter_norm, lp_norm
+from .metrics import LpEstimate, approx_error, lp_norm
 from .processes import (
     MomentDiagnostic,
     MomentVerdict,
@@ -28,7 +27,6 @@ from .processes import (
     iid_lognormal,
     iid_uniform_bounded,
     sample_paths,
-    sample_windows,
     shift_invariance_probe,
 )
 from .targets import (

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "Window",
     "FunctionalSpec",
-    "NilpotentShift",
     "register_evaluator",
     "evaluate_functional",
     "evaluate_functional_batch",
@@ -121,25 +120,6 @@ def evaluate_functional(spec: FunctionalSpec, w: Window) -> float:
 
 # ---------------------------------------------------------------------------
 # nilpotent shift algebra
-
-
-@dataclass(frozen=True)
-class NilpotentShift:
-    """N x N matrix with a single unit entry at (j+1, j), 1-indexed."""
-
-    N: int
-    j: int
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError("N must be >= 2")
-        if not 1 <= self.j <= self.N - 1:
-            raise ValueError(f"index j must lie in 1..{self.N - 1}, got {self.j}")
-
-    def matrix(self) -> np.ndarray:
-        A = np.zeros((self.N, self.N))
-        A[self.j, self.j - 1] = 1.0
-        return A
 
 
 def nilpotent_product(N: int, indices) -> np.ndarray:

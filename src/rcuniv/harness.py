@@ -33,7 +33,6 @@ from .reservoirs import (
     fit_identity_network,
     random_esn,
     random_trig_sas,
-    run_reservoir,
     washout_decay,
 )
 from .training import TrainConfig
@@ -480,8 +479,8 @@ def _verify_esp() -> list[PropertyCheck]:
             out.append(_check(f"esp_{name}", math.inf, "certificate failed"))
             continue
         worst = 0.0
-        for w in processes.sample_windows(sampler, 12, 10, seed=23):
-            d = washout_decay(system, w, seed=31)
+        data = processes.sample_paths(sampler, 12, 10, seed=23)
+        for d in washout_decay(system, data, seed=31):
             if d[0] == 0:
                 continue
             for t in range(1, d.shape[0]):
@@ -509,14 +508,11 @@ def _verify_direct_sum() -> list[PropertyCheck]:
             rng.standard_normal((K2 + 1, 2)),
             [k for k in range(K2 + 1) if rng.uniform() < 0.5],
         )
+        data = processes.sample_paths(sampler, max(K1, K2) + 2, 10, seed=trial * 10)
+        y1, y2 = ReservoirModel(s1).values(data), ReservoirModel(s2).values(data)
         for lam in (-1.0, 2.5):
-            combined = direct_sum_sas(s1, s2, lam)
-            for w in processes.sample_windows(sampler, max(K1, K2) + 2, 10,
-                                              seed=trial * 10):
-                _, y1 = run_reservoir(s1, w)
-                _, y2 = run_reservoir(s2, w)
-                _, y = run_reservoir(combined, w)
-                worst = max(worst, abs(y - (y1 + lam * y2)))
+            y = ReservoirModel(direct_sum_sas(s1, s2, lam)).values(data)
+            worst = max(worst, float(np.max(np.abs(y - (y1 + lam * y2)))))
     return [_check("direct_sum_linearity", worst / 1e-10,
                    f"max |H - (H1 + lam H2)| = {worst:.1e}")]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import FunctionalSpec, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
-from .processes import ProcessSampler, sample_paths, shift_invariance_probe
+from .processes import ProcessSampler, sample_paths
 from .reservoirs import ReservoirModel
 from .targets import check_sampler
 
@@ -25,7 +25,6 @@ __all__ = [
     "lp_norm_of_values",
     "lp_norm",
     "approx_error",
-    "filter_norm",
 ]
 
 KURTOSIS_WARN = 100.0
@@ -152,23 +151,3 @@ def approx_error(
 
     vals = _collect_values(diff, sampler, T, M, seed)
     return lp_norm_of_values(vals, p=p, seed=seed)
-
-
-def filter_norm(
-    spec: FunctionalSpec,
-    sampler: ProcessSampler,
-    p: float,
-    shifts,
-    T: int,
-    M: int,
-    seed: int,
-) -> LpEstimate:
-    """Norm of the induced filter as a max over a finite probe set of shifts.
-
-    Valid for stationary samplers, where every shift has the same law and
-    the max is a Monte Carlo surrogate for the supremum over all shifts.
-    """
-    check_sampler(spec, sampler)
-    probes = shift_invariance_probe(sampler, spec, p, shifts, T, M, seed)
-    best = max(probes.values(), key=lambda e: e.value)
-    return best

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Window, _run_blocks, _worker_count, evaluate_functional_batch
+from .core import _run_blocks, _worker_count, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -26,7 +26,6 @@ __all__ = [
     "garch11",
     "path_rng",
     "sample_paths",
-    "sample_windows",
     "MomentVerdict",
     "MomentDiagnostic",
     "exp_moment_check",
@@ -317,12 +316,6 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, burn: int) -> np.ndarr
         z[:-1] = z[1:] + np.outer(b[1:-1], xt) - np.outer(a[1:-1], yt)
         z[-1] = xt * b[-1] - yt * a[-1]
     return y
-
-
-def sample_windows(s: ProcessSampler, T: int, M: int, seed: int) -> list[Window]:
-    """Like sample_paths but wrapped into Window objects."""
-    data = sample_paths(s, T, M, seed)
-    return [Window(data[i]) for i in range(M)]
 
 
 # ---------------------------------------------------------------------------

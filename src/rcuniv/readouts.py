@@ -4,7 +4,8 @@ Three families: multivariate polynomials over a graded-lexicographic
 monomial basis, single-hidden-layer networks with bounded activations, and
 plain linear maps.  Polynomial readout evaluation is defined as the dot
 product of the coefficient vector with poly_features, so the two agree
-bit for bit.
+bit for bit.  _ridge_solve is the one ridge least-squares path, shared by
+readout training and the identity networks of the block construction.
 """
 
 from __future__ import annotations
@@ -235,6 +236,26 @@ def eval_readout(readout, x: np.ndarray) -> float | np.ndarray:
     else:
         raise TypeError(f"not a readout: {type(readout).__name__}")
     return float(vals[0]) if single else vals
+
+
+def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
+    """Least squares with penalty lam in unit-RMS feature scaling.
+
+    The normal equations are never formed: the penalized system goes
+    through an SVD-based least-squares factorization.  Returns (weights in
+    original feature space, numerical rank).
+    """
+    scale = np.sqrt(np.mean(X**2, axis=0))
+    scale[scale == 0.0] = 1.0
+    Xs = X / scale
+    k = X.shape[1]
+    if lam > 0:
+        lhs = np.vstack([Xs, np.sqrt(lam) * np.eye(k)])
+        rhs = np.concatenate([y, np.zeros(k)])
+    else:
+        lhs, rhs = Xs, y
+    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return beta / scale, int(rank)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Window, _run_blocks
+from .core import Window, _run_blocks, nilpotent_product
 from .readouts import (
     LinearReadout,
     NetworkReadout,
+    _ridge_solve,
     eval_readout,
     get_activation,
     readout_from_dict,
@@ -36,7 +37,6 @@ __all__ = [
     "final_states",
     "certify_esp",
     "washout_decay",
-    "fit_decay_rate",
     "build_shift_register",
     "build_nilpotent_trig_sas",
     "direct_sum_sas",
@@ -72,14 +72,12 @@ class EspReport:
     per-step contraction factor and certification requires bound < 1.  For
     the nilpotent method bound is still a sound per-step growth factor
     (it may exceed 1) and state discrepancies vanish exactly after
-    nilpotency_index steps.  empirical_decay_rate is informational only
-    and never certifies.
+    nilpotency_index steps.  Empirical decay never certifies.
     """
 
     certified: bool
-    method: str  # spectral | nilpotent | lipschitz-spectral | empirical
+    method: str  # spectral | nilpotent | lipschitz-spectral
     bound: float
-    empirical_decay_rate: float | None = None
     nilpotency_index: int | None = None
 
     def summary(self) -> dict:
@@ -474,51 +472,30 @@ def run_reservoir(system, w: Window, x_init: np.ndarray | None = None):
     return states, None if W is None else float(states[0] @ W)
 
 
-def certify_esp(system, window: Window | None = None, seed: int = 0) -> EspReport:
-    """Sound ESP certificate; never certified from empirical decay alone.
-
-    When no structural certificate holds and a window is supplied, the
-    report carries a fitted empirical decay rate with certified=False and
-    method 'empirical'.
-    """
+def certify_esp(system) -> EspReport:
+    """Sound structural ESP certificate; never certified from empirical decay."""
     if not isinstance(system, _ReservoirSystem):
         raise TypeError(f"not a reservoir system: {type(system).__name__}")
-    report = system.certificate()
-    if report.certified or window is None:
-        return report
-    dists = washout_decay(system, window, seed=seed)
-    return EspReport(False, "empirical", report.bound,
-                     empirical_decay_rate=fit_decay_rate(dists))
+    return system.certificate()
 
 
-def washout_decay(
-    system,
-    w: Window,
-    x_init_a: np.ndarray | None = None,
-    x_init_b: np.ndarray | None = None,
-    seed: int = 0,
-) -> np.ndarray:
+def washout_decay(system, data: np.ndarray, seed: int = 0) -> np.ndarray:
     """Distances ||x_t - x'_t||_2 for two initial states driven identically.
 
-    Returns an array of length T + 1; entry 0 is the initial distance.
-    Missing initial states are drawn standard normal from the seed.
+    data is a batch (M, T, n); returns (M, T + 1) where column 0 is the
+    initial distance and column t the distance after t steps.  The two
+    initial states are drawn standard normal from the seed and shared by
+    every window.
     """
+    data = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal(system.N) if x_init_a is None else np.asarray(x_init_a, float)
-    b = rng.standard_normal(system.N) if x_init_b is None else np.asarray(x_init_b, float)
-    gaps = run_reservoir(system, w, a)[0] - run_reservoir(system, w, b)[0]  # row k: lag k
-    return np.array([np.linalg.norm(a - b)] + [np.linalg.norm(g) for g in gaps[::-1]])
-
-
-def fit_decay_rate(distances: np.ndarray) -> float:
-    """Geometric rate fitted to the positive tail of a distance sequence."""
-    d = np.asarray(distances, dtype=np.float64)
-    steps = np.arange(d.shape[0])
-    keep = d > 0
-    if keep.sum() < 2:
-        return 0.0
-    slope = np.polyfit(steps[keep], np.log(d[keep]), 1)[0]
-    return float(np.exp(slope))
+    a, b = rng.standard_normal(system.N), rng.standard_normal(system.N)
+    M, T = data.shape[:2]
+    traj_a, traj_b = np.empty((2, T, M, system.N))  # row k: states at lag k
+    final_states(system, data, a, trajectory=traj_a)
+    final_states(system, data, b, trajectory=traj_b)
+    gaps = np.linalg.norm(traj_a - traj_b, axis=2)[::-1].T
+    return np.column_stack([np.full(M, np.linalg.norm(a - b)), gaps])
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +519,6 @@ def build_shift_register(n: int, K: int) -> LinearReservoir:
     c = np.zeros((N, n))
     c[:n, :] = np.eye(n)
     return LinearReservoir(A, c)
-
-
-def _unit_shift(N: int, j: int) -> np.ndarray:
-    A = np.zeros((N, N))
-    A[j, j - 1] = 1.0
-    return A
 
 
 def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
@@ -576,7 +547,7 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
     for j in range(K):
         # term j carries the lag-j factor on the shift matrix with unit
         # entry at (K - j + 1, K - j), 1-indexed
-        mat = _unit_shift(N, K - j)
+        mat = nilpotent_product(N, [K - j])
         if j in sine_lags:
             sin_mats[j] = mat
             sin_freqs[j] = freqs[j]
@@ -659,8 +630,9 @@ def fit_identity_network(
     """Per-channel networks approximating the identity on [-m, m]^n.
 
     Hidden layers are random features (Gaussian directions, thresholds
-    spread over the projected range); output weights come from ridge least
-    squares against the coordinate values on a grid plus random points.
+    spread over the projected range); output weights come from the shared
+    ridge solve (penalty in unit-RMS feature scaling) against the
+    coordinate values on a grid plus random points.
     Returns the networks and the measured sup error over a dense check set,
     which is the epsilon entering downstream approximation bounds.
     """
@@ -683,12 +655,10 @@ def fit_identity_network(
         proj = X @ alpha.T
         theta = rng.uniform(proj.min(axis=0), proj.max(axis=0))
         feats = get_activation(activation).fn(proj - theta)
-        lhs = np.vstack([feats, np.sqrt(ridge) * np.eye(hidden_units)])
-        rhs = np.concatenate([X[:, i], np.zeros(hidden_units)])
-        beta = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        beta, _ = _ridge_solve(feats, X[:, i], ridge)
         nets.append(NetworkReadout(beta, alpha, theta, activation))
 
-    eps = identity_fit_error(nets, m, rng.uniform(-m, m, size=(2000, n)))
+    eps = identity_fit_error(nets, rng.uniform(-m, m, size=(2000, n)))
     return nets, eps
 
 
@@ -697,18 +667,8 @@ def _identity_apply(nets: Sequence[NetworkReadout], x: np.ndarray) -> np.ndarray
     return np.stack([nets[i].hidden(x) @ nets[i].beta for i in range(len(nets))], axis=1)
 
 
-def identity_fit_error(nets: Sequence[NetworkReadout], half_width: float,
-                       points: np.ndarray | None = None) -> float:
-    """Measured sup_x max_i |J(x)_i - x_i| over a check set in [-m, m]^n."""
-    n = len(nets)
-    if points is None:
-        axes = [np.linspace(-half_width, half_width, 25)] * min(n, 2)
-        if n <= 2:
-            points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        else:
-            points = np.random.default_rng(0).uniform(
-                -half_width, half_width, size=(4000, n)
-            )
+def identity_fit_error(nets: Sequence[NetworkReadout], points: np.ndarray) -> float:
+    """Measured max over points (M, n) of max_i |J(x)_i - x_i|."""
     return float(np.max(np.abs(_identity_apply(nets, points) - points)))
 
 

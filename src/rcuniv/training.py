@@ -20,6 +20,7 @@ from .readouts import (
     LinearReadout,
     NetworkReadout,
     PolynomialReadout,
+    _ridge_solve,
     feature_count,
     get_activation,
     multi_indices,
@@ -61,24 +62,6 @@ class TrainConfig:
             raise ValueError("window_length must be >= 1")
         if not 0 <= self.washout < self.window_length:
             raise ValueError("washout must satisfy 0 <= washout < window_length")
-
-
-def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
-    """Least squares with penalty lam in unit-RMS feature scaling.
-
-    Returns (weights in original feature space, numerical rank).
-    """
-    scale = np.sqrt(np.mean(X**2, axis=0))
-    scale[scale == 0.0] = 1.0
-    Xs = X / scale
-    k = X.shape[1]
-    if lam > 0:
-        lhs = np.vstack([Xs, np.sqrt(lam) * np.eye(k)])
-        rhs = np.concatenate([y, np.zeros(k)])
-    else:
-        lhs, rhs = Xs, y
-    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    return beta / scale, int(rank)
 
 
 def _rmse(pred: np.ndarray, y: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Window container, functional evaluation, nilpotent shift algebra,
 conditional truncation error, worker threads, and window CSV round trips."""
 
+import functools
 import io
 import math
 import os
@@ -12,7 +13,6 @@ import pytest
 
 import rcuniv as rc
 from rcuniv.core import (
-    NilpotentShift,
     _run_blocks,
     _worker_count,
     evaluate_functional_batch,
@@ -105,21 +105,20 @@ def test_causality_beyond_memory():
 
 
 def _dense_product(N, indices):
-    out = np.eye(N)
-    for j in indices:
-        out = NilpotentShift(N, j).matrix() @ out
-    return out
+    """A_{j_L} ... A_{j_0} by dense products; A_j has its unit entry at (j+1, j), 1-indexed."""
+    shifts = [np.diag(np.arange(1, N) == j, -1).astype(float) for j in indices]
+    return functools.reduce(lambda out, A: A @ out, shifts, np.eye(N))
 
 
 def test_shift_matrix_entries():
-    A1 = NilpotentShift(3, 1).matrix()
+    A1 = nilpotent_product(3, [1])
     expected = np.zeros((3, 3))
     expected[1, 0] = 1.0
     np.testing.assert_array_equal(A1, expected)
     with pytest.raises(ValueError):
-        NilpotentShift(3, 3)
+        nilpotent_product(3, [3])
     with pytest.raises(ValueError):
-        NilpotentShift(3, 0)
+        nilpotent_product(3, [0])
 
 
 def test_product_consecutive_run_hits_single_entry():
@@ -137,7 +136,9 @@ def test_product_non_consecutive_vanishes():
 
 def test_product_single_factor():
     got = nilpotent_product(4, [2])
-    np.testing.assert_array_equal(got, NilpotentShift(4, 2).matrix())
+    expected = np.zeros((4, 4))
+    expected[2, 1] = 1.0
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_product_matches_dense_oracle_exhaustive_small():

@@ -149,14 +149,6 @@ def test_approx_error_rejects_training_seed():
                         p=2.0, T=4, M=10, seed=9)
 
 
-def test_filter_norm_agrees_with_lp_norm():
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
-    samp = rc.iid_gaussian(1)
-    fn = rc.filter_norm(spec, samp, p=2.0, shifts=(0, -3, -6), T=30, M=8000, seed=10)
-    ln = rc.lp_norm(spec, samp, p=2.0, T=30, M=8000, seed=11)
-    assert abs(fn.value - ln.value) <= 4.0 * (fn.stderr + ln.stderr)
-
-
 def test_lp_estimate_is_frozen_record():
     est = lp_norm_of_values(np.ones(3), p=2.0, seed=1)
     with pytest.raises(Exception):

@@ -105,13 +105,6 @@ def test_sample_paths_shapes_and_offset():
     np.testing.assert_array_equal(shifted, data[2:5])
 
 
-def test_sample_windows_wraps():
-    s = rc.iid_uniform_bounded(-1.0, 1.0, n=2)
-    wins = rc.sample_windows(s, T=5, M=3, seed=1)
-    assert len(wins) == 3
-    assert all(isinstance(w, rc.Window) and w.data.shape == (5, 2) for w in wins)
-
-
 # ---------------------------------------------------------------------------
 # iid families
 

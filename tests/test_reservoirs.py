@@ -13,7 +13,6 @@ from rcuniv.reservoirs import (
     TrigPolynomial,
     _support_nilpotency_index,
     final_states,
-    fit_decay_rate,
     identity_fit_error,
 )
 
@@ -108,7 +107,7 @@ def test_certify_esn_failure_reports_bound():
     assert not rep.certified
     assert rep.method == "lipschitz-spectral"
     assert rep.bound == pytest.approx(1.5, rel=1e-12)
-    assert rep.empirical_decay_rate is None
+    assert rep.nilpotency_index is None
 
 
 def test_certify_esn_logistic_gain():
@@ -120,14 +119,16 @@ def test_certify_esn_logistic_gain():
     assert rep.bound == pytest.approx(0.75, rel=1e-12)
 
 
-def test_uncertified_with_window_reports_empirical():
+def test_uncertified_esn_never_reports_empirical():
+    # the certificate is structural only: no window is read, no empirical method
     A = np.diag([1.5, 0.5])
     esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), np.ones(2), "tanh")
-    w = rc.Window(np.random.default_rng(1).normal(size=(30, 1)))
-    rep = rc.certify_esp(esn, window=w)
+    rep = rc.certify_esp(esn)
     assert not rep.certified
-    assert rep.method == "empirical"
-    assert rep.empirical_decay_rate is not None and rep.empirical_decay_rate > 0
+    assert rep.method == "lipschitz-spectral"
+    assert rep.bound == pytest.approx(1.5, rel=1e-12)
+    with pytest.raises(TypeError):
+        rc.certify_esp(esn, window=rc.Window(np.ones((3, 1))))
 
 
 def test_certify_trig_sas_paths():
@@ -217,7 +218,7 @@ def test_washout_soundness(build):
     rng = np.random.default_rng(5)
     for k in range(10):
         w = rc.Window(rng.normal(size=(25, system.n)))
-        d = rc.washout_decay(system, w, seed=k)
+        d = rc.washout_decay(system, w.data[None], seed=k)[0]
         steps = np.arange(d.shape[0])
         assert np.all(d <= d[0] * rep.bound**steps * (1.0 + 1e-9) + 1e-300)
         if rep.method == "nilpotent":
@@ -225,7 +226,7 @@ def test_washout_soundness(build):
 
 
 def test_washout_rate_within_lipschitz_budget():
-    # logistic, sigma_max = 0.9: fitted geometric rate can't beat L * sigma
+    # logistic, sigma_max = 0.9: every step contracts by at most L * sigma
     rng = np.random.default_rng(6)
     A = rng.normal(size=(5, 5))
     A *= 0.9 / np.linalg.norm(A, 2)
@@ -233,8 +234,33 @@ def test_washout_rate_within_lipschitz_budget():
                               rng.normal(size=5), "logistic")
     rep = rc.certify_esp(esn)
     assert rep.certified and rep.bound == pytest.approx(0.225, rel=1e-12)
-    d = rc.washout_decay(esn, rc.Window(rng.normal(size=(30, 1))), seed=7)
-    assert fit_decay_rate(d) <= 0.225 * (1.0 + 1e-9)
+    d = rc.washout_decay(esn, rng.normal(size=(1, 30, 1)), seed=7)[0]
+    assert np.all(d <= d[0] * 0.225 ** np.arange(d.shape[0]) * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: rc.random_esn(6, 2, seed=8, activation="tanh", spectral=0.9),
+        lambda: rc.build_shift_register(2, 2),
+        lambda: rc.build_nilpotent_trig_sas(np.array([[0.8, -0.3], [1.3, 0.5], [0.4, 1.1]]), (1,)),
+    ],
+    ids=["contractive_esn", "shift_register", "nilpotent_sas"],
+)
+def test_washout_decay_batch_rows_match_single_windows(build):
+    # both initial states are shared by every window of the batch
+    system = build()
+    data = _gauss_windows(9, 2, 7, 44)
+    d = rc.washout_decay(system, data, seed=3)
+    assert d.shape == (7, 10)
+    for i in range(7):
+        single = rc.washout_decay(system, data[i : i + 1], seed=3)
+        assert single.shape == (1, 10)
+        np.testing.assert_allclose(d[i], single[0], rtol=1e-12, atol=0.0)
+    assert np.all(d[:, 0] == d[0, 0]) and d[0, 0] > 0
+    rep = rc.certify_esp(system)
+    if rep.method == "nilpotent":
+        assert np.all(d[:, rep.nilpotency_index :] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +442,7 @@ def test_block_esn_exact_washout():
     rep = rc.certify_esp(esn)
     assert rep.certified and rep.method == "nilpotent"
     assert rep.nilpotency_index == 3
-    d = rc.washout_decay(esn, rc.Window(np.random.default_rng(31).normal(size=(10, 1))))
+    d = rc.washout_decay(esn, np.random.default_rng(31).normal(size=(1, 10, 1)))[0]
     assert np.all(d[3:] == 0.0)
     assert d[0] > 0
 
@@ -453,7 +479,7 @@ def test_identity_network_quality():
     nets, eps = rc.fit_identity_network(1, half_width=2.5, hidden_units=24, seed=38)
     assert eps < 0.01
     fresh = np.random.default_rng(39).uniform(-2.5, 2.5, size=(500, 1))
-    assert identity_fit_error(nets, 2.5, points=fresh) <= 3.0 * eps
+    assert identity_fit_error(nets, fresh) <= 3.0 * eps
 
 
 # ---------------------------------------------------------------------------

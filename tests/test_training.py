@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import rcuniv as rc
-from rcuniv.training import _holdout_mask, _ridge_solve
+from rcuniv.readouts import _ridge_solve
+from rcuniv.training import _holdout_mask
 
 DIAG_KEYS = {"lambda", "paths", "rmse_train", "rmse_holdout", "coeff_count", "seed", "rank"}
 

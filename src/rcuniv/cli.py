@@ -1,7 +1,7 @@
 """Command line interface: run experiments, verify properties, sample paths.
 
 Exit codes: 0 success, 1 verify failure or unexpected error, 2 config
-schema error, 3 ESP certification failure, 4 numeric overflow.
+error (schema or value), 3 ESP certification failure, 4 numeric overflow.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, processes
+from . import harness
 from .harness import ConfigError
 from .reservoirs import EspNotCertifiedError, StateOverflowError
 
@@ -66,17 +66,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sample(args) -> int:
     try:
-        doc = json.loads(Path(args.sampler).read_text())
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ConfigError("sampler file must be an object with a 'kind' key")
-        extra = set(doc) - {"kind", "n", "params"}
-        if extra:
-            raise ConfigError(f"sampler: unknown keys {sorted(extra)}")
-        sampler = processes.ProcessSampler(
-            doc["kind"], int(doc.get("n", 1)), dict(doc.get("params", {}))
-        )
+        sampler = harness.load_sampler(json.loads(Path(args.sampler).read_text()))
         paths = harness.write_sample_paths(sampler, args.T, args.M, args.seed, args.out)
-    except (ConfigError, ValueError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and bad JSON are ValueErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"wrote {len(paths)} path files to {args.out}")

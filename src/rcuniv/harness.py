@@ -20,7 +20,7 @@ import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
 from .core import Window, nilpotent_product, truncated_conditional_error
-from .readouts import PolynomialReadout
+from .readouts import ACTIVATIONS, PolynomialReadout
 from .reservoirs import (
     EspNotCertifiedError,
     ReservoirModel,
@@ -42,6 +42,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "load_sampler",
     "run_experiment",
     "PropertyCheck",
     "verify_suite",
@@ -50,24 +51,47 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-FAMILIES = (
-    "linear_poly",
-    "linear_nn",
-    "trig_sas",
-    "esn",
-    "constructed_shift",
-    "constructed_nilpotent_sas",
-    "constructed_block_esn",
-)
+def _integer(v, lo: float = -math.inf) -> bool:
+    """An integer, not a boolean, >= lo."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
-_FAMILY_PARAM_KEYS = {
-    "linear_poly": {"memory"},
-    "linear_nn": {"memory", "activation"},
-    "trig_sas": {"terms", "contraction", "freq_scale"},
-    "esn": {"activation", "spectral", "input_scale", "bias_scale"},
-    "constructed_shift": set(),
-    "constructed_nilpotent_sas": set(),
-    "constructed_block_esn": {"identity_units", "half_width", "activation"},
+
+def _number(v, lo: float = -math.inf, strict: bool = False) -> bool:
+    """A finite number, not a boolean, >= lo (> lo when strict)."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            and (v > lo if strict else v >= lo))
+
+
+# family -> (smallest capacity, or None when the family ignores the value and
+# takes a single entry; family_params defaults, where memory None means the
+# target's memory).  The trig_sas and esn params are the keyword arguments of
+# random_trig_sas and random_esn.
+_FAMILIES = {
+    "linear_poly": (0, {"memory": None}),
+    "linear_nn": (1, {"memory": None, "activation": "tanh"}),
+    "trig_sas": (1, {"terms": 4, "contraction": 0.9, "freq_scale": 1.0}),
+    "esn": (1, {"activation": "tanh", "spectral": 0.9, "input_scale": 0.1,
+                "bias_scale": 0.1}),
+    "constructed_shift": (None, {}),
+    "constructed_nilpotent_sas": (None, {}),
+    "constructed_block_esn": (1, {"identity_units": 24, "half_width": 3.0,
+                                  "activation": "logistic"}),
+}
+FAMILIES = tuple(_FAMILIES)
+
+# family_params key -> (check, what the check asks for)
+_PARAM_RULES = {
+    "memory": (lambda v: _integer(v, 0), "an integer >= 0"),
+    "activation": (lambda v: isinstance(v, str) and v in ACTIVATIONS,
+                   f"one of {sorted(ACTIVATIONS)}"),
+    "terms": (lambda v: _integer(v, 1), "an integer >= 1"),
+    "contraction": (_number, "a finite number"),
+    "freq_scale": (_number, "a finite number"),
+    "spectral": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
+    "input_scale": (_number, "a finite number"),
+    "bias_scale": (lambda v: _number(v, 0), "a finite number >= 0"),
+    "identity_units": (lambda v: _integer(v, 1), "an integer >= 1"),
+    "half_width": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
 }
 
 
@@ -75,7 +99,9 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require_keys(doc: dict, required: set, optional: set, where: str) -> None:
+def _require_keys(doc, required: set, optional: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     keys = set(doc)
     missing = required - keys
     if missing:
@@ -105,9 +131,8 @@ class ExperimentConfig:
 
 
 def load_config(doc: dict) -> ExperimentConfig:
-    """Validate a config document; unknown keys are rejected at every level."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    """Validate a config document; unknown keys and bad values are rejected at
+    every level.  family_params come back with the family's defaults filled in."""
     _require_keys(
         doc,
         required={"schema_version", "family", "capacity", "sampler", "target",
@@ -123,22 +148,19 @@ def load_config(doc: dict) -> ExperimentConfig:
     family = doc["family"]
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; choices {list(FAMILIES)}")
+    floor, defaults = _FAMILIES[family]
 
     cap = doc["capacity"]
-    if (not isinstance(cap, list) or not cap
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in cap)):
+    if not isinstance(cap, list) or not cap or not all(_integer(c) for c in cap):
         raise ConfigError("capacity must be a non-empty list of integers")
     if len(set(cap)) != len(cap):
         raise ConfigError("capacity entries must be unique")
+    if floor is None and len(cap) != 1:
+        raise ConfigError(f"family {family!r} takes a single capacity entry")
+    if floor is not None and min(cap) < floor:
+        raise ConfigError(f"family {family!r} needs capacity entries >= {floor}")
 
-    sdoc = doc["sampler"]
-    _require_keys(sdoc, {"kind"}, {"n", "params"}, "sampler")
-    try:
-        sampler = processes.ProcessSampler(
-            sdoc["kind"], int(sdoc.get("n", 1)), dict(sdoc.get("params", {}))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sampler: {exc}") from exc
+    sampler = load_sampler(doc["sampler"])
 
     tdoc = doc["target"]
     _require_keys(tdoc, {"name"}, {"params"}, "target")
@@ -156,32 +178,38 @@ def load_config(doc: dict) -> ExperimentConfig:
     seeds = doc["seeds"]
     _require_keys(seeds, {"train", "eval"}, set(), "seeds")
     for k in ("train", "eval"):
-        if not isinstance(seeds[k], int) or isinstance(seeds[k], bool):
+        if not _integer(seeds[k]):
             raise ConfigError(f"seeds.{k} must be an integer")
     if seeds["train"] == seeds["eval"]:
         raise ConfigError("seeds.train and seeds.eval must differ")
 
     fp = doc.get("family_params", {})
-    allowed = _FAMILY_PARAM_KEYS[family]
-    unknown = set(fp) - allowed
-    if unknown:
-        raise ConfigError(
-            f"family_params: unknown keys {sorted(unknown)} for family {family!r}"
-        )
+    _require_keys(fp, set(), set(defaults), f"family_params of family {family!r}")
+    for key, value in fp.items():
+        check, want = _PARAM_RULES[key]
+        if not check(value):
+            raise ConfigError(f"family_params.{key} must be {want}, got {value!r}")
+    family_params = {**defaults, **fp}
+    if "memory" in family_params and family_params["memory"] is None:
+        if entry.spec.memory is None:
+            raise ConfigError(
+                "target has unbounded memory; set family_params.memory to the "
+                "shift-register depth"
+            )
+        family_params["memory"] = entry.spec.memory
 
     p = doc["p"]
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 1:
-        raise ConfigError("p must be a number >= 1")
+    if not _number(p, 1):
+        raise ConfigError("p must be a finite number >= 1")
     for k, lo in (("T", 1), ("M_train", 5), ("M_eval", 2)):
-        v = doc[k]
-        if not isinstance(v, int) or isinstance(v, bool) or v < lo:
+        if not _integer(doc[k], lo):
             raise ConfigError(f"{k} must be an integer >= {lo}")
     washout = doc["washout"]
-    if not isinstance(washout, int) or not 0 <= washout < doc["T"]:
+    if not _integer(washout, 0) or washout >= doc["T"]:
         raise ConfigError("washout must be an integer in [0, T)")
     ridge = doc["ridge"]
-    if not isinstance(ridge, (int, float)) or isinstance(ridge, bool) or ridge < 0:
-        raise ConfigError("ridge must be a number >= 0")
+    if not _number(ridge, 0):
+        raise ConfigError("ridge must be a finite number >= 0")
 
     if sampler.n != entry.spec.n:
         raise ConfigError(
@@ -191,14 +219,10 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"T = {doc['T']} is shorter than the target memory {entry.spec.memory}"
         )
-    if family in ("constructed_shift", "constructed_nilpotent_sas") and len(cap) != 1:
-        raise ConfigError(f"family {family!r} takes a single capacity entry")
-    if (family in ("linear_poly", "linear_nn") and entry.spec.memory is None
-            and "memory" not in fp):
-        raise ConfigError(
-            "target has unbounded memory; set family_params.memory to the "
-            "shift-register depth"
-        )
+    if family == "constructed_shift" and entry.spec.kind != "finite_poly":
+        raise ConfigError("constructed_shift requires a finite_poly target")
+    if family == "constructed_nilpotent_sas" and entry.spec.kind != "trig_product":
+        raise ConfigError("constructed_nilpotent_sas requires a trig_product target")
     if family == "constructed_block_esn" and entry.spec.memory is None:
         raise ConfigError("constructed_block_esn requires a finite-memory target")
 
@@ -215,67 +239,50 @@ def load_config(doc: dict) -> ExperimentConfig:
         ridge=float(ridge),
         seed_train=seeds["train"],
         seed_eval=seeds["eval"],
-        family_params=dict(fp),
+        family_params=family_params,
     )
+
+
+def load_sampler(doc: dict) -> processes.ProcessSampler:
+    """Validate a sampler document {"kind", "n"?, "params"?}."""
+    _require_keys(doc, {"kind"}, {"n", "params"}, "sampler")
+    n, params = doc.get("n", 1), doc.get("params", {})
+    if not _integer(n, 1):
+        raise ConfigError("sampler: n must be an integer >= 1")
+    if not isinstance(params, dict):
+        raise ConfigError("sampler: params must be a JSON object")
+    try:
+        return processes.ProcessSampler(doc["kind"], n, dict(params))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"sampler: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # family builders
 
 
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        ridge=cfg.ridge, paths=cfg.M_train, window_length=cfg.T,
-        washout=cfg.washout, seed=cfg.seed_train,
-    )
-
-
-def _memory_of(cfg: ExperimentConfig) -> int:
-    K = cfg.family_params.get("memory", cfg.target.spec.memory)
-    if K is None:
-        raise ConfigError(
-            "target has unbounded memory; set family_params.memory to the "
-            "shift-register depth"
-        )
-    return int(K)
-
-
 def _build_point(cfg: ExperimentConfig, capacity: int):
     """Build/train one capacity point -> (model, esp, training diag, extras)."""
-    spec, sampler, n = cfg.target.spec, cfg.sampler, cfg.sampler.n
-    tc = _train_config(cfg)
+    spec, sampler, n, fp = cfg.target.spec, cfg.sampler, cfg.sampler.n, cfg.family_params
+    tc = TrainConfig(ridge=cfg.ridge, paths=cfg.M_train, window_length=cfg.T,
+                     washout=cfg.washout, seed=cfg.seed_train)
     extras: dict = {}
 
     if cfg.family == "linear_poly":
-        system = build_shift_register(n, _memory_of(cfg))
+        system = build_shift_register(n, fp["memory"])
         readout, diag = training.fit_polynomial_readout(system, capacity, spec, sampler, tc)
     elif cfg.family == "linear_nn":
-        system = build_shift_register(n, _memory_of(cfg))
+        system = build_shift_register(n, fp["memory"])
         readout, diag = training.fit_network_readout(
-            system, capacity, spec, sampler, tc,
-            activation=cfg.family_params.get("activation", "tanh"),
+            system, capacity, spec, sampler, tc, activation=fp["activation"],
         )
     elif cfg.family == "trig_sas":
-        system = random_trig_sas(
-            capacity, n,
-            terms=int(cfg.family_params.get("terms", 4)),
-            seed=cfg.seed_train,
-            contraction=float(cfg.family_params.get("contraction", 0.9)),
-            freq_scale=float(cfg.family_params.get("freq_scale", 1.0)),
-        )
+        system = random_trig_sas(capacity, n, seed=cfg.seed_train, **fp)
         readout, diag = training.fit_linear_readout(system, spec, sampler, tc)
     elif cfg.family == "esn":
-        system = random_esn(
-            capacity, n, seed=cfg.seed_train,
-            activation=cfg.family_params.get("activation", "tanh"),
-            spectral=float(cfg.family_params.get("spectral", 0.9)),
-            input_scale=float(cfg.family_params.get("input_scale", 0.1)),
-            bias_scale=float(cfg.family_params.get("bias_scale", 0.1)),
-        )
+        system = random_esn(capacity, n, seed=cfg.seed_train, **fp)
         readout, diag = training.fit_linear_readout(system, spec, sampler, tc)
     elif cfg.family == "constructed_shift":
-        if spec.kind != "finite_poly":
-            raise ConfigError("constructed_shift requires a finite_poly target")
         K = spec.memory
         system = build_shift_register(n, K)
         readout = PolynomialReadout(
@@ -284,30 +291,20 @@ def _build_point(cfg: ExperimentConfig, capacity: int):
         )
         diag = None
     elif cfg.family == "constructed_nilpotent_sas":
-        if spec.kind != "trig_product":
-            raise ConfigError("constructed_nilpotent_sas requires a trig_product target")
         system = build_nilpotent_trig_sas(spec.params["freqs"], spec.params["sine_lags"])
         readout, diag = None, None
-    elif cfg.family == "constructed_block_esn":
-        if spec.memory is None:
-            raise ConfigError("constructed_block_esn requires a finite-memory target")
-        activation = cfg.family_params.get("activation", "logistic")
+    else:  # constructed_block_esn
         sr = build_shift_register(n, spec.memory)
         inner, diag = training.fit_network_readout(
-            sr, capacity, spec, sampler, tc, activation=activation,
+            sr, capacity, spec, sampler, tc, activation=fp["activation"],
         )
         id_nets, eps = fit_identity_network(
-            n,
-            half_width=float(cfg.family_params.get("half_width", 3.0)),
-            hidden_units=int(cfg.family_params.get("identity_units", 24)),
-            activation=activation,
-            seed=cfg.seed_train + 1,
+            n, half_width=fp["half_width"], hidden_units=fp["identity_units"],
+            activation=fp["activation"], seed=cfg.seed_train + 1,
         )
         system = build_block_esn(inner, id_nets, n)
         readout = None
         extras["identity_sup_error"] = eps
-    else:  # pragma: no cover - guarded by load_config
-        raise ConfigError(f"unknown family {cfg.family!r}")
 
     esp = certify_esp(system)
     if not esp.certified:

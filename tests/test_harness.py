@@ -1,6 +1,7 @@
 """Experiment configs, the run/verify/sample CLI, and output artifacts."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -40,6 +41,16 @@ def _base_doc(**overrides):
     return doc
 
 
+_GMA = {"name": "geometric_ma", "params": {"decay": 0.5}}
+_TRIG = {"name": "trig_product", "params": {"freqs": [[1.0], [0.5]], "sine_lags": [1]}}
+
+
+def _family(family, capacity=4, target=_GMA, **family_params):
+    """A mutation that switches the base doc to another family."""
+    return lambda d: d.update(family=family, capacity=[capacity], target=target,
+                              family_params=family_params)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -51,6 +62,12 @@ def test_load_config_happy_path():
     assert cfg.sampler.kind == "iid_gaussian"
     assert cfg.target.name == "finite_poly"
     assert cfg.seed_train == 11 and cfg.seed_eval == 12
+    # defaults filled in, memory taken from the target
+    assert load_config(_base_doc(family="linear_poly", capacity=[2])).family_params == {
+        "memory": 1}
+    doc = _base_doc(family="esn", capacity=[4], target=_GMA)
+    assert load_config(doc).family_params == {
+        "activation": "tanh", "spectral": 0.9, "input_scale": 0.1, "bias_scale": 0.1}
 
 
 @pytest.mark.parametrize(
@@ -75,6 +92,51 @@ def test_load_config_happy_path():
         lambda d: d["sampler"].update(kind="levy"),
         lambda d: d["target"].update(name="mystery"),
         lambda d: d.update(capacity=[1, 2]),  # constructed family: one point
+        # one case per family_params rule
+        _family("linear_poly", memory=-1),
+        _family("linear_nn", memory="3"),
+        lambda d: d.update(family="linear_poly", family_params={"memory": None}),
+        _family("esn", activation="relu"),
+        _family("linear_nn", memory=3, activation=5),
+        _family("trig_sas", terms=0),
+        _family("trig_sas", terms="4"),
+        _family("trig_sas", terms=2.5),
+        _family("trig_sas", contraction=math.nan),
+        _family("trig_sas", freq_scale=math.inf),
+        _family("esn", spectral=0),
+        _family("esn", spectral=-0.5),
+        _family("esn", spectral="0.9"),
+        _family("esn", spectral=True),
+        _family("esn", input_scale=math.nan),
+        _family("esn", bias_scale=-0.1),
+        _family("constructed_block_esn", target=_TRIG, identity_units=0),
+        _family("constructed_block_esn", target=_TRIG, half_width=0.0),
+        # capacity floors
+        _family("linear_poly", capacity=-1, memory=3),
+        _family("linear_nn", capacity=0, memory=3),
+        _family("trig_sas", capacity=0),
+        _family("esn", capacity=0),
+        _family("constructed_block_esn", capacity=0, target=_TRIG),
+        # targets the constructed families cannot build
+        _family("constructed_shift", capacity=1),
+        _family("constructed_nilpotent_sas", capacity=1, target=_GMA),
+        _family("constructed_block_esn", target=_GMA),
+        # non-finite and boolean scalars
+        lambda d: d.update(p=math.inf),
+        lambda d: d.update(p=math.nan),
+        lambda d: d.update(ridge=math.nan),
+        lambda d: d.update(ridge=math.inf),
+        lambda d: d.update(washout=True),
+        # malformed sub-documents
+        lambda d: d.update(sampler=5),
+        lambda d: d.update(seeds=5),
+        lambda d: d.update(target=7),
+        lambda d: d.update(family_params=5),
+        lambda d: d["sampler"].update(n=1.7),
+        lambda d: d["sampler"].update(n=True),
+        lambda d: d["sampler"].update(n=0),
+        lambda d: d["sampler"].update(params=5),
+        lambda d: d["sampler"].update(params={"std": "1"}),
     ],
 )
 def test_load_config_rejections(mutate):
@@ -120,6 +182,30 @@ def test_load_config_rejects_unknown_family_params():
     doc = _base_doc(family_params={"memoryy": 2})
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+def test_family_defaults_pass_their_rules():
+    keys = {key for _, defaults in harness._FAMILIES.values() for key in defaults}
+    assert keys == set(harness._PARAM_RULES)
+    for _, defaults in harness._FAMILIES.values():
+        for key, value in defaults.items():
+            check, want = harness._PARAM_RULES[key]
+            # memory None means "the target's memory", resolved by load_config
+            assert (key == "memory" and value is None) or check(value), (key, value, want)
+
+
+def test_readme_lists_every_family_param_and_default():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = text[text.index("| family | key | type and range | default |"):].splitlines()
+    listed = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        family, key, _, default = (c.strip().strip("`") for c in line.strip("|").split("|"))
+        listed[family, key] = None if default == "target memory" else json.loads(default)
+    assert listed == {(family, key): value
+                      for family, (_, defaults) in harness._FAMILIES.items()
+                      for key, value in defaults.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +368,27 @@ def test_cli_run_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_bad_value_exits_before_any_work(tmp_path, monkeypatch, capsys):
+    screens = []
+    screen = rc.processes.exp_moment_check
+    monkeypatch.setattr(rc.processes, "exp_moment_check",
+                        lambda *a, **k: screens.append(k) or screen(*a, **k))
+    doc = _base_doc(
+        family="linear_poly",
+        capacity=[2],
+        sampler={"kind": "garch11", "n": 1,
+                 "params": {"omega": 0.1, "alpha": 0.1, "beta": 0.8}},
+        target=_GMA,
+        family_params={"memory": -1},
+        T=12,
+    )
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert "config error: family_params.memory" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+    assert screens == []
+
+
 def test_cli_run_esp_failure_exit_code(tmp_path, capsys):
     doc = _base_doc(
         family="esn",
@@ -344,9 +451,13 @@ def test_cli_sample_round_trip(tmp_path, capsys):
 
 def test_cli_sample_rejects_unknown_keys(tmp_path, capsys):
     samp = tmp_path / "sampler.json"
-    samp.write_text(json.dumps({"kind": "iid_gaussian", "n": 1, "mu": 0.0}))
-    assert cli.main(["sample", str(samp), "-T", "2", "-M", "1",
-                     "--seed", "0", "--out", str(tmp_path / "o")]) == 2
+    for doc in ({"kind": "iid_gaussian", "n": 1, "mu": 0.0},
+                {"kind": "iid_gaussian", "n": 2.7},  # not an integer channel count
+                [{"kind": "iid_gaussian"}]):
+        samp.write_text(json.dumps(doc))
+        assert cli.main(["sample", str(samp), "-T", "2", "-M", "1",
+                         "--seed", "0", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
     capsys.readouterr()
 
 

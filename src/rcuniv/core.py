@@ -282,12 +282,14 @@ def truncated_conditional_error(
         rep = np.empty((m, R, T, n)) if deep else None
 
         def draw(a, b):
+            past = np.empty((R, deep, n))  # one path's redrawn deeper past
             for i in range(a, b):
-                base[i] = sampler.draw(path_rng(seed, start + i), (T, n))
+                sampler._from_standard(sampler._standard_draw(path_rng(seed, start + i), base[i]))
                 if deep:
                     # replicas keep lags 0..K and redraw the deeper past
                     rep[i, :, : K + 1] = base[i, : K + 1]
-                    rep[i, :, K + 1 :] = sampler.draw(path_rng(seed, M + start + i), (R, deep, n))
+                    sampler._standard_draw(path_rng(seed, M + start + i), past)
+                    rep[i, :, K + 1 :] = sampler._from_standard(past)
 
         # paths draw from their own streams, so the 16-path tasks move no value
         _run_blocks(draw, m, 16, blas=False)

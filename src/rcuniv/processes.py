@@ -9,6 +9,7 @@ core convention: row k holds the value k steps in the past.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,8 +58,20 @@ def path_rng(seed: int, path: int) -> np.random.Generator:
     return rng
 
 
+# the params each kind accepts: required keys, then optional keys with defaults
+_PARAMS = {
+    "iid_gaussian": ((), {"mean": 0.0, "std": 1.0}),
+    "iid_uniform_bounded": (("a_min", "a_max"), {}),
+    "iid_lognormal": ((), {"mu": 0.0, "sigma": 1.0}),
+    "arma": ((), {"ar": (), "ma": (), "std": 1.0}),
+    "garch11": (("omega", "alpha", "beta"), {}),
+}
 _IID_KINDS = ("iid_gaussian", "iid_uniform_bounded", "iid_lognormal")
-_KINDS = _IID_KINDS + ("arma", "garch11")
+_KINDS = tuple(_PARAMS)
+
+
+def _finite_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,9 @@ class ProcessSampler:
     """Stationary n-channel input process.
 
     kind is one of iid_gaussian, iid_uniform_bounded, iid_lognormal, arma,
-    garch11; params are validated per kind at construction.  arma and
-    garch11 are univariate.
+    garch11; params are validated per kind at construction: only the
+    kind's own keys, every value a finite real (ar and ma sequences of
+    them).  arma and garch11 are univariate.
     """
 
     kind: str
@@ -79,39 +93,43 @@ class ProcessSampler:
             raise ValueError(f"unknown sampler kind {self.kind!r}; choices {list(_KINDS)}")
         if self.n < 1:
             raise ValueError("channel count n must be >= 1")
-        p = dict(self.params)
+        required, defaults = _PARAMS[self.kind]
+        unknown = self.params.keys() - set(required) - defaults.keys()
+        if unknown:
+            raise ValueError(f"{self.kind} takes no params {sorted(unknown)}; "
+                             f"allowed {sorted(set(required) | defaults.keys())}")
+        missing = set(required) - self.params.keys()
+        if missing:
+            raise ValueError(f"{self.kind} needs params {sorted(missing)}")
+        p = {**defaults, **self.params}
+        for key, value in p.items():
+            if key in ("ar", "ma"):
+                if not isinstance(value, (list, tuple)) or not all(map(_finite_real, value)):
+                    raise ValueError(f"{key} must be a sequence of finite reals")
+                p[key] = tuple(float(c) for c in value)
+            elif not _finite_real(value):
+                raise ValueError(f"{key} must be a finite real, got {value!r}")
         if self.kind == "iid_gaussian":
-            p.setdefault("mean", 0.0)
-            p.setdefault("std", 1.0)
             if p["std"] <= 0:
                 raise ValueError("std must be > 0")
         elif self.kind == "iid_uniform_bounded":
-            if not {"a_min", "a_max"} <= p.keys():
-                raise ValueError("iid_uniform_bounded needs a_min and a_max")
             if not p["a_min"] < p["a_max"]:
                 raise ValueError("need a_min < a_max")
+            if not math.isfinite(p["a_max"] - p["a_min"]):
+                raise ValueError("a_max - a_min overflows")
         elif self.kind == "iid_lognormal":
-            p.setdefault("mu", 0.0)
-            p.setdefault("sigma", 1.0)
             if p["sigma"] <= 0:
                 raise ValueError("sigma must be > 0")
         elif self.kind == "arma":
             if self.n != 1:
                 raise ValueError("arma sampler is univariate")
-            ar = tuple(float(c) for c in p.get("ar", ()))
-            ma = tuple(float(c) for c in p.get("ma", ()))
-            p["ar"], p["ma"] = ar, ma
-            p.setdefault("std", 1.0)
             if p["std"] <= 0:
                 raise ValueError("innovation std must be > 0")
-            _check_roots_outside(ar, "ar")
-            _check_roots_outside(tuple(-c for c in ma), "ma")
+            _check_roots_outside(p["ar"], "ar")
+            _check_roots_outside(tuple(-c for c in p["ma"]), "ma")
         elif self.kind == "garch11":
             if self.n != 1:
                 raise ValueError("garch11 sampler is univariate")
-            missing = {"omega", "alpha", "beta"} - p.keys()
-            if missing:
-                raise ValueError(f"garch11 needs parameters {sorted(missing)}")
             if p["omega"] <= 0:
                 raise ValueError("omega must be > 0")
             if p["alpha"] < 0 or p["beta"] < 0:
@@ -127,18 +145,35 @@ class ProcessSampler:
         """True when successive values are independent draws."""
         return self.kind in _IID_KINDS
 
-    # -- raw iid draws (used for past-resampling estimators) ----------------
+    # -- iid draws: standard variates, then the kind's map -------------------
 
     def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Independent draws of the marginal law; iid kinds only."""
-        p = self.params
-        if self.kind == "iid_gaussian":
-            return p["mean"] + p["std"] * rng.standard_normal(shape)
+        if not self.iid:
+            raise ValueError(f"{self.kind!r} values are dependent; use sample_paths")
+        return self._from_standard(self._standard_draw(rng, np.empty(shape)))
+
+    def _standard_draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill a contiguous out with uniform [0, 1) (bounded kind) or standard normal draws."""
         if self.kind == "iid_uniform_bounded":
-            return rng.uniform(p["a_min"], p["a_max"], size=shape)
-        if self.kind == "iid_lognormal":
-            return np.exp(p["mu"] + p["sigma"] * rng.standard_normal(shape))
-        raise ValueError(f"{self.kind!r} values are dependent; use sample_paths")
+            return rng.random(out=out)
+        return rng.standard_normal(out=out)
+
+    def _from_standard(self, x: np.ndarray) -> np.ndarray:
+        """Map _standard_draw output in place to the marginal law; returns x.
+
+        mean + std x, a_min + (a_max - a_min) u (numpy's uniform) and
+        exp(mu + sigma x), each in that operation order.
+        """
+        p = self.params
+        if self.kind == "iid_uniform_bounded":
+            x *= p["a_max"] - p["a_min"]
+            x += p["a_min"]
+            return x
+        scale, shift = (p["std"], p["mean"]) if self.kind == "iid_gaussian" else (p["sigma"], p["mu"])
+        x *= scale
+        x += shift
+        return np.exp(x, out=x) if self.kind == "iid_lognormal" else x
 
     # -- characteristic time and burn-in -------------------------------------
 
@@ -243,8 +278,8 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
     out = np.empty((M, T, s.n))
     if s.iid:
         for i in range(M):
-            out[i] = s.draw(path_rng(seed, path_offset + i), (T, s.n))
-        return out
+            s._standard_draw(path_rng(seed, path_offset + i), out[i])
+        return s._from_standard(out)
 
     burn = s.burn_in()
     total = burn + T

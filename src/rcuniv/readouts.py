@@ -36,20 +36,30 @@ MAX_FEATURES = 10_000_000
 
 @dataclass(frozen=True)
 class Activation:
-    """Bounded, continuous, non-constant scalar activation."""
+    """Bounded, continuous, non-constant scalar activation.
+
+    fn(x, out=None) writes into out when it is given, which may be x.
+    """
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
     lipschitz: float
 
 
-def _logistic(x):
+def _logistic(x, out=None):
+    """1 / (1 + exp(-x)), written into out when given."""
+    y = np.negative(x, out=out)
     with np.errstate(over="ignore"):  # exp(-x) = inf below x = -709 gives the limit 0
-        return 1.0 / (1.0 + np.exp(-x))
+        y = np.exp(y, out=out)
+    y = np.add(y, 1.0, out=out)
+    return np.divide(1.0, y, out=out)
 
 
-def _hard_sigmoid(x):
-    return np.clip(0.2 * x + 0.5, 0.0, 1.0)
+def _hard_sigmoid(x, out=None):
+    """clip(0.2 x + 0.5, 0, 1), written into out when given."""
+    y = np.multiply(x, 0.2, out=out)
+    y = np.add(y, 0.5, out=out)
+    return np.clip(y, 0.0, 1.0, out=out)
 
 
 ACTIVATIONS = {

@@ -143,13 +143,15 @@ class _ReservoirSystem:
 class LinearReservoir(_ReservoirSystem):
     """x_t = A x_{t-1} + c z_t with A (N, N) and c (N, n).
 
-    Interface: N, n, step(x, z) for state batches (M, N) and inputs (M, n),
-    certificate() (nilpotent support of A, else ||A||_2 < 1), to_dict(),
-    from_dict().
+    Interface: N, n, scratch_slots, step(x, z, scratch), certificate()
+    (nilpotent support of A, else ||A||_2 < 1), to_dict(), from_dict().
+    step overwrites a state batch x (M, N) with its successor under inputs
+    z (M, n), using scratch of shape (scratch_slots, M, N) as workspace.
     """
 
     A: np.ndarray
     c: np.ndarray
+    scratch_slots = 1
 
     def __post_init__(self):
         A = _frozen(self.A, "A")
@@ -169,10 +171,12 @@ class LinearReservoir(_ReservoirSystem):
     def n(self) -> int:
         return self.c.shape[1]
 
-    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
         # overflow surfaces as a StateOverflowError from the finite check
         with np.errstate(over="ignore", invalid="ignore"):
-            return x @ self.A.T + z @ self.c.T
+            np.matmul(x, self.A.T, out=scratch[0])
+            np.matmul(z, self.c.T, out=x)
+            np.add(scratch[0], x, out=x)
 
     def _prove(self) -> EspReport:
         return _structural_report("spectral", float(np.linalg.norm(self.A, 2)), self.A != 0.0)
@@ -235,37 +239,35 @@ class TrigPolynomial:
     def n(self) -> int:
         return self.cos_freqs.shape[1]
 
-    def apply(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """R(z_m) x_m per row for z (M, n) and x (M, cols) -> (M, rows).
+    def apply(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+        """out = R(z_m) x_m per row for z (M, n) and x (M, cols); out, term (M, rows).
 
-        One BLAS matmul per coefficient matrix into one scratch buffer,
-        weighted by its cos or sin column and added term by term into one
-        (M, rows) output.
+        One BLAS matmul per coefficient matrix into term, weighted by its
+        cos or sin column and added term by term into out, which starts
+        from zeros.  term is workspace; neither may share memory with x.
         """
-        out = np.zeros((z.shape[0], self.rows))
+        out.fill(0.0)
         if self.r == 0:
-            return out
+            return
         c = np.cos(z @ self.cos_freqs.T)
         s = np.sin(z @ self.sin_freqs.T)
-        term = np.empty_like(out)
         for k in range(self.r):
             for mats, weights in ((self.cos_mats, c), (self.sin_mats, s)):
                 np.matmul(x, mats[k].T, out=term)
                 term *= weights[:, k, None]
                 out += term
-        return out
 
-    def value_vector(self, z: np.ndarray) -> np.ndarray:
-        """R(z_m) for single-column polynomials: z (M, n) -> (M, rows)."""
+    def value_vector(self, z: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+        """out = R(z_m) per row for single-column polynomials; z (M, n), out, term (M, rows).
+
+        The cos part goes into out and the sin part through term, which is
+        workspace.
+        """
         if self.cols != 1:
             raise ValueError("value_vector needs a single-column polynomial")
-        if self.r == 0:
-            return np.zeros((z.shape[0], self.rows))
-        c = np.cos(z @ self.cos_freqs.T)
-        s = np.sin(z @ self.sin_freqs.T)
-        out = c @ self.cos_mats[:, :, 0]
-        out += s @ self.sin_mats[:, :, 0]
-        return out
+        np.matmul(np.cos(z @ self.cos_freqs.T), self.cos_mats[:, :, 0], out=out)
+        np.matmul(np.sin(z @ self.sin_freqs.T), self.sin_mats[:, :, 0], out=term)
+        out += term
 
     def norm_bound(self) -> float:
         """sup_z ||R(z)||_2 <= sum_k ||A_k||_2 + ||B_k||_2."""
@@ -296,9 +298,9 @@ class TrigPolynomial:
 class TrigSAS(_ReservoirSystem):
     """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t), y_t = W . x_t.
 
-    Interface: N, n, step(x, z), certificate() (nilpotent support of P,
-    else P.norm_bound() < 1, else esp_hint), to_dict(), from_dict();
-    esp_hint is not serialized.
+    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
+    certificate() (nilpotent support of P, else P.norm_bound() < 1, else
+    esp_hint), to_dict(), from_dict(); esp_hint is not serialized.
     """
 
     P: TrigPolynomial
@@ -306,6 +308,9 @@ class TrigSAS(_ReservoirSystem):
     W: np.ndarray
     # certificate attached by constructors that guarantee ESP structurally
     esp_hint: EspReport | None = field(default=None, compare=False, repr=False)
+    # P(z) x accumulates in one slot while its terms go through the other,
+    # which then takes Q(z); x, once read, is the workspace for Q's terms
+    scratch_slots = 2
 
     def __post_init__(self):
         W = np.atleast_1d(_frozen(self.W))
@@ -327,10 +332,10 @@ class TrigSAS(_ReservoirSystem):
     def n(self) -> int:
         return self.Q.n if self.Q.r else self.P.n
 
-    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        out = self.P.apply(z, x)
-        out += self.Q.value_vector(z)
-        return out
+    def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
+        self.P.apply(z, x, scratch[0], scratch[1])
+        self.Q.value_vector(z, scratch[1], x)
+        np.add(scratch[0], scratch[1], out=x)
 
     def _prove(self) -> EspReport:
         report = _structural_report("spectral", self.P.norm_bound(), self.P.support())
@@ -352,8 +357,9 @@ class TrigSAS(_ReservoirSystem):
 class EchoStateNetwork(_ReservoirSystem):
     """x_t = sigma(A x_{t-1} + C z_t + bias), y_t = W . x_t.
 
-    Interface: N, n, step(x, z), certificate() (nilpotent support of A,
-    else Lip(sigma) ||A||_2 < 1), to_dict(), from_dict().
+    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
+    certificate() (nilpotent support of A, else Lip(sigma) ||A||_2 < 1),
+    to_dict(), from_dict().
     """
 
     A: np.ndarray
@@ -361,6 +367,7 @@ class EchoStateNetwork(_ReservoirSystem):
     bias: np.ndarray
     W: np.ndarray
     activation: str = "logistic"
+    scratch_slots = 1
 
     def __post_init__(self):
         A = _frozen(self.A, "A")
@@ -384,8 +391,16 @@ class EchoStateNetwork(_ReservoirSystem):
     def n(self) -> int:
         return self.C.shape[1]
 
-    def step(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return get_activation(self.activation).fn(x @ self.A.T + z @ self.C.T + self.bias)
+    def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
+        pre = np.matmul(x, self.A.T, out=scratch[0])
+        # x has been read: it takes the input term now and the next state last
+        if self.n == 1:  # a K = 1 matmul costs far more than this outer product
+            np.multiply(z, self.C[:, 0], out=x)
+        else:
+            np.matmul(z, self.C.T, out=x)
+        pre += x
+        pre += self.bias
+        get_activation(self.activation).fn(pre, out=x)
 
     def _prove(self) -> EspReport:
         L = get_activation(self.activation).lipschitz
@@ -414,12 +429,11 @@ _VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNet
 _BLOCK_ROWS = 512
 
 
-def _step(system, x: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """One update of a batch of states at lag k; non-finite states raise."""
-    x = system.step(x, z)
+def _step(system, x: np.ndarray, z: np.ndarray, k: int, scratch: np.ndarray) -> None:
+    """Advance a batch of states at lag k in place; non-finite states raise."""
+    system.step(x, z, scratch)
     if not np.all(np.isfinite(x)):
         raise StateOverflowError(f"non-finite state at lag {k}")
-    return x
 
 
 def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
@@ -444,12 +458,14 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
     out = np.empty((M, system.N))
 
     def run(start, stop):
-        # the state lives in out, so a worker thread allocates only one
-        # step's temporaries, which keeps its malloc arena small
+        # the state lives in out and each step overwrites it, with one
+        # scratch per block as workspace, which keeps a worker's malloc
+        # arena small
         x = out[start:stop]
         x[...] = 0.0 if x_init is None else x_init[start:stop]
+        scratch = np.empty((system.scratch_slots, stop - start, system.N))
         for k in range(T - 1, -1, -1):
-            x[...] = _step(system, x, data[start:stop, k, :], k)
+            _step(system, x, data[start:stop, k, :], k, scratch)
             if trajectory is not None:
                 trajectory[k, start:stop] = x
 

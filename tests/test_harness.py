@@ -461,6 +461,17 @@ def test_cli_sample_rejects_unknown_keys(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("params", [{"mu": 3.0}, {"std": math.nan}, {"mean": math.inf}],
+                         ids=["unknown_key", "nan", "infinite"])
+def test_cli_sample_rejects_bad_sampler_params(tmp_path, capsys, params):
+    samp = tmp_path / "sampler.json"
+    samp.write_text(json.dumps({"kind": "iid_gaussian", "n": 1, "params": params}))
+    assert cli.main(["sample", str(samp), "-T", "2", "-M", "1",
+                     "--seed", "0", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: sampler: ")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify suites as a library
 

@@ -131,6 +131,28 @@ def test_lognormal_log_is_gaussian():
     assert abs(logs.std() - 0.8) < 0.02
 
 
+_IID_ORACLES = {
+    # each kind's marginal as the one numpy expression per path it was drawn with
+    "iid_gaussian": (rc.iid_gaussian(2, mean=-0.5, std=1.5),
+                     lambda rng, shape: -0.5 + 1.5 * rng.standard_normal(shape)),
+    "iid_uniform_bounded": (rc.iid_uniform_bounded(-0.75, 2.0, n=2),
+                            lambda rng, shape: rng.uniform(-0.75, 2.0, size=shape)),
+    "iid_lognormal": (rc.iid_lognormal(2, mu=0.3, sigma=0.8),
+                      lambda rng, shape: np.exp(0.3 + 0.8 * rng.standard_normal(shape))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IID_ORACLES))
+def test_iid_paths_match_a_per_path_draw_oracle(kind):
+    s, oracle = _IID_ORACLES[kind]
+    seed, offset, T, M = 2**63 + 9, 40, 7, 25
+    want = np.stack([oracle(_fresh_rng(seed, offset + i), (T, 2)) for i in range(M)])
+    for got in (rc.sample_paths(s, T, M, seed, path_offset=offset),
+                np.stack([s.draw(path_rng(seed, offset + i), (T, 2)) for i in range(M)])):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_draw_only_for_iid():
     rng = np.random.default_rng(0)
     assert rc.iid_gaussian(2).draw(rng, (3, 2)).shape == (3, 2)
@@ -188,6 +210,38 @@ def test_ma1_autocorr():
     corr2 = np.corrcoef(data[:, 0, 0], data[:, 2, 0])[0, 1]
     assert abs(corr1 - theta / (1.0 + theta**2)) < 0.05
     assert abs(corr2) < 0.05
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("iid_gaussian", {"mu": 3.0}),
+    ("iid_uniform_bounded", {"a_min": 0.0, "a_max": 1.0, "mean": 0.5}),
+    ("iid_lognormal", {"std": 2.0}),
+    ("arma", {"ar": [0.5], "sigma": 1.0}),
+    ("garch11", {"omega": 0.1, "alpha": 0.1, "beta": 0.8, "mu": 0.0}),
+])
+def test_sampler_rejects_params_of_another_kind(kind, params):
+    n = 1 if kind in ("arma", "garch11") else 2
+    with pytest.raises(ValueError, match="takes no params"):
+        rc.ProcessSampler(kind, n, params)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("iid_gaussian", {"std": math.nan}),
+    ("iid_gaussian", {"mean": -math.inf}),
+    ("iid_uniform_bounded", {"a_min": 0.0, "a_max": math.inf}),
+    ("iid_uniform_bounded", {"a_min": -1e308, "a_max": 1e308}),  # finite, but not a_max - a_min
+    ("iid_lognormal", {"mu": math.nan}),
+    ("arma", {"ar": [0.5, math.nan]}),
+    ("arma", {"ma": [math.inf]}),
+    ("arma", {"ar": 0.5}),  # not a sequence
+    ("garch11", {"omega": 0.1, "alpha": math.nan, "beta": 0.8}),
+    ("garch11", {"omega": 0.1, "alpha": 0.1, "beta": False}),
+    ("iid_gaussian", {"std": "1.0"}),
+])
+def test_sampler_rejects_non_finite_or_non_real_params(kind, params):
+    n = 1 if kind in ("arma", "garch11") else 2
+    with pytest.raises(ValueError):
+        rc.ProcessSampler(kind, n, params)
 
 
 def test_garch_validation():

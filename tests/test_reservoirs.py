@@ -337,8 +337,11 @@ def test_apply_matches_einsum(name):
     rng = np.random.default_rng(26)
     z = rng.normal(size=(300, poly.n))
     x = rng.normal(size=(300, poly.cols))
-    got, want = poly.apply(z, x), _einsum_apply(poly, z, x)
-    assert got.shape == want.shape == (300, poly.rows)
+    # apply overwrites whatever its buffers hold
+    got, term = np.full((2, 300, poly.rows), np.nan)
+    poly.apply(z, x, got, term)
+    want = _einsum_apply(poly, z, x)
+    assert want.shape == (300, poly.rows)
     scale = np.abs(want).max(initial=0.0)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
@@ -608,6 +611,118 @@ def test_overflow_names_the_first_block_for_any_worker_count(monkeypatch):
         final_states(system, data[512:])
     assert messages == {str(first.value)}
     assert str(later.value) != str(first.value)
+
+
+# the state updates as the allocating expressions they were before steps
+# ran in place: the oracle the in-place steps must match bit for bit
+_ALLOCATING_ACTIVATIONS = {
+    "logistic": lambda v: 1.0 / (1.0 + np.exp(-v)),
+    "tanh": np.tanh,
+    "hard_sigmoid": lambda v: np.clip(0.2 * v + 0.5, 0.0, 1.0),
+}
+
+
+def _allocating_apply(poly, z, x):
+    out = np.zeros((z.shape[0], poly.rows))
+    if poly.r:
+        c = np.cos(z @ poly.cos_freqs.T)
+        s = np.sin(z @ poly.sin_freqs.T)
+        for k in range(poly.r):
+            for mats, weights in ((poly.cos_mats, c), (poly.sin_mats, s)):
+                out += (x @ mats[k].T) * weights[:, k, None]
+    return out
+
+
+def _allocating_step(system, x, z):
+    if isinstance(system, rc.EchoStateNetwork):
+        with np.errstate(over="ignore"):
+            return _ALLOCATING_ACTIVATIONS[system.activation](
+                x @ system.A.T + z @ system.C.T + system.bias)
+    if isinstance(system, rc.TrigSAS):
+        Q = system.Q
+        value = np.cos(z @ Q.cos_freqs.T) @ Q.cos_mats[:, :, 0]
+        value += np.sin(z @ Q.sin_freqs.T) @ Q.sin_mats[:, :, 0]
+        return _allocating_apply(system.P, z, x) + value
+    return x @ system.A.T + z @ system.c.T
+
+
+def _allocating_final_states(system, data, x_init):
+    """(final states, trajectory) from the allocating steps over 512-row blocks."""
+    M, T, _ = data.shape
+    out, trajectory = np.empty((M, system.N)), np.empty((T, M, system.N))
+    for start in range(0, M, 512):
+        block = slice(start, start + 512)
+        x = np.zeros((len(data[block]), system.N)) if x_init is None else x_init[block]
+        for k in range(T - 1, -1, -1):
+            x = _allocating_step(system, x, data[block, k, :])
+            trajectory[k, block] = x
+        out[block] = x
+    return out, trajectory
+
+
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def _random_linear(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(10, 10))
+    return rc.LinearReservoir(0.9 * A / np.linalg.norm(A, 2), rng.normal(size=(10, 2)))
+
+
+def _random_block_esn(seed):
+    # C has zero rows, so the input term has zero products of both signs
+    rng = np.random.default_rng(seed)
+    inner = rc.NetworkReadout(rng.normal(size=6), rng.normal(size=(6, 3)), rng.normal(size=6),
+                              "logistic")
+    nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=8, seed=seed + 1)
+    return rc.build_block_esn(inner, nets, 1)
+
+
+# name -> builder; input_scale 2 drives every activation into saturation on some rows
+_IN_PLACE_SYSTEMS = {
+    **{f"esn-{act}-n{n}-N{N}": (lambda act=act, n=n, N=N: rc.random_esn(
+        N, n, seed=N + n, activation=act, input_scale=2.0))
+       for act in _ALLOCATING_ACTIVATIONS for n in (1, 2) for N in (5, 50, 300)},
+    "random_trig_sas": lambda: rc.random_trig_sas(12, 2, terms=3, seed=68),
+    "trig_sas_zero_Q": lambda: rc.TrigSAS(
+        rc.random_trig_sas(5, 1, terms=2, seed=75).P,
+        TrigPolynomial(*np.zeros((2, 0, 5, 1)), *np.zeros((2, 0, 1))), np.ones(5)),
+    "nilpotent_trig_sas": lambda: rc.build_nilpotent_trig_sas(
+        np.random.default_rng(67).normal(size=(4, 1)), sine_lags=(1, 3)),
+    "linear": lambda: _random_linear(76),
+    "shift_register": lambda: rc.build_shift_register(1, 3),
+    "block_esn": lambda: _random_block_esn(77),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IN_PLACE_SYSTEMS))
+def test_in_place_steps_match_the_allocating_updates(monkeypatch, name):
+    system = _IN_PLACE_SYSTEMS[name]()
+    M, T = 512 + 9, 4
+    data = 3.0 * _gauss_windows(T, system.n, M, 69)
+    x0 = np.random.default_rng(70).normal(size=(M, system.N))
+    for x_init in (None, x0):
+        want, want_trajectory = _allocating_final_states(system, data, x_init)
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("RCUNIV_WORKERS", workers)
+            _assert_same_bits(final_states(system, data, x_init), want)
+            trajectory = np.full((T, M, system.N), np.nan)
+            _assert_same_bits(final_states(system, data, x_init, trajectory=trajectory), want)
+            _assert_same_bits(trajectory, want_trajectory)
+    np.testing.assert_array_equal(x0, np.random.default_rng(70).normal(size=(M, system.N)))
+
+
+@pytest.mark.parametrize("system", [rc.random_esn(8, 1, seed=71),
+                                    rc.random_trig_sas(6, 1, terms=2, seed=72)],
+                         ids=["esn", "trig_sas"])
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_nan_input_names_its_lag(system, k):
+    data = _gauss_windows(7, 1, 600, 73)
+    data[550, k, 0] = np.nan
+    with pytest.raises(rc.StateOverflowError, match=f"at lag {k}$"):
+        final_states(system, data)
 
 
 def _system_and_its_inputs(kind):

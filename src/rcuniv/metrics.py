@@ -49,8 +49,8 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     Warns when the p-th power sample is so heavy-tailed (kurtosis above
     100) that the reported standard error is unreliable.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 1:
         raise ValueError("values must be a non-empty vector")

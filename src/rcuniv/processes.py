@@ -1,15 +1,18 @@
-"""Stationary input process samplers and moment diagnostics.
+"""Stationary input process samplers and their exponential moment condition.
 
 Every path is generated from its own counter-based stream keyed by
 (seed, path index), so path i is the same no matter how many paths are
 drawn, in what order, or across how many workers.  Windows follow the
 core convention: row k holds the value k steps in the past.
+exp_moment_check decides the exponential moment condition of a sampler
+from its kind and params alone; it draws no path.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,8 +73,8 @@ _IID_KINDS = ("iid_gaussian", "iid_uniform_bounded", "iid_lognormal")
 _KINDS = tuple(_PARAMS)
 
 
-def _finite_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+def _finite_real(v) -> bool:  # nan, inf and ints past float range fail the bound
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -354,95 +357,90 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, burn: int) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# exponential moment diagnostic
+# exponential moment condition
 
 
 class MomentVerdict(str, Enum):
+    """Exponential moment finite (plausible) or infinite (suspect_infinite), proved per kind."""
+
     PLAUSIBLE = "plausible"
     SUSPECT_INFINITE = "suspect_infinite"
 
 
 @dataclass(frozen=True)
 class MomentDiagnostic:
-    """Heuristic screen for E[exp(alpha * sum_{k<=K} sum_i |z_i,-k|)] < inf.
+    """E[exp(alpha * sum_{k<=K} sum_i |z_i,-k|)] < inf at rate alpha and depth K.
 
-    estimate is the sample mean of the exponential at the largest size;
-    tail_growth is the fitted log-log slope of that mean across the
-    requested sample sizes; hazard_shallow / hazard_deep are reciprocal
-    mean excesses of the exponent at the 0.99 / 0.999 quantiles.  The
-    verdict is suspect_infinite when the mean keeps growing, is non-finite,
-    or the exponent's tail hazard sits at or below 1 or decays with depth
-    (subexponential tail, so no exponential moment at any rate survives the
-    deep tail).  A finite sample can never prove the moment finite; this is
-    a screen, not a certificate.
+    value: the closed form (inf when infinite or past float range), else None.
     """
 
     alpha: float
     K: int
-    estimate: float
-    tail_growth: float
-    hazard_shallow: float
-    hazard_deep: float
+    value: float | None
     verdict: MomentVerdict
+    reason: str
 
 
-def exp_moment_check(
-    s: ProcessSampler,
-    alpha: float,
-    K: int,
-    sample_sizes=(50_000, 100_000, 200_000, 400_000),
-    seed: int = 0,
-    growth_threshold: float = 0.05,
-    hazard_ratio_threshold: float = 0.8,
-) -> MomentDiagnostic:
-    """Screen the exponential moment condition at rate alpha and depth K."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    sizes = sorted(int(v) for v in sample_sizes)
-    if len(sizes) < 2 or sizes[0] < 1000:
-        raise ValueError("need at least two sample sizes, smallest >= 1000")
-    S = sizes[-1]
-    if s.iid:
-        vals = s.draw(path_rng(seed, 0), (S, K + 1, s.n))
-        exponent = alpha * np.abs(vals).sum(axis=(1, 2))
+def exp_moment_check(s: ProcessSampler, alpha: float, K: int) -> MomentDiagnostic:
+    """Decide the exponential moment condition from the sampler's kind and params.
+
+    iid Gaussian and bounded uniform laws, Gaussian ARMA and garch11 with
+    alpha = 0 (iid N(0, omega / (1 - beta))) have every exponential moment;
+    lognormal laws and garch11 with alpha > 0, whose stationary tail is a
+    power law (Kesten-Goldie; Mikosch & Starica, Ann. Statist. 28, 2000),
+    have none.  The kind alone decides the verdict; no path is drawn.
+    """
+    if not (_finite_real(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be a finite real > 0, got {alpha!r}")
+    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 0:
+        raise ValueError(f"K must be an integer >= 0, got {K!r}")
+    p, lags = s.params, s.n * (K + 1)
+    if s.kind == "iid_gaussian":
+        holds, reason = True, "Gaussian marginal: every exponential moment is finite"
+        value = _closed_form(_gaussian_abs_mgf, alpha, p["mean"], p["std"], lags=lags)
+    elif s.kind == "iid_uniform_bounded":
+        holds, reason = True, "bounded support: every exponential moment is finite"
+        value = _closed_form(_uniform_abs_mgf, alpha, p["a_min"], p["a_max"], lags=lags)
+    elif s.kind == "iid_lognormal":
+        holds, reason = False, "lognormal tail: E exp(alpha |z|) is infinite for alpha > 0"
+        value = math.inf
+    elif s.kind == "arma":
+        holds, reason = True, "stationary Gaussian ARMA: every exponential moment is finite"
+        value = None  # the window's lags are correlated: no closed form
+    elif p["alpha"] == 0:
+        holds, reason = True, "GARCH(1,1) with alpha = 0 is iid N(0, omega / (1 - beta))"
+        sigma = math.sqrt(p["omega"] / (1.0 - p["beta"]))
+        value = _closed_form(_gaussian_abs_mgf, alpha, 0.0, sigma, lags=lags)
     else:
-        # dependent kinds: exponent over actual joint windows
-        exponent = alpha * np.abs(sample_paths(s, K + 1, S, seed)).sum(axis=(1, 2))
+        holds, reason = False, "GARCH(1,1) with alpha > 0 has a power-law tail (Kesten-Goldie)"
+        value = math.inf
+    verdict = MomentVerdict.PLAUSIBLE if holds else MomentVerdict.SUSPECT_INFINITE
+    return MomentDiagnostic(float(alpha), int(K), value, verdict, reason)
 
-    with np.errstate(over="ignore"):
-        expvals = np.exp(exponent)
-    means = np.array([expvals[:m].mean() for m in sizes])
-    if np.all(np.isfinite(means)) and np.all(means > 0):
-        slope = np.polyfit(np.log(sizes), np.log(means), 1)[0]
-    else:
-        slope = math.inf
 
-    def hazard(q):
-        u = np.quantile(exponent, q)
-        excess = exponent[exponent > u] - u
-        if excess.size == 0 or excess.mean() <= 0:
-            return math.inf
-        return 1.0 / float(excess.mean())
+def _closed_form(abs_mgf, *args, lags: int) -> float:
+    """abs_mgf(*args) ** lags, the value over lags independent values; inf past float range."""
+    try:
+        return abs_mgf(*args) ** lags
+    except OverflowError:
+        return math.inf
 
-    h_shallow, h_deep = hazard(0.99), hazard(0.999)
-    suspect = (
-        not math.isfinite(float(means[-1]))
-        or slope > growth_threshold
-        or h_deep <= 1.0
-        or (math.isfinite(h_deep) and math.isfinite(h_shallow)
-            and h_deep / h_shallow < hazard_ratio_threshold)
-    )
-    return MomentDiagnostic(
-        alpha=float(alpha),
-        K=int(K),
-        estimate=float(means[-1]),
-        tail_growth=float(slope),
-        hazard_shallow=float(h_shallow),
-        hazard_deep=float(h_deep),
-        verdict=MomentVerdict.SUSPECT_INFINITE if suspect else MomentVerdict.PLAUSIBLE,
-    )
+
+def _gaussian_abs_mgf(alpha: float, mu: float, sigma: float) -> float:
+    """E exp(alpha |X|) for X ~ N(mu, sigma^2); may raise OverflowError."""
+    r2 = math.sqrt(2.0)
+    return math.exp(alpha**2 * sigma**2 / 2.0) * 0.5 * (
+        math.exp(alpha * mu) * (1.0 + math.erf((mu / sigma + alpha * sigma) / r2))
+        + math.exp(-alpha * mu) * (1.0 + math.erf((alpha * sigma - mu / sigma) / r2)))
+
+
+def _uniform_abs_mgf(alpha: float, a: float, b: float) -> float:
+    """E exp(alpha |U|) for U uniform on [a, b]; may raise OverflowError."""
+    if a < 0 < b:
+        integral = (math.expm1(alpha * b) + math.expm1(-alpha * a)) / alpha
+    else:  # one-sided: exp(alpha * near end) * expm1(alpha * width), free of cancellation
+        integral = math.exp(alpha * min(abs(a), abs(b))) * math.expm1(alpha * (b - a)) / alpha
+    return integral / (b - a)
 
 
 # ---------------------------------------------------------------------------

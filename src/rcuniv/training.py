@@ -121,8 +121,8 @@ def fit_polynomial_readout(system: LinearReservoir, degree: int, target: Functio
                            sampler: ProcessSampler, cfg: TrainConfig):
     """Ridge-fit a polynomial readout of the given degree on final states.
 
-    The input law's exponential-moment screen runs once per experiment, in
-    harness.run_experiment, not here.
+    The input law's exponential moment condition is decided once per
+    experiment, from the sampler's kind, in harness.run_experiment, not here.
     """
     if not isinstance(system, LinearReservoir):
         raise TypeError("polynomial readouts are fit on linear reservoir states")

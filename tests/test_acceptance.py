@@ -206,12 +206,12 @@ def test_c08_stationarity_of_estimates_under_shifts():
 def test_c09_moment_screen_separates_input_laws():
     t0 = time.time()
     for alpha in (0.1, 1.0):
-        heavy = rc.exp_moment_check(rc.iid_lognormal(1), alpha=alpha, K=1, seed=90)
+        heavy = rc.exp_moment_check(rc.iid_lognormal(1), alpha=alpha, K=1)
         assert heavy.verdict is rc.MomentVerdict.SUSPECT_INFINITE, (alpha, heavy)
-        light = rc.exp_moment_check(rc.iid_gaussian(1), alpha=alpha, K=1, seed=91)
+        light = rc.exp_moment_check(rc.iid_gaussian(1), alpha=alpha, K=1)
         assert light.verdict is rc.MomentVerdict.PLAUSIBLE, (alpha, light)
         flat = rc.exp_moment_check(
-            rc.iid_uniform_bounded(-1.0, 1.0), alpha=alpha, K=1, seed=92
+            rc.iid_uniform_bounded(-1.0, 1.0), alpha=alpha, K=1
         )
         assert flat.verdict is rc.MomentVerdict.PLAUSIBLE, (alpha, flat)
     _budget(t0, 30.0)

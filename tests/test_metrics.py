@@ -29,6 +29,13 @@ def test_p_below_one_rejected():
         lp_norm_of_values(np.ones(4), p=0.5)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_non_finite_p_rejected(p):
+    values = np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(ValueError, match="finite"):
+        lp_norm_of_values(values, p=p)
+
+
 def test_zero_values():
     est = lp_norm_of_values(np.zeros(10), p=2.0)
     assert est.value == 0.0 and est.stderr == 0.0

@@ -1,5 +1,6 @@
-"""Path samplers: determinism, stationarity, moment screening, probes."""
+"""Path samplers: determinism, stationarity, the moment condition, probes."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 from scipy.signal import lfilter
 
 import rcuniv as rc
@@ -237,6 +238,7 @@ def test_sampler_rejects_params_of_another_kind(kind, params):
     ("garch11", {"omega": 0.1, "alpha": math.nan, "beta": 0.8}),
     ("garch11", {"omega": 0.1, "alpha": 0.1, "beta": False}),
     ("iid_gaussian", {"std": "1.0"}),
+    ("iid_gaussian", {"std": 10**400}),  # an int past float range
 ])
 def test_sampler_rejects_non_finite_or_non_real_params(kind, params):
     n = 1 if kind in ("arma", "garch11") else 2
@@ -296,19 +298,6 @@ def test_garch_paths_match_full_array_oracle(monkeypatch, budget):
     M = 2 * _block_paths(s, T) + 7 if budget is None else 10
     data = rc.sample_paths(s, T, M, seed, path_offset=offset)
     np.testing.assert_array_equal(data, _garch_full_array(s, T, M, seed, offset))
-
-
-def test_garch_moment_screen_matches_chunked_oracle(monkeypatch):
-    s, kw = rc.garch11(0.1, 0.1, 0.8), dict(alpha=1.0, K=2, sample_sizes=(2000, 4000, 9000), seed=4)
-    assert 9000 > 2 * _block_paths(s, 3)
-    diag = rc.exp_moment_check(s, **kw)
-
-    def chunked(s, T, M, seed):  # windows from the oracle, drawn in chunks of paths
-        return np.concatenate([_garch_full_array(s, T, min(4000, M - a), seed, a)
-                               for a in range(0, M, 4000)])
-
-    monkeypatch.setattr(rc.processes, "sample_paths", chunked)
-    assert diag == rc.exp_moment_check(s, **kw)
 
 
 _GARCH, _ARMA = rc.garch11(0.1, 0.1, 0.8), rc.arma(ar=(0.5,), ma=(0.3,))
@@ -430,48 +419,129 @@ def test_burn_in_scales_with_memory():
 
 
 # ---------------------------------------------------------------------------
-# exponential moment screen
+# exponential moment condition, decided per sampler kind
+
+
+def _quad_abs_mgf(logpdf, lo, hi, alpha):
+    """E exp(alpha |X|) by scipy quadrature, split at the kink at 0."""
+    f = lambda x: math.exp(alpha * abs(x) + logpdf(x))
+    cuts = [lo, *([0.0] if lo < 0 < hi else []), hi]
+    return sum(integrate.quad(f, u, v, epsabs=0, epsrel=1e-12)[0] for u, v in zip(cuts, cuts[1:]))
 
 
 def test_moment_screen_gaussian_matches_closed_form():
     alpha, K = 0.25, 2
-    diag = rc.exp_moment_check(rc.iid_gaussian(1), alpha=alpha, K=K, seed=11)
+    diag = rc.exp_moment_check(rc.iid_gaussian(1), alpha=alpha, K=K)
     assert diag.verdict is rc.MomentVerdict.PLAUSIBLE
     per_lag = 2.0 * math.exp(alpha**2 / 2.0) * stats.norm.cdf(alpha)
-    assert diag.estimate == pytest.approx(per_lag ** (K + 1), abs=0.005)
+    assert diag.value == pytest.approx(per_lag ** (K + 1), rel=1e-13)
+
+
+@pytest.mark.parametrize("n, mean, std", [(1, 0.7, 1.3), (2, -0.4, 0.8), (2, 1.5, 0.5)])
+def test_gaussian_value_matches_quadrature(n, mean, std):
+    alpha, K = 0.6, 1
+    diag = rc.exp_moment_check(rc.iid_gaussian(n, mean=mean, std=std), alpha=alpha, K=K)
+    per_lag = _quad_abs_mgf(stats.norm(mean, std).logpdf, -np.inf, np.inf, alpha)
+    assert diag.value == pytest.approx(per_lag ** (n * (K + 1)), rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 2.0), (-0.5, 0.5), (0.5, 2.0), (-3.0, -1.0), (0.0, 1.5)],
+                         ids=["spans_0", "symmetric", "positive", "negative", "from_0"])
+def test_uniform_value_matches_quadrature(a, b):
+    alpha, K = 1.3, 2
+    diag = rc.exp_moment_check(rc.iid_uniform_bounded(a, b), alpha=alpha, K=K)
+    assert diag.verdict is rc.MomentVerdict.PLAUSIBLE
+    per_lag = _quad_abs_mgf(lambda x: -math.log(b - a), a, b, alpha)
+    assert diag.value == pytest.approx(per_lag ** (K + 1), rel=1e-12)
+
+
+def test_garch_without_arch_term_is_gaussian():
+    diag = rc.exp_moment_check(rc.garch11(0.1, 0.0, 0.5), alpha=1.0, K=2)
+    assert diag.verdict is rc.MomentVerdict.PLAUSIBLE
+    sd = math.sqrt(0.1 / (1.0 - 0.5))  # var_t stays at omega / (1 - beta)
+    assert diag.value == rc.exp_moment_check(rc.iid_gaussian(1, std=sd), alpha=1.0, K=2).value
+    per_lag = _quad_abs_mgf(stats.norm(0.0, sd).logpdf, -np.inf, np.inf, 1.0)
+    assert diag.value == pytest.approx(per_lag**3, rel=1e-9)
+
+
+@pytest.mark.parametrize("s, holds, value", [
+    (rc.iid_gaussian(1), True, "finite"),
+    (rc.iid_uniform_bounded(-1.0, 1.0), True, "finite"),
+    (rc.iid_lognormal(1), False, math.inf),
+    (rc.iid_lognormal(1, mu=-5.0, sigma=0.1), False, math.inf),
+    (rc.arma(ar=(0.9,)), True, None),  # the Monte Carlo screen read suspect_infinite
+    (rc.arma(ar=(0.5,), ma=(0.3,)), True, None),
+    (rc.garch11(0.1, 0.01, 0.5), False, math.inf),  # the screen read plausible
+    (rc.garch11(0.1, 0.05, 0.9), False, math.inf),  # the screen read plausible
+    (rc.garch11(0.1, 0.1, 0.8), False, math.inf),
+    (rc.garch11(0.1, 0.0, 0.5), True, "finite"),
+], ids=lambda v: getattr(v, "kind", None))
+def test_moment_verdict_per_kind(s, holds, value):
+    for alpha, K in [(0.1, 0), (1.0, 2)]:
+        diag = rc.exp_moment_check(s, alpha=alpha, K=K)
+        assert diag.verdict is (rc.MomentVerdict.PLAUSIBLE if holds
+                                else rc.MomentVerdict.SUSPECT_INFINITE)
+        if value == "finite":
+            assert 1.0 < diag.value < math.inf
+        else:
+            assert diag.value == value
+
+
+def test_moment_overflow_keeps_the_verdict():
+    for s, alpha in [(rc.iid_gaussian(1, std=1e200), 1.0), (rc.iid_gaussian(1, mean=-1e300), 1.0),
+                     (rc.iid_uniform_bounded(-8e307, 8e307), 1.0),
+                     (rc.iid_uniform_bounded(1e300, 1.5e300), 1e10), (rc.iid_gaussian(1), 1e200)]:
+        diag = rc.exp_moment_check(s, alpha=alpha, K=2)
+        assert diag.value == math.inf and diag.verdict is rc.MomentVerdict.PLAUSIBLE
+
+
+def test_moment_check_draws_no_path(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("exp_moment_check drew a path")
+
+    monkeypatch.setattr(rc.processes, "sample_paths", refuse)
+    monkeypatch.setattr(rc.processes, "path_rng", refuse)
+    monkeypatch.setattr(rc.ProcessSampler, "draw", refuse)
+    for s in (rc.iid_gaussian(2), rc.iid_uniform_bounded(0.0, 1.0), rc.iid_lognormal(1),
+              rc.arma(ar=(0.5,)), rc.garch11(0.1, 0.1, 0.8), rc.garch11(0.1, 0.0, 0.8)):
+        rc.exp_moment_check(s, alpha=1.0, K=2)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
 def test_moment_screen_flags_lognormal(alpha):
-    diag = rc.exp_moment_check(rc.iid_lognormal(1), alpha=alpha, K=1, seed=12)
+    diag = rc.exp_moment_check(rc.iid_lognormal(1), alpha=alpha, K=1)
     assert diag.verdict is rc.MomentVerdict.SUSPECT_INFINITE
 
 
 @pytest.mark.parametrize("alpha", [0.1, 1.0])
 def test_moment_screen_passes_bounded(alpha):
-    diag = rc.exp_moment_check(
-        rc.iid_uniform_bounded(-1.0, 1.0), alpha=alpha, K=1, seed=13
-    )
+    diag = rc.exp_moment_check(rc.iid_uniform_bounded(-1.0, 1.0), alpha=alpha, K=1)
     assert diag.verdict is rc.MomentVerdict.PLAUSIBLE
 
 
 def test_moment_screen_validation():
-    with pytest.raises(ValueError):
-        rc.exp_moment_check(rc.iid_gaussian(1), alpha=0.0, K=1)
-    with pytest.raises(ValueError):
-        rc.exp_moment_check(
-            rc.iid_gaussian(1), alpha=1.0, K=1, sample_sizes=(100, 100)
-        )
+    s = rc.iid_gaussian(1)
+    for alpha in (0.0, -1.0, math.nan, math.inf, 10**400, True, "1"):
+        with pytest.raises(ValueError, match="alpha"):
+            rc.exp_moment_check(s, alpha=alpha, K=1)
+    for K in (-1, True, False, 1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="K must be"):
+            rc.exp_moment_check(s, alpha=1.0, K=K)
+    assert rc.exp_moment_check(s, alpha=1, K=np.int64(1)).K == 1
 
 
 def test_moment_diagnostic_fields():
-    diag = rc.exp_moment_check(
-        rc.iid_gaussian(1), alpha=0.5, K=0, sample_sizes=(2000, 4000, 8000), seed=1
-    )
+    diag = rc.exp_moment_check(rc.iid_gaussian(1), alpha=0.5, K=0)
+    assert [f.name for f in dataclasses.fields(diag)] == ["alpha", "K", "value", "verdict",
+                                                          "reason"]
     assert diag.alpha == 0.5 and diag.K == 0
-    assert math.isfinite(diag.estimate)
-    assert math.isfinite(diag.tail_growth)
-    assert diag.hazard_shallow > 0 and diag.hazard_deep > 0
+    assert type(diag.alpha) is float and type(diag.K) is int
+    assert math.isfinite(diag.value)
+    assert diag.verdict == "plausible" and rc.MomentVerdict.SUSPECT_INFINITE == "suspect_infinite"
+    for s in (rc.iid_gaussian(1), rc.iid_uniform_bounded(0.0, 1.0), rc.iid_lognormal(1),
+              rc.arma(ar=(0.5,)), rc.garch11(0.1, 0.1, 0.8), rc.garch11(0.1, 0.0, 0.8)):
+        reason = rc.exp_moment_check(s, alpha=1.0, K=1).reason
+        assert reason and "\n" not in reason
 
 
 # ---------------------------------------------------------------------------

@@ -161,12 +161,12 @@ def _positive_int(raw: str | None) -> int | None:
 def _worker_count(blas: bool = True) -> int:
     """Threads for block runs: RCUNIV_WORKERS, else usable CPUs (per BLAS thread).
 
-    Blocks that never call BLAS (blas=False) use every usable CPU.  For
-    blocks that do, the CPUs are divided by the BLAS thread count, read
-    from the first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and
-    OMP_NUM_THREADS that is set; unset (or not a positive integer) lets
-    BLAS use every core and gives one worker, so workers are never stacked
-    on a threaded BLAS.
+    Blocks that spend next to none of their time in BLAS (blas=False) use
+    every usable CPU.  For other blocks, the CPUs are divided by the BLAS
+    thread count, read from the first of OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS and OMP_NUM_THREADS that is set; unset (or not a
+    positive integer) lets BLAS use every core and gives one worker, so
+    workers are never stacked on a threaded BLAS.
     """
     raw = os.environ.get("RCUNIV_WORKERS")
     if raw is not None:
@@ -185,8 +185,10 @@ def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, blas: bool 
     """Call fill(start, stop) on each fixed block of rows rows covering range(M).
 
     The calling thread and a pool of _worker_count(blas) - 1 threads take
-    blocks in turn; pass blas=False when fill never calls BLAS.  fill must
-    write only its own rows, so results do not depend on the worker count.
+    blocks in turn; pass blas=False when fill spends next to none of its
+    time in BLAS (path draws; the past-resampling tasks, about 3% in
+    matvecs) to use every CPU.  fill must write only its own rows, so
+    results do not depend on the worker count.
     When blocks raise, the exception of the lowest-index one is raised,
     whatever the worker count.
     """
@@ -240,7 +242,10 @@ def truncated_conditional_error(
     fixed and redrawing the deeper past inner_samples times, which is valid
     only for samplers with independent innovations (the iid kinds).  Windows
     of window_length rows stand in for the full past; pick it so the
-    truncation tail of the functional is negligible.
+    truncation tail of the functional is negligible.  Tasks of 16 paths
+    draw, evaluate and difference on the worker threads, in buffers each
+    thread reuses, so memory does not grow with M.  With nothing to redraw
+    (window_length == K + 1) the estimate is exactly 0 and draws no path.
 
     Returns an LpEstimate.  Raises ValueError for dependent-innovation
     samplers, K < 0, or M < 2.
@@ -269,41 +274,35 @@ def truncated_conditional_error(
         raise ValueError(f"window_length {T} must be at least K + 1 = {K + 1}")
     if spec.memory is not None and T < spec.memory + 1:
         raise ValueError("window_length shorter than the functional's memory")
+    if sampler.n != spec.n:
+        raise ValueError(f"spec expects {spec.n} channels, sampler draws {sampler.n}")
 
     n = sampler.n
     R = inner_samples
     deep = T - (K + 1)  # rows to resample per inner draw
-    diffs = np.empty(M)
-    chunk = max(1, int(2_000_000 // max(1, R * T * n)))
+    diffs = np.zeros(M)
+    if deep == 0:
+        # H is measurable w.r.t. the kept lags; conditional error is zero
+        return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
+    buffers = threading.local()  # one task's paths per thread, reused
 
     def fill(start, stop):
         m = stop - start
-        base = np.empty((m, T, n))
-        rep = np.empty((m, R, T, n)) if deep else None
-
-        def draw(a, b):
-            past = np.empty((R, deep, n))  # one path's redrawn deeper past
-            for i in range(a, b):
-                sampler._from_standard(sampler._standard_draw(path_rng(seed, start + i), base[i]))
-                if deep:
-                    # replicas keep lags 0..K and redraw the deeper past
-                    rep[i, :, : K + 1] = base[i, : K + 1]
-                    sampler._standard_draw(path_rng(seed, M + start + i), past)
-                    rep[i, :, K + 1 :] = sampler._from_standard(past)
-
-        # paths draw from their own streams, so the 16-path tasks move no value
-        _run_blocks(draw, m, 16, blas=False)
-        h_base = evaluate_functional_batch(spec, base)
-        if deep == 0:
-            # H is measurable w.r.t. the kept lags; conditional error is zero
-            diffs[start:stop] = 0.0
-            return
+        if not hasattr(buffers, "rep"):
+            buffers.base, buffers.rep = np.empty((16, T, n)), np.empty((16, R, T, n))
+            buffers.past = np.empty((R, deep, n))  # one path's redrawn deeper past
+        base, rep, past = buffers.base[:m], buffers.rep[:m], buffers.past
+        for i in range(m):
+            sampler._from_standard(sampler._standard_draw(path_rng(seed, start + i), base[i]))
+            # replicas keep lags 0..K and redraw the deeper past
+            rep[i, :, : K + 1] = base[i, : K + 1]
+            sampler._standard_draw(path_rng(seed, M + start + i), past)
+            rep[i, :, K + 1 :] = sampler._from_standard(past)
         cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n))
-        diffs[start:stop] = h_base - cond.reshape(m, R).mean(axis=1)
+        diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.reshape(m, R).mean(axis=1)
 
-    # one chunk's replicas in memory at a time
-    for start in range(0, M, chunk):
-        fill(start, min(start + chunk, M))
+    # each path has its own streams and output rows, so the 16-path tasks move no value
+    _run_blocks(fill, M, 16, blas=False)
     return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,10 +214,14 @@ def test_truncation_error_input_validation():
         rc.truncated_conditional_error(spec, K=-1, sampler=samp, p=2.0, M=16, seed=0)
     with pytest.raises(ValueError):
         rc.truncated_conditional_error(spec, K=1, sampler=samp, p=2.0, M=1, seed=0)
+    with pytest.raises(ValueError, match="channels"):
+        # nothing to redraw, but the sampler still has to fit the functional
+        rc.truncated_conditional_error(spec, K=3, sampler=rc.iid_gaussian(2), p=2.0, M=16,
+                                       seed=0, window_length=4)
 
 
 def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
-    # the serial chunk loop of the estimator, kept as the bit-level reference
+    # the estimator's former serial chunk loop, kept as the bit-level reference
     n, deep = sampler.n, T - (K + 1)
     chunk = max(1, 2_000_000 // (R * T * n))
     diffs = np.empty(M)
@@ -242,6 +247,61 @@ def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
         est = rc.truncated_conditional_error(spec, K=2, sampler=sampler, p=2.0, M=1100,
                                              seed=5, window_length=40, inner_samples=100)
         assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
+
+
+def test_truncation_error_matches_serial_loop_on_two_bounded_channels(monkeypatch):
+    # trig_product evaluates without BLAS; 1003 paths end in an 11-path task
+    spec = rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,)).spec
+    sampler = rc.iid_uniform_bounded(-1.0, 2.0, n=2)
+    oracle = _conditional_error_oracle(spec, 1, sampler, 2.0, 1003, 9, T=8, R=50)
+    assert oracle.value > 0
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("RCUNIV_WORKERS", workers)
+        est = rc.truncated_conditional_error(spec, K=1, sampler=sampler, p=2.0, M=1003,
+                                             seed=9, window_length=8, inner_samples=50)
+        assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
+
+
+def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
+    calls = []
+
+    def counted(seed, path):
+        calls.append(path)
+        return path_rng(seed, path)
+
+    monkeypatch.setattr(rc.processes, "path_rng", counted)
+    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    sampler = rc.iid_gaussian(1)
+    est = rc.truncated_conditional_error(spec, K=39, sampler=sampler, p=2.0, M=100, seed=1,
+                                         window_length=40, inner_samples=10)
+    assert (est.value, est.stderr, est.M) == (0.0, 0.0, 100)
+    assert calls == []
+    # one resampled lag: each path draws its base and its replicas' past
+    rc.truncated_conditional_error(spec, K=38, sampler=sampler, p=2.0, M=100, seed=1,
+                                   window_length=40, inner_samples=10)
+    assert sorted(calls) == list(range(200))
+
+
+def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
+    # a (chunk, R, T, n) replica array of 500 paths would take 16 MB here
+    monkeypatch.setenv("RCUNIV_WORKERS", "2")
+    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    sampler = rc.iid_gaussian(1)
+
+    def peak(M):
+        tracemalloc.start()
+        try:
+            rc.truncated_conditional_error(spec, K=2, sampler=sampler, p=2.0, M=M, seed=3,
+                                           window_length=40, inner_samples=100)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # first-call allocations (thread pool, caches) are not the estimator's
+    small, large = peak(400), peak(4000)
+    # per-path values grow with M: 8 bytes in diffs and a few reduction temporaries
+    assert large <= small + 256 * 1024
+    assert large < 4 * 1024 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,11 @@ def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, blas: bool 
     """Call fill(start, stop) on each fixed block of rows rows covering range(M).
 
     The calling thread and a pool of _worker_count(blas) - 1 threads take
-    blocks in turn; pass blas=False when fill spends next to none of its
-    time in BLAS (path draws; the past-resampling tasks, about 3% in
-    matvecs) to use every CPU.  fill must write only its own rows, so
-    results do not depend on the worker count.
+    blocks in turn, and the call returns when every block is done; pass
+    blas=False when fill spends next to none of its time in BLAS (the
+    noise draws of an ARMA/GARCH path block; the past-resampling tasks,
+    about 3% in matvecs) to use every CPU.  fill must write only its own
+    rows, so results do not depend on the worker count.
     When blocks raise, the exception of the lowest-index one is raised,
     whatever the worker count.
     """

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _run_blocks, _worker_count, evaluate_functional_batch
+from .core import _run_blocks, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -251,9 +251,9 @@ def garch11(omega: float, alpha: float, beta: float) -> ProcessSampler:
 # ---------------------------------------------------------------------------
 # path generation
 
-# the noise of one sample_paths call of a dependent kind holds at most this
-# many float64 values (30 MiB), shared by the blocks that run at once; values
-# do not depend on it
+# a dependent-kind block of paths holds its noise in at most this many
+# float64 values (30 MiB), one buffer per sample_paths call; values do not
+# depend on it
 _BLOCK_VALUES = (1 << 22) - (1 << 18)
 
 
@@ -262,17 +262,14 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     Path i uses the stream keyed by (seed, path_offset + i).  Dependent
     kinds simulate burn_in() + T chronological steps per path and keep the
-    last T, reversed into lag order.  They run in blocks of paths on the
-    calling thread and the worker threads (core._run_blocks; no block
-    calls BLAS, so every usable CPU takes part), and the blocks running at
-    once share one noise array of a fixed byte budget, so memory beyond
-    the (M, T, n) result grows neither with M nor with the worker count.
-    Every worker draws noise, but only one block at a time runs the
-    recursion (_simulate): it holds the GIL between its short per-step
-    ufunc calls, so two recursions at once only queue on it, while the
-    draws release it.  Paths are independent, so the values depend
-    neither on the worker count, the block size nor the order the blocks
-    run in.
+    last T, reversed into lag order.  They run in blocks of paths that
+    share one noise buffer of a fixed byte budget, so memory beyond the
+    (M, T, n) result grows neither with M nor with the worker count.  The
+    worker threads draw a block's noise (core._run_blocks; the draws call
+    no BLAS, so every usable CPU takes part), then the calling thread runs
+    the recursion (_simulate) once over the whole block.  Paths are
+    independent and the recursion works row by row, so the values depend
+    neither on the worker count nor on the block size.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -286,26 +283,16 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
 
     burn = s.burn_in()
     total = burn + T
-    workers = _worker_count(blas=False)
-    # split a short call evenly rather than into one full block and a sliver
-    rows = max(1, min(_BLOCK_VALUES // (total * workers), -(-M // workers)))
-    slots = min(workers, -(-M // rows))
-    free = list(np.empty((slots, rows, total)))  # one noise slot per running block
-    lock, recursion = threading.Lock(), threading.Lock()
+    noise = np.empty((max(1, min(M, _BLOCK_VALUES // total)), total))
+    for start in range(0, M, len(noise)):
+        eps = noise[: M - start]
 
-    def fill(start, stop):
-        with lock:
-            slot = free.pop()
-        eps = slot[: stop - start]
-        for j in range(stop - start):
-            path_rng(seed, path_offset + start + j).standard_normal(total, out=eps[j])
-        with recursion:
-            kept = _simulate(s, eps, burn)
-        out[start:stop, :, 0] = kept[:, ::-1]
-        with lock:
-            free.append(slot)
+        def draw(i, j):
+            for k in range(i, j):
+                path_rng(seed, path_offset + start + k).standard_normal(total, out=eps[k])
 
-    _run_blocks(fill, M, rows, blas=False)
+        _run_blocks(draw, len(eps), 64, blas=False)
+        out[start : start + len(eps), :, 0] = _simulate(s, eps, burn)[:, ::-1]
     return out
 
 

@@ -9,7 +9,7 @@ accepted as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -294,20 +294,46 @@ class TrigPolynomial:
                    np.reshape(doc["cos_freqs"], freqs), np.reshape(doc["sin_freqs"], freqs))
 
 
+def _components(support: np.ndarray) -> list[np.ndarray]:
+    """Index arrays of the connected components of the graph support | support.T."""
+    linked = support | support.T
+    label = np.full(len(linked), -1)
+    for i in range(len(linked)):
+        frontier = [i] if label[i] < 0 else []
+        while len(frontier):
+            label[frontier] = i
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
+    # each component is labelled by its smallest index
+    return [np.flatnonzero(label == i) for i in range(len(label)) if label[i] == i]
+
+
+def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
+    """sup_z ||P(z)||_2 <= max over blocks c of sum_k ||A_k[c, c]||_2 + ||B_k[c, c]||_2.
+
+    The blocks are the connected components of P's support, over which
+    P(z) is block diagonal up to a permutation, so its norm is the largest
+    block norm.  A connected support sums the terms in P.norm_bound()'s
+    order, to the same float.
+    """
+    return max((
+        float(sum(np.linalg.norm(mats[k][np.ix_(c, c)], 2)
+                  for k in range(P.r) for mats in (P.cos_mats, P.sin_mats)))
+        for c in _components(support)
+    ), default=0.0)
+
+
 @dataclass(frozen=True)
 class TrigSAS(_ReservoirSystem):
     """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t), y_t = W . x_t.
 
     Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
-    certificate() (nilpotent support of P, else P.norm_bound() < 1, else
-    esp_hint), to_dict(), from_dict(); esp_hint is not serialized.
+    certificate() (nilpotent support of P, else _block_norm_bound(P) < 1),
+    to_dict(), from_dict().
     """
 
     P: TrigPolynomial
     Q: TrigPolynomial
     W: np.ndarray
-    # certificate attached by constructors that guarantee ESP structurally
-    esp_hint: EspReport | None = field(default=None, compare=False, repr=False)
     # P(z) x accumulates in one slot while its terms go through the other,
     # which then takes Q(z); x, once read, is the workspace for Q's terms
     scratch_slots = 2
@@ -338,10 +364,8 @@ class TrigSAS(_ReservoirSystem):
         np.add(scratch[0], scratch[1], out=x)
 
     def _prove(self) -> EspReport:
-        report = _structural_report("spectral", self.P.norm_bound(), self.P.support())
-        if not report.certified and self.esp_hint is not None:
-            return self.esp_hint
-        return report
+        support = self.P.support()
+        return _structural_report("spectral", _block_norm_bound(self.P, support), support)
 
     def to_dict(self) -> dict:
         return {"variant": "trig_sas", "P": self.P.to_dict(), "Q": self.Q.to_dict(),
@@ -619,18 +643,14 @@ def direct_sum_sas(s1: TrigSAS, s2: TrigSAS, lam: float) -> TrigSAS:
     P = _block_terms(s1.P, s2.P, N, N, N1, N1, n)  # block diagonal
     Q = _block_terms(s1.Q, s2.Q, N, 1, N1, 0, n)  # stacked column
     W = np.concatenate([s1.W, lam * s2.W])
-
-    hint = None
-    if r1.method != "nilpotent" and r2.method != "nilpotent":
-        # block-diagonal P: per-step factor is the worse of the two blocks
-        combined = max(r1.bound, r2.bound)
-        if combined < 1.0:
-            hint = EspReport(True, "spectral", combined)
-    return TrigSAS(P, Q, W, esp_hint=hint)
+    return TrigSAS(P, Q, W)
 
 
 # ---------------------------------------------------------------------------
 # identity-approximating networks and the block echo state construction
+
+
+_IDENTITY_GRID, _IDENTITY_RANDOM, _IDENTITY_RIDGE = 9, 400, 1e-10
 
 
 def fit_identity_network(
@@ -639,16 +659,14 @@ def fit_identity_network(
     hidden_units: int,
     activation: str = "logistic",
     seed: int = 0,
-    grid_points: int = 9,
-    random_points: int = 400,
-    ridge: float = 1e-10,
 ) -> tuple[list[NetworkReadout], float]:
     """Per-channel networks approximating the identity on [-m, m]^n.
 
     Hidden layers are random features (Gaussian directions, thresholds
     spread over the projected range); output weights come from the shared
-    ridge solve (penalty in unit-RMS feature scaling) against the
-    coordinate values on a grid plus random points.
+    ridge solve (penalty _IDENTITY_RIDGE in unit-RMS feature scaling)
+    against the coordinate values on a grid of _IDENTITY_GRID points per
+    axis plus _IDENTITY_RANDOM random points.
     Returns the networks and the measured sup error over a dense check set,
     which is the epsilon entering downstream approximation bounds.
     """
@@ -659,11 +677,11 @@ def fit_identity_network(
         raise ValueError("half_width must be > 0")
     rng = np.random.default_rng(seed)
     if n <= 2:
-        axes = [np.linspace(-m, m, grid_points)] * n
+        axes = [np.linspace(-m, m, _IDENTITY_GRID)] * n
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     else:
-        grid = rng.uniform(-m, m, size=(grid_points**2, n))
-    X = np.vstack([grid, rng.uniform(-m, m, size=(random_points, n))])
+        grid = rng.uniform(-m, m, size=(_IDENTITY_GRID**2, n))
+    X = np.vstack([grid, rng.uniform(-m, m, size=(_IDENTITY_RANDOM, n))])
 
     nets = []
     for i in range(n):
@@ -671,7 +689,7 @@ def fit_identity_network(
         proj = X @ alpha.T
         theta = rng.uniform(proj.min(axis=0), proj.max(axis=0))
         feats = get_activation(activation).fn(proj - theta)
-        beta, _ = _ridge_solve(feats, X[:, i], ridge)
+        beta, _ = _ridge_solve(feats, X[:, i], _IDENTITY_RIDGE)
         nets.append(NetworkReadout(beta, alpha, theta, activation))
 
     eps = identity_fit_error(nets, rng.uniform(-m, m, size=(2000, n)))
@@ -869,13 +887,12 @@ class ReservoirModel:
 # serialization
 
 
-def system_to_dict(system, readout=None, include_esp: bool = True) -> dict:
-    """Variant-tagged JSON document; floats survive a round trip bit-exact."""
+def system_to_dict(system, readout=None) -> dict:
+    """Variant-tagged JSON document with its ESP summary; floats survive a round trip bit-exact."""
     if not isinstance(system, _ReservoirSystem):
         raise TypeError(f"not a reservoir system: {type(system).__name__}")
     doc = system.to_dict()
-    if include_esp:
-        doc["esp"] = certify_esp(system).summary()
+    doc["esp"] = certify_esp(system).summary()
     if readout is not None:
         doc["readout"] = readout_to_dict(readout)
     return doc

@@ -42,9 +42,9 @@ class TargetCatalogEntry:
     name: str
     spec: FunctionalSpec
     integrability_note: str
-    # closed-form L^p truncation error as a function of (T, p), or None
+    # closed-form L^p truncation error as a function of (T, p), or None;
+    # truncation_bound reads it only for targets of unbounded memory
     tail_bound: Callable[[int, float], float] | None = None
-    sampler_whitelist: tuple[str, ...] | None = None
 
 
 _WHITELIST = {
@@ -139,10 +139,7 @@ for _kind, _fn in [
 
 def constant(value: float, n: int = 1) -> TargetCatalogEntry:
     spec = FunctionalSpec("constant", n=n, memory=0, params={"value": float(value)})
-    return TargetCatalogEntry(
-        "constant", spec, "bounded, integrable for every input law",
-        tail_bound=lambda T, p: 0.0,
-    )
+    return TargetCatalogEntry("constant", spec, "bounded, integrable for every input law")
 
 
 def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalogEntry:
@@ -159,7 +156,6 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalo
     return TargetCatalogEntry(
         "finite_poly", spec,
         "integrable whenever the input law has moments of the polynomial degree",
-        tail_bound=lambda T, p: 0.0,
     )
 
 
@@ -233,7 +229,6 @@ def peak_hold(a_min: float = 0.0, a_max: float = 1.0) -> TargetCatalogEntry:
         "peak_hold", spec,
         "bounded; requires almost-surely bounded inputs",
         tail_bound=bound,
-        sampler_whitelist=_WHITELIST["peak_hold"],
     )
 
 
@@ -250,10 +245,7 @@ def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
         "trig_product", n=freqs.shape[1], memory=K,
         params={"freqs": freqs, "sine_lags": sine_lags},
     )
-    return TargetCatalogEntry(
-        "trig_product", spec, "bounded by 1 in absolute value",
-        tail_bound=lambda T, p: 0.0,
-    )
+    return TargetCatalogEntry("trig_product", spec, "bounded by 1 in absolute value")
 
 
 def garch_vol(omega: float, alpha: float, beta: float) -> TargetCatalogEntry:
@@ -296,11 +288,7 @@ def log_sine(freq: float = 2.0 * math.pi) -> TargetCatalogEntry:
     sqrt((1 - exp(-2 freq^2)) / 2).
     """
     spec = FunctionalSpec("log_sine", n=1, memory=0, params={"freq": float(freq)})
-    return TargetCatalogEntry(
-        "log_sine", spec, "bounded; requires strictly positive inputs",
-        tail_bound=lambda T, p: 0.0,
-        sampler_whitelist=_WHITELIST["log_sine"],
-    )
+    return TargetCatalogEntry("log_sine", spec, "bounded; requires strictly positive inputs")
 
 
 def catalog() -> tuple[TargetCatalogEntry, ...]:

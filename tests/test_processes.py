@@ -4,7 +4,6 @@ import dataclasses
 import math
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -353,8 +352,10 @@ def test_dependent_paths_do_not_depend_on_worker_count(monkeypatch, s, oracle, e
 
 
 def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypatch):
-    # 8 workers on one-path blocks take and return noise slots hundreds of
-    # times; a slot handed to two blocks at once would mix their paths
+    # 300 one-path blocks reuse one noise buffer in turn under a tiny switch
+    # interval (a one-path block draws on one thread, whatever the worker
+    # count); a draw written to another block's row, or a recursion that
+    # read the buffer before its draws ended, would mix their paths
     monkeypatch.setenv("RCUNIV_WORKERS", "8")
     monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 1)
     T, M, seed = 3, 300, 9
@@ -373,30 +374,23 @@ def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypa
 
 @pytest.mark.parametrize("s, oracle", [(_GARCH, _garch_full_array), (_ARMA, _arma_oracle)],
                          ids=["garch11", "arma"])
-def test_dependent_path_blocks_run_one_recursion_at_a_time(monkeypatch, s, oracle):
-    # the 1 ms sleep lets the other workers finish their draws meanwhile,
-    # so unlocked blocks would enter _simulate together
-    simulate, guard = rc.processes._simulate, threading.Lock()
-    active, peak = [0], [0]
+def test_dependent_path_recursion_runs_once_per_block_on_the_calling_thread(monkeypatch, s, oracle):
+    # 3 workers draw the noise, but each block's recursion runs once, over
+    # the whole block, on the thread that called sample_paths
+    simulate, calls = rc.processes._simulate, []
 
-    def counting(*args):
-        with guard:
-            active[0] += 1
-            peak[0] = max(peak[0], active[0])
-        try:
-            time.sleep(1e-3)
-            return simulate(*args)
-        finally:
-            with guard:
-                active[0] -= 1
+    def recording(sampler, eps, burn):
+        calls.append((threading.get_ident(), len(eps)))
+        return simulate(sampler, eps, burn)
 
     T, M, seed = 3, 9, 11
     monkeypatch.setenv("RCUNIV_WORKERS", "3")
-    monkeypatch.setattr(rc.processes, "_simulate", counting)
-    # 2-path blocks for 3 workers: 4 full blocks and a 1-path remainder
-    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 3 * 2 * (s.burn_in() + T))
+    monkeypatch.setattr(rc.processes, "_simulate", recording)
+    # 6-path blocks: one full block and a 3-path remainder
+    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 6 * (s.burn_in() + T))
     got = rc.sample_paths(s, T, M, seed)
-    assert peak[0] == 1
+    me = threading.get_ident()
+    assert calls == [(me, 6), (me, 3)]
     np.testing.assert_array_equal(got, oracle(s, T, M, seed))
 
 

@@ -410,6 +410,37 @@ def test_direct_sum_carries_contraction_certificate():
     np.testing.assert_allclose(rc.ReservoirModel(combined).values(data), want, atol=1e-10)
 
 
+def test_direct_sum_certificate_survives_a_system_document_round_trip():
+    s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
+    s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
+    doc = json.loads(json.dumps(rc.system_to_dict(rc.direct_sum_sas(s1, s2, 1.5))))
+    back, _ = rc.system_from_dict(doc)
+    rep = rc.certify_esp(back)
+    assert rep.certified and rep.method == "spectral"
+    assert rep.bound == pytest.approx(0.8, rel=1e-9)
+    assert rep.summary() == doc["esp"]
+
+
+def test_block_bound_is_the_largest_component_bound():
+    # the sum of all term norms is 0.6 + 0.8 > 1, but each block of the
+    # block-diagonal P contracts on its own
+    s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
+    s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
+    combined = rc.direct_sum_sas(s1, s2, 1.0)
+    P, bound = combined.P, rc.certify_esp(combined).bound
+    assert P.norm_bound() == pytest.approx(1.4, rel=1e-9)
+    assert bound == pytest.approx(0.8, rel=1e-9)
+    for z in np.random.default_rng(26).normal(size=(200, 1)):
+        Pz = sum(np.cos(P.cos_freqs[k] @ z) * P.cos_mats[k]
+                 + np.sin(P.sin_freqs[k] @ z) * P.sin_mats[k] for k in range(P.r))
+        assert np.linalg.norm(Pz, 2) <= bound
+
+
+def test_connected_support_keeps_the_sum_of_term_norms():
+    s = rc.random_trig_sas(5, 2, terms=3, seed=27, contraction=0.9)
+    assert rc.certify_esp(s).bound == s.P.norm_bound()
+
+
 # ---------------------------------------------------------------------------
 # block echo state networks
 

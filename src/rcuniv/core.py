@@ -243,16 +243,18 @@ def truncated_conditional_error(
     fixed and redrawing the deeper past inner_samples times, which is valid
     only for samplers with independent innovations (the iid kinds).  Windows
     of window_length rows stand in for the full past; pick it so the
-    truncation tail of the functional is negligible.  Tasks of 16 paths
-    draw, evaluate and difference on the worker threads, in buffers each
-    thread reuses, so memory does not grow with M.  With nothing to redraw
+    truncation tail of the functional is negligible.  Path i's window is
+    sample_paths path i and its redrawn deeper pasts are the rows of path
+    M + i, both under seed.  Tasks of 16 paths draw, evaluate and
+    difference on the worker threads, with one replica buffer per thread,
+    so memory does not grow with M.  With nothing to redraw
     (window_length == K + 1) the estimate is exactly 0 and draws no path.
 
     Returns an LpEstimate.  Raises ValueError for dependent-innovation
     samplers, K < 0, or M < 2.
     """
     from . import metrics
-    from .processes import path_rng
+    from .processes import sample_paths
 
     if K < 0:
         raise ValueError("cutoff K must be >= 0")
@@ -285,20 +287,18 @@ def truncated_conditional_error(
     if deep == 0:
         # H is measurable w.r.t. the kept lags; conditional error is zero
         return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
-    buffers = threading.local()  # one task's paths per thread, reused
+    buffers = threading.local()  # one task's replica windows per thread, reused
 
     def fill(start, stop):
         m = stop - start
         if not hasattr(buffers, "rep"):
-            buffers.base, buffers.rep = np.empty((16, T, n)), np.empty((16, R, T, n))
-            buffers.past = np.empty((R, deep, n))  # one path's redrawn deeper past
-        base, rep, past = buffers.base[:m], buffers.rep[:m], buffers.past
-        for i in range(m):
-            sampler._from_standard(sampler._standard_draw(path_rng(seed, start + i), base[i]))
-            # replicas keep lags 0..K and redraw the deeper past
-            rep[i, :, : K + 1] = base[i, : K + 1]
-            sampler._standard_draw(path_rng(seed, M + start + i), past)
-            rep[i, :, K + 1 :] = sampler._from_standard(past)
+            buffers.rep = np.empty((16, R, T, n))
+        rep = buffers.rep[:m]
+        base = sample_paths(sampler, T, m, seed, path_offset=start)
+        # replicas keep lags 0..K and redraw the deeper past from path M + i's stream
+        rep[:, :, : K + 1] = base[:, None, : K + 1]
+        past = sample_paths(sampler, R * deep, m, seed, path_offset=M + start)
+        rep[:, :, K + 1 :] = past.reshape(m, R, deep, n)
         cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n))
         diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.reshape(m, R).mean(axis=1)
 

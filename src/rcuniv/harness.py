@@ -215,6 +215,10 @@ def load_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(
             f"sampler has {sampler.n} channels but target expects {entry.spec.n}"
         )
+    try:
+        targets.check_sampler(entry.spec, sampler)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if entry.spec.memory is not None and doc["T"] < entry.spec.memory + 1:
         raise ConfigError(
             f"T = {doc['T']} is shorter than the target memory {entry.spec.memory}"

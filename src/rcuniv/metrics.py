@@ -17,7 +17,7 @@ import numpy as np
 from .core import FunctionalSpec, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
-from .reservoirs import ReservoirModel
+from .reservoirs import _BLOCK_ROWS, ReservoirModel
 from .targets import check_sampler
 
 __all__ = [
@@ -28,8 +28,10 @@ __all__ = [
 ]
 
 KURTOSIS_WARN = 100.0
-# paths sampled and evaluated at a time; bounds the memory of evaluation
-_EVAL_CHUNK = 2048
+# paths sampled and evaluated at a time; bounds the memory of evaluation.  A
+# multiple of the state run's block, so a chunk's state blocks are the blocks
+# of one unchunked run and the values do not depend on chunking
+_EVAL_CHUNK = 4 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)

@@ -148,36 +148,6 @@ class ProcessSampler:
         """True when successive values are independent draws."""
         return self.kind in _IID_KINDS
 
-    # -- iid draws: standard variates, then the kind's map -------------------
-
-    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Independent draws of the marginal law; iid kinds only."""
-        if not self.iid:
-            raise ValueError(f"{self.kind!r} values are dependent; use sample_paths")
-        return self._from_standard(self._standard_draw(rng, np.empty(shape)))
-
-    def _standard_draw(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Fill a contiguous out with uniform [0, 1) (bounded kind) or standard normal draws."""
-        if self.kind == "iid_uniform_bounded":
-            return rng.random(out=out)
-        return rng.standard_normal(out=out)
-
-    def _from_standard(self, x: np.ndarray) -> np.ndarray:
-        """Map _standard_draw output in place to the marginal law; returns x.
-
-        mean + std x, a_min + (a_max - a_min) u (numpy's uniform) and
-        exp(mu + sigma x), each in that operation order.
-        """
-        p = self.params
-        if self.kind == "iid_uniform_bounded":
-            x *= p["a_max"] - p["a_min"]
-            x += p["a_min"]
-            return x
-        scale, shift = (p["std"], p["mean"]) if self.kind == "iid_gaussian" else (p["sigma"], p["mu"])
-        x *= scale
-        x += shift
-        return np.exp(x, out=x) if self.kind == "iid_lognormal" else x
-
     # -- characteristic time and burn-in -------------------------------------
 
     def characteristic_time(self) -> float:
@@ -260,7 +230,8 @@ _BLOCK_VALUES = (1 << 22) - (1 << 18)
 def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int = 0) -> np.ndarray:
     """M stationary windows as an array of shape (M, T, n).
 
-    Path i uses the stream keyed by (seed, path_offset + i).  Dependent
+    Path i uses the stream keyed by (seed, path_offset + i).  iid kinds
+    fill path i's (T, n) values from that stream in C order.  Dependent
     kinds simulate burn_in() + T chronological steps per path and keep the
     last T, reversed into lag order.  They run in blocks of paths that
     share one noise buffer of a fixed byte budget, so memory beyond the
@@ -277,9 +248,20 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
         raise ValueError("M must be >= 1")
     out = np.empty((M, T, s.n))
     if s.iid:
+        # standard variates straight into the result, then the kind's map in
+        # place: a_min + (a_max - a_min) u (numpy's uniform), mean + std x and
+        # exp(mu + sigma x), each in that operation order
+        p, bounded = s.params, s.kind == "iid_uniform_bounded"
         for i in range(M):
-            s._standard_draw(path_rng(seed, path_offset + i), out[i])
-        return s._from_standard(out)
+            rng = path_rng(seed, path_offset + i)
+            (rng.random if bounded else rng.standard_normal)(out=out[i])
+        if bounded:
+            scale, shift = p["a_max"] - p["a_min"], p["a_min"]
+        else:
+            scale, shift = (p["std"], p["mean"]) if s.kind == "iid_gaussian" else (p["sigma"], p["mu"])
+        out *= scale
+        out += shift
+        return np.exp(out, out=out) if s.kind == "iid_lognormal" else out
 
     burn = s.burn_in()
     total = burn + T

@@ -149,10 +149,15 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalo
     index k*n + i is channel i at lag k.
     """
     coeffs = {tuple(int(e) for e in mi): float(c) for mi, c in coefficients.items()}
+    degree = int(degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     spec = FunctionalSpec(
-        "finite_poly", n=n, memory=K,
-        params={"degree": int(degree), "coefficients": coeffs},
+        "finite_poly", n=n, memory=K, params={"degree": degree, "coefficients": coeffs},
     )
+    # rejects exponent tuples of the wrong length or above degree, and
+    # non-finite coefficients, before any evaluation
+    PolynomialReadout(n_vars=n * (K + 1), degree=degree, coefficients=coeffs)
     return TargetCatalogEntry(
         "finite_poly", spec,
         "integrable whenever the input law has moments of the polynomial degree",

@@ -220,18 +220,27 @@ def test_truncation_error_input_validation():
                                        seed=0, window_length=4)
 
 
+_LAWS = {
+    # each iid law as the one numpy expression per path it is drawn with
+    "iid_gaussian": lambda p, rng, shape: p["mean"] + p["std"] * rng.standard_normal(shape),
+    "iid_uniform_bounded": lambda p, rng, shape: rng.uniform(p["a_min"], p["a_max"], size=shape),
+    "iid_lognormal": lambda p, rng, shape: np.exp(p["mu"] + p["sigma"] * rng.standard_normal(shape)),
+}
+
+
 def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
     # the estimator's former serial chunk loop, kept as the bit-level reference
     n, deep = sampler.n, T - (K + 1)
+    law = functools.partial(_LAWS[sampler.kind], sampler.params)
     chunk = max(1, 2_000_000 // (R * T * n))
     diffs = np.empty(M)
     for start in range(0, M, chunk):
         stop = min(start + chunk, M)
         m = stop - start
-        base = np.stack([sampler.draw(path_rng(seed, i), (T, n)) for i in range(start, stop)])
+        base = np.stack([law(path_rng(seed, i), (T, n)) for i in range(start, stop)])
         rep = np.broadcast_to(base[:, None], (m, R, T, n)).copy()
         for i in range(m):
-            rep[i, :, K + 1 :] = sampler.draw(path_rng(seed, M + start + i), (R, deep, n))
+            rep[i, :, K + 1 :] = law(path_rng(seed, M + start + i), (R, deep, n))
         cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n)).reshape(m, R)
         diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.mean(axis=1)
     return lp_norm_of_values(diffs, p=p, seed=seed)

@@ -1,5 +1,5 @@
-"""Public surface: every exported name exists, and the package imports only
-names its modules export."""
+"""Public surface: every exported name exists, the package imports only
+names its modules export, and only processes reads the path streams."""
 
 import ast
 import importlib
@@ -38,3 +38,18 @@ def test_package_imports_only_exported_names():
     unlisted = [f"{module}.{attr}" for module, attr in imports
                 if attr not in importlib.import_module(f"rcuniv.{module}").__all__]
     assert not unlisted, f"imported by rcuniv but not in the module's __all__: {unlisted}"
+
+
+def test_only_processes_names_path_rng():
+    # every iid window comes from processes.sample_paths, so no other module
+    # keys the per-path streams itself
+    names = []
+    for path in sorted(Path(rcuniv.__file__).parent.glob("*.py")):
+        if path.stem == "processes":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or (
+                node.name if isinstance(node, ast.alias) else None)
+            if name == "path_rng":
+                names.append(f"{path.name}:{node.lineno}")
+    assert not names, f"path_rng named outside processes: {names}"

@@ -388,6 +388,29 @@ def test_cli_run_bad_value_exits_before_any_work(tmp_path, monkeypatch, capsys):
     assert screens == []
 
 
+def _poly(coefficients, degree=2):
+    return {"name": "finite_poly",
+            "params": {"n": 1, "K": 1, "degree": degree, "coefficients": coefficients}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(family="linear_poly", capacity=[2], target={"name": "peak_hold"},
+          family_params={"memory": 3}), "requires a sampler"),
+    (dict(family="linear_poly", capacity=[2], target={"name": "log_sine"}),
+     "requires a sampler"),
+    (dict(target=_poly([[[1, 1, 1], 1.0]])), "bad multi-index"),
+    (dict(target=_poly([[[2, 1], 1.0]])), "exceeds degree"),
+    (dict(target=_poly([[[1, 1], math.nan]])), "non-finite coefficient"),
+    (dict(target=_poly([], degree=-1)), "degree must be >= 0"),
+], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
+        "nan_coefficient", "negative_degree"])
+def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrides, message):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_esp_failure_exit_code(tmp_path, capsys):
     doc = _base_doc(
         family="esn",

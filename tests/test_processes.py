@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -147,17 +148,9 @@ def test_iid_paths_match_a_per_path_draw_oracle(kind):
     s, oracle = _IID_ORACLES[kind]
     seed, offset, T, M = 2**63 + 9, 40, 7, 25
     want = np.stack([oracle(_fresh_rng(seed, offset + i), (T, 2)) for i in range(M)])
-    for got in (rc.sample_paths(s, T, M, seed, path_offset=offset),
-                np.stack([s.draw(path_rng(seed, offset + i), (T, 2)) for i in range(M)])):
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-
-def test_draw_only_for_iid():
-    rng = np.random.default_rng(0)
-    assert rc.iid_gaussian(2).draw(rng, (3, 2)).shape == (3, 2)
-    with pytest.raises(ValueError):
-        rc.garch11(0.1, 0.1, 0.8).draw(rng, (3, 1))
+    got = rc.sample_paths(s, T, M, seed, path_offset=offset)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +344,21 @@ def test_dependent_paths_do_not_depend_on_worker_count(monkeypatch, s, oracle, e
         np.testing.assert_array_equal(rc.sample_paths(s, T, M, seed, path_offset=offset), want)
 
 
-def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypatch):
-    # 300 one-path blocks reuse one noise buffer in turn under a tiny switch
-    # interval (a one-path block draws on one thread, whatever the worker
-    # count); a draw written to another block's row, or a recursion that
-    # read the buffer before its draws ended, would mix their paths
+def test_dependent_path_blocks_draw_on_many_threads_under_thread_switching(monkeypatch):
+    # two 300-path blocks, each drawn by 8 workers in 64-path tasks under a
+    # tiny switch interval; a draw written to another row, or a recursion
+    # that read the buffer before its draws ended, would mix their paths
+    T, M, seed = 3, 600, 9
     monkeypatch.setenv("RCUNIV_WORKERS", "8")
-    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 1)
-    T, M, seed = 3, 300, 9
+    monkeypatch.setattr(rc.processes, "_BLOCK_VALUES", 300 * (_GARCH.burn_in() + T))
+    drawn_by = {}
+
+    def recording(stream_seed, path):
+        drawn_by[path] = threading.get_ident()
+        time.sleep(0)  # hand the GIL to another worker mid-block
+        return path_rng(stream_seed, path)
+
+    monkeypatch.setattr(rc.processes, "path_rng", recording)
     got = []
     runner = threading.Thread(target=lambda: got.append(rc.sample_paths(_GARCH, T, M, seed)))
     interval = sys.getswitchinterval()
@@ -369,6 +369,9 @@ def test_dependent_path_blocks_share_noise_slots_under_thread_switching(monkeypa
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
+    assert sorted(drawn_by) == list(range(M))
+    for block in (range(0, 300), range(300, 600)):
+        assert len({drawn_by[i] for i in block}) > 1
     np.testing.assert_array_equal(got[0], _garch_full_array(_GARCH, T, M, seed))
 
 
@@ -495,7 +498,6 @@ def test_moment_check_draws_no_path(monkeypatch):
 
     monkeypatch.setattr(rc.processes, "sample_paths", refuse)
     monkeypatch.setattr(rc.processes, "path_rng", refuse)
-    monkeypatch.setattr(rc.ProcessSampler, "draw", refuse)
     for s in (rc.iid_gaussian(2), rc.iid_uniform_bounded(0.0, 1.0), rc.iid_lognormal(1),
               rc.arma(ar=(0.5,)), rc.garch11(0.1, 0.1, 0.8), rc.garch11(0.1, 0.0, 0.8)):
         rc.exp_moment_check(s, alpha=1.0, K=2)

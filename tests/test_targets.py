@@ -39,6 +39,17 @@ def test_finite_poly_variable_ordering():
     assert rc.evaluate_functional(ch0_lag1, w) == 5.0
 
 
+@pytest.mark.parametrize("degree, coefficients, message", [
+    (2, {(1, 1, 1): 1.0}, "bad multi-index"),
+    (2, {(2, 1): 1.0}, "exceeds degree"),
+    (2, {(1, 1): math.nan}, "non-finite coefficient"),
+    (-1, {}, "degree must be >= 0"),
+])
+def test_finite_poly_rejects_bad_terms_when_built(degree, coefficients, message):
+    with pytest.raises(ValueError, match=message):
+        rc.finite_poly(1, 1, degree, coefficients)
+
+
 def test_geometric_ma_manual():
     spec = rc.geometric_ma(0.5).spec
     w = rc.Window(np.array([[1.0], [2.0], [3.0]]))

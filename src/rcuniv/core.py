@@ -9,7 +9,10 @@ registers the concrete evaluators.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +32,17 @@ __all__ = [
     "write_window_csv",
     "read_window_csv",
 ]
+
+
+# the number rules every constructor and config check shares
+def _integer(v, lo: float = -math.inf) -> bool:
+    """An integer, not a boolean, >= lo."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo
+
+
+def _finite_real(v) -> bool:
+    """A real, not a boolean, inside float range: nan, inf and ints past it fail."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import Window, nilpotent_product, truncated_conditional_error
-from .readouts import ACTIVATIONS, PolynomialReadout
+from .core import Window, _finite_real, _integer, nilpotent_product, truncated_conditional_error
+from .readouts import ACTIVATIONS
 from .reservoirs import (
     EspNotCertifiedError,
     ReservoirModel,
@@ -51,15 +51,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-def _integer(v, lo: float = -math.inf) -> bool:
-    """An integer, not a boolean, >= lo."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
 
 def _number(v, lo: float = -math.inf, strict: bool = False) -> bool:
-    """A finite number, not a boolean, >= lo (> lo when strict)."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            and (v > lo if strict else v >= lo))
+    """A finite real, not a boolean, >= lo (> lo when strict)."""
+    return _finite_real(v) and (v > lo if strict else v >= lo)
 
 
 # family -> (smallest capacity, or None when the family ignores the value and
@@ -287,13 +282,8 @@ def _build_point(cfg: ExperimentConfig, capacity: int):
         system = random_esn(capacity, n, seed=cfg.seed_train, **fp)
         readout, diag = training.fit_linear_readout(system, spec, sampler, tc)
     elif cfg.family == "constructed_shift":
-        K = spec.memory
-        system = build_shift_register(n, K)
-        readout = PolynomialReadout(
-            n_vars=n * (K + 1), degree=spec.params["degree"],
-            coefficients=spec.params["coefficients"],
-        )
-        diag = None
+        system = build_shift_register(n, spec.memory)
+        readout, diag = targets._window_readout(spec), None
     elif cfg.family == "constructed_nilpotent_sas":
         system = build_nilpotent_trig_sas(spec.params["freqs"], spec.params["sine_lags"])
         readout, diag = None, None

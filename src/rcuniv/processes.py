@@ -11,15 +11,13 @@ from its kind and params alone; it draws no path.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .core import _run_blocks, evaluate_functional_batch
+from .core import _finite_real, _integer, _run_blocks, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -71,10 +69,6 @@ _PARAMS = {
 }
 _IID_KINDS = ("iid_gaussian", "iid_uniform_bounded", "iid_lognormal")
 _KINDS = tuple(_PARAMS)
-
-
-def _finite_real(v) -> bool:  # nan, inf and ints past float range fail the bound
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -361,7 +355,7 @@ def exp_moment_check(s: ProcessSampler, alpha: float, K: int) -> MomentDiagnosti
     """
     if not (_finite_real(alpha) and alpha > 0):
         raise ValueError(f"alpha must be a finite real > 0, got {alpha!r}")
-    if isinstance(K, bool) or not isinstance(K, numbers.Integral) or K < 0:
+    if not _integer(K, 0):
         raise ValueError(f"K must be an integer >= 0, got {K!r}")
     p, lags = s.params, s.n * (K + 1)
     if s.kind == "iid_gaussian":

@@ -4,17 +4,21 @@ Three families: multivariate polynomials over a graded-lexicographic
 monomial basis, single-hidden-layer networks with bounded activations, and
 plain linear maps.  Polynomial readout evaluation is defined as the dot
 product of the coefficient vector with poly_features, so the two agree
-bit for bit.  _ridge_solve is the one ridge least-squares path, shared by
-readout training and the identity networks of the block construction.
+bit for bit.  _random_features draws every random hidden layer and
+_ridge_solve is the one ridge least-squares path; both serve readout
+training and the identity networks of the block construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .core import _finite_real, _integer
 
 __all__ = [
     "Activation",
@@ -93,18 +97,15 @@ def multi_indices(n_vars: int, degree: int) -> list[tuple[int, ...]]:
         raise ValueError("n_vars must be >= 1")
     if degree < 0:
         raise ValueError("degree must be >= 0")
-
-    def comps(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in comps(total - first, slots - 1):
-                yield (first,) + rest
-
+    # sorted variable multisets of one size come in lexicographic order, which
+    # is descending lexicographic order of their exponent tuples
     out = []
     for total in range(degree + 1):
-        out.extend(comps(total, n_vars))
+        for combo in itertools.combinations_with_replacement(range(n_vars), total):
+            exps = [0] * n_vars
+            for i in combo:
+                exps[i] += 1
+            out.append(tuple(exps))
     return out
 
 
@@ -155,9 +156,10 @@ def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
 class PolynomialReadout:
     """Polynomial map h(x) = sum_m coefficients[m] * x^m.
 
-    coefficients maps exponent tuples (length n_vars, total degree <=
-    degree) to reals.  Evaluation is the dot product of the dense
-    coefficient vector in graded-lexicographic order with poly_features.
+    coefficients maps exponent tuples (length n_vars, integer entries >= 0,
+    total degree <= degree) to finite reals.  Evaluation is the dot product
+    of the dense coefficient vector in graded-lexicographic order with
+    poly_features.
     """
 
     n_vars: int
@@ -165,21 +167,22 @@ class PolynomialReadout:
     coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _integer(self.n_vars, 1):
+            raise ValueError(f"n_vars must be an integer >= 1, got {self.n_vars!r}")
+        if not _integer(self.degree, 0):
+            raise ValueError(f"degree must be >= 0 and an integer, got {self.degree!r}")
         for mi, c in self.coefficients.items():
-            if len(mi) != self.n_vars or any(e < 0 for e in mi):
-                raise ValueError(f"bad multi-index {mi} for n_vars={self.n_vars}")
+            if (not isinstance(mi, tuple) or len(mi) != self.n_vars
+                    or not all(_integer(e, 0) for e in mi)):
+                raise ValueError(f"bad multi-index {mi!r} for n_vars={self.n_vars}")
             if sum(mi) > self.degree:
                 raise ValueError(f"multi-index {mi} exceeds degree {self.degree}")
-            if not np.isfinite(c):
-                raise ValueError(f"non-finite coefficient for {mi}")
+            if not _finite_real(c):
+                raise ValueError(f"non-finite coefficient {c!r} for {mi}; need a finite real")
 
     def coefficient_vector(self) -> np.ndarray:
-        order = multi_indices(self.n_vars, self.degree)
-        vec = np.zeros(len(order))
-        for col, mi in enumerate(order):
-            if mi in self.coefficients:
-                vec[col] = self.coefficients[mi]
-        return vec
+        return np.array([self.coefficients.get(mi, 0.0)
+                         for mi in multi_indices(self.n_vars, self.degree)], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,6 @@ class NetworkReadout:
     def k(self) -> int:
         return self.alpha.shape[0]
 
-    def hidden(self, x: np.ndarray) -> np.ndarray:
-        """Hidden-layer output sigma(alpha . x - theta) for (N,) or (M, N)."""
-        act = get_activation(self.activation)
-        return act.fn(np.asarray(x) @ self.alpha.T - self.theta)
-
 
 @dataclass(frozen=True)
 class LinearReadout:
@@ -238,7 +236,8 @@ def eval_readout(readout, x: np.ndarray) -> float | np.ndarray:
             raise ValueError(f"state dim {X.shape[1]} != n_vars {readout.n_vars}")
         vals = poly_features(X, readout.degree) @ readout.coefficient_vector()
     elif isinstance(readout, NetworkReadout):
-        vals = readout.hidden(X) @ readout.beta
+        act = get_activation(readout.activation).fn
+        vals = act(X @ readout.alpha.T - readout.theta) @ readout.beta
     elif isinstance(readout, LinearReadout):
         if X.shape[1] != readout.W.shape[0]:
             raise ValueError(f"state dim {X.shape[1]} != readout dim {readout.W.shape[0]}")
@@ -246,6 +245,20 @@ def eval_readout(readout, x: np.ndarray) -> float | np.ndarray:
     else:
         raise TypeError(f"not a readout: {type(readout).__name__}")
     return float(vals[0]) if single else vals
+
+
+def _random_features(X: np.ndarray, units: int, scale: float, activation: str,
+                     rng_dir: np.random.Generator, rng_thr: np.random.Generator):
+    """Random hidden layer on the rows of X -> (alpha, theta, features).
+
+    Directions are standard Gaussian / scale, from rng_dir; then thresholds
+    are uniform over each unit's projected range of X, from rng_thr.
+    """
+    alpha = rng_dir.standard_normal((units, X.shape[1])) / scale
+    proj = X @ alpha.T
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    theta = lo + (hi - lo) * rng_thr.uniform(size=units)
+    return alpha, theta, get_activation(activation).fn(proj - theta)
 
 
 def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):

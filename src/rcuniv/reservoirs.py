@@ -18,6 +18,7 @@ from .core import Window, _run_blocks, nilpotent_product
 from .readouts import (
     LinearReadout,
     NetworkReadout,
+    _random_features,
     _ridge_solve,
     eval_readout,
     get_activation,
@@ -685,10 +686,8 @@ def fit_identity_network(
 
     nets = []
     for i in range(n):
-        alpha = rng.standard_normal((hidden_units, n)) / (m * np.sqrt(n))
-        proj = X @ alpha.T
-        theta = rng.uniform(proj.min(axis=0), proj.max(axis=0))
-        feats = get_activation(activation).fn(proj - theta)
+        alpha, theta, feats = _random_features(X, hidden_units, m * np.sqrt(n), activation,
+                                               rng, rng)
         beta, _ = _ridge_solve(feats, X[:, i], _IDENTITY_RIDGE)
         nets.append(NetworkReadout(beta, alpha, theta, activation))
 
@@ -698,7 +697,7 @@ def fit_identity_network(
 
 def _identity_apply(nets: Sequence[NetworkReadout], x: np.ndarray) -> np.ndarray:
     """J(x) per row: x (M, n) -> (M, n) via the per-channel networks."""
-    return np.stack([nets[i].hidden(x) @ nets[i].beta for i in range(len(nets))], axis=1)
+    return np.stack([eval_readout(net, x) for net in nets], axis=1)
 
 
 def identity_fit_error(nets: Sequence[NetworkReadout], points: np.ndarray) -> float:

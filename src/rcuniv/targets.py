@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FunctionalSpec, register_evaluator
-from .readouts import PolynomialReadout, feature_count, poly_features
+from .core import FunctionalSpec, _finite_real, _integer, register_evaluator
+from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
 __all__ = [
     "TargetCatalogEntry",
@@ -71,16 +71,16 @@ def _eval_constant(spec, data):
     return np.full(data.shape[0], spec.params["value"])
 
 
+def _window_readout(spec: FunctionalSpec) -> PolynomialReadout:
+    """The finite_poly target as a polynomial of the stacked window (z_0, ..., z_-K)."""
+    return PolynomialReadout(n_vars=spec.n * (spec.memory + 1), degree=spec.params["degree"],
+                             coefficients=spec.params["coefficients"])
+
+
 def _eval_finite_poly(spec, data):
-    K = spec.memory
-    M = data.shape[0]
-    stacked = data[:, : K + 1, :].reshape(M, (K + 1) * spec.n)
-    readout = PolynomialReadout(
-        n_vars=(K + 1) * spec.n,
-        degree=spec.params["degree"],
-        coefficients=spec.params["coefficients"],
-    )
-    return poly_features(stacked, readout.degree) @ readout.coefficient_vector()
+    readout = _window_readout(spec)
+    stacked = data[:, : spec.memory + 1, :].reshape(data.shape[0], readout.n_vars)
+    return eval_readout(readout, stacked)
 
 
 def _eval_geometric_ma(spec, data):
@@ -134,10 +134,20 @@ for _kind, _fn in [
 
 
 # ---------------------------------------------------------------------------
-# entry factories
+# entry factories; each checks its params by the number rules of core before
+# it builds anything
+
+
+def _require_reals(**values) -> None:
+    for key, v in values.items():
+        if not _finite_real(v):
+            raise ValueError(f"{key} must be a finite real, got {v!r}")
 
 
 def constant(value: float, n: int = 1) -> TargetCatalogEntry:
+    _require_reals(value=value)
+    if not _integer(n, 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     spec = FunctionalSpec("constant", n=n, memory=0, params={"value": float(value)})
     return TargetCatalogEntry("constant", spec, "bounded, integrable for every input law")
 
@@ -148,16 +158,16 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalo
     coefficients maps exponent tuples of length n*(K+1) to reals; variable
     index k*n + i is channel i at lag k.
     """
-    coeffs = {tuple(int(e) for e in mi): float(c) for mi, c in coefficients.items()}
-    degree = int(degree)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    if not (_integer(n, 1) and _integer(K, 0)):
+        raise ValueError(f"need integers n >= 1 and K >= 0, got n={n!r}, K={K!r}")
     spec = FunctionalSpec(
-        "finite_poly", n=n, memory=K, params={"degree": degree, "coefficients": coeffs},
+        "finite_poly", n=n, memory=K,
+        params={"degree": degree, "coefficients": dict(coefficients)},
     )
-    # rejects exponent tuples of the wrong length or above degree, and
-    # non-finite coefficients, before any evaluation
-    PolynomialReadout(n_vars=n * (K + 1), degree=degree, coefficients=coeffs)
+    # rejects a degree that is not an integer >= 0, exponent tuples that are
+    # not integers >= 0 of the right length or that exceed the degree, and
+    # coefficients that are not finite reals, before any evaluation
+    _window_readout(spec)
     return TargetCatalogEntry(
         "finite_poly", spec,
         "integrable whenever the input law has moments of the polynomial degree",
@@ -168,8 +178,12 @@ def random_finite_poly(
     n: int, K: int, degree: int, seed: int, density: float = 0.6, scale: float = 1.0
 ) -> TargetCatalogEntry:
     """Random sparse polynomial target, deterministic in seed."""
-    from .readouts import multi_indices
-
+    if not (_integer(n, 1) and _integer(K, 0) and _integer(degree, 0) and _integer(seed, 0)):
+        raise ValueError("n >= 1, K >= 0, degree >= 0 and seed >= 0 must be integers, got "
+                         f"n={n!r}, K={K!r}, degree={degree!r}, seed={seed!r}")
+    _require_reals(density=density, scale=scale)
+    if not 0 <= density <= 1:
+        raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     n_vars = n * (K + 1)
     if feature_count(n_vars, degree) > 100_000:
@@ -194,10 +208,14 @@ def geometric_ma(
     decay^T * step_bound / (1 - decay)), or step_std for the iid L^2 tail
     decay^T * step_std / sqrt(1 - decay^2).  Default: step_bound = 1.
     """
+    _require_reals(decay=decay)
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0, 1)")
     if step_bound is not None and step_std is not None:
         raise ValueError("give step_bound or step_std, not both")
+    for key, v in (("step_bound", step_bound), ("step_std", step_std)):
+        if v is not None and not (_finite_real(v) and v >= 0):
+            raise ValueError(f"{key} must be a finite real >= 0, got {v!r}")
     if step_bound is None and step_std is None:
         step_bound = 1.0
     spec = FunctionalSpec("geometric_ma", n=1, memory=None, params={"decay": float(decay)})
@@ -224,6 +242,9 @@ def peak_hold(a_min: float = 0.0, a_max: float = 1.0) -> TargetCatalogEntry:
     truncation error is (a_max - a_min) * (Gamma(p+1) T! / (T+p)!)^(1/p)
     for integer-compatible p via the Beta(1, T) excess.
     """
+    _require_reals(a_min=a_min, a_max=a_max)
+    if not a_min < a_max:
+        raise ValueError("need a_min < a_max")
     spec = FunctionalSpec("peak_hold", n=1, memory=None, params={})
 
     def bound(T: int, p: float) -> float:
@@ -238,14 +259,20 @@ def peak_hold(a_min: float = 0.0, a_max: float = 1.0) -> TargetCatalogEntry:
 
 
 def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
-    """prod_k g_k(u_k . z_-k) with g_k = sin for lags in sine_lags, else cos."""
-    freqs = np.asarray(freqs, dtype=np.float64)
+    """prod_k g_k(u_k . z_-k) with g_k = sin for lags in sine_lags, else cos.
+
+    freqs is (K+1, n), or (K+1,) for one channel.
+    """
+    freqs = np.asarray(freqs)
+    if freqs.ndim not in (1, 2) or freqs.size == 0 or not all(map(_finite_real, freqs.flat)):
+        raise ValueError("freqs must be a non-empty (K+1,) or (K+1, n) array of finite reals")
+    freqs = freqs.astype(np.float64)
     if freqs.ndim == 1:
         freqs = freqs[:, None]
     K = freqs.shape[0] - 1
+    if not all(_integer(k, 0) and k <= K for k in sine_lags):
+        raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
     sine_lags = tuple(sorted(set(int(k) for k in sine_lags)))
-    if any(k < 0 or k > K for k in sine_lags):
-        raise ValueError(f"sine lags must lie in 0..{K}")
     spec = FunctionalSpec(
         "trig_product", n=freqs.shape[1], memory=K,
         params={"freqs": freqs, "sine_lags": sine_lags},
@@ -261,6 +288,7 @@ def garch_vol(omega: float, alpha: float, beta: float) -> TargetCatalogEntry:
     alpha * beta^(T-1) * E[z^2] / (1 - beta) with E[z^2] =
     omega / (1 - alpha - beta).
     """
+    _require_reals(omega=omega, alpha=alpha, beta=beta)
     if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
         raise ValueError("need omega > 0, alpha, beta >= 0, alpha + beta < 1")
     spec = FunctionalSpec(
@@ -292,6 +320,7 @@ def log_sine(freq: float = 2.0 * math.pi) -> TargetCatalogEntry:
     cannot approximate it below the floor ||sin(2*pi log Z)||_2 =
     sqrt((1 - exp(-2 freq^2)) / 2).
     """
+    _require_reals(freq=freq)
     spec = FunctionalSpec("log_sine", n=1, memory=0, params={"freq": float(freq)})
     return TargetCatalogEntry("log_sine", spec, "bounded; requires strictly positive inputs")
 

@@ -20,9 +20,9 @@ from .readouts import (
     LinearReadout,
     NetworkReadout,
     PolynomialReadout,
+    _random_features,
     _ridge_solve,
     feature_count,
-    get_activation,
     multi_indices,
     poly_features,
 )
@@ -152,15 +152,11 @@ def fit_network_readout(system, hidden_units: int, target: FunctionalSpec,
     if hidden_units < 1:
         raise ValueError("hidden_units must be >= 1")
     states, y = _sample_states(system, target, sampler, cfg)
-    N = states.shape[1]
     # separate streams so unit j's direction and threshold do not depend on
     # how many units follow it (nested prefixes for growing hidden_units)
     rng_dir = np.random.default_rng([cfg.seed, 0xA1FA])
     rng_thr = np.random.default_rng([cfg.seed, 0x7E7A])
-    alpha = rng_dir.standard_normal((hidden_units, N)) / np.sqrt(N)
-    proj = states @ alpha.T
-    lo, hi = proj.min(axis=0), proj.max(axis=0)
-    theta = lo + (hi - lo) * rng_thr.uniform(size=hidden_units)
-    feats = get_activation(activation).fn(proj - theta)
+    alpha, theta, feats = _random_features(states, hidden_units, np.sqrt(states.shape[1]),
+                                           activation, rng_dir, rng_thr)
     w, diag = _fit_on_features(feats, y, cfg)
     return NetworkReadout(w, alpha, theta, activation), diag

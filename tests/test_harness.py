@@ -388,9 +388,17 @@ def test_cli_run_bad_value_exits_before_any_work(tmp_path, monkeypatch, capsys):
     assert screens == []
 
 
-def _poly(coefficients, degree=2):
+def _poly(coefficients, degree=2, K=1):
     return {"name": "finite_poly",
-            "params": {"n": 1, "K": 1, "degree": degree, "coefficients": coefficients}}
+            "params": {"n": 1, "K": K, "degree": degree, "coefficients": coefficients}}
+
+
+def _esn(name, **params):
+    """An esn run of a target that the family would otherwise accept."""
+    return dict(family="esn", capacity=[4], target={"name": name, "params": params})
+
+
+_BIG = 10**400  # an integer past float range
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -402,12 +410,45 @@ def _poly(coefficients, degree=2):
     (dict(target=_poly([[[2, 1], 1.0]])), "exceeds degree"),
     (dict(target=_poly([[[1, 1], math.nan]])), "non-finite coefficient"),
     (dict(target=_poly([], degree=-1)), "degree must be >= 0"),
+    (_esn("constant", value=math.nan), "value must be a finite real"),
+    (_esn("constant", value=math.inf), "value must be a finite real"),
+    (_esn("garch_vol", omega=math.nan, alpha=0.1, beta=0.8), "omega must be a finite real"),
+    (_esn("geometric_ma", decay=0.5, step_bound=math.nan), "step_bound must be a finite real"),
+    (_esn("geometric_ma", decay=0.5, step_bound=-1.0), "step_bound must be a finite real"),
+    (_esn("geometric_ma", decay=0.5, step_bound=_BIG), "step_bound must be a finite real"),
+    (dict(family="constructed_nilpotent_sas",
+          target={"name": "trig_product", "params": {"freqs": [[1.0], [math.nan]]}}),
+     "freqs must be"),
+    (dict(family="constructed_nilpotent_sas",
+          target={"name": "trig_product", "params": {"freqs": [[[1.0]]]}}), "freqs must be"),
+    (dict(target={"name": "random_finite_poly",
+                  "params": {"n": 1, "K": 1, "degree": 2, "seed": 0, "density": 2.0}}),
+     "density must lie in [0, 1]"),
+    (dict(target=_poly([[[1, 1], 1.0]], K=True)), "need integers n >= 1 and K >= 0"),
+    (dict(target=_poly([[[1, 1], "1.0"]])), "non-finite coefficient"),
+    (dict(target=_poly([[[1.5, 0], 1.0]])), "bad multi-index"),
+    (dict(target=_poly([[[1, 1], 1.0]], degree=2.7)), "degree must be >= 0 and an integer"),
 ], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
-        "nan_coefficient", "negative_degree"])
+        "nan_coefficient", "negative_degree", "constant_nan", "constant_inf",
+        "garch_vol_nan_omega", "step_bound_nan", "step_bound_negative", "step_bound_huge",
+        "freqs_nan", "freqs_3d", "density_above_1", "bool_memory", "string_coefficient",
+        "fractional_exponent", "fractional_degree"])
 def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
     assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(ridge=_BIG),
+    dict(p=_BIG),
+    dict(family="esn", capacity=[4], target=_GMA, family_params={"spectral": _BIG}),
+], ids=["ridge", "p", "spectral"])
+def test_cli_run_huge_integer_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 

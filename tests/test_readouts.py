@@ -1,5 +1,6 @@
 """Polynomial feature maps, readout evaluation, activations, serialization."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -34,6 +35,15 @@ def test_multi_indices_counts_and_grading():
         assert len(set(idx)) == len(idx)
         grades = [sum(a) for a in idx]
         assert grades == sorted(grades)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 6) for d in range(5)])
+def test_multi_indices_match_brute_force_order(n, d):
+    # every exponent tuple of total degree <= d, by total degree, then in
+    # descending lexicographic order
+    oracle = sorted((t for t in itertools.product(range(d + 1), repeat=n) if sum(t) <= d),
+                    key=lambda t: (sum(t), [-e for e in t]))
+    assert multi_indices(n, d) == oracle
 
 
 def test_poly_features_frozen_example():
@@ -77,6 +87,20 @@ def test_polynomial_readout_validates_exponents():
         rc.PolynomialReadout(2, 2, {(3, 0): 1.0})  # grade above degree
     with pytest.raises(ValueError):
         rc.PolynomialReadout(2, 2, {(-1, 1): 1.0})
+
+
+@pytest.mark.parametrize("n_vars, degree, coefficients, message", [
+    (2, 2, {(1.5, 0): 1.0}, "bad multi-index"),  # would match no basis element
+    (2, 2, {(True, 0): 1.0}, "bad multi-index"),  # would act as exponent 1
+    (2, 2, {"10": 1.0}, "bad multi-index"),
+    (2, 2, {(1, 0): "1.0"}, "non-finite coefficient"),
+    (2, 2, {(1, 0): 10**400}, "non-finite coefficient"),
+    (2, 2.7, {}, "degree must be >= 0 and an integer"),
+    (True, 2, {}, "n_vars must be an integer"),
+])
+def test_polynomial_readout_rejects_what_it_would_coerce(n_vars, degree, coefficients, message):
+    with pytest.raises(ValueError, match=message):
+        rc.PolynomialReadout(n_vars, degree, coefficients)
 
 
 def test_network_readout_formula():

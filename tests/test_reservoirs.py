@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import rcuniv as rc
-from rcuniv.readouts import get_activation
+from rcuniv.readouts import _ridge_solve, get_activation
 from rcuniv.reservoirs import (
+    _IDENTITY_GRID,
+    _IDENTITY_RANDOM,
+    _IDENTITY_RIDGE,
     TrigPolynomial,
     _support_nilpotency_index,
     final_states,
@@ -507,6 +510,48 @@ def test_block_esn_error_bound_propagation():
     got = rc.ReservoirModel(esn).values(data)
     exact = rc.eval_readout(inner, data.reshape(200, 2 * n))
     assert np.max(np.abs(got - exact)) <= budget * (1.0 + 1e-9) + 1e-12
+
+
+def _identity_reference(n, half_width, hidden_units, activation, seed):
+    """fit_identity_network with each channel's hidden layer drawn inline, as
+    before the shared random-feature builder: [(alpha, theta, beta)], eps."""
+    m = float(half_width)
+    rng = np.random.default_rng(seed)
+    if n <= 2:
+        axes = [np.linspace(-m, m, _IDENTITY_GRID)] * n
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    else:
+        grid = rng.uniform(-m, m, size=(_IDENTITY_GRID**2, n))
+    X = np.vstack([grid, rng.uniform(-m, m, size=(_IDENTITY_RANDOM, n))])
+    act = get_activation(activation).fn
+    nets = []
+    for i in range(n):
+        alpha = rng.standard_normal((hidden_units, n)) / (m * np.sqrt(n))
+        proj = X @ alpha.T
+        theta = rng.uniform(proj.min(axis=0), proj.max(axis=0))
+        beta, _ = _ridge_solve(act(proj - theta), X[:, i], _IDENTITY_RIDGE)
+        nets.append((alpha, theta, beta))
+    points = rng.uniform(-m, m, size=(2000, n))
+    J = np.stack([act(points @ alpha.T - theta) @ beta for alpha, theta, beta in nets], axis=1)
+    return nets, float(np.max(np.abs(J - points)))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["logistic", "tanh"])
+@pytest.mark.parametrize("n", [1, 2, 3])  # grid inputs for n <= 2, random inputs above
+def test_identity_network_matches_per_channel_reference(n, activation):
+    nets, eps = rc.fit_identity_network(n, half_width=2.5, hidden_units=12,
+                                        activation=activation, seed=40 + n)
+    ref, ref_eps = _identity_reference(n, 2.5, 12, activation, seed=40 + n)
+    assert len(nets) == len(ref) == n
+    for net, (alpha, theta, beta) in zip(nets, ref):
+        assert _same_bits(net.alpha, alpha)
+        assert _same_bits(net.theta, theta)
+        assert _same_bits(net.beta, beta)
+    assert eps == ref_eps
 
 
 def test_identity_network_quality():

@@ -44,6 +44,10 @@ def test_finite_poly_variable_ordering():
     (2, {(2, 1): 1.0}, "exceeds degree"),
     (2, {(1, 1): math.nan}, "non-finite coefficient"),
     (-1, {}, "degree must be >= 0"),
+    (2.7, {}, "degree must be >= 0 and an integer"),
+    (2, {(1.5, 0): 1.0}, "bad multi-index"),
+    (2, {(True, 0): 1.0}, "bad multi-index"),
+    (2, {(1, 1): "1.0"}, "non-finite coefficient"),
 ])
 def test_finite_poly_rejects_bad_terms_when_built(degree, coefficients, message):
     with pytest.raises(ValueError, match=message):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import rcuniv as rc
-from rcuniv.readouts import _ridge_solve
+from rcuniv.processes import sample_paths
+from rcuniv.readouts import _ridge_solve, get_activation
+from rcuniv.reservoirs import final_states
 from rcuniv.training import _holdout_mask
 
 DIAG_KEYS = {"lambda", "paths", "rmse_train", "rmse_holdout", "coeff_count", "seed", "rank"}
@@ -142,6 +144,28 @@ def test_network_units_nest_by_prefix():
     np.testing.assert_array_equal(large.alpha[:4], small.alpha)
     np.testing.assert_array_equal(large.theta[:4], small.theta)
     assert diag_l["rmse_train"] <= diag_s["rmse_train"] + 1e-9
+
+
+def test_network_fit_matches_reference_draw():
+    # the hidden layer drawn inline, as before the shared random-feature builder
+    sr = rc.build_shift_register(1, 2)
+    target = rc.trig_product(np.array([[1.0], [0.7], [0.4]])).spec
+    cfg = rc.TrainConfig(ridge=1e-8, paths=400, window_length=5, seed=21)
+    net, _ = rc.fit_network_readout(sr, 24, target, rc.iid_gaussian(1), cfg,
+                                    activation="logistic")
+    data = sample_paths(rc.iid_gaussian(1), cfg.window_length, cfg.paths, cfg.seed)
+    states = final_states(sr, data)
+    y = rc.evaluate_functional_batch(target, data)
+    N = states.shape[1]
+    alpha = np.random.default_rng([cfg.seed, 0xA1FA]).standard_normal((24, N)) / np.sqrt(N)
+    proj = states @ alpha.T
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    theta = lo + (hi - lo) * np.random.default_rng([cfg.seed, 0x7E7A]).uniform(size=24)
+    feats = get_activation("logistic").fn(proj - theta)
+    hold = _holdout_mask(cfg.paths)
+    beta, _ = _ridge_solve(feats[~hold], y[~hold], cfg.ridge)
+    for got, want in ((net.alpha, alpha), (net.theta, theta), (net.beta, beta)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_network_fit_reaches_small_error():

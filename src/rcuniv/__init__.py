@@ -7,8 +7,6 @@ and Monte Carlo L^p approximation metrics, with a CLI harness.
 
 from .core import (
     FunctionalSpec,
-    Window,
-    evaluate_functional,
     evaluate_functional_batch,
     nilpotent_product,
     read_window_csv,
@@ -69,7 +67,6 @@ from .reservoirs import (
     fit_identity_network,
     random_esn,
     random_trig_sas,
-    run_reservoir,
     system_from_dict,
     system_to_dict,
     washout_decay,

@@ -1,7 +1,8 @@
 """Core types for causal functionals on finite input windows.
 
-A window holds the most recent T observations of an n-channel discrete-time
-process, row k being the value k steps in the past.  Functionals of the
+A window is a (T, n) array holding the most recent T observations of an
+n-channel discrete-time process, row k being the value k steps in the
+past; a batch of M windows is an (M, T, n) array.  Functionals of the
 semi-infinite past are evaluated on such truncations; the targets module
 registers the concrete evaluators.
 """
@@ -22,10 +23,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "Window",
     "FunctionalSpec",
     "register_evaluator",
-    "evaluate_functional",
     "evaluate_functional_batch",
     "nilpotent_product",
     "truncated_conditional_error",
@@ -45,34 +44,9 @@ def _finite_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-@dataclass(frozen=True)
-class Window:
-    """Truncated input history, shape (T, n); row k is the value at lag k.
-
-    Row 0 is the most recent observation.  The array is copied on
-    construction and marked read-only.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"window data must be 2-d (T, n), got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"window needs T >= 1 and n >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("window entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def T(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
+def _seed(v) -> bool:
+    """An integer in [0, 2**64): one word of a path stream's key, so no two seeds share streams."""
+    return _integer(v, 0) and v < 2**64
 
 
 @dataclass(frozen=True)
@@ -125,11 +99,6 @@ def evaluate_functional_batch(spec: FunctionalSpec, data: np.ndarray) -> np.ndar
     if out.shape != (M,):
         raise RuntimeError(f"evaluator for {spec.kind!r} returned shape {out.shape}")
     return out
-
-
-def evaluate_functional(spec: FunctionalSpec, w: Window) -> float:
-    """Evaluate spec on a single window."""
-    return float(evaluate_functional_batch(spec, w.data[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +294,26 @@ def truncated_conditional_error(
 # window CSV round trip
 
 
-def write_window_csv(w: Window, path) -> None:
-    """Write a window as CSV with header lag,ch0,...,ch{n-1}."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+def write_window_csv(data: np.ndarray, path) -> None:
+    """Write a (T, n) window as CSV with header lag,ch0,...,ch{n-1}."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError(f"window data must be 2-d (T, n), got shape {data.shape}")
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["lag"] + [f"ch{i}" for i in range(w.n)])
-        for k in range(w.T):
-            writer.writerow([k] + [repr(float(v)) for v in w.data[k]])
+        writer.writerow(["lag"] + [f"ch{i}" for i in range(data.shape[1])])
+        for k, row in enumerate(data):
+            writer.writerow([k] + [repr(float(v)) for v in row])
 
 
-def read_window_csv(path) -> Window:
-    """Read a window written by write_window_csv; bit-exact for binary64."""
+def read_window_csv(path) -> np.ndarray:
+    """Read a window written by write_window_csv as a (T, n) float64 array; bit-exact."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "lag":
-            raise ValueError(f"{path}: expected header starting with 'lag'")
+        header = next(reader, [])
+        if len(header) < 2 or header[0] != "lag":
+            raise ValueError(f"{path}: expected header lag,ch0,...")
         n = len(header) - 1
         rows = []
         for line, row in enumerate(reader):
@@ -353,4 +324,7 @@ def read_window_csv(path) -> Window:
             rows.append([float(v) for v in row[1:]])
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Window(np.array(rows))
+    data = np.array(rows, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: window entries must be finite")
+    return data

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import Window, _finite_real, _integer, nilpotent_product, truncated_conditional_error
+from .core import (_finite_real, _integer, _seed, nilpotent_product, truncated_conditional_error,
+                   write_window_csv)
 from .readouts import ACTIVATIONS
 from .reservoirs import (
     EspNotCertifiedError,
@@ -173,8 +174,8 @@ def load_config(doc: dict) -> ExperimentConfig:
     seeds = doc["seeds"]
     _require_keys(seeds, {"train", "eval"}, set(), "seeds")
     for k in ("train", "eval"):
-        if not _integer(seeds[k]):
-            raise ConfigError(f"seeds.{k} must be an integer")
+        if not _seed(seeds[k]):
+            raise ConfigError(f"seeds.{k} must be an integer in [0, 2**64)")
     if seeds["train"] == seeds["eval"]:
         raise ConfigError("seeds.train and seeds.eval must differ")
 
@@ -373,16 +374,17 @@ def _write_rows_csv(path: Path, rows: list[dict]) -> None:
 
 def write_sample_paths(sampler: processes.ProcessSampler, T: int, M: int,
                        seed: int, out_dir) -> list[Path]:
-    """Emit one window CSV per path; used by the sample subcommand."""
-    from .core import write_window_csv
+    """Emit one window CSV per path; used by the sample subcommand.
 
+    The paths are drawn first, so bad arguments raise before out_dir exists.
+    """
+    data = processes.sample_paths(sampler, T, M, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data = processes.sample_paths(sampler, T, M, seed)
     paths = []
     for i in range(M):
         p = out / f"path_{i:04d}.csv"
-        write_window_csv(Window(data[i]), p)
+        write_window_csv(data[i], p)
         paths.append(p)
     return paths
 

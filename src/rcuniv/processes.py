@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _finite_real, _integer, _run_blocks, evaluate_functional_batch
+from .core import _finite_real, _integer, _run_blocks, _seed, evaluate_functional_batch
 
 __all__ = [
     "ProcessSampler",
@@ -240,6 +240,8 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
         raise ValueError("T must be >= 1")
     if M < 1:
         raise ValueError("M must be >= 1")
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     out = np.empty((M, T, s.n))
     if s.iid:
         # standard variates straight into the result, then the kind's map in

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Window, _run_blocks, nilpotent_product
+from .core import _run_blocks, nilpotent_product
 from .readouts import (
-    LinearReadout,
     NetworkReadout,
     _random_features,
     _ridge_solve,
@@ -34,7 +33,6 @@ __all__ = [
     "TrigSAS",
     "EchoStateNetwork",
     "EspReport",
-    "run_reservoir",
     "final_states",
     "certify_esp",
     "washout_decay",
@@ -498,21 +496,6 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
     return out
 
 
-def run_reservoir(system, w: Window, x_init: np.ndarray | None = None):
-    """Drive the system over a window, oldest row first.
-
-    Returns (states, y0) where states has shape (T, N) with row k the state
-    at lag k (row 0 final), and y0 is W . x_0 for systems with a built-in
-    linear readout, else None.  Raises StateOverflowError on non-finite
-    states.
-    """
-    states = np.empty((w.T, 1, system.N))
-    final_states(system, w.data[None, :, :], x_init, trajectory=states)
-    states = states[:, 0, :]
-    W = getattr(system, "W", None)
-    return states, None if W is None else float(states[0] @ W)
-
-
 def certify_esp(system) -> EspReport:
     """Sound structural ESP certificate; never certified from empirical decay."""
     if not isinstance(system, _ReservoirSystem):
@@ -877,9 +860,6 @@ class ReservoirModel:
         if self.readout is not None:
             return np.asarray(eval_readout(self.readout, states))
         return states @ self.system.W
-
-    def value(self, w: Window) -> float:
-        return float(self.values(w.data[None, :, :])[0])
 
 
 # ---------------------------------------------------------------------------

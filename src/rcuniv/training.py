@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSpec, evaluate_functional_batch
+from .core import FunctionalSpec, _integer, evaluate_functional_batch
 from .processes import ProcessSampler, sample_paths
 from .readouts import (
     LinearReadout,
@@ -23,6 +23,7 @@ from .readouts import (
     _random_features,
     _ridge_solve,
     feature_count,
+    get_activation,
     multi_indices,
     poly_features,
 )
@@ -41,10 +42,10 @@ __all__ = [
 class TrainConfig:
     """Sampling and regularization choices for a readout fit.
 
-    Windows have window_length rows; the oldest washout rows exist only to
-    erase the zero initial state before the final state is read off, so
-    washout must stay below window_length.  ridge is the penalty applied
-    in standardized feature space; all randomness derives from seed.
+    Windows have window_length rows, and features are the states after
+    all of them.  washout is validated (0 <= washout < window_length) but
+    not read yet.  ridge is the penalty applied in standardized feature
+    space; all randomness derives from seed.
     """
 
     ridge: float
@@ -126,6 +127,8 @@ def fit_polynomial_readout(system: LinearReservoir, degree: int, target: Functio
     """
     if not isinstance(system, LinearReservoir):
         raise TypeError("polynomial readouts are fit on linear reservoir states")
+    if not _integer(degree, 0):
+        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
     states, y = _sample_states(system, target, sampler, cfg)
     C = feature_count(system.N, degree)
     feats = poly_features(states, degree)
@@ -149,8 +152,9 @@ def fit_network_readout(system, hidden_units: int, target: FunctionalSpec,
     is solved, by ridge least squares.  Growing hidden_units with the same
     seed extends the hidden layer by new units, keeping earlier ones fixed.
     """
-    if hidden_units < 1:
-        raise ValueError("hidden_units must be >= 1")
+    if not _integer(hidden_units, 1):
+        raise ValueError(f"hidden_units must be an integer >= 1, got {hidden_units!r}")
+    get_activation(activation)  # an unknown name raises before any path is drawn
     states, y = _sample_states(system, target, sampler, cfg)
     # separate streams so unit j's direction and threshold do not depend on
     # how many units follow it (nested prefixes for growing hidden_units)

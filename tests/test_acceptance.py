@@ -146,8 +146,8 @@ def test_c06_esp_certificates_are_sound():
         rep = rc.certify_esp(system)
         assert rep.certified, type(system).__name__
         for k in range(50):
-            w = rc.Window(rng.normal(size=(20, system.n)))
-            d = rc.washout_decay(system, w.data[None], seed=k)[0]
+            w = rng.normal(size=(20, system.n))
+            d = rc.washout_decay(system, w[None], seed=k)[0]
             steps = np.arange(d.shape[0])
             envelope = d[0] * rep.bound**steps * (1.0 + 1e-9)
             assert np.all(d <= envelope + 1e-300), type(system).__name__

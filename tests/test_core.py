@@ -1,5 +1,5 @@
-"""Window container, functional evaluation, nilpotent shift algebra,
-conditional truncation error, worker threads, and window CSV round trips."""
+"""Functional evaluation, nilpotent shift algebra, conditional truncation
+error, worker threads, and window CSV round trips."""
 
 import functools
 import io
@@ -24,68 +24,46 @@ from rcuniv.processes import path_rng
 
 
 # ---------------------------------------------------------------------------
-# Window
-
-
-def test_window_copies_and_validates():
-    raw = np.ones((3, 2))
-    w = rc.Window(raw)
-    raw[0, 0] = 99.0
-    assert w.data[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        rc.Window(np.ones(4))
-    with pytest.raises(ValueError):
-        rc.Window(np.array([[np.nan], [1.0]]))
-    with pytest.raises(ValueError):
-        rc.Window(np.array([[np.inf], [1.0]]))
-
-
-def test_window_is_read_only():
-    w = rc.Window(np.zeros((2, 1)))
-    with pytest.raises(ValueError):
-        w.data[0, 0] = 1.0
-
-
-# ---------------------------------------------------------------------------
 # functional evaluation
 
 
 def test_constant_functional():
     spec = rc.constant(3.5).spec
-    w = rc.Window(np.random.default_rng(0).normal(size=(5, 1)))
-    assert rc.evaluate_functional(spec, w) == 3.5
+    data = np.random.default_rng(0).normal(size=(1, 5, 1))
+    assert rc.evaluate_functional_batch(spec, data)[0] == 3.5
 
 
 def test_peak_hold_example():
     spec = rc.peak_hold(0.0, 1.0).spec
-    w = rc.Window(np.array([[0.2], [0.9], [0.4]]))
-    assert rc.evaluate_functional(spec, w) == 0.9
+    data = np.array([[[0.2], [0.9], [0.4]]])
+    assert rc.evaluate_functional_batch(spec, data)[0] == 0.9
 
 
 def test_finite_poly_product_example():
     # q(z) = z_0 * z_{-1} on the window (2, 3)
     spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0}).spec
-    w = rc.Window(np.array([[2.0], [3.0]]))
-    assert rc.evaluate_functional(spec, w) == 6.0
+    data = np.array([[[2.0], [3.0]]])
+    assert rc.evaluate_functional_batch(spec, data)[0] == 6.0
 
 
 def test_window_too_short_for_memory():
     spec = rc.finite_poly(1, 3, 2, {(1, 0, 0, 0): 1.0}).spec
     with pytest.raises(ValueError):
-        rc.evaluate_functional(spec, rc.Window(np.ones((2, 1))))
+        rc.evaluate_functional_batch(spec, np.ones((1, 2, 1)))
 
 
 def test_channel_mismatch_rejected():
     spec = rc.geometric_ma(0.5).spec
     with pytest.raises(ValueError):
-        rc.evaluate_functional(spec, rc.Window(np.ones((4, 2))))
+        rc.evaluate_functional_batch(spec, np.ones((1, 4, 2)))
 
 
 def test_batch_matches_single():
     spec = rc.geometric_ma(0.7).spec
     data = np.random.default_rng(1).normal(size=(16, 10, 1))
     batch = rc.evaluate_functional_batch(spec, data)
-    single = np.array([rc.evaluate_functional(spec, rc.Window(d)) for d in data])
+    # M one-window batches against one batch of M windows
+    single = np.concatenate([rc.evaluate_functional_batch(spec, d[None]) for d in data])
     np.testing.assert_allclose(batch, single, rtol=1e-13)
 
 
@@ -96,8 +74,8 @@ def test_causality_beyond_memory():
     base = rng.normal(size=(6, 1))
     tweaked = base.copy()
     tweaked[2:] = rng.normal(size=(4, 1))
-    v0 = rc.evaluate_functional(spec, rc.Window(base))
-    v1 = rc.evaluate_functional(spec, rc.Window(tweaked))
+    v0 = rc.evaluate_functional_batch(spec, base[None])[0]
+    v1 = rc.evaluate_functional_batch(spec, tweaked[None])[0]
     assert v0 == v1
 
 
@@ -400,12 +378,12 @@ def test_window_csv_round_trip_exact(tmp_path):
             [12345.6789, -2.5e17],
         ]
     )
-    w = rc.Window(vals)
     path = tmp_path / "w.csv"
-    rc.write_window_csv(w, path)
+    rc.write_window_csv(vals, path)
     back = rc.read_window_csv(path)
-    np.testing.assert_array_equal(back.data, vals)
-    assert np.signbit(back.data[1, 0])
+    assert back.dtype == np.float64 and back.shape == (3, 2)
+    np.testing.assert_array_equal(back, vals)
+    assert np.signbit(back[1, 0])
     header = path.read_text().splitlines()[0]
     assert header == "lag,ch0,ch1"
 
@@ -415,3 +393,27 @@ def test_window_csv_rejects_bad_lag_column(tmp_path):
     path.write_text("lag,ch0\n0,1.0\n2,2.0\n")
     with pytest.raises(ValueError):
         rc.read_window_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", "lag\n0\n1\n", "t,ch0\n0,1.0\n"],
+                         ids=["empty", "no_channel", "no_lag"])
+def test_window_csv_rejects_a_bad_header(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected header"):
+        rc.read_window_csv(path)
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_window_csv_rejects_non_finite_entries(tmp_path, entry):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"lag,ch0\n0,1.0\n1,{entry}\n")
+    with pytest.raises(ValueError, match="finite"):
+        rc.read_window_csv(path)
+
+
+def test_window_csv_writer_rejects_non_2d_data(tmp_path):
+    for data in (np.ones(4), np.ones((1, 4, 1))):
+        with pytest.raises(ValueError, match="2-d"):
+            rc.write_window_csv(data, tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()

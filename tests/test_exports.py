@@ -1,5 +1,6 @@
 """Public surface: every exported name exists, the package imports only
-names its modules export, and only processes reads the path streams."""
+names its modules export, only processes reads the path streams, and no
+module imports a name it neither uses nor exports."""
 
 import ast
 import importlib
@@ -53,3 +54,33 @@ def test_only_processes_names_path_rng():
             if name == "path_rng":
                 names.append(f"{path.name}:{node.lineno}")
     assert not names, f"path_rng named outside processes: {names}"
+
+
+# metrics re-exports core._worker_count for the benchmark's manifest, which reads it by name
+_IMPORTED_FOR_READERS = {("metrics", "_worker_count")}
+
+
+def _unused_imports(path):
+    """Names path imports (module level or inside functions) that it neither uses nor exports."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used | exported and (path.stem, name) not in _IMPORTED_FOR_READERS]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    path = Path(rcuniv.__file__).parent / f"{name}.py"
+    unused = _unused_imports(path)
+    assert not unused, f"imported but never used or exported: {unused}"

@@ -452,6 +452,17 @@ def test_cli_run_huge_integer_exits_2_and_writes_nothing(tmp_path, capsys, overr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(seeds={"train": 0, "eval": 2**64}),  # 2**64 would redraw the training paths
+    dict(family="esn", capacity=[4], target=_GMA, seeds={"train": -1, "eval": 12}),
+], ids=["eval_2_to_64", "esn_train_negative"])
+def test_cli_run_seed_outside_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
+    assert "must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_esp_failure_exit_code(tmp_path, capsys):
     doc = _base_doc(
         family="esn",
@@ -508,7 +519,29 @@ def test_cli_sample_round_trip(tmp_path, capsys):
     assert [f.name for f in files] == ["path_0000.csv", "path_0001.csv", "path_0002.csv"]
     data = rc.sample_paths(rc.iid_uniform_bounded(-1.0, 1.0, n=2), 5, 3, 21)
     for i, f in enumerate(files):
-        np.testing.assert_array_equal(rc.read_window_csv(f).data, data[i])
+        np.testing.assert_array_equal(rc.read_window_csv(f), data[i])
+    capsys.readouterr()
+
+
+def test_cli_sample_writes_the_pinned_bytes(tmp_path, capsys):
+    # csv's \r\n rows and repr floats: the exact text the sample subcommand has always written
+    samp = tmp_path / "sampler.json"
+    samp.write_text(json.dumps({"kind": "iid_gaussian", "n": 2,
+                                "params": {"mean": 0.5, "std": 2.0}}))
+    out = tmp_path / "paths"
+    assert cli.main(["sample", str(samp), "-T", "3", "-M", "2", "--seed", "5",
+                     "--out", str(out)]) == 0
+    assert (out / "path_0000.csv").read_bytes() == (
+        b"lag,ch0,ch1\r\n"
+        b"0,-2.68396903934249,2.4434517849804185\r\n"
+        b"1,1.4521146064350154,1.4924068644378967\r\n"
+        b"2,1.6691553606760134,3.113447093202015\r\n")
+    assert (out / "path_0001.csv").read_bytes() == (
+        b"lag,ch0,ch1\r\n"
+        b"0,1.356804750314461,0.6633786424229259\r\n"
+        b"1,-2.4541292595052493,-2.5393373031940816\r\n"
+        b"2,-1.1378099154714911,0.9289742221667904\r\n")
+    assert sorted(f.name for f in out.iterdir()) == ["path_0000.csv", "path_0001.csv"]
     capsys.readouterr()
 
 
@@ -520,6 +553,13 @@ def test_cli_sample_rejects_unknown_keys(tmp_path, capsys):
         samp.write_text(json.dumps(doc))
         assert cli.main(["sample", str(samp), "-T", "2", "-M", "1",
                          "--seed", "0", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+    # a valid sampler with arguments sample_paths rejects: the paths are drawn first
+    samp.write_text(json.dumps({"kind": "iid_gaussian", "n": 1}))
+    for T, M, seed in (("0", "1", "0"), ("2", "0", "0"), ("2", "1", "-1"),
+                       ("2", "1", str(2**64))):
+        assert cli.main(["sample", str(samp), "-T", T, "-M", M,
+                         "--seed", seed, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
     capsys.readouterr()
 

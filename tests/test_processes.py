@@ -106,6 +106,16 @@ def test_sample_paths_shapes_and_offset():
     np.testing.assert_array_equal(shifted, data[2:5])
 
 
+@pytest.mark.parametrize("sampler", [rc.iid_gaussian(1), rc.garch11(0.1, 0.1, 0.8)],
+                         ids=["iid", "garch"])
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.0, True])
+def test_sample_paths_rejects_seeds_outside_64_bits(sampler, seed):
+    # a seed fills one 64-bit key word, so 2**64 would repeat seed 0's streams
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        rc.sample_paths(sampler, 5, 3, seed)
+    rc.sample_paths(sampler, 5, 3, 2**64 - 1)
+
+
 # ---------------------------------------------------------------------------
 # iid families
 

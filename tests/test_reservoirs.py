@@ -24,6 +24,19 @@ def _gauss_windows(T, n, M, seed):
     return np.random.default_rng(seed).normal(size=(M, T, n))
 
 
+def _trajectory(system, window, x_init=None):
+    """States over one (T, n) window as a one-window batch; row k is the state at lag k."""
+    traj = np.empty((len(window), 1, system.N))
+    final_states(system, window[None], x_init, trajectory=traj)
+    return traj[:, 0]
+
+
+def _builtin_output(system, states):
+    """W . x_0 for systems with a built-in linear readout, else None."""
+    W = getattr(system, "W", None)
+    return None if W is None else float(states[0] @ W)
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -31,16 +44,14 @@ def _gauss_windows(T, n, M, seed):
 def test_linear_identity_trace():
     # A = 0, c = 1: state copies the newest input
     sys1 = rc.LinearReservoir(np.zeros((1, 1)), np.ones((1, 1)))
-    w = rc.Window(np.array([[1.0], [1.0], [1.0]]))
-    states, y0 = rc.run_reservoir(sys1, w)
+    states = _trajectory(sys1, np.array([[1.0], [1.0], [1.0]]))
     np.testing.assert_array_equal(states, np.ones((3, 1)))
-    assert y0 is None
+    assert _builtin_output(sys1, states) is None
 
 
 def test_states_are_lag_ordered():
     sr = rc.build_shift_register(1, 0)
-    w = rc.Window(np.array([[4.0], [3.0], [2.0]]))
-    states, _ = rc.run_reservoir(sr, w)
+    states = _trajectory(sr, np.array([[4.0], [3.0], [2.0]]))
     # row k holds the state after consuming everything up to lag k
     np.testing.assert_array_equal(states, np.array([[4.0], [3.0], [2.0]]))
 
@@ -48,10 +59,10 @@ def test_states_are_lag_ordered():
 def test_shift_register_stacks_exactly():
     sr = rc.build_shift_register(2, 1)
     rng = np.random.default_rng(0)
-    w = rc.Window(rng.normal(size=(5, 2)))
-    states, _ = rc.run_reservoir(sr, w)
-    np.testing.assert_array_equal(states[0], np.r_[w.data[0], w.data[1]])
-    np.testing.assert_array_equal(states[1], np.r_[w.data[1], w.data[2]])
+    w = rng.normal(size=(5, 2))
+    states = _trajectory(sr, w)
+    np.testing.assert_array_equal(states[0], np.r_[w[0], w[1]])
+    np.testing.assert_array_equal(states[1], np.r_[w[1], w[2]])
 
 
 def test_shift_register_matrices_frozen():
@@ -67,22 +78,21 @@ def test_esn_zero_weights():
     esn = rc.EchoStateNetwork(
         np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2), np.ones(2), "logistic"
     )
-    states, y0 = rc.run_reservoir(esn, rc.Window(np.ones((4, 1))))
+    states = _trajectory(esn, np.ones((4, 1)))
     np.testing.assert_array_equal(states, np.full((4, 2), 0.5))
-    assert y0 == 1.0
+    assert _builtin_output(esn, states) == 1.0
 
 
 def test_state_overflow_raises():
     sys1 = rc.LinearReservoir(np.array([[2.0]]), np.array([[1.0]]))
-    w = rc.Window(np.ones((1100, 1)))
     with pytest.raises(rc.StateOverflowError):
-        rc.run_reservoir(sys1, w)
+        _trajectory(sys1, np.ones((1100, 1)))
 
 
 def test_input_channel_check():
     sr = rc.build_shift_register(2, 1)
     with pytest.raises(ValueError):
-        rc.run_reservoir(sr, rc.Window(np.ones((3, 1))))
+        _trajectory(sr, np.ones((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +141,7 @@ def test_uncertified_esn_never_reports_empirical():
     assert rep.method == "lipschitz-spectral"
     assert rep.bound == pytest.approx(1.5, rel=1e-12)
     with pytest.raises(TypeError):
-        rc.certify_esp(esn, window=rc.Window(np.ones((3, 1))))
+        rc.certify_esp(esn, window=np.ones((3, 1)))
 
 
 def test_certify_trig_sas_paths():
@@ -220,8 +230,8 @@ def test_washout_soundness(build):
     assert rep.certified
     rng = np.random.default_rng(5)
     for k in range(10):
-        w = rc.Window(rng.normal(size=(25, system.n)))
-        d = rc.washout_decay(system, w.data[None], seed=k)[0]
+        w = rng.normal(size=(25, system.n))
+        d = rc.washout_decay(system, w[None], seed=k)[0]
         steps = np.arange(d.shape[0])
         assert np.all(d <= d[0] * rep.bound**steps * (1.0 + 1e-9) + 1e-300)
         if rep.method == "nilpotent":
@@ -274,14 +284,14 @@ def test_nilpotent_sas_zero_freqs_is_one():
     sas = rc.build_nilpotent_trig_sas(np.zeros((2, 1)), sine_lags=())
     model = rc.ReservoirModel(sas)
     for w in _gauss_windows(4, 1, 20, 8):
-        assert model.value(rc.Window(w)) == 1.0
+        assert model.values(w[None])[0] == 1.0
 
 
 def test_nilpotent_sas_single_sine():
     u = np.array([[1.3]])
     sas = rc.build_nilpotent_trig_sas(u, sine_lags=(0,))
-    w = rc.Window(np.array([[0.4]]))
-    assert rc.ReservoirModel(sas).value(w) == pytest.approx(
+    w = np.array([[0.4]])
+    assert rc.ReservoirModel(sas).values(w[None])[0] == pytest.approx(
         math.sin(1.3 * 0.4), rel=1e-14
     )
 
@@ -597,7 +607,7 @@ def test_random_trig_sas_contraction():
 def test_linear_model_requires_readout():
     sr = rc.build_shift_register(1, 1)
     with pytest.raises(ValueError):
-        rc.ReservoirModel(sr).value(rc.Window(np.ones((2, 1))))
+        rc.ReservoirModel(sr).values(np.ones((1, 2, 1)))
 
 
 def test_model_batch_matches_single():
@@ -605,7 +615,8 @@ def test_model_batch_matches_single():
     model = rc.ReservoirModel(esn)
     data = _gauss_windows(8, 1, 10, 43)
     batch = model.values(data)
-    single = np.array([model.value(rc.Window(d)) for d in data])
+    # M one-window batches against one batch of M windows
+    single = np.concatenate([model.values(d[None]) for d in data])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
@@ -622,17 +633,16 @@ def test_serialization_round_trips():
         back, embedded = rc.system_from_dict(doc)
         assert embedded is None
         assert type(back) is type(system)
-        w = rc.Window(rng.normal(size=(6, system.n)))
-        states_a, ya = rc.run_reservoir(system, w)
-        states_b, yb = rc.run_reservoir(back, w)
+        w = rng.normal(size=(6, system.n))
+        states_a, states_b = _trajectory(system, w), _trajectory(back, w)
         np.testing.assert_array_equal(states_a, states_b)
-        assert ya == yb
+        assert _builtin_output(system, states_a) == _builtin_output(back, states_b)
         assert doc["esp"]["certified"] == rc.certify_esp(system).certified
         # the recorded trajectory ends exactly where the batch loop does
         x0 = rng.normal(size=system.N)
-        np.testing.assert_array_equal(states_a[0], final_states(system, w.data[None])[0])
-        np.testing.assert_array_equal(rc.run_reservoir(system, w, x0)[0][0],
-                                      final_states(system, w.data[None], x0)[0])
+        np.testing.assert_array_equal(states_a[0], final_states(system, w[None])[0])
+        np.testing.assert_array_equal(_trajectory(system, w, x0)[0],
+                                      final_states(system, w[None], x0)[0])
 
 
 def _block_run_system(kind):

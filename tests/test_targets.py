@@ -32,11 +32,11 @@ def test_entry_by_name():
 
 def test_finite_poly_variable_ordering():
     # stacked lag-major variables: index k*n + i is channel i at lag k
-    w = rc.Window(np.array([[3.0, 4.0], [5.0, 6.0]]))
+    data = np.array([[[3.0, 4.0], [5.0, 6.0]]])
     ch1_lag0 = rc.finite_poly(2, 1, 1, {(0, 1, 0, 0): 2.0}).spec
     ch0_lag1 = rc.finite_poly(2, 1, 1, {(0, 0, 1, 0): 1.0}).spec
-    assert rc.evaluate_functional(ch1_lag0, w) == 8.0
-    assert rc.evaluate_functional(ch0_lag1, w) == 5.0
+    assert rc.evaluate_functional_batch(ch1_lag0, data)[0] == 8.0
+    assert rc.evaluate_functional_batch(ch0_lag1, data)[0] == 5.0
 
 
 @pytest.mark.parametrize("degree, coefficients, message", [
@@ -56,15 +56,15 @@ def test_finite_poly_rejects_bad_terms_when_built(degree, coefficients, message)
 
 def test_geometric_ma_manual():
     spec = rc.geometric_ma(0.5).spec
-    w = rc.Window(np.array([[1.0], [2.0], [3.0]]))
-    assert rc.evaluate_functional(spec, w) == pytest.approx(2.75, rel=1e-15)
+    data = np.array([[[1.0], [2.0], [3.0]]])
+    assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(2.75, rel=1e-15)
 
 
 def test_trig_product_manual():
     spec = rc.trig_product(np.array([[1.0], [2.0]]), sine_lags=(0,)).spec
-    w = rc.Window(np.array([[0.3], [0.7]]))
+    data = np.array([[[0.3], [0.7]]])
     expected = math.sin(0.3) * math.cos(2.0 * 0.7)
-    assert rc.evaluate_functional(spec, w) == pytest.approx(expected, rel=1e-15)
+    assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(expected, rel=1e-15)
 
 
 def _garch_vol_recursion(z, omega, alpha, beta):
@@ -81,7 +81,7 @@ def test_garch_vol_matches_recursion_oracle():
     rng = np.random.default_rng(21)
     for _ in range(5):
         z = rng.normal(size=40)
-        got = rc.evaluate_functional(spec, rc.Window(z[:, None]))
+        got = rc.evaluate_functional_batch(spec, z[None, :, None])[0]
         want = _garch_vol_recursion(z, omega, alpha, beta)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -102,12 +102,12 @@ def test_garch_vol_tail_bound_matches_simulation():
 
 def test_log_sine_eval_and_domain():
     spec = rc.log_sine(freq=2.0).spec
-    w = rc.Window(np.array([[2.0], [5.0]]))
-    assert rc.evaluate_functional(spec, w) == pytest.approx(
+    data = np.array([[[2.0], [5.0]]])
+    assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(
         math.sin(2.0 * math.log(2.0)), rel=1e-15
     )
     with pytest.raises(ValueError):
-        rc.evaluate_functional(spec, rc.Window(np.array([[-1.0]])))
+        rc.evaluate_functional_batch(spec, np.array([[[-1.0]]]))
 
 
 def test_whitelists():

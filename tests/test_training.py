@@ -127,6 +127,33 @@ def test_training_respects_whitelist():
         )
 
 
+def _fit_network(**kw):
+    return lambda sr, target, samp, cfg: rc.fit_network_readout(
+        sr, kw.get("units", 4), target, samp, cfg, activation=kw.get("activation", "tanh"))
+
+
+def _fit_polynomial(degree):
+    return lambda sr, target, samp, cfg: rc.fit_polynomial_readout(sr, degree, target, samp, cfg)
+
+
+@pytest.mark.parametrize("fit, message", [
+    (_fit_network(activation="relu"), "unknown activation"),
+    (_fit_network(units=2.5), "hidden_units must be an integer >= 1"),
+    (_fit_network(units=0), "hidden_units must be an integer >= 1"),
+    (_fit_polynomial(-1), "degree must be an integer >= 0"),
+    (_fit_polynomial(2.5), "degree must be an integer >= 0"),
+    (_fit_polynomial(True), "degree must be an integer >= 0"),
+], ids=["relu", "units_2_5", "units_0", "degree_-1", "degree_2_5", "degree_true"])
+def test_bad_fit_argument_raises_before_any_path_is_drawn(monkeypatch, fit, message):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("paths drawn before the arguments were checked")
+
+    monkeypatch.setattr(rc.training, "sample_paths", no_draws)
+    cfg = rc.TrainConfig(ridge=0.1, paths=20_000, window_length=4, seed=12)
+    with pytest.raises(ValueError, match=message):
+        fit(rc.build_shift_register(1, 1), rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+
+
 def test_rank_deficiency_warns_without_penalty():
     # duplicated state coordinates make the feature matrix singular
     dup = rc.LinearReservoir(np.zeros((2, 2)), np.array([[1.0], [1.0]]))

@@ -234,17 +234,20 @@ def truncated_conditional_error(
     (window_length == K + 1) the estimate is exactly 0 and draws no path.
 
     Returns an LpEstimate.  Raises ValueError for dependent-innovation
-    samplers, K < 0, or M < 2.
+    samplers, and for K, M, inner_samples, window_length or seed outside
+    their integer ranges, before any other work.
     """
     from . import metrics
     from .processes import sample_paths
 
-    if K < 0:
-        raise ValueError("cutoff K must be >= 0")
-    if M < 2:
-        raise ValueError("need M >= 2 paths")
-    if inner_samples < 1:
-        raise ValueError("need inner_samples >= 1")
+    if not _integer(K, 0):
+        raise ValueError(f"cutoff K must be an integer >= 0, got {K!r}")
+    if not _integer(M, 2):
+        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    if not _integer(inner_samples, 1):
+        raise ValueError(f"need an integer inner_samples >= 1, got {inner_samples!r}")
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not sampler.iid:
         raise ValueError(
             f"sampler kind {sampler.kind!r} does not have independent innovations; "
@@ -255,9 +258,9 @@ def truncated_conditional_error(
             window_length = max(2 * (K + 1), 64)
         else:
             window_length = max(spec.memory + 1, K + 1)
-    T = int(window_length)
-    if T < K + 1:
-        raise ValueError(f"window_length {T} must be at least K + 1 = {K + 1}")
+    T = window_length
+    if not _integer(T, K + 1):
+        raise ValueError(f"window_length must be an integer >= K + 1 = {K + 1}, got {T!r}")
     if spec.memory is not None and T < spec.memory + 1:
         raise ValueError("window_length shorter than the functional's memory")
     if sampler.n != spec.n:

@@ -314,7 +314,6 @@ def _build_point(cfg: ExperimentConfig, capacity: int):
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """Run every capacity point and write results.csv plus JSON artifacts."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.family == "linear_poly":  # polynomial density needs an exponential moment
         memory = cfg.target.spec.memory
         screen = processes.exp_moment_check(
@@ -323,10 +322,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             warnings.warn("input law flagged by the exponential-moment screen; polynomial "
                           "readout families may not be dense for this process",
                           RuntimeWarning, stacklevel=2)
+    tail = targets.truncation_bound(cfg.target, cfg.sampler, cfg.T, cfg.p)
     rows = []
     for capacity in cfg.capacity:
         model, esp, diag, extras = _build_point(cfg, capacity)
-        tail = targets.truncation_bound(cfg.target, cfg.T, cfg.p)
+        out.mkdir(parents=True, exist_ok=True)  # only once a point is built and certified
         est = metrics.approx_error(
             cfg.target.spec, model, cfg.sampler, cfg.p, cfg.T, cfg.M_eval,
             cfg.seed_eval,
@@ -429,7 +429,7 @@ def _verify_product_rule() -> list[PropertyCheck]:
 
 
 def _verify_conditional_truncation() -> list[PropertyCheck]:
-    entry = targets.geometric_ma(0.5, step_bound=None, step_std=1.0)
+    entry = targets.geometric_ma(0.5)
     sampler = processes.iid_gaussian()
     lam = 0.5
     out = []

@@ -408,6 +408,34 @@ def _uniform_abs_mgf(alpha: float, a: float, b: float) -> float:
     return integral / (b - a)
 
 
+def _marginal(s: ProcessSampler, q: float) -> tuple[float, float, float]:
+    """(E z, Var z, a bound on ||z||_q) for the stationary value z of each channel.
+
+    The bound is almost sure for bounded uniform laws, |mean| + std ||N(0, 1)||_q for
+    Gaussian ones, exact for lognormal ones and ||z||_2 for garch11 at q <= 2.  An entry
+    is inf where no finite value is known (arma; garch11 past q = 2) or past float range.
+    """
+    p, inf = s.params, math.inf
+    try:
+        if s.kind == "iid_uniform_bounded":
+            a, b = p["a_min"], p["a_max"]
+            return (a + b) / 2.0, (b - a) ** 2 / 12.0, max(abs(a), abs(b))
+        if s.kind == "iid_gaussian":
+            # E|N(0, 1)|^q = 2^(q/2) Gamma((q + 1) / 2) / sqrt(pi)
+            log_moment = math.lgamma((q + 1.0) / 2.0) + (q * math.log(2) - math.log(math.pi)) / 2
+            return p["mean"], p["std"] ** 2, abs(p["mean"]) + p["std"] * math.exp(log_moment / q)
+        if s.kind == "iid_lognormal":
+            mu, s2 = p["mu"], p["sigma"] ** 2
+            var = math.expm1(s2) * math.exp(2.0 * mu + s2)
+            return math.exp(mu + s2 / 2.0), var, math.exp(mu + q * s2 / 2.0)
+        if s.kind == "garch11":
+            ez2 = p["omega"] / (1.0 - p["alpha"] - p["beta"])
+            return 0.0, ez2, math.sqrt(ez2) if q <= 2.0 else inf
+    except OverflowError:
+        pass
+    return inf, inf, inf
+
+
 # ---------------------------------------------------------------------------
 # stationarity probe
 

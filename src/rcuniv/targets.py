@@ -1,21 +1,21 @@
 """Catalog of target functionals with integrability notes and tail bounds.
 
 Each entry wraps a FunctionalSpec whose evaluator is registered with the
-core dispatcher, an optional closed-form truncation bound in the window
-length, and a sampler whitelist where the functional only makes sense for
-particular input laws (peak_hold needs bounded support, log_sine needs
-positive values).
+core dispatcher; a sampler whitelist holds where the functional only makes
+sense for particular input laws (peak_hold needs bounded support, log_sine
+positive values).  truncation_bound reads the window truncation error off
+the sampler's law, so no target describes the input law a second time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import FunctionalSpec, _finite_real, _integer, register_evaluator
+from .processes import _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
 __all__ = [
@@ -42,9 +42,6 @@ class TargetCatalogEntry:
     name: str
     spec: FunctionalSpec
     integrability_note: str
-    # closed-form L^p truncation error as a function of (T, p), or None;
-    # truncation_bound reads it only for targets of unbounded memory
-    tail_bound: Callable[[int, float], float] | None = None
 
 
 _WHITELIST = {
@@ -199,63 +196,21 @@ def random_finite_poly(
     return finite_poly(n, K, degree, coeffs)
 
 
-def geometric_ma(
-    decay: float, step_bound: float | None = None, step_std: float | None = None
-) -> TargetCatalogEntry:
-    """Geometric moving average of channel 0: sum_t decay^t z_-t.
-
-    The tail bound uses step_bound (an a.s. bound on |z|, giving
-    decay^T * step_bound / (1 - decay)), or step_std for the iid L^2 tail
-    decay^T * step_std / sqrt(1 - decay^2).  Default: step_bound = 1.
-    """
+def geometric_ma(decay: float) -> TargetCatalogEntry:
+    """Geometric moving average of channel 0: sum_t decay^t z_-t."""
     _require_reals(decay=decay)
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0, 1)")
-    if step_bound is not None and step_std is not None:
-        raise ValueError("give step_bound or step_std, not both")
-    for key, v in (("step_bound", step_bound), ("step_std", step_std)):
-        if v is not None and not (_finite_real(v) and v >= 0):
-            raise ValueError(f"{key} must be a finite real >= 0, got {v!r}")
-    if step_bound is None and step_std is None:
-        step_bound = 1.0
     spec = FunctionalSpec("geometric_ma", n=1, memory=None, params={"decay": float(decay)})
-
-    def bound(T: int, p: float) -> float:
-        if step_bound is not None:
-            return step_bound * decay**T / (1.0 - decay)
-        if step_std is not None and p <= 2.0:
-            return step_std * decay**T / math.sqrt(1.0 - decay**2)
-        return math.inf
-
     return TargetCatalogEntry(
-        "geometric_ma", spec,
-        "integrable for any input law with a finite p-th moment",
-        tail_bound=bound,
+        "geometric_ma", spec, "integrable for any input law with a finite p-th moment",
     )
 
 
-def peak_hold(a_min: float = 0.0, a_max: float = 1.0) -> TargetCatalogEntry:
-    """Running supremum of channel 0; bounded-support samplers only.
-
-    On uniform[a_min, a_max] inputs the full-history value is a_max almost
-    surely; the window of length T sees the max of T draws, so the L^p
-    truncation error is (a_max - a_min) * (Gamma(p+1) T! / (T+p)!)^(1/p)
-    for integer-compatible p via the Beta(1, T) excess.
-    """
-    _require_reals(a_min=a_min, a_max=a_max)
-    if not a_min < a_max:
-        raise ValueError("need a_min < a_max")
+def peak_hold() -> TargetCatalogEntry:
+    """Running supremum of channel 0; on uniform[a_min, a_max] inputs it is a_max a.s."""
     spec = FunctionalSpec("peak_hold", n=1, memory=None, params={})
-
-    def bound(T: int, p: float) -> float:
-        logb = math.lgamma(p + 1.0) + math.lgamma(T + 1.0) - math.lgamma(T + 1.0 + p)
-        return (a_max - a_min) * math.exp(logb / p)
-
-    return TargetCatalogEntry(
-        "peak_hold", spec,
-        "bounded; requires almost-surely bounded inputs",
-        tail_bound=bound,
-    )
+    return TargetCatalogEntry("peak_hold", spec, "bounded; requires almost-surely bounded inputs")
 
 
 def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
@@ -281,13 +236,7 @@ def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
 
 
 def garch_vol(omega: float, alpha: float, beta: float) -> TargetCatalogEntry:
-    """Conditional variance of a GARCH(1,1) observation process.
-
-    Unrolled form omega/(1-beta) + alpha * sum_j beta^j z_{-j-1}^2; the
-    L^1 truncation tail over a window of length T is bounded by
-    alpha * beta^(T-1) * E[z^2] / (1 - beta) with E[z^2] =
-    omega / (1 - alpha - beta).
-    """
+    """GARCH(1,1) conditional variance, unrolled: omega/(1-beta) + alpha sum_j beta^j z_{-j-1}^2."""
     _require_reals(omega=omega, alpha=alpha, beta=beta)
     if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
         raise ValueError("need omega > 0, alpha, beta >= 0, alpha + beta < 1")
@@ -295,20 +244,10 @@ def garch_vol(omega: float, alpha: float, beta: float) -> TargetCatalogEntry:
         "garch_vol", n=1, memory=None,
         params={"omega": float(omega), "alpha": float(alpha), "beta": float(beta)},
     )
-    ez2 = omega / (1.0 - alpha - beta)
-
-    def bound(T: int, p: float) -> float:
-        if beta == 0.0:
-            return 0.0 if T >= 2 else math.inf
-        if p <= 1.0:
-            return alpha * beta ** (T - 1) * ez2 / (1.0 - beta)
-        return math.inf
-
     return TargetCatalogEntry(
         "garch_vol", spec,
         "integrable in L^1 for stationary GARCH(1,1) inputs; higher moments "
         "need the corresponding moment condition on the input process",
-        tail_bound=bound,
     )
 
 
@@ -331,7 +270,7 @@ def catalog() -> tuple[TargetCatalogEntry, ...]:
         constant(1.0),
         finite_poly(1, 1, 2, {(1, 1): 1.0}),
         geometric_ma(0.5),
-        peak_hold(0.0, 1.0),
+        peak_hold(),
         trig_product(np.array([[1.0], [0.7]]), sine_lags=(0,)),
         garch_vol(0.1, 0.1, 0.8),
         log_sine(),
@@ -359,12 +298,36 @@ def entry_by_name(name: str, params: dict | None = None) -> TargetCatalogEntry:
     return factory(**(params or {}))
 
 
-def truncation_bound(entry: TargetCatalogEntry, T: int, p: float = 2.0) -> float | None:
-    """Closed-form L^p truncation error over a window of length T, if known."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if entry.spec.memory is not None:
-        return 0.0 if T >= entry.spec.memory + 1 else None
-    if entry.tail_bound is None:
+def truncation_bound(entry: TargetCatalogEntry, sampler, T: int, p: float = 2.0) -> float | None:
+    """Closed-form bound on the L^p gap between a T-row window and the semi-infinite past.
+
+    The tail is read off the sampler's law; returns a finite float, or None
+    where no sound bound is known.
+    """
+    if not _integer(T, 1):
+        raise ValueError(f"T must be an integer >= 1, got {T!r}")
+    if not (_finite_real(p) and p >= 1):
+        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    spec = entry.spec
+    if spec.memory is not None:
+        return 0.0 if T >= spec.memory + 1 else None
+    check_sampler(spec, sampler)
+    if spec.kind == "peak_hold":
+        # a_max minus the max of T uniform draws is (a_max - a_min) Beta(1, T)
+        logb = math.lgamma(p + 1.0) + math.lgamma(T + 1.0) - math.lgamma(T + 1.0 + p)
+        return (sampler.params["a_max"] - sampler.params["a_min"]) * math.exp(logb / p)
+    # garch_vol's tail sums squares, and ||z^2||_p = ||z||_2p^2
+    mean, var, norm = _marginal(sampler, 2.0 * p if spec.kind == "garch_vol" else p)
+    if spec.kind == "geometric_ma":
+        lam = spec.params["decay"]
+        if sampler.iid and p <= 2.0:  # the exact L^2 norm of the tail, >= its L^p norm
+            bound = lam**T * math.sqrt(var / (1.0 - lam**2) + mean * mean / (1.0 - lam) ** 2)
+        else:  # Minkowski
+            bound = lam**T * norm / (1.0 - lam)
+    elif spec.kind == "garch_vol":  # Minkowski on alpha sum_{j >= T-1} beta^j z_{-j-1}^2
+        alpha, beta = spec.params["alpha"], spec.params["beta"]
+        ez2 = var + mean * mean if p == 1.0 else norm * norm  # ||z^2||_1 = E z^2
+        bound = alpha * beta ** (T - 1) * ez2 / (1.0 - beta)
+    else:
         return None
-    return float(entry.tail_bound(T, p))
+    return bound if math.isfinite(bound) else None

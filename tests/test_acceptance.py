@@ -104,7 +104,7 @@ def test_c05_conditional_truncation_error_closed_form():
     # estimate is nonincreasing in the cutoff
     t0 = time.time()
     decay = 0.5
-    spec = rc.geometric_ma(decay, step_std=1.0).spec
+    spec = rc.geometric_ma(decay).spec
     samp = rc.iid_gaussian(1)
     results = {}
     for K in (1, 3, 5, 7):
@@ -161,7 +161,7 @@ def test_c07_esn_capacity_sweep_reduces_error():
     # error on the geometric target and land under 0.2 x the target norm
     t0 = time.time()
     samp = rc.iid_gaussian(1)
-    entry = rc.geometric_ma(0.9, step_std=1.0)
+    entry = rc.geometric_ma(0.9)
     norm = rc.lp_norm(entry.spec, samp, p=2.0, T=60, M=5000, seed=77).value
     errs = {10: [], 50: [], 200: []}
     for seed in (1, 2, 3):
@@ -187,7 +187,7 @@ def test_c07_esn_capacity_sweep_reduces_error():
 def test_c08_stationarity_of_estimates_under_shifts():
     t0 = time.time()
     cases = [
-        (rc.geometric_ma(0.5, step_std=1.0).spec, rc.iid_gaussian(1)),
+        (rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)),
         (rc.garch_vol(0.1, 0.1, 0.8).spec, rc.garch11(0.1, 0.1, 0.8)),
     ]
     for spec, samp in cases:

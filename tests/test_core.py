@@ -5,6 +5,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -34,7 +35,7 @@ def test_constant_functional():
 
 
 def test_peak_hold_example():
-    spec = rc.peak_hold(0.0, 1.0).spec
+    spec = rc.peak_hold().spec
     data = np.array([[[0.2], [0.9], [0.4]]])
     assert rc.evaluate_functional_batch(spec, data)[0] == 0.9
 
@@ -159,7 +160,7 @@ def test_truncation_error_zero_for_finite_memory():
 def test_truncation_error_matches_geometric_closed_form():
     # E[(H - E[H | lags 0..K])^2]^(1/2) = decay^(K+1) / sqrt(1 - decay^2)
     decay = 0.5
-    spec = rc.geometric_ma(decay, step_std=1.0).spec
+    spec = rc.geometric_ma(decay).spec
     samp = rc.iid_gaussian(1)
     est = rc.truncated_conditional_error(
         spec, K=3, sampler=samp, p=2.0, M=4000, seed=9, window_length=40
@@ -169,7 +170,7 @@ def test_truncation_error_matches_geometric_closed_form():
 
 
 def test_truncation_error_monotone_in_cutoff():
-    spec = rc.geometric_ma(0.6, step_std=1.0).spec
+    spec = rc.geometric_ma(0.6).spec
     samp = rc.iid_gaussian(1)
     kw = dict(sampler=samp, p=2.0, M=3000, seed=4, window_length=36)
     e2 = rc.truncated_conditional_error(spec, K=2, **kw)
@@ -196,6 +197,23 @@ def test_truncation_error_input_validation():
         # nothing to redraw, but the sampler still has to fit the functional
         rc.truncated_conditional_error(spec, K=3, sampler=rc.iid_gaussian(2), p=2.0, M=16,
                                        seed=0, window_length=4)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
+    (dict(seed=2**64), "seed must be an integer in [0, 2**64)"),
+    (dict(K=3.0), "cutoff K must be an integer"),
+    (dict(M=16.0), "integer M >= 2"),
+    (dict(inner_samples=2.5), "integer inner_samples >= 1"),
+    (dict(window_length=4.9), "window_length must be an integer"),
+], ids=["seed_negative", "seed_2_to_64", "K_float", "M_float", "inner_samples_float",
+        "window_length_float"])
+def test_truncation_error_checks_arguments_before_the_exact_zero(bad, message):
+    # window_length == K + 1 leaves nothing to redraw, where the estimate is exactly 0
+    kw = dict(K=3, sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
+    assert rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, **kw).value == 0.0
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, **{**kw, **bad})
 
 
 _LAWS = {
@@ -226,7 +244,7 @@ def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
 
 def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
     # 2_000_000 // (100 inner draws * 40 rows) = 500 paths per chunk: 3 chunks
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    spec = rc.geometric_ma(0.5).spec
     sampler = rc.iid_gaussian(1)
     oracle = _conditional_error_oracle(spec, 2, sampler, 2.0, 1100, 5, T=40, R=100)
     for workers in ("1", "2", "3"):
@@ -257,7 +275,7 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
         return path_rng(seed, path)
 
     monkeypatch.setattr(rc.processes, "path_rng", counted)
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    spec = rc.geometric_ma(0.5).spec
     sampler = rc.iid_gaussian(1)
     est = rc.truncated_conditional_error(spec, K=39, sampler=sampler, p=2.0, M=100, seed=1,
                                          window_length=40, inner_samples=10)
@@ -272,7 +290,7 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
 def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
     # a (chunk, R, T, n) replica array of 500 paths would take 16 MB here
     monkeypatch.setenv("RCUNIV_WORKERS", "2")
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    spec = rc.geometric_ma(0.5).spec
     sampler = rc.iid_gaussian(1)
 
     def peak(M):

@@ -194,6 +194,16 @@ def test_family_defaults_pass_their_rules():
             assert (key == "memory" and value is None) or check(value), (key, value, want)
 
 
+def test_readme_quick_start_prints_what_it_says(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    with pytest.warns(RuntimeWarning, match="kurtosis"):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert printed == "relative L2 error 0.119 +- 0.002\n"
+    assert f"This prints `{printed.strip()}`" in text
+
+
 def test_readme_lists_every_family_param_and_default():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     lines = text[text.index("| family | key | type and range | default |"):].splitlines()
@@ -413,9 +423,8 @@ _BIG = 10**400  # an integer past float range
     (_esn("constant", value=math.nan), "value must be a finite real"),
     (_esn("constant", value=math.inf), "value must be a finite real"),
     (_esn("garch_vol", omega=math.nan, alpha=0.1, beta=0.8), "omega must be a finite real"),
-    (_esn("geometric_ma", decay=0.5, step_bound=math.nan), "step_bound must be a finite real"),
-    (_esn("geometric_ma", decay=0.5, step_bound=-1.0), "step_bound must be a finite real"),
-    (_esn("geometric_ma", decay=0.5, step_bound=_BIG), "step_bound must be a finite real"),
+    # the input law is the sampler's alone: the removed tail param is an unknown key
+    (_esn("geometric_ma", decay=0.5, step_bound=1.0), "unexpected keyword argument 'step_bound'"),
     (dict(family="constructed_nilpotent_sas",
           target={"name": "trig_product", "params": {"freqs": [[1.0], [math.nan]]}}),
      "freqs must be"),
@@ -430,7 +439,7 @@ _BIG = 10**400  # an integer past float range
     (dict(target=_poly([[[1, 1], 1.0]], degree=2.7)), "degree must be >= 0 and an integer"),
 ], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
         "nan_coefficient", "negative_degree", "constant_nan", "constant_inf",
-        "garch_vol_nan_omega", "step_bound_nan", "step_bound_negative", "step_bound_huge",
+        "garch_vol_nan_omega", "step_bound",
         "freqs_nan", "freqs_3d", "density_above_1", "bool_memory", "string_coefficient",
         "fractional_exponent", "fractional_degree"])
 def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrides, message):
@@ -477,6 +486,38 @@ def test_cli_run_esp_failure_exit_code(tmp_path, capsys):
     code = cli.main(["run", _write_cfg(tmp_path, doc), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "certification" in capsys.readouterr().err
+
+
+def test_cli_run_esp_failure_leaves_no_out_dir(tmp_path, capsys):
+    doc = _base_doc(family="esn", capacity=[4], target=_GMA, family_params={"spectral": 5.0})
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, doc), "--out", str(out)]) == 3
+    assert "certification" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_artifacts_are_strict_json(tmp_path, monkeypatch):
+    # garch_vol on GARCH inputs has no known L^2 tail bound: null, not Infinity
+    garch = {"omega": 0.1, "alpha": 0.1, "beta": 0.8}
+    doc = _base_doc(family="linear_poly", capacity=[1, 2], T=8, M_train=200, M_eval=100,
+                    sampler={"kind": "garch11", "n": 1, "params": garch},
+                    target={"name": "garch_vol", "params": garch},
+                    family_params={"memory": 2})
+    calls = []
+    bound = harness.targets.truncation_bound
+    monkeypatch.setattr(harness.targets, "truncation_bound",
+                        lambda *a: calls.append(a) or bound(*a))
+    with pytest.warns(RuntimeWarning, match="exponential-moment"):
+        run_experiment(load_config(doc), tmp_path)
+    assert len(calls) == 1  # once per run, not per capacity point
+    for c in (1, 2):
+        art = json.loads((tmp_path / f"run_linear_poly_c{c}.json").read_text(),
+                         parse_constant=_reject_constant)
+        assert art["truncation_bound"] is None
 
 
 def test_cli_run_overflow_exit_code(tmp_path, monkeypatch, capsys):

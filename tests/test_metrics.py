@@ -66,7 +66,7 @@ def test_kurtosis_warning_fires_on_heavy_tails():
 
 def test_lp_norm_geometric_closed_form():
     # ||sum 0.5^k Z_k||_2 = 1/sqrt(0.75) for iid standard normals
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    spec = rc.geometric_ma(0.5).spec
     est = rc.lp_norm(spec, rc.iid_gaussian(1), p=2.0, T=40, M=20000, seed=3)
     assert abs(est.value - 1.0 / math.sqrt(0.75)) <= 3.0 * est.stderr
     assert est.stderr < 0.01
@@ -74,7 +74,7 @@ def test_lp_norm_geometric_closed_form():
 
 def test_lp_norm_peak_hold_moments():
     # E[max(U_1..U_T)^2] = T / (T + 2) on uniform[0, 1]
-    spec = rc.peak_hold(0.0, 1.0).spec
+    spec = rc.peak_hold().spec
     samp = rc.iid_uniform_bounded(0.0, 1.0)
     est = rc.lp_norm(spec, samp, p=2.0, T=60, M=20000, seed=4)
     assert abs(est.value - math.sqrt(60.0 / 62.0)) <= 3.0 * est.stderr
@@ -92,7 +92,7 @@ def test_lp_norm_matches_direct_average():
 
 def test_lp_norm_whitelist_enforced():
     with pytest.raises(ValueError):
-        rc.lp_norm(rc.peak_hold(0, 1).spec, rc.iid_gaussian(1), p=2.0, T=8, M=10, seed=0)
+        rc.lp_norm(rc.peak_hold().spec, rc.iid_gaussian(1), p=2.0, T=8, M=10, seed=0)
 
 
 def test_lp_norm_stderr_shrinks_with_paths():
@@ -105,7 +105,7 @@ def test_lp_norm_stderr_shrinks_with_paths():
 
 
 def test_lp_norm_tail_bound_warning():
-    spec = rc.geometric_ma(0.9, step_bound=1.0).spec
+    spec = rc.geometric_ma(0.9).spec
     samp = rc.iid_gaussian(1)
     with pytest.warns(RuntimeWarning, match="truncation"):
         rc.lp_norm(spec, samp, p=2.0, T=5, M=400, seed=7, tail_bound=0.9**5 / 0.1)

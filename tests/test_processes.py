@@ -565,7 +565,7 @@ def test_probe_constant_exact():
 
 
 def test_probe_stationary_agreement():
-    spec = rc.geometric_ma(0.5, step_std=1.0).spec
+    spec = rc.geometric_ma(0.5).spec
     out = rc.shift_invariance_probe(
         rc.iid_gaussian(1), spec, p=2.0, shifts=(0, -4, -8), T=30, M=4000, seed=15
     )

@@ -7,6 +7,7 @@ import pytest
 
 import rcuniv as rc
 from rcuniv import targets
+from rcuniv.metrics import lp_norm_of_values
 
 
 def test_catalog_is_fixed():
@@ -95,7 +96,7 @@ def test_garch_vol_tail_bound_matches_simulation():
     short = rc.evaluate_functional_batch(entry.spec, np.ascontiguousarray(data[:, :10]))
     diffs = full - short
     assert np.all(diffs >= 0)
-    bound = targets.truncation_bound(entry, 10, p=1.0)
+    bound = targets.truncation_bound(entry, samp, 10, p=1.0)
     assert bound == pytest.approx(0.067108864, rel=1e-12)
     assert 0.8 * bound < diffs.mean() < 1.2 * bound
 
@@ -111,9 +112,9 @@ def test_log_sine_eval_and_domain():
 
 
 def test_whitelists():
-    targets.check_sampler(rc.peak_hold(0, 1).spec, rc.iid_uniform_bounded(0, 1))
+    targets.check_sampler(rc.peak_hold().spec, rc.iid_uniform_bounded(0, 1))
     with pytest.raises(ValueError):
-        targets.check_sampler(rc.peak_hold(0, 1).spec, rc.iid_gaussian(1))
+        targets.check_sampler(rc.peak_hold().spec, rc.iid_gaussian(1))
     targets.check_sampler(rc.log_sine().spec, rc.iid_lognormal(1))
     with pytest.raises(ValueError):
         targets.check_sampler(rc.log_sine().spec, rc.iid_uniform_bounded(0.5, 2.0))
@@ -123,38 +124,124 @@ def test_whitelists():
 
 def test_truncation_bound_finite_memory():
     entry = rc.finite_poly(1, 2, 2, {(1, 0, 1): 1.0})
-    assert targets.truncation_bound(entry, 3) == 0.0
-    assert targets.truncation_bound(entry, 50) == 0.0
-    assert targets.truncation_bound(entry, 2) is None
-    assert targets.truncation_bound(rc.constant(5.0), 1) == 0.0
-    assert targets.truncation_bound(rc.log_sine(), 1) == 0.0
+    samp = rc.iid_gaussian(1)
+    assert targets.truncation_bound(entry, samp, 3) == 0.0
+    assert targets.truncation_bound(entry, samp, 50) == 0.0
+    assert targets.truncation_bound(entry, samp, 2) is None
+    assert targets.truncation_bound(rc.constant(5.0), rc.arma(ar=(0.5,)), 1) == 0.0
+    assert targets.truncation_bound(rc.log_sine(), rc.iid_lognormal(1), 1) == 0.0
 
 
 def test_truncation_bound_geometric_frozen():
-    # 0.5^20 / (1 - 0.5) is exactly 2^-19
-    entry = rc.geometric_ma(0.5, step_bound=1.0)
-    assert targets.truncation_bound(entry, 20, p=2.0) == 2.0**-19
-    entry_std = rc.geometric_ma(0.5, step_std=1.0)
-    assert targets.truncation_bound(entry_std, 20, p=2.0) == pytest.approx(
+    # past p = 2 the a.s. bound 1 of uniform[-1, 1] gives 0.5^20 / (1 - 0.5) = 2^-19 exactly
+    entry = rc.geometric_ma(0.5)
+    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 1), 20, p=3.0) == 2.0**-19
+    # at p <= 2 an iid law gives the exact L^2 norm of the tail
+    assert targets.truncation_bound(entry, rc.iid_gaussian(1), 20, p=2.0) == pytest.approx(
         2.0**-20 / math.sqrt(0.75), rel=1e-14
     )
+    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 1), 20, p=1.0) == (
+        pytest.approx(2.0**-20 / math.sqrt(3 * 0.75), rel=1e-14))
 
 
 def test_truncation_bound_decreasing_in_window():
-    entry = rc.geometric_ma(0.9, step_bound=1.0)
-    bounds = [targets.truncation_bound(entry, T) for T in (5, 10, 20, 40)]
+    entry = rc.geometric_ma(0.9)
+    samp = rc.iid_uniform_bounded(-1, 1)
+    bounds = [targets.truncation_bound(entry, samp, T) for T in (5, 10, 20, 40)]
     assert all(b > 0 for b in bounds)
     assert bounds == sorted(bounds, reverse=True)
 
 
 def test_peak_hold_bound_beta_moments():
     # excess of the window max over uniform[a, b] is (b-a) * Beta(1, T)
-    entry = rc.peak_hold(0.0, 2.0)
-    assert targets.truncation_bound(entry, 9, p=1.0) == pytest.approx(0.2, rel=1e-12)
-    want = 2.0 * math.sqrt(2.0 / (10.0 * 11.0))
-    assert targets.truncation_bound(entry, 9, p=2.0) == pytest.approx(want, rel=1e-12)
+    entry = rc.peak_hold()
+    for samp in (rc.iid_uniform_bounded(0.0, 2.0), rc.iid_uniform_bounded(-3.0, -1.0)):
+        assert targets.truncation_bound(entry, samp, 9, p=1.0) == pytest.approx(0.2, rel=1e-12)
+        want = 2.0 * math.sqrt(2.0 / (10.0 * 11.0))
+        assert targets.truncation_bound(entry, samp, 9, p=2.0) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="requires a sampler"):
+        targets.truncation_bound(entry, rc.iid_gaussian(1), 9)
 
 
+def test_truncation_bound_reads_the_sampler_law():
+    # a target no longer carries its own copy of the input law
+    gma = rc.geometric_ma(0.9)
+    # 0.9^20 * 10 / sqrt(1 - 0.81): the exact L^2 tail under std 10 (a |z| <= 1 bound said 1.22)
+    got = targets.truncation_bound(gma, rc.iid_gaussian(1, std=10.0), 20, p=2.0)
+    assert got == pytest.approx(0.9**20 * 10.0 / math.sqrt(0.19), rel=1e-14)
+    assert got == pytest.approx(2.79, abs=0.005)
+    # peak_hold reads the sampler's range (its own [0, 1] default said 0.123)
+    got = targets.truncation_bound(rc.peak_hold(), rc.iid_uniform_bounded(0, 5), 10, p=2.0)
+    assert got == pytest.approx(0.615, abs=0.001)
+    # a nonzero mean enters the L^2 tail as mean / (1 - decay)
+    got = targets.truncation_bound(gma, rc.iid_gaussian(1, mean=2.0, std=1.0), 20, p=2.0)
+    assert got == pytest.approx(0.9**20 * math.sqrt(1 / 0.19 + 4 / 0.01), rel=1e-14)
+    # Gaussian Minkowski past p = 2: ||N(0, 1)||_4 = 3^(1/4)
+    got = targets.truncation_bound(gma, rc.iid_gaussian(1, mean=-1.0, std=2.0), 20, p=4.0)
+    assert got == pytest.approx(0.9**20 * (1.0 + 2.0 * 3**0.25) / 0.1, rel=1e-12)
+    # lognormal: ||z||_3 = exp(mu + 3 sigma^2 / 2)
+    got = targets.truncation_bound(gma, rc.iid_lognormal(1, mu=0.5, sigma=0.5), 20, p=3.0)
+    assert got == pytest.approx(0.9**20 * math.exp(0.5 + 3 * 0.125) / 0.1, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry, sampler, p", [
+    (rc.geometric_ma(0.5), rc.arma(ar=(0.5,)), 2.0),  # no stationary variance in closed form
+    (rc.geometric_ma(0.5), rc.garch11(0.1, 0.1, 0.8), 3.0),  # power-law tail
+    (rc.garch_vol(0.1, 0.1, 0.8), rc.garch11(0.1, 0.1, 0.8), 2.0),  # needs ||z||_4
+    (rc.garch_vol(0.1, 0.1, 0.8), rc.arma(ma=(0.3,)), 1.0),
+    (rc.geometric_ma(0.5), rc.iid_lognormal(1, sigma=30.0), 2.0),  # past float range
+    (rc.geometric_ma(0.5), rc.iid_gaussian(1, mean=1e300, std=1e300), 2.0),
+], ids=["arma", "garch_p3", "garch_vol_p2", "garch_vol_arma", "lognormal_huge", "gaussian_huge"])
+def test_truncation_bound_is_none_where_no_sound_bound_is_known(entry, sampler, p):
+    assert targets.truncation_bound(entry, sampler, 10, p) is None
+
+
+def test_truncation_bound_rejects_bad_arguments():
+    entry, samp = rc.geometric_ma(0.5), rc.iid_gaussian(1)
+    for T in (0, 2.5, True):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            targets.truncation_bound(entry, samp, T)
+    for p in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be a finite real"):
+            targets.truncation_bound(entry, samp, 10, p)
+
+
+# every sampler kind on a few params, nonzero means and std 10 among them
+_LAW_CASES = [
+    rc.iid_gaussian(1), rc.iid_gaussian(1, mean=3.0, std=10.0), rc.iid_gaussian(1, mean=-2.0),
+    rc.iid_uniform_bounded(0.0, 5.0), rc.iid_uniform_bounded(-2.0, 1.0),
+    rc.iid_lognormal(1, sigma=0.5), rc.iid_lognormal(1, mu=1.0, sigma=1.0),
+    rc.arma(ar=(0.5,), ma=(0.3,)),
+    rc.garch11(0.1, 0.1, 0.8), rc.garch11(0.2, 0.3, 0.5),
+]
+_UNBOUNDED_MEMORY = [rc.geometric_ma(0.5), rc.geometric_ma(0.9), rc.peak_hold(),
+                     rc.garch_vol(0.1, 0.1, 0.8), rc.garch_vol(0.2, 0.3, 0.5)]
+
+
+@pytest.mark.filterwarnings("ignore:.*kurtosis:RuntimeWarning")
+@pytest.mark.parametrize("sampler", _LAW_CASES, ids=[
+    "gaussian", "gaussian_mean3_std10", "gaussian_mean-2", "uniform_0_5", "uniform_-2_1",
+    "lognormal_0.5", "lognormal_1_1", "arma", "garch_0.1_0.1_0.8", "garch_0.2_0.3_0.5"])
+def test_truncation_bound_is_sound_against_the_semi_infinite_value(sampler):
+    # 400 rows leave a tail below 0.9^400 ~ 5e-19 of one value, so they stand in
+    # for the semi-infinite past; peak_hold's semi-infinite value is a_max
+    L, M = 400, 4000
+    data = rc.sample_paths(sampler, L, M, seed=41)
+    checked = 0
+    for entry in _UNBOUNDED_MEMORY:
+        if entry.spec.kind == "peak_hold" and sampler.kind != "iid_uniform_bounded":
+            continue
+        full = (np.full(M, sampler.params["a_max"]) if entry.spec.kind == "peak_hold"
+                else rc.evaluate_functional_batch(entry.spec, data))
+        for T in (3, 10):
+            short = rc.evaluate_functional_batch(entry.spec, np.ascontiguousarray(data[:, :T]))
+            for p in (1.0, 2.0, 3.0):
+                bound = targets.truncation_bound(entry, sampler, T, p)
+                gap = lp_norm_of_values(full - short, p)
+                assert bound is None or math.isfinite(bound)
+                assert bound is None or bound >= gap.value - 3 * gap.stderr, (entry.name, T, p)
+                checked += bound is not None
+    assert checked > 0 or sampler.kind == "arma"
 def test_random_finite_poly_deterministic():
     a = rc.random_finite_poly(2, 1, 2, seed=5)
     b = rc.random_finite_poly(2, 1, 2, seed=5)
@@ -168,4 +255,4 @@ def test_spec_shapes():
     e = rc.trig_product(np.array([[1.0, 0.5], [0.2, 0.1], [0.0, 1.0]]), sine_lags=(2,))
     assert e.spec.n == 2 and e.spec.memory == 2
     assert rc.garch_vol(0.1, 0.1, 0.8).spec.memory is None
-    assert rc.peak_hold(0, 1).spec.memory is None
+    assert rc.peak_hold().spec.memory is None

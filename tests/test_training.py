@@ -123,7 +123,7 @@ def test_training_respects_whitelist():
     cfg = rc.TrainConfig(ridge=0.1, paths=50, window_length=4, seed=9)
     with pytest.raises(ValueError):
         rc.fit_polynomial_readout(
-            sr, 1, rc.peak_hold(0, 1).spec, rc.iid_gaussian(1), cfg,
+            sr, 1, rc.peak_hold().spec, rc.iid_gaussian(1), cfg,
         )
 
 

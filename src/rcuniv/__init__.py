@@ -76,6 +76,7 @@ from .training import (
     fit_linear_readout,
     fit_network_readout,
     fit_polynomial_readout,
+    sample_states,
 )
 
 __version__ = "0.1.0"

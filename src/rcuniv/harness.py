@@ -1,10 +1,12 @@
 """Experiment harness: validated configs, family runners, verify suites.
 
 A config names an input process, a target functional, a system family,
-and a capacity grid; run_experiment trains or constructs one system per
-capacity point, certifies it, estimates the approximation error on fresh
-evaluation paths, and writes a CSV results table plus one JSON artifact
-per point.  Identical configs produce byte-identical outputs.
+and a capacity grid; run_experiment trains or constructs the system of
+each capacity point, certifies it, estimates the approximation error on
+fresh evaluation paths, and writes a CSV results table plus one JSON
+artifact per point.  Where capacity sizes only the readout (linear_poly,
+linear_nn), every point shares one system, one training draw and one
+evaluation pass.  Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -261,58 +263,84 @@ def load_sampler(doc: dict) -> processes.ProcessSampler:
 # family builders
 
 
-def _build_point(cfg: ExperimentConfig, capacity: int):
-    """Build/train one capacity point -> (model, esp, training diag, extras)."""
+def _point_groups(cfg: ExperimentConfig) -> list[tuple[int, ...]]:
+    """Capacity points that share one system, in config order.
+
+    In linear_poly and linear_nn, capacity sizes the readout of one shift
+    register, so all points share it; in every other family capacity
+    builds the system, so each point stands alone.
+    """
+    if cfg.family in ("linear_poly", "linear_nn"):
+        return [cfg.capacity]
+    return [(c,) for c in cfg.capacity]
+
+
+def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
+    """Build and certify one system and fit one readout per capacity.
+
+    Returns (system, esp, fits, extras): fits holds one (readout, training
+    diag) per capacity, all from one training stage; extras are artifact
+    fields of the group's points.
+    """
     spec, sampler, n, fp = cfg.target.spec, cfg.sampler, cfg.sampler.n, cfg.family_params
     tc = TrainConfig(ridge=cfg.ridge, paths=cfg.M_train, window_length=cfg.T,
                      washout=cfg.washout, seed=cfg.seed_train)
     extras: dict = {}
 
+    def train(system):
+        return training.sample_states(system, spec, sampler, tc)
+
     if cfg.family == "linear_poly":
         system = build_shift_register(n, fp["memory"])
-        readout, diag = training.fit_polynomial_readout(system, capacity, spec, sampler, tc)
+        states, y = train(system)
+        fits = [training.fit_polynomial_readout(states, y, c, tc) for c in capacities]
     elif cfg.family == "linear_nn":
         system = build_shift_register(n, fp["memory"])
-        readout, diag = training.fit_network_readout(
-            system, capacity, spec, sampler, tc, activation=fp["activation"],
-        )
-    elif cfg.family == "trig_sas":
-        system = random_trig_sas(capacity, n, seed=cfg.seed_train, **fp)
-        readout, diag = training.fit_linear_readout(system, spec, sampler, tc)
-    elif cfg.family == "esn":
-        system = random_esn(capacity, n, seed=cfg.seed_train, **fp)
-        readout, diag = training.fit_linear_readout(system, spec, sampler, tc)
-    elif cfg.family == "constructed_shift":
-        system = build_shift_register(n, spec.memory)
-        readout, diag = targets._window_readout(spec), None
-    elif cfg.family == "constructed_nilpotent_sas":
-        system = build_nilpotent_trig_sas(spec.params["freqs"], spec.params["sine_lags"])
-        readout, diag = None, None
-    else:  # constructed_block_esn
-        sr = build_shift_register(n, spec.memory)
-        inner, diag = training.fit_network_readout(
-            sr, capacity, spec, sampler, tc, activation=fp["activation"],
-        )
-        id_nets, eps = fit_identity_network(
-            n, half_width=fp["half_width"], hidden_units=fp["identity_units"],
-            activation=fp["activation"], seed=cfg.seed_train + 1,
-        )
-        system = build_block_esn(inner, id_nets, n)
-        readout = None
-        extras["identity_sup_error"] = eps
+        states, y = train(system)
+        fits = [training.fit_network_readout(states, y, c, tc, activation=fp["activation"])
+                for c in capacities]
+    else:
+        (capacity,) = capacities
+        if cfg.family == "trig_sas":
+            system = random_trig_sas(capacity, n, seed=cfg.seed_train, **fp)
+            fits = [training.fit_linear_readout(*train(system), tc)]
+        elif cfg.family == "esn":
+            system = random_esn(capacity, n, seed=cfg.seed_train, **fp)
+            fits = [training.fit_linear_readout(*train(system), tc)]
+        elif cfg.family == "constructed_shift":
+            system = build_shift_register(n, spec.memory)
+            fits = [(targets._window_readout(spec), None)]
+        elif cfg.family == "constructed_nilpotent_sas":
+            system = build_nilpotent_trig_sas(spec.params["freqs"], spec.params["sine_lags"])
+            fits = [(None, None)]
+        else:  # constructed_block_esn
+            states, y = train(build_shift_register(n, spec.memory))
+            inner, diag = training.fit_network_readout(
+                states, y, capacity, tc, activation=fp["activation"],
+            )
+            id_nets, eps = fit_identity_network(
+                n, half_width=fp["half_width"], hidden_units=fp["identity_units"],
+                activation=fp["activation"], seed=cfg.seed_train + 1,
+            )
+            system = build_block_esn(inner, id_nets, n)
+            fits = [(None, diag)]
+            extras["identity_sup_error"] = eps
 
     esp = certify_esp(system)
     if not esp.certified:
         raise EspNotCertifiedError(
-            f"{cfg.family} at capacity {capacity}: certificate failed "
-            f"({esp.method}, bound {esp.bound:.4g})"
+            f"{cfg.family} at capacity {', '.join(map(str, capacities))}: certificate "
+            f"failed ({esp.method}, bound {esp.bound:.4g})"
         )
-    model = ReservoirModel(system, readout, train_seed=cfg.seed_train)
-    return model, esp, diag, extras
+    return system, esp, fits, extras
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
-    """Run every capacity point and write results.csv plus JSON artifacts."""
+    """Run every capacity point and write results.csv plus JSON artifacts.
+
+    Points that share a system (_point_groups) share its training stage
+    and one evaluation pass; the values do not depend on the grouping.
+    """
     out = Path(out_dir)
     if cfg.family == "linear_poly":  # polynomial density needs an exponential moment
         memory = cfg.target.spec.memory
@@ -324,38 +352,40 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
                           RuntimeWarning, stacklevel=2)
     tail = targets.truncation_bound(cfg.target, cfg.sampler, cfg.T, cfg.p)
     rows = []
-    for capacity in cfg.capacity:
-        model, esp, diag, extras = _build_point(cfg, capacity)
+    for capacities in _point_groups(cfg):
+        system, esp, fits, extras = _build_group(cfg, capacities)
         out.mkdir(parents=True, exist_ok=True)  # only once a point is built and certified
-        est = metrics.approx_error(
-            cfg.target.spec, model, cfg.sampler, cfg.p, cfg.T, cfg.M_eval,
-            cfg.seed_eval,
+        estimates = metrics.approx_error(
+            cfg.target.spec,
+            [ReservoirModel(system, readout, train_seed=cfg.seed_train) for readout, _ in fits],
+            cfg.sampler, cfg.p, cfg.T, cfg.M_eval, cfg.seed_eval,
         )
-        row = {
-            "family": cfg.family,
-            "N": model.system.N,
-            "target": cfg.target.name,
-            "p": cfg.p,
-            "value": est.value,
-            "stderr": est.stderr,
-            "M": est.M,
-            "seed": est.seed,
-        }
-        rows.append(row)
-        artifact = {
-            "schema_version": SCHEMA_VERSION,
-            "family": cfg.family,
-            "capacity": capacity,
-            "state_dimension": model.system.N,
-            "esp": esp.summary(),
-            "training": diag,
-            "truncation_bound": tail,
-            "estimate": {"p": est.p, "value": est.value, "stderr": est.stderr,
-                         "M": est.M, "seed": est.seed},
-            **extras,
-        }
-        path = out / f"run_{cfg.family}_c{capacity}.json"
-        path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        for capacity, (_, diag), est in zip(capacities, fits, estimates):
+            metrics.warn_on_truncation(tail, est)
+            rows.append({
+                "family": cfg.family,
+                "N": system.N,
+                "target": cfg.target.name,
+                "p": cfg.p,
+                "value": est.value,
+                "stderr": est.stderr,
+                "M": est.M,
+                "seed": est.seed,
+            })
+            artifact = {
+                "schema_version": SCHEMA_VERSION,
+                "family": cfg.family,
+                "capacity": capacity,
+                "state_dimension": system.N,
+                "esp": esp.summary(),
+                "training": diag,
+                "truncation_bound": tail,
+                "estimate": {"p": est.p, "value": est.value, "stderr": est.stderr,
+                             "M": est.M, "seed": est.seed},
+                **extras,
+            }
+            path = out / f"run_{cfg.family}_c{capacity}.json"
+            path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
     _write_rows_csv(out / "results.csv", rows)
     return rows
 

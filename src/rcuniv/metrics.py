@@ -4,7 +4,10 @@ Estimates are (1/M sum |X_i|^p)^(1/p) over independent paths with a
 delta-method standard error.  Path values are filled independently per
 path index and reduced with a single pairwise sum, so results do not
 depend on chunking or worker count; the worker threads run inside the
-state loop (reservoirs.final_states), not here.
+state loop (reservoirs.final_states), not here.  approx_error scores
+every readout of one system in one pass: each chunk of evaluation paths
+is drawn, its target evaluated and its states run once, whatever the
+number of readouts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .core import FunctionalSpec, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
-from .reservoirs import _BLOCK_ROWS, ReservoirModel
+from .reservoirs import _BLOCK_ROWS, ReservoirModel, final_states
 from .targets import check_sampler
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "lp_norm_of_values",
     "lp_norm",
     "approx_error",
+    "warn_on_truncation",
 ]
 
 KURTOSIS_WARN = 100.0
@@ -77,13 +81,17 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     return LpEstimate(p=p, value=float(value), stderr=float(stderr), M=M, seed=seed)
 
 
-def _collect_values(value_fn, sampler: ProcessSampler, T: int, M: int, seed: int) -> np.ndarray:
-    """Fill per-path values, _EVAL_CHUNK paths at a time."""
-    out = np.empty(M)
+def _collect_values(values_fn, count: int, sampler: ProcessSampler, T: int, M: int,
+                    seed: int) -> np.ndarray:
+    """(count, M) per-path values, _EVAL_CHUNK paths at a time.
+
+    values_fn maps a chunk of windows to its (count, chunk) values.
+    """
+    out = np.empty((count, M))
     for start in range(0, M, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, M)
-        out[start:stop] = value_fn(sample_paths(sampler, T, stop - start, seed,
-                                                path_offset=start))
+        out[:, start:stop] = values_fn(sample_paths(sampler, T, stop - start, seed,
+                                                    path_offset=start))
     return out
 
 
@@ -115,41 +123,64 @@ def lp_norm(
     """
     if M < 2:
         raise ValueError("need M >= 2 paths")
-    vals = _collect_values(_values_fn(functional, sampler), sampler, T, M, seed)
+    (vals,) = _collect_values(_values_fn(functional, sampler), 1, sampler, T, M, seed)
     est = lp_norm_of_values(vals, p=p, seed=seed)
+    warn_on_truncation(tail_bound, est)
+    return est
+
+
+def warn_on_truncation(tail_bound: float | None, est: LpEstimate) -> None:
+    """Warn when a truncation bound is not below a tenth of the estimate's stderr.
+
+    tail_bound bounds the L^p gap between the T-row windows and the
+    semi-infinite past (targets.truncation_bound); None means no sound
+    bound is known, and nothing is said.
+    """
     if tail_bound is not None and est.stderr > 0 and tail_bound >= est.stderr / 10.0:
         warnings.warn(
             f"truncation bound {tail_bound:.3g} is not negligible against "
             f"stderr {est.stderr:.3g}; increase T",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return est
 
 
 def approx_error(
     target: FunctionalSpec,
-    model: ReservoirModel,
+    model: ReservoirModel | list[ReservoirModel],
     sampler: ProcessSampler,
     p: float,
     T: int,
     M: int,
     seed: int,
-) -> LpEstimate:
+) -> LpEstimate | list[LpEstimate]:
     """|| H_target(Z) - H_model(Z) ||_p on fresh evaluation paths.
 
-    The evaluation seed must differ from the model's recorded training
-    seed so train and eval paths never coincide.
+    model is a ReservoirModel, or a list of ReservoirModels on one system
+    (the same object), which gets a list of estimates in its order.  Each
+    chunk of paths is drawn, its target evaluated and its states run once,
+    and every model's readout is applied to those states, so each estimate
+    is the one a single-model call would return.  The evaluation seed must
+    differ from every model's recorded training seed so train and eval
+    paths never coincide.
     """
-    if model.train_seed is not None and seed == model.train_seed:
+    models = [model] if isinstance(model, ReservoirModel) else list(model)
+    if not models or not all(isinstance(m, ReservoirModel) for m in models):
+        raise TypeError("expected a ReservoirModel or a non-empty list of them")
+    system = models[0].system
+    if any(m.system is not system for m in models):
+        raise ValueError("the models of one approx_error call must share one system")
+    if any(m.train_seed is not None and seed == m.train_seed for m in models):
         raise ValueError(
             f"evaluation seed {seed} equals the training seed; use disjoint seeds"
         )
     check_sampler(target, sampler)
-    model_fn = _values_fn(model, sampler)
 
-    def diff(data):
-        return evaluate_functional_batch(target, data) - model_fn(data)
+    def diffs(data):
+        y = evaluate_functional_batch(target, data)
+        states = final_states(system, data)
+        return [y - m.outputs(states) for m in models]
 
-    vals = _collect_values(diff, sampler, T, M, seed)
-    return lp_norm_of_values(vals, p=p, seed=seed)
+    vals = _collect_values(diffs, len(models), sampler, T, M, seed)
+    estimates = [lp_norm_of_values(v, p=p, seed=seed) for v in vals]
+    return estimates[0] if isinstance(model, ReservoirModel) else estimates

@@ -856,7 +856,11 @@ class ReservoirModel:
             raise ValueError("LinearReservoir needs an explicit readout")
 
     def values(self, data: np.ndarray) -> np.ndarray:
-        states = final_states(self.system, data)
+        """Outputs on a batch of windows (M, T, n) -> (M,)."""
+        return self.outputs(final_states(self.system, data))
+
+    def outputs(self, states: np.ndarray) -> np.ndarray:
+        """Outputs on final states (M, N) -> (M,); values() without the state run."""
         if self.readout is not None:
             return np.asarray(eval_readout(self.readout, states))
         return states @ self.system.W

@@ -314,8 +314,12 @@ def truncation_bound(entry: TargetCatalogEntry, sampler, T: int, p: float = 2.0)
     check_sampler(spec, sampler)
     if spec.kind == "peak_hold":
         # a_max minus the max of T uniform draws is (a_max - a_min) Beta(1, T)
-        logb = math.lgamma(p + 1.0) + math.lgamma(T + 1.0) - math.lgamma(T + 1.0 + p)
-        return (sampler.params["a_max"] - sampler.params["a_min"]) * math.exp(logb / p)
+        width = sampler.params["a_max"] - sampler.params["a_min"]
+        try:
+            logb = math.lgamma(p + 1.0) + math.lgamma(T + 1.0) - math.lgamma(T + 1.0 + p)
+        except OverflowError:  # p past lgamma's range; Beta(1, T) lies in [0, 1]
+            return width
+        return width * math.exp(logb / p)
     # garch_vol's tail sums squares, and ||z^2||_p = ||z||_2p^2
     mean, var, norm = _marginal(sampler, 2.0 * p if spec.kind == "garch_vol" else p)
     if spec.kind == "geometric_ma":

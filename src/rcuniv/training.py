@@ -1,10 +1,14 @@
-"""Readout training against target functionals.
+"""Readout training against target functionals, in two stages.
 
-Fits regress target values on final reservoir states over sampled
-windows.  The normal equations are never formed: ridge solves go through
-an SVD-based least-squares factorization on features rescaled to unit
-root-mean-square, so the penalty acts in standardized feature space.
-A fifth of the paths (index = 4 mod 5) are held out for reporting.
+sample_states is the training stage: it certifies the system, checks the
+sampler, draws the training windows, and returns their final reservoir
+states and target values.  The fit_* functions regress those target
+values on features of those states, so readouts of one system share one
+draw and one state run.  The normal equations are never formed: ridge
+solves go through an SVD-based least-squares factorization on features
+rescaled to unit root-mean-square, so the penalty acts in standardized
+feature space.  A fifth of the paths (index = 4 mod 5) are held out for
+reporting.
 """
 
 from __future__ import annotations
@@ -22,16 +26,16 @@ from .readouts import (
     PolynomialReadout,
     _random_features,
     _ridge_solve,
-    feature_count,
     get_activation,
     multi_indices,
     poly_features,
 )
-from .reservoirs import EspNotCertifiedError, LinearReservoir, certify_esp, final_states
+from .reservoirs import EspNotCertifiedError, certify_esp, final_states
 from .targets import check_sampler
 
 __all__ = [
     "TrainConfig",
+    "sample_states",
     "fit_linear_readout",
     "fit_polynomial_readout",
     "fit_network_readout",
@@ -73,7 +77,13 @@ def _holdout_mask(M: int) -> np.ndarray:
     return np.arange(M) % 5 == 4
 
 
-def _sample_states(system, target: FunctionalSpec, sampler: ProcessSampler, cfg: TrainConfig):
+def sample_states(system, target: FunctionalSpec, sampler: ProcessSampler, cfg: TrainConfig):
+    """The training stage -> (states, y): final states (paths, N) and target values (paths,).
+
+    Refuses a system without an ESP certificate and a sampler outside the
+    target's whitelist, then draws cfg.paths windows of cfg.window_length
+    rows from cfg.seed.
+    """
     report = certify_esp(system)
     if not report.certified:
         raise EspNotCertifiedError(
@@ -84,6 +94,18 @@ def _sample_states(system, target: FunctionalSpec, sampler: ProcessSampler, cfg:
     data = sample_paths(sampler, cfg.window_length, cfg.paths, cfg.seed)
     states = final_states(system, data)
     y = evaluate_functional_batch(target, data)
+    return states, y
+
+
+def _training_arrays(states, y, cfg: TrainConfig):
+    """The training stage's (states, y), checked against cfg.paths."""
+    states = np.asarray(states, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if states.ndim != 2 or states.shape[0] != cfg.paths or y.shape != (cfg.paths,):
+        raise ValueError(
+            f"expected states (paths, N) and target values (paths,) with paths = "
+            f"cfg.paths = {cfg.paths}, got shapes {states.shape} and {y.shape}"
+        )
     return states, y
 
 
@@ -110,42 +132,36 @@ def _fit_on_features(feats: np.ndarray, y: np.ndarray, cfg: TrainConfig):
     return w, diag
 
 
-def fit_linear_readout(system, target: FunctionalSpec, sampler: ProcessSampler,
-                       cfg: TrainConfig):
-    """Ridge-fit W so W . x_0 tracks the target; returns (readout, diagnostics)."""
-    states, y = _sample_states(system, target, sampler, cfg)
+def fit_linear_readout(states, y, cfg: TrainConfig):
+    """Ridge-fit W so states @ W tracks y; returns (readout, diagnostics)."""
+    states, y = _training_arrays(states, y, cfg)
     w, diag = _fit_on_features(states, y, cfg)
     return LinearReadout(w), diag
 
 
-def fit_polynomial_readout(system: LinearReservoir, degree: int, target: FunctionalSpec,
-                           sampler: ProcessSampler, cfg: TrainConfig):
+def fit_polynomial_readout(states, y, degree: int, cfg: TrainConfig):
     """Ridge-fit a polynomial readout of the given degree on final states.
 
-    The input law's exponential moment condition is decided once per
+    The paper's polynomial readouts act on linear reservoir states; the
+    input law's exponential moment condition is decided once per
     experiment, from the sampler's kind, in harness.run_experiment, not here.
     """
-    if not isinstance(system, LinearReservoir):
-        raise TypeError("polynomial readouts are fit on linear reservoir states")
     if not _integer(degree, 0):
         raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
-    states, y = _sample_states(system, target, sampler, cfg)
-    C = feature_count(system.N, degree)
+    states, y = _training_arrays(states, y, cfg)
     feats = poly_features(states, degree)
     w, diag = _fit_on_features(feats, y, cfg)
     coeffs = {
         mi: float(w[i])
-        for i, mi in enumerate(multi_indices(system.N, degree))
+        for i, mi in enumerate(multi_indices(states.shape[1], degree))
         if w[i] != 0.0
     }
-    assert len(w) == C
-    return PolynomialReadout(system.N, degree, coeffs), diag
+    return PolynomialReadout(states.shape[1], degree, coeffs), diag
 
 
-def fit_network_readout(system, hidden_units: int, target: FunctionalSpec,
-                        sampler: ProcessSampler, cfg: TrainConfig,
+def fit_network_readout(states, y, hidden_units: int, cfg: TrainConfig,
                         activation: str = "tanh"):
-    """Random-feature fit of a single-hidden-layer readout.
+    """Random-feature fit of a single-hidden-layer readout on final states.
 
     Hidden directions are Gaussian scaled by 1/sqrt(N); thresholds are
     uniform over each unit's projected state range; only the output layer
@@ -154,8 +170,8 @@ def fit_network_readout(system, hidden_units: int, target: FunctionalSpec,
     """
     if not _integer(hidden_units, 1):
         raise ValueError(f"hidden_units must be an integer >= 1, got {hidden_units!r}")
-    get_activation(activation)  # an unknown name raises before any path is drawn
-    states, y = _sample_states(system, target, sampler, cfg)
+    get_activation(activation)
+    states, y = _training_arrays(states, y, cfg)
     # separate streams so unit j's direction and threshold do not depend on
     # how many units follow it (nested prefixes for growing hidden_units)
     rng_dir = np.random.default_rng([cfg.seed, 0xA1FA])

@@ -171,7 +171,8 @@ def test_c07_esn_capacity_sweep_reduces_error():
                 ridge=1e-6, paths=5000, window_length=60, washout=20,
                 seed=seed * 1000,
             )
-            readout, _ = rc.fit_linear_readout(esn, entry.spec, samp, cfg)
+            readout, _ = rc.fit_linear_readout(
+                *rc.sample_states(esn, entry.spec, samp, cfg), cfg)
             model = rc.ReservoirModel(esn, readout, train_seed=cfg.seed)
             est = rc.approx_error(
                 entry.spec, model, samp, p=2.0, T=60, M=5000,

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,83 @@ def test_linear_poly_capacity_sweep(tmp_path):
     assert len(csv_lines) == 3
     art = json.loads((tmp_path / "run_linear_poly_c2.json").read_text())
     assert set(art["training"]) >= {"lambda", "rmse_train", "rmse_holdout"}
+
+
+_GARCH = {"omega": 0.1, "alpha": 0.1, "beta": 0.8}
+# the garch_poly benchmark law at small M, and a linear_nn sweep
+_SHARED_SWEEPS = {
+    "linear_poly_garch": dict(
+        family="linear_poly", capacity=[2, 3], T=10, M_train=300, M_eval=400,
+        sampler={"kind": "garch11", "n": 1, "params": _GARCH},
+        target={"name": "garch_vol", "params": _GARCH}, family_params={"memory": 3}),
+    "linear_nn": dict(
+        family="linear_nn", capacity=[4, 9], T=12, M_train=300, M_eval=400, ridge=1e-6,
+        target=_GMA, family_params={"memory": 3}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_SHARED_SWEEPS))
+def test_shared_points_write_the_bytes_of_single_point_runs(tmp_path, name):
+    doc = _base_doc(**_SHARED_SWEEPS[name])
+    family, capacity = doc["family"], doc["capacity"]
+    run_experiment(load_config(doc), tmp_path / "sweep")
+    sweep_rows = (tmp_path / "sweep" / "results.csv").read_text().splitlines()
+    assert len(sweep_rows) == 1 + len(capacity)
+    for i, c in enumerate(capacity):
+        single = tmp_path / f"c{c}"
+        run_experiment(load_config({**doc, "capacity": [c]}), single)
+        assert (single / "results.csv").read_text().splitlines() == [
+            sweep_rows[0], sweep_rows[1 + i]]
+        artifact = f"run_{family}_c{c}.json"
+        assert (single / artifact).read_bytes() == (tmp_path / "sweep" / artifact).read_bytes()
+
+
+def _draw_spy(monkeypatch):
+    """Record (T, M, seed, path_offset) of every path draw of training and metrics."""
+    draws = []
+    for module in (rc.training, rc.metrics):
+        monkeypatch.setattr(module, "sample_paths",
+                            lambda s, T, M, seed, path_offset=0, _draw=module.sample_paths:
+                            draws.append((T, M, seed, path_offset))
+                            or _draw(s, T, M, seed, path_offset=path_offset))
+    return draws
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_linear_sweep_draws_each_window_once_whatever_the_capacity_count(tmp_path, monkeypatch):
+    # M_eval 2100 is two evaluation chunks: 2048 paths, then 52
+    doc = _base_doc(**{**_SHARED_SWEEPS["linear_poly_garch"], "M_eval": 2100})
+    draws = _draw_spy(monkeypatch)
+    want = [(10, 300, 11, 0), (10, 2048, 12, 0), (10, 52, 12, 2048)]
+    for capacity in ([2], [1, 2, 3]):
+        draws.clear()
+        rows = run_experiment(load_config({**doc, "capacity": capacity}), tmp_path / "out")
+        assert len(rows) == len(capacity)
+        assert draws == want
+
+
+def test_esn_sweep_still_draws_per_point(tmp_path, monkeypatch):
+    # each esn point builds its own system, so it trains and evaluates alone
+    doc = _base_doc(family="esn", capacity=[4, 6], target=_GMA, T=12, M_train=40, M_eval=30)
+    draws = _draw_spy(monkeypatch)
+    run_experiment(load_config(doc), tmp_path)
+    assert draws == [(12, 40, 11, 0), (12, 30, 12, 0)] * 2
+
+
+def test_run_warns_when_the_truncation_bound_is_not_negligible(tmp_path):
+    # geometric_ma(0.9) at T = 8: the tail bound 0.9^8 sqrt(1 / 0.19) = 0.99 dwarfs
+    # a tenth of any stderr at M_eval 400; the warning fires once per point
+    doc = _base_doc(family="esn", capacity=[4, 6], T=8, M_train=40, M_eval=400,
+                    target={"name": "geometric_ma", "params": {"decay": 0.9}})
+    with pytest.warns(RuntimeWarning, match="truncation bound") as record:
+        run_experiment(load_config(doc), tmp_path)
+    assert len([w for w in record if "truncation bound" in str(w.message)]) == 2
+    # a finite-memory target has bound 0 at T >= memory + 1: no warning
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        run_experiment(load_config(_base_doc()), tmp_path / "exact")
+    assert not [w for w in record if "truncation bound" in str(w.message)]
 
 
 def test_moment_screen_warns_once_per_experiment(tmp_path, monkeypatch):

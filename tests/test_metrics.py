@@ -148,6 +148,27 @@ def test_approx_error_exact_model_is_tiny():
     assert est.value < 1e-10
 
 
+def test_approx_error_scores_a_list_of_models_as_single_calls_would():
+    # M = 2500 is two evaluation chunks; every readout sees the same states
+    spec = rc.geometric_ma(0.5).spec
+    samp = rc.iid_gaussian(1)
+    esn = rc.random_esn(8, 1, seed=3)
+    rng = np.random.default_rng(3)
+    models = [rc.ReservoirModel(esn, rc.LinearReadout(rng.normal(size=8)), train_seed=1),
+              rc.ReservoirModel(esn, None, train_seed=1),
+              rc.ReservoirModel(esn, rc.PolynomialReadout(8, 2, {(2,) + (0,) * 7: 0.5}))]
+    together = rc.approx_error(spec, models, samp, p=2.0, T=10, M=2500, seed=4)
+    alone = [rc.approx_error(spec, m, samp, p=2.0, T=10, M=2500, seed=4) for m in models]
+    assert together == alone
+    other = rc.ReservoirModel(rc.random_esn(8, 1, seed=3), None)
+    with pytest.raises(ValueError, match="share one system"):
+        rc.approx_error(spec, [models[0], other], samp, p=2.0, T=10, M=10, seed=4)
+    with pytest.raises(ValueError, match="training seed"):
+        rc.approx_error(spec, [models[2], models[0]], samp, p=2.0, T=10, M=10, seed=1)
+    with pytest.raises(TypeError):
+        rc.approx_error(spec, [], samp, p=2.0, T=10, M=10, seed=4)
+
+
 def test_approx_error_rejects_training_seed():
     sr = rc.build_shift_register(1, 0)
     model = rc.ReservoirModel(sr, rc.LinearReadout(np.ones(1)), train_seed=9)

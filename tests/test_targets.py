@@ -163,6 +163,17 @@ def test_peak_hold_bound_beta_moments():
         targets.truncation_bound(entry, rc.iid_gaussian(1), 9)
 
 
+def test_peak_hold_bound_past_lgamma_range_is_the_range_width():
+    # load_config accepts any finite p >= 1; lgamma(p + 1) overflows near 1.7e308,
+    # and the Beta(1, T) excess lies in [0, 1], so the sound bound is a_max - a_min
+    entry = rc.peak_hold()
+    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(0, 1), 10, 1.7e308) == 1.0
+    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 2), 10, 1.7e308) == 3.0
+    # below the overflow the closed form still holds, and approaches the width
+    near = targets.truncation_bound(entry, rc.iid_uniform_bounded(0, 1), 10, 1e300)
+    assert near == pytest.approx(1.0, rel=1e-9)
+
+
 def test_truncation_bound_reads_the_sampler_law():
     # a target no longer carries its own copy of the input law
     gma = rc.geometric_ma(0.9)

@@ -66,7 +66,8 @@ def test_linear_recovery_of_state_coordinate():
     sr = rc.build_shift_register(1, 1)
     target = rc.finite_poly(1, 1, 1, {(1, 0): 1.0}).spec
     cfg = rc.TrainConfig(ridge=0.0, paths=200, window_length=6, seed=3)
-    readout, diag = rc.fit_linear_readout(sr, target, rc.iid_gaussian(1), cfg)
+    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
+    readout, diag = rc.fit_linear_readout(states, y, cfg)
     np.testing.assert_allclose(readout.W, [1.0, 0.0], atol=1e-8)
     assert diag["rmse_train"] < 1e-10
     assert diag["rank"] == 2
@@ -79,7 +80,7 @@ def test_polynomial_recovery_frozen_coefficients():
     target = rc.finite_poly(1, 1, 2, {(2, 0): 1.0, (1, 1): 1.0}).spec
     cfg = rc.TrainConfig(ridge=1e-10, paths=200, window_length=6, seed=4)
     readout, diag = rc.fit_polynomial_readout(
-        sr, 2, target, rc.iid_gaussian(1), cfg
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), cfg), 2, cfg
     )
     np.testing.assert_allclose(
         readout.coefficient_vector(), [0.0, 0.0, 0.0, 1.0, 1.0, 0.0], atol=1e-6
@@ -93,7 +94,7 @@ def test_degree_zero_fits_the_mean():
     target = rc.geometric_ma(0.5).spec
     cfg = rc.TrainConfig(ridge=0.0, paths=500, window_length=20, seed=5)
     readout, _ = rc.fit_polynomial_readout(
-        sr, 0, target, rc.iid_gaussian(1), cfg
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), cfg), 0, cfg
     )
     data = rc.sample_paths(rc.iid_gaussian(1), 20, 500, seed=5)
     y = rc.evaluate_functional_batch(target, data)
@@ -105,7 +106,7 @@ def test_zero_target_gives_zero_weights():
     sr = rc.build_shift_register(1, 1)
     cfg = rc.TrainConfig(ridge=1.0, paths=100, window_length=4, seed=6)
     readout, diag = rc.fit_linear_readout(
-        sr, rc.constant(0.0).spec, rc.iid_gaussian(1), cfg
+        *rc.sample_states(sr, rc.constant(0.0).spec, rc.iid_gaussian(1), cfg), cfg
     )
     np.testing.assert_array_equal(readout.W, np.zeros(2))
     assert diag["rmse_train"] == 0.0
@@ -115,25 +116,23 @@ def test_training_requires_certificate():
     esn = rc.random_esn(6, 1, seed=7, spectral=1.2)
     cfg = rc.TrainConfig(ridge=0.1, paths=50, window_length=8, seed=8)
     with pytest.raises(rc.EspNotCertifiedError):
-        rc.fit_linear_readout(esn, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+        rc.sample_states(esn, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
 
 
 def test_training_respects_whitelist():
     sr = rc.build_shift_register(1, 0)
     cfg = rc.TrainConfig(ridge=0.1, paths=50, window_length=4, seed=9)
     with pytest.raises(ValueError):
-        rc.fit_polynomial_readout(
-            sr, 1, rc.peak_hold().spec, rc.iid_gaussian(1), cfg,
-        )
+        rc.sample_states(sr, rc.peak_hold().spec, rc.iid_gaussian(1), cfg)
 
 
 def _fit_network(**kw):
-    return lambda sr, target, samp, cfg: rc.fit_network_readout(
-        sr, kw.get("units", 4), target, samp, cfg, activation=kw.get("activation", "tanh"))
+    return lambda states, y, cfg: rc.fit_network_readout(
+        states, y, kw.get("units", 4), cfg, activation=kw.get("activation", "tanh"))
 
 
 def _fit_polynomial(degree):
-    return lambda sr, target, samp, cfg: rc.fit_polynomial_readout(sr, degree, target, samp, cfg)
+    return lambda states, y, cfg: rc.fit_polynomial_readout(states, y, degree, cfg)
 
 
 @pytest.mark.parametrize("fit, message", [
@@ -150,24 +149,41 @@ def test_bad_fit_argument_raises_before_any_path_is_drawn(monkeypatch, fit, mess
 
     monkeypatch.setattr(rc.training, "sample_paths", no_draws)
     cfg = rc.TrainConfig(ridge=0.1, paths=20_000, window_length=4, seed=12)
+    # fits take the training stage's arrays and draw nothing; None states
+    # would raise another error if they were read before the argument check
     with pytest.raises(ValueError, match=message):
-        fit(rc.build_shift_register(1, 1), rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+        fit(None, None, cfg)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda states, y, cfg: rc.fit_linear_readout(states, y, cfg),
+    _fit_polynomial(2),
+    _fit_network(),
+], ids=["linear", "polynomial", "network"])
+def test_fits_reject_arrays_that_are_not_the_training_stage_shape(fit):
+    cfg = rc.TrainConfig(ridge=0.1, paths=20, window_length=4, seed=12)
+    states, y = np.zeros((20, 3)), np.zeros(20)
+    for bad in ((states[:19], y), (states, y[:19]), (states[:, 0], y), (states, states)):
+        with pytest.raises(ValueError, match="cfg.paths = 20"):
+            fit(*bad, cfg)
 
 
 def test_rank_deficiency_warns_without_penalty():
     # duplicated state coordinates make the feature matrix singular
     dup = rc.LinearReservoir(np.zeros((2, 2)), np.array([[1.0], [1.0]]))
     cfg = rc.TrainConfig(ridge=0.0, paths=100, window_length=4, seed=10)
+    states, y = rc.sample_states(dup, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
     with pytest.warns(RuntimeWarning, match="rank"):
-        rc.fit_linear_readout(dup, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+        rc.fit_linear_readout(states, y, cfg)
 
 
 def test_network_units_nest_by_prefix():
     sr = rc.build_shift_register(1, 1)
     target = rc.trig_product(np.array([[1.0], [0.7]])).spec
     cfg = rc.TrainConfig(ridge=0.0, paths=500, window_length=6, seed=11)
-    small, diag_s = rc.fit_network_readout(sr, 4, target, rc.iid_gaussian(1), cfg)
-    large, diag_l = rc.fit_network_readout(sr, 16, target, rc.iid_gaussian(1), cfg)
+    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
+    small, diag_s = rc.fit_network_readout(states, y, 4, cfg)
+    large, diag_l = rc.fit_network_readout(states, y, 16, cfg)
     np.testing.assert_array_equal(large.alpha[:4], small.alpha)
     np.testing.assert_array_equal(large.theta[:4], small.theta)
     assert diag_l["rmse_train"] <= diag_s["rmse_train"] + 1e-9
@@ -178,8 +194,8 @@ def test_network_fit_matches_reference_draw():
     sr = rc.build_shift_register(1, 2)
     target = rc.trig_product(np.array([[1.0], [0.7], [0.4]])).spec
     cfg = rc.TrainConfig(ridge=1e-8, paths=400, window_length=5, seed=21)
-    net, _ = rc.fit_network_readout(sr, 24, target, rc.iid_gaussian(1), cfg,
-                                    activation="logistic")
+    net, _ = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
+                                    24, cfg, activation="logistic")
     data = sample_paths(rc.iid_gaussian(1), cfg.window_length, cfg.paths, cfg.seed)
     states = final_states(sr, data)
     y = rc.evaluate_functional_batch(target, data)
@@ -206,7 +222,8 @@ def test_network_fit_reaches_small_error():
     worst = 0.0
     for seed in (12, 13, 14):
         cfg = rc.TrainConfig(ridge=1e-8, paths=4000, window_length=4, seed=seed)
-        _, diag = rc.fit_network_readout(sr, 256, target, rc.iid_gaussian(1), cfg)
+        states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
+        _, diag = rc.fit_network_readout(states, y, 256, cfg)
         worst = max(worst, diag["rmse_holdout"])
     assert worst < 0.05 * norm
 
@@ -217,11 +234,10 @@ def test_polynomials_plateau_on_lognormal_log_sine():
     target = rc.log_sine().spec
     samp = rc.iid_lognormal(1)
     floor = math.sqrt(0.5)
+    cfg = rc.TrainConfig(ridge=1e-8, paths=3000, window_length=2, seed=15)
+    states, y = rc.sample_states(sr, target, samp, cfg)
     for degree in (1, 3, 6):
-        cfg = rc.TrainConfig(ridge=1e-8, paths=3000, window_length=2, seed=15)
-        _, diag = rc.fit_polynomial_readout(
-            sr, degree, target, samp, cfg
-        )
+        _, diag = rc.fit_polynomial_readout(states, y, degree, cfg)
         assert diag["rmse_holdout"] > 0.7 * floor
 
 
@@ -229,7 +245,9 @@ def test_fits_are_deterministic():
     sr = rc.build_shift_register(1, 1)
     target = rc.geometric_ma(0.5).spec
     cfg = rc.TrainConfig(ridge=1e-6, paths=300, window_length=12, seed=17)
-    n1, d1 = rc.fit_network_readout(sr, 32, target, rc.iid_gaussian(1), cfg)
-    n2, d2 = rc.fit_network_readout(sr, 32, target, rc.iid_gaussian(1), cfg)
+    n1, d1 = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
+                                    32, cfg)
+    n2, d2 = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
+                                    32, cfg)
     np.testing.assert_array_equal(n1.beta, n2.beta)
     assert d1 == d2

@@ -212,7 +212,7 @@ def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, blas: bool 
 
 def truncated_conditional_error(
     spec: FunctionalSpec,
-    K: int,
+    K,
     sampler,
     p: float,
     M: int,
@@ -226,22 +226,36 @@ def truncated_conditional_error(
     fixed and redrawing the deeper past inner_samples times, which is valid
     only for samplers with independent innovations (the iid kinds).  Windows
     of window_length rows stand in for the full past; pick it so the
-    truncation tail of the functional is negligible.  Path i's window is
-    sample_paths path i and its redrawn deeper pasts are the rows of path
-    M + i, both under seed.  Tasks of 16 paths draw, evaluate and
-    difference on the worker threads, with one replica buffer per thread,
-    so memory does not grow with M.  With nothing to redraw
-    (window_length == K + 1) the estimate is exactly 0 and draws no path.
+    truncation tail of the functional is negligible (by default it follows
+    the largest cutoff).  Path i's window is sample_paths path i and its
+    redrawn deeper pasts are the rows of path M + i, both under seed.
+    Tasks of 16 paths draw, evaluate and difference on the worker threads,
+    with one replica buffer per thread, so memory does not grow with M.
+    A cutoff with nothing to redraw (window_length == K + 1) reads exactly
+    0; when every cutoff is such, no path is drawn.
 
-    Returns an LpEstimate.  Raises ValueError for dependent-innovation
-    samplers, and for K, M, inner_samples, window_length or seed outside
-    their integer ranges, before any other work.
+    K is one cutoff or a sequence of cutoffs.  A sweep draws each task's
+    windows and its deepest redrawn past once and evaluates H on the
+    windows once; a cutoff's redrawn rows are a prefix of path M + i's
+    stream, so each estimate equals the single-cutoff call with the same
+    seed and window_length, bit for bit.
+
+    Returns an LpEstimate for an int K, else a list of them in the order of
+    K.  Raises ValueError for dependent-innovation samplers, and for a
+    cutoff, M, inner_samples, window_length or seed outside its integer
+    range, before any other work.
     """
     from . import metrics
     from .processes import sample_paths
 
-    if not _integer(K, 0):
-        raise ValueError(f"cutoff K must be an integer >= 0, got {K!r}")
+    sweep = not isinstance(K, numbers.Number)
+    try:
+        cutoffs = tuple(K) if sweep else (K,)
+    except TypeError:
+        cutoffs = ()
+    if not cutoffs or not all(_integer(k, 0) for k in cutoffs):
+        raise ValueError(
+            f"cutoff K must be an integer >= 0 or a non-empty sequence of them, got {K!r}")
     if not _integer(M, 2):
         raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
     if not _integer(inner_samples, 1):
@@ -253,14 +267,16 @@ def truncated_conditional_error(
             f"sampler kind {sampler.kind!r} does not have independent innovations; "
             "the past-resampling estimator is invalid"
         )
+    K_max = max(cutoffs)
     if window_length is None:
         if spec.memory is None:
-            window_length = max(2 * (K + 1), 64)
+            window_length = max(2 * (K_max + 1), 64)
         else:
-            window_length = max(spec.memory + 1, K + 1)
+            window_length = max(spec.memory + 1, K_max + 1)
     T = window_length
-    if not _integer(T, K + 1):
-        raise ValueError(f"window_length must be an integer >= K + 1 = {K + 1}, got {T!r}")
+    if not _integer(T, K_max + 1):
+        raise ValueError(
+            f"window_length must be an integer >= max K + 1 = {K_max + 1}, got {T!r}")
     if spec.memory is not None and T < spec.memory + 1:
         raise ValueError("window_length shorter than the functional's memory")
     if sampler.n != spec.n:
@@ -268,11 +284,10 @@ def truncated_conditional_error(
 
     n = sampler.n
     R = inner_samples
-    deep = T - (K + 1)  # rows to resample per inner draw
-    diffs = np.zeros(M)
-    if deep == 0:
-        # H is measurable w.r.t. the kept lags; conditional error is zero
-        return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
+    deeps = [T - (k + 1) for k in cutoffs]  # rows to resample per inner draw
+    # a cutoff with nothing to redraw leaves H measurable w.r.t. the kept
+    # lags: its conditional error is zero
+    diffs = np.zeros((len(cutoffs), M))
     buffers = threading.local()  # one task's replica windows per thread, reused
 
     def fill(start, stop):
@@ -281,16 +296,23 @@ def truncated_conditional_error(
             buffers.rep = np.empty((16, R, T, n))
         rep = buffers.rep[:m]
         base = sample_paths(sampler, T, m, seed, path_offset=start)
-        # replicas keep lags 0..K and redraw the deeper past from path M + i's stream
-        rep[:, :, : K + 1] = base[:, None, : K + 1]
-        past = sample_paths(sampler, R * deep, m, seed, path_offset=M + start)
-        rep[:, :, K + 1 :] = past.reshape(m, R, deep, n)
-        cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n))
-        diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.reshape(m, R).mean(axis=1)
+        # replicas keep lags 0..K and redraw the deeper past from path M + i's
+        # stream; each cutoff reads the first R x deep rows of the deepest draw
+        past = sample_paths(sampler, R * max(deeps), m, seed, path_offset=M + start)
+        values = evaluate_functional_batch(spec, base)
+        for j, (k, deep) in enumerate(zip(cutoffs, deeps)):
+            if deep == 0:
+                continue
+            rep[:, :, : k + 1] = base[:, None, : k + 1]
+            rep[:, :, k + 1 :] = past[:, : R * deep].reshape(m, R, deep, n)
+            cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n))
+            diffs[j, start:stop] = values - cond.reshape(m, R).mean(axis=1)
 
-    # each path has its own streams and output rows, so the 16-path tasks move no value
-    _run_blocks(fill, M, 16, blas=False)
-    return metrics.lp_norm_of_values(diffs, p=p, seed=seed)
+    if max(deeps) > 0:
+        # each path has its own streams and output rows, so the 16-path tasks move no value
+        _run_blocks(fill, M, 16, blas=False)
+    estimates = [metrics.lp_norm_of_values(d, p=p, seed=seed) for d in diffs]
+    return estimates if sweep else estimates[0]
 
 
 # ---------------------------------------------------------------------------

@@ -462,19 +462,18 @@ def _verify_conditional_truncation() -> list[PropertyCheck]:
     entry = targets.geometric_ma(0.5)
     sampler = processes.iid_gaussian()
     lam = 0.5
-    out = []
     worst = 0.0
-    for K in (1, 3):
-        est = truncated_conditional_error(
-            entry.spec, K, sampler, p=2.0, M=4000, seed=11,
-            window_length=40, inner_samples=100,
-        )
+    cutoffs = (1, 3)
+    estimates = truncated_conditional_error(
+        entry.spec, cutoffs, sampler, p=2.0, M=4000, seed=11,
+        window_length=40, inner_samples=100,
+    )
+    for K, est in zip(cutoffs, estimates):
         exact = lam ** (K + 1) / math.sqrt(1 - lam**2)
         worst = max(worst, abs(est.value - exact) / (3 * est.stderr))
-    out.append(_check("conditional_truncation", worst,
-                      f"max |estimate - closed form| over K in (1, 3): "
-                      f"{worst:.2f} of 3 stderr"))
-    return out
+    return [_check("conditional_truncation", worst,
+                   f"max |estimate - closed form| over K in {cutoffs}: "
+                   f"{worst:.2f} of 3 stderr")]
 
 
 def _esp_fixtures():

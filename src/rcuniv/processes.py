@@ -455,10 +455,17 @@ def shift_invariance_probe(
     the window seen t steps in the past, generated with |t| extra leading
     steps.  Each shift uses its own derived seed so the estimates are
     independent; for a stationary sampler they agree up to Monte Carlo
-    noise.
+    noise.  Raises ValueError for seed, T or M outside its integer range
+    before any draw.
     """
     from . import metrics
 
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not _integer(M, 2):
+        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    if not _integer(T, 1):
+        raise ValueError(f"need an integer window length T >= 1, got {T!r}")
     shifts = sorted(set(int(t) for t in shifts), reverse=True)
     if any(t > 0 for t in shifts):
         raise ValueError("shifts must be <= 0")

@@ -287,6 +287,91 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
     assert sorted(calls) == list(range(200))
 
 
+# ---------------------------------------------------------------------------
+# cutoff sweeps
+
+
+@pytest.mark.parametrize("spec, sampler", [
+    (rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)),
+    (rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,)).spec,
+     rc.iid_uniform_bounded(-1.0, 2.0, n=2)),
+    (rc.geometric_ma(0.5).spec, rc.iid_lognormal()),
+], ids=["iid_gaussian", "iid_uniform_bounded_n2", "iid_lognormal"])
+def test_cutoff_sweep_equals_single_calls(spec, sampler):
+    # 40 paths: two full 16-path tasks and one of 8; cutoffs out of order and repeated
+    kw = dict(sampler=sampler, p=2.0, M=40, seed=7, window_length=12, inner_samples=20)
+    sweep = rc.truncated_conditional_error(spec, (3, 1, 3), **kw)
+    assert sweep == [rc.truncated_conditional_error(spec, K, **kw) for K in (3, 1, 3)]
+    assert sweep[0].value > 0 and sweep[1].value > 0
+    assert rc.truncated_conditional_error(spec, [1], **kw) == [sweep[1]]
+
+
+def test_cutoff_sweep_exact_cutoff_reads_zero_and_leaves_the_others():
+    spec, sampler = rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)
+    kw = dict(sampler=sampler, p=2.0, M=40, seed=2, window_length=8, inner_samples=20)
+    exact, two = rc.truncated_conditional_error(spec, (7, 2), **kw)
+    assert (exact.value, exact.stderr, exact.M) == (0.0, 0.0, 40)
+    assert two == rc.truncated_conditional_error(spec, 2, **kw)
+    assert two.value > 0
+
+
+def _count_draws(monkeypatch):
+    calls = []
+    draw = rc.processes.sample_paths
+
+    def counted(s, T, M, seed, path_offset=0):
+        calls.append((T, M, path_offset))
+        return draw(s, T, M, seed, path_offset=path_offset)
+
+    monkeypatch.setattr(rc.processes, "sample_paths", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(M=1), "integer M >= 2"),
+    (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
+    (dict(inner_samples=0), "integer inner_samples >= 1"),
+    (dict(K=(3, -1)), "cutoff K must be an integer"),
+    (dict(window_length=3), "window_length must be an integer >= max K + 1 = 4"),
+], ids=["M_1", "seed_negative", "inner_samples_0", "K_negative_element", "window_too_short"])
+def test_cutoff_sweep_with_every_cutoff_exact_draws_nothing(monkeypatch, bad, message):
+    calls = _count_draws(monkeypatch)
+    spec = rc.geometric_ma(0.5).spec
+    kw = dict(K=(3, 3), sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
+    estimates = rc.truncated_conditional_error(spec, **kw)
+    assert [(e.value, e.stderr) for e in estimates] == [(0.0, 0.0)] * 2
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rc.truncated_conditional_error(spec, **{**kw, **bad})
+    assert calls == []
+
+
+def test_cutoff_sweep_draws_each_task_once(monkeypatch):
+    # per task: the base windows and the past of the smallest cutoff, however many cutoffs
+    calls = _count_draws(monkeypatch)
+    monkeypatch.setenv("RCUNIV_WORKERS", "2")
+    rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, (5, 1, 2), rc.iid_gaussian(1),
+                                   p=2.0, M=40, seed=3, window_length=12, inner_samples=10)
+    tasks = [(0, 16), (16, 16), (32, 8)]
+    assert sorted(calls) == sorted([(12, m, start) for start, m in tasks]
+                                   + [(10 * 10, m, 40 + start) for start, m in tasks])
+
+
+@pytest.mark.parametrize("K, message", [
+    ((), "non-empty sequence"),
+    ((1, 2.0), "cutoff K must be an integer"),
+    ((1, True), "cutoff K must be an integer"),
+    ((-1, 2), "cutoff K must be an integer"),
+    (2.0, "cutoff K must be an integer"),
+    ((1, 12), "window_length must be an integer >= max K + 1 = 13"),
+], ids=["empty", "float_element", "bool_element", "negative_element", "float", "K_past_window"])
+def test_cutoff_sweep_rejects_bad_cutoffs_before_any_draw(monkeypatch, K, message):
+    calls = _count_draws(monkeypatch)
+    kw = dict(sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=12, inner_samples=4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, K, **kw)
+    assert calls == []
+
+
 def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
     # a (chunk, R, T, n) replica array of 500 paths would take 16 MB here
     monkeypatch.setenv("RCUNIV_WORKERS", "2")

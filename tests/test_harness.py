@@ -706,6 +706,21 @@ def test_verify_suite_all_passes():
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
+def test_conditional_truncation_margin_equals_two_single_cutoff_calls():
+    # the suite scores K = 1 and 3 in one sweep call; each cutoff's estimate,
+    # and so the margin, must be that of its own single-cutoff call
+    spec = rc.geometric_ma(0.5).spec
+    kw = dict(sampler=rc.iid_gaussian(), p=2.0, M=4000, seed=11, window_length=40,
+              inner_samples=100)
+    worst = 0.0
+    for K in (1, 3):
+        est = rc.truncated_conditional_error(spec, K, **kw)
+        exact = 0.5 ** (K + 1) / math.sqrt(1 - 0.5**2)
+        worst = max(worst, abs(est.value - exact) / (3 * est.stderr))
+    (check,) = verify_suite("conditional_truncation")
+    assert (check.name, check.margin) == ("conditional_truncation", worst)
+
+
 def test_verify_suite_unknown_name():
     with pytest.raises(ValueError):
         verify_suite("bogus")

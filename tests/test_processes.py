@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -580,6 +581,24 @@ def test_probe_rejects_positive_shift():
         rc.shift_invariance_probe(
             rc.iid_gaussian(1), spec, p=2.0, shifts=(1,), T=4, M=10, seed=0
         )
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
+    (dict(seed=2**64 + 3), "seed must be an integer in [0, 2**64)"),
+    (dict(seed=3.0), "seed must be an integer in [0, 2**64)"),
+    (dict(M=1), "integer M >= 2"),
+    (dict(M=50.0), "integer M >= 2"),
+    (dict(T=0), "integer window length T >= 1"),
+    (dict(T=4.5), "integer window length T >= 1"),
+], ids=["seed_negative", "seed_past_2_to_64", "seed_float", "M_1", "M_float", "T_0", "T_float"])
+def test_probe_checks_numbers_before_any_draw(monkeypatch, bad, message):
+    calls = []
+    monkeypatch.setattr(rc.processes, "sample_paths", lambda *a, **k: calls.append(a))
+    kw = dict(p=2.0, shifts=(0, -3), T=4, M=50, seed=14)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rc.shift_invariance_probe(rc.iid_gaussian(1), rc.constant(2.0).spec, **{**kw, **bad})
+    assert calls == []
 
 
 def test_probe_deterministic():

@@ -72,7 +72,6 @@ from .reservoirs import (
     washout_decay,
 )
 from .training import (
-    TrainConfig,
     fit_linear_readout,
     fit_network_readout,
     fit_polynomial_readout,

@@ -49,6 +49,12 @@ def _seed(v) -> bool:
     return _integer(v, 0) and v < 2**64
 
 
+def _check_p(p) -> None:
+    """Raise ValueError unless p is a finite real >= 1, an L^p norm order."""
+    if not (_finite_real(p) and p >= 1):
+        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+
+
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Description of a causal, time-invariant functional.
@@ -241,9 +247,9 @@ def truncated_conditional_error(
     seed and window_length, bit for bit.
 
     Returns an LpEstimate for an int K, else a list of them in the order of
-    K.  Raises ValueError for dependent-innovation samplers, and for a
-    cutoff, M, inner_samples, window_length or seed outside its integer
-    range, before any other work.
+    K.  Raises ValueError for dependent-innovation samplers, for a cutoff,
+    M, inner_samples, window_length or seed outside its integer range, and
+    for p not a finite number >= 1, before any other work.
     """
     from . import metrics
     from .processes import sample_paths
@@ -262,6 +268,7 @@ def truncated_conditional_error(
         raise ValueError(f"need an integer inner_samples >= 1, got {inner_samples!r}")
     if not _seed(seed):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_p(p)
     if not sampler.iid:
         raise ValueError(
             f"sampler kind {sampler.kind!r} does not have independent innovations; "

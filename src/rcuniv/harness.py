@@ -38,7 +38,6 @@ from .reservoirs import (
     random_trig_sas,
     washout_decay,
 )
-from .training import TrainConfig
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -119,7 +118,6 @@ class ExperimentConfig:
     target: targets.TargetCatalogEntry
     p: float
     T: int
-    washout: int
     M_train: int
     M_eval: int
     ridge: float
@@ -202,8 +200,8 @@ def load_config(doc: dict) -> ExperimentConfig:
     for k, lo in (("T", 1), ("M_train", 5), ("M_eval", 2)):
         if not _integer(doc[k], lo):
             raise ConfigError(f"{k} must be an integer >= {lo}")
-    washout = doc["washout"]
-    if not _integer(washout, 0) or washout >= doc["T"]:
+    # schema 1 requires washout; it is validated, but nothing reads it
+    if not _integer(doc["washout"], 0) or doc["washout"] >= doc["T"]:
         raise ConfigError("washout must be an integer in [0, T)")
     ridge = doc["ridge"]
     if not _number(ridge, 0):
@@ -235,7 +233,6 @@ def load_config(doc: dict) -> ExperimentConfig:
         target=entry,
         p=float(p),
         T=doc["T"],
-        washout=washout,
         M_train=doc["M_train"],
         M_eval=doc["M_eval"],
         ridge=float(ridge),
@@ -283,30 +280,30 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
     fields of the group's points.
     """
     spec, sampler, n, fp = cfg.target.spec, cfg.sampler, cfg.sampler.n, cfg.family_params
-    tc = TrainConfig(ridge=cfg.ridge, paths=cfg.M_train, window_length=cfg.T,
-                     washout=cfg.washout, seed=cfg.seed_train)
+    fit_args = dict(ridge=cfg.ridge, seed=cfg.seed_train)
     extras: dict = {}
 
     def train(system):
-        return training.sample_states(system, spec, sampler, tc)
+        return training.sample_states(system, spec, sampler, cfg.T, cfg.M_train,
+                                      cfg.seed_train)
 
     if cfg.family == "linear_poly":
         system = build_shift_register(n, fp["memory"])
         states, y = train(system)
-        fits = [training.fit_polynomial_readout(states, y, c, tc) for c in capacities]
+        fits = [training.fit_polynomial_readout(states, y, c, **fit_args) for c in capacities]
     elif cfg.family == "linear_nn":
         system = build_shift_register(n, fp["memory"])
         states, y = train(system)
-        fits = [training.fit_network_readout(states, y, c, tc, activation=fp["activation"])
+        fits = [training.fit_network_readout(states, y, c, **fit_args, activation=fp["activation"])
                 for c in capacities]
     else:
         (capacity,) = capacities
         if cfg.family == "trig_sas":
             system = random_trig_sas(capacity, n, seed=cfg.seed_train, **fp)
-            fits = [training.fit_linear_readout(*train(system), tc)]
+            fits = [training.fit_linear_readout(*train(system), **fit_args)]
         elif cfg.family == "esn":
             system = random_esn(capacity, n, seed=cfg.seed_train, **fp)
-            fits = [training.fit_linear_readout(*train(system), tc)]
+            fits = [training.fit_linear_readout(*train(system), **fit_args)]
         elif cfg.family == "constructed_shift":
             system = build_shift_register(n, spec.memory)
             fits = [(targets._window_readout(spec), None)]
@@ -316,7 +313,7 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
         else:  # constructed_block_esn
             states, y = train(build_shift_register(n, spec.memory))
             inner, diag = training.fit_network_readout(
-                states, y, capacity, tc, activation=fp["activation"],
+                states, y, capacity, **fit_args, activation=fp["activation"],
             )
             id_nets, eps = fit_identity_network(
                 n, half_width=fp["half_width"], hidden_units=fp["identity_units"],

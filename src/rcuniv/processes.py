@@ -17,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _finite_real, _integer, _run_blocks, _seed, evaluate_functional_batch
+from .core import (_check_p, _finite_real, _integer, _run_blocks, _seed,
+                   evaluate_functional_batch)
 
 __all__ = [
     "ProcessSampler",
@@ -455,8 +456,8 @@ def shift_invariance_probe(
     the window seen t steps in the past, generated with |t| extra leading
     steps.  Each shift uses its own derived seed so the estimates are
     independent; for a stationary sampler they agree up to Monte Carlo
-    noise.  Raises ValueError for seed, T or M outside its integer range
-    before any draw.
+    noise.  Raises ValueError for seed, T, M or a shift outside its
+    integer range, and for p not a finite number >= 1, before any draw.
     """
     from . import metrics
 
@@ -466,9 +467,11 @@ def shift_invariance_probe(
         raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
     if not _integer(T, 1):
         raise ValueError(f"need an integer window length T >= 1, got {T!r}")
-    shifts = sorted(set(int(t) for t in shifts), reverse=True)
-    if any(t > 0 for t in shifts):
-        raise ValueError("shifts must be <= 0")
+    _check_p(p)
+    shifts = tuple(shifts)
+    if not all(_integer(t) and t <= 0 for t in shifts):
+        raise ValueError(f"shifts must be integers <= 0, got {shifts!r}")
+    shifts = sorted({int(t) for t in shifts}, reverse=True)
     deepest = -min(shifts) if shifts else 0
     out = {}
     for j, t in enumerate(shifts):

@@ -167,13 +167,10 @@ def test_c07_esn_capacity_sweep_reduces_error():
     for seed in (1, 2, 3):
         for N in errs:
             esn = rc.random_esn(N, 1, seed=seed)
-            cfg = rc.TrainConfig(
-                ridge=1e-6, paths=5000, window_length=60, washout=20,
-                seed=seed * 1000,
-            )
             readout, _ = rc.fit_linear_readout(
-                *rc.sample_states(esn, entry.spec, samp, cfg), cfg)
-            model = rc.ReservoirModel(esn, readout, train_seed=cfg.seed)
+                *rc.sample_states(esn, entry.spec, samp, T=60, M=5000, seed=seed * 1000),
+                ridge=1e-6, seed=seed * 1000)
+            model = rc.ReservoirModel(esn, readout, train_seed=seed * 1000)
             est = rc.approx_error(
                 entry.spec, model, samp, p=2.0, T=60, M=5000,
                 seed=seed * 1000 + 500,

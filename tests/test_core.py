@@ -372,6 +372,23 @@ def test_cutoff_sweep_rejects_bad_cutoffs_before_any_draw(monkeypatch, K, messag
     assert calls == []
 
 
+@pytest.mark.parametrize("p", [0.5, math.nan, math.inf, True, "2"],
+                         ids=["half", "nan", "inf", "bool", "string"])
+@pytest.mark.parametrize("estimate", [
+    lambda sampler, spec, p: rc.truncated_conditional_error(
+        spec, (1, 3), sampler, p=p, M=4000, seed=11, window_length=40, inner_samples=100),
+    lambda sampler, spec, p: rc.shift_invariance_probe(
+        sampler, spec, p=p, shifts=(0, -5), T=40, M=40_000, seed=53),
+], ids=["truncated_conditional_error", "shift_invariance_probe"])
+def test_bad_p_raises_before_any_draw(monkeypatch, estimate, p):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("paths drawn before p was checked")
+
+    monkeypatch.setattr(rc.processes, "sample_paths", no_draws)
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        estimate(rc.iid_gaussian(1), rc.geometric_ma(0.5).spec, p)
+
+
 def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
     # a (chunk, R, T, n) replica array of 500 paths would take 16 MB here
     monkeypatch.setenv("RCUNIV_WORKERS", "2")

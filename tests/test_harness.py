@@ -219,6 +219,14 @@ def test_readme_lists_every_family_param_and_default():
                       for key, value in defaults.items()}
 
 
+def test_readme_example_config_loads():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+    doc = json.loads(block)
+    cfg = load_config(doc)
+    assert (cfg.family, cfg.capacity, cfg.T, doc["washout"]) == ("esn", (50, 100, 200), 60, 20)
+
+
 # ---------------------------------------------------------------------------
 # experiments
 

@@ -591,7 +591,10 @@ def test_probe_rejects_positive_shift():
     (dict(M=50.0), "integer M >= 2"),
     (dict(T=0), "integer window length T >= 1"),
     (dict(T=4.5), "integer window length T >= 1"),
-], ids=["seed_negative", "seed_past_2_to_64", "seed_float", "M_1", "M_float", "T_0", "T_float"])
+    (dict(shifts=(0, -2.7)), "shifts must be integers <= 0"),
+    (dict(shifts=(0, False)), "shifts must be integers <= 0"),
+], ids=["seed_negative", "seed_past_2_to_64", "seed_float", "M_1", "M_float", "T_0", "T_float",
+        "shift_fraction", "shift_bool"])
 def test_probe_checks_numbers_before_any_draw(monkeypatch, bad, message):
     calls = []
     monkeypatch.setattr(rc.processes, "sample_paths", lambda *a, **k: calls.append(a))

@@ -1,6 +1,7 @@
 """Readout training: ridge solver, recovery, nesting, failure modes."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -15,13 +16,15 @@ from rcuniv.training import _holdout_mask
 DIAG_KEYS = {"lambda", "paths", "rmse_train", "rmse_holdout", "coeff_count", "seed", "rank"}
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        rc.TrainConfig(ridge=-1.0, paths=100, window_length=10)
-    with pytest.raises(ValueError):
-        rc.TrainConfig(ridge=0.0, paths=4, window_length=10)
-    with pytest.raises(ValueError):
-        rc.TrainConfig(ridge=0.0, paths=100, window_length=10, washout=10)
+def test_fits_reject_a_bad_ridge_or_seed():
+    states, y = np.zeros((20, 3)), np.zeros(20)
+    for fit in (rc.fit_linear_readout, _fit_polynomial(2), _fit_network()):
+        for ridge in (-1, math.nan, math.inf, True):
+            with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+                fit(states, y, ridge=ridge, seed=0)
+        for seed in (-1, 2.0):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                fit(states, y, ridge=0.0, seed=seed)
 
 
 def test_ridge_solver_matches_normal_equations():
@@ -65,22 +68,22 @@ def test_linear_recovery_of_state_coordinate():
     # target = newest input = first shift register coordinate; exact fit
     sr = rc.build_shift_register(1, 1)
     target = rc.finite_poly(1, 1, 1, {(1, 0): 1.0}).spec
-    cfg = rc.TrainConfig(ridge=0.0, paths=200, window_length=6, seed=3)
-    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
-    readout, diag = rc.fit_linear_readout(states, y, cfg)
+    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=200, seed=3)
+    readout, diag = rc.fit_linear_readout(states, y, ridge=0.0, seed=3)
     np.testing.assert_allclose(readout.W, [1.0, 0.0], atol=1e-8)
     assert diag["rmse_train"] < 1e-10
     assert diag["rank"] == 2
     assert set(diag) == DIAG_KEYS
+    assert (diag["paths"], diag["seed"], diag["lambda"]) == (200, 3, 0.0)
 
 
 def test_polynomial_recovery_frozen_coefficients():
     # z_0^2 + z_0 z_-1 over graded-lex features -> (0, 0, 0, 1, 1, 0)
     sr = rc.build_shift_register(1, 1)
     target = rc.finite_poly(1, 1, 2, {(2, 0): 1.0, (1, 1): 1.0}).spec
-    cfg = rc.TrainConfig(ridge=1e-10, paths=200, window_length=6, seed=4)
     readout, diag = rc.fit_polynomial_readout(
-        *rc.sample_states(sr, target, rc.iid_gaussian(1), cfg), 2, cfg
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=200, seed=4), 2,
+        ridge=1e-10, seed=4,
     )
     np.testing.assert_allclose(
         readout.coefficient_vector(), [0.0, 0.0, 0.0, 1.0, 1.0, 0.0], atol=1e-6
@@ -92,9 +95,9 @@ def test_polynomial_recovery_frozen_coefficients():
 def test_degree_zero_fits_the_mean():
     sr = rc.build_shift_register(1, 0)
     target = rc.geometric_ma(0.5).spec
-    cfg = rc.TrainConfig(ridge=0.0, paths=500, window_length=20, seed=5)
     readout, _ = rc.fit_polynomial_readout(
-        *rc.sample_states(sr, target, rc.iid_gaussian(1), cfg), 0, cfg
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), T=20, M=500, seed=5), 0,
+        ridge=0.0, seed=5,
     )
     data = rc.sample_paths(rc.iid_gaussian(1), 20, 500, seed=5)
     y = rc.evaluate_functional_batch(target, data)
@@ -104,9 +107,9 @@ def test_degree_zero_fits_the_mean():
 
 def test_zero_target_gives_zero_weights():
     sr = rc.build_shift_register(1, 1)
-    cfg = rc.TrainConfig(ridge=1.0, paths=100, window_length=4, seed=6)
     readout, diag = rc.fit_linear_readout(
-        *rc.sample_states(sr, rc.constant(0.0).spec, rc.iid_gaussian(1), cfg), cfg
+        *rc.sample_states(sr, rc.constant(0.0).spec, rc.iid_gaussian(1), T=4, M=100, seed=6),
+        ridge=1.0, seed=6,
     )
     np.testing.assert_array_equal(readout.W, np.zeros(2))
     assert diag["rmse_train"] == 0.0
@@ -114,25 +117,23 @@ def test_zero_target_gives_zero_weights():
 
 def test_training_requires_certificate():
     esn = rc.random_esn(6, 1, seed=7, spectral=1.2)
-    cfg = rc.TrainConfig(ridge=0.1, paths=50, window_length=8, seed=8)
     with pytest.raises(rc.EspNotCertifiedError):
-        rc.sample_states(esn, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+        rc.sample_states(esn, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), T=8, M=50, seed=8)
 
 
 def test_training_respects_whitelist():
     sr = rc.build_shift_register(1, 0)
-    cfg = rc.TrainConfig(ridge=0.1, paths=50, window_length=4, seed=9)
     with pytest.raises(ValueError):
-        rc.sample_states(sr, rc.peak_hold().spec, rc.iid_gaussian(1), cfg)
+        rc.sample_states(sr, rc.peak_hold().spec, rc.iid_gaussian(1), T=4, M=50, seed=9)
 
 
 def _fit_network(**kw):
-    return lambda states, y, cfg: rc.fit_network_readout(
-        states, y, kw.get("units", 4), cfg, activation=kw.get("activation", "tanh"))
+    return lambda states, y, **fit: rc.fit_network_readout(
+        states, y, kw.get("units", 4), **fit, activation=kw.get("activation", "tanh"))
 
 
 def _fit_polynomial(degree):
-    return lambda states, y, cfg: rc.fit_polynomial_readout(states, y, degree, cfg)
+    return lambda states, y, **fit: rc.fit_polynomial_readout(states, y, degree, **fit)
 
 
 @pytest.mark.parametrize("fit, message", [
@@ -148,42 +149,41 @@ def test_bad_fit_argument_raises_before_any_path_is_drawn(monkeypatch, fit, mess
         raise RuntimeError("paths drawn before the arguments were checked")
 
     monkeypatch.setattr(rc.training, "sample_paths", no_draws)
-    cfg = rc.TrainConfig(ridge=0.1, paths=20_000, window_length=4, seed=12)
     # fits take the training stage's arrays and draw nothing; None states
     # would raise another error if they were read before the argument check
     with pytest.raises(ValueError, match=message):
-        fit(None, None, cfg)
+        fit(None, None, ridge=0.1, seed=12)
 
 
 @pytest.mark.parametrize("fit", [
-    lambda states, y, cfg: rc.fit_linear_readout(states, y, cfg),
+    rc.fit_linear_readout,
     _fit_polynomial(2),
     _fit_network(),
 ], ids=["linear", "polynomial", "network"])
 def test_fits_reject_arrays_that_are_not_the_training_stage_shape(fit):
-    cfg = rc.TrainConfig(ridge=0.1, paths=20, window_length=4, seed=12)
     states, y = np.zeros((20, 3)), np.zeros(20)
-    for bad in ((states[:19], y), (states, y[:19]), (states[:, 0], y), (states, states)):
-        with pytest.raises(ValueError, match="cfg.paths = 20"):
-            fit(*bad, cfg)
+    # four paths leave the holdout split with no held-out path
+    for bad in ((states[:19], y), (states, y[:19]), (states[:, 0], y), (states, states),
+                (states[:4], y[:4])):
+        with pytest.raises(ValueError, match=re.escape("expected states (M, N) with M >= 5")):
+            fit(*bad, ridge=0.1, seed=12)
 
 
 def test_rank_deficiency_warns_without_penalty():
     # duplicated state coordinates make the feature matrix singular
     dup = rc.LinearReservoir(np.zeros((2, 2)), np.array([[1.0], [1.0]]))
-    cfg = rc.TrainConfig(ridge=0.0, paths=100, window_length=4, seed=10)
-    states, y = rc.sample_states(dup, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), cfg)
+    states, y = rc.sample_states(dup, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1),
+                                 T=4, M=100, seed=10)
     with pytest.warns(RuntimeWarning, match="rank"):
-        rc.fit_linear_readout(states, y, cfg)
+        rc.fit_linear_readout(states, y, ridge=0.0, seed=10)
 
 
 def test_network_units_nest_by_prefix():
     sr = rc.build_shift_register(1, 1)
     target = rc.trig_product(np.array([[1.0], [0.7]])).spec
-    cfg = rc.TrainConfig(ridge=0.0, paths=500, window_length=6, seed=11)
-    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
-    small, diag_s = rc.fit_network_readout(states, y, 4, cfg)
-    large, diag_l = rc.fit_network_readout(states, y, 16, cfg)
+    states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=500, seed=11)
+    small, diag_s = rc.fit_network_readout(states, y, 4, ridge=0.0, seed=11)
+    large, diag_l = rc.fit_network_readout(states, y, 16, ridge=0.0, seed=11)
     np.testing.assert_array_equal(large.alpha[:4], small.alpha)
     np.testing.assert_array_equal(large.theta[:4], small.theta)
     assert diag_l["rmse_train"] <= diag_s["rmse_train"] + 1e-9
@@ -193,20 +193,20 @@ def test_network_fit_matches_reference_draw():
     # the hidden layer drawn inline, as before the shared random-feature builder
     sr = rc.build_shift_register(1, 2)
     target = rc.trig_product(np.array([[1.0], [0.7], [0.4]])).spec
-    cfg = rc.TrainConfig(ridge=1e-8, paths=400, window_length=5, seed=21)
-    net, _ = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
-                                    24, cfg, activation="logistic")
-    data = sample_paths(rc.iid_gaussian(1), cfg.window_length, cfg.paths, cfg.seed)
+    T, M, seed, ridge = 5, 400, 21, 1e-8
+    net, _ = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), T, M, seed),
+                                    24, ridge=ridge, seed=seed, activation="logistic")
+    data = sample_paths(rc.iid_gaussian(1), T, M, seed)
     states = final_states(sr, data)
     y = rc.evaluate_functional_batch(target, data)
     N = states.shape[1]
-    alpha = np.random.default_rng([cfg.seed, 0xA1FA]).standard_normal((24, N)) / np.sqrt(N)
+    alpha = np.random.default_rng([seed, 0xA1FA]).standard_normal((24, N)) / np.sqrt(N)
     proj = states @ alpha.T
     lo, hi = proj.min(axis=0), proj.max(axis=0)
-    theta = lo + (hi - lo) * np.random.default_rng([cfg.seed, 0x7E7A]).uniform(size=24)
+    theta = lo + (hi - lo) * np.random.default_rng([seed, 0x7E7A]).uniform(size=24)
     feats = get_activation("logistic").fn(proj - theta)
-    hold = _holdout_mask(cfg.paths)
-    beta, _ = _ridge_solve(feats[~hold], y[~hold], cfg.ridge)
+    hold = _holdout_mask(M)
+    beta, _ = _ridge_solve(feats[~hold], y[~hold], ridge)
     for got, want in ((net.alpha, alpha), (net.theta, theta), (net.beta, beta)):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -221,9 +221,8 @@ def test_network_fit_reaches_small_error():
     sr = rc.build_shift_register(1, 1)
     worst = 0.0
     for seed in (12, 13, 14):
-        cfg = rc.TrainConfig(ridge=1e-8, paths=4000, window_length=4, seed=seed)
-        states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), cfg)
-        _, diag = rc.fit_network_readout(states, y, 256, cfg)
+        states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), T=4, M=4000, seed=seed)
+        _, diag = rc.fit_network_readout(states, y, 256, ridge=1e-8, seed=seed)
         worst = max(worst, diag["rmse_holdout"])
     assert worst < 0.05 * norm
 
@@ -234,20 +233,20 @@ def test_polynomials_plateau_on_lognormal_log_sine():
     target = rc.log_sine().spec
     samp = rc.iid_lognormal(1)
     floor = math.sqrt(0.5)
-    cfg = rc.TrainConfig(ridge=1e-8, paths=3000, window_length=2, seed=15)
-    states, y = rc.sample_states(sr, target, samp, cfg)
+    states, y = rc.sample_states(sr, target, samp, T=2, M=3000, seed=15)
     for degree in (1, 3, 6):
-        _, diag = rc.fit_polynomial_readout(states, y, degree, cfg)
+        _, diag = rc.fit_polynomial_readout(states, y, degree, ridge=1e-8, seed=15)
         assert diag["rmse_holdout"] > 0.7 * floor
 
 
 def test_fits_are_deterministic():
     sr = rc.build_shift_register(1, 1)
     target = rc.geometric_ma(0.5).spec
-    cfg = rc.TrainConfig(ridge=1e-6, paths=300, window_length=12, seed=17)
-    n1, d1 = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
-                                    32, cfg)
-    n2, d2 = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), cfg),
-                                    32, cfg)
+    n1, d1 = rc.fit_network_readout(
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), T=12, M=300, seed=17),
+        32, ridge=1e-6, seed=17)
+    n2, d2 = rc.fit_network_readout(
+        *rc.sample_states(sr, target, rc.iid_gaussian(1), T=12, M=300, seed=17),
+        32, ridge=1e-6, seed=17)
     np.testing.assert_array_equal(n1.beta, n2.beta)
     assert d1 == d2

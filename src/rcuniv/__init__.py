@@ -54,7 +54,6 @@ from .reservoirs import (
     EspNotCertifiedError,
     EspReport,
     LinearReservoir,
-    ReservoirModel,
     StateOverflowError,
     TrigPolynomial,
     TrigSAS,
@@ -64,6 +63,7 @@ from .reservoirs import (
     block_esn_functional,
     certify_esp,
     direct_sum_sas,
+    final_states,
     fit_identity_network,
     random_esn,
     random_trig_sas,

@@ -23,16 +23,16 @@ import numpy as np
 from . import metrics, processes, reservoirs, targets, training
 from .core import (_finite_real, _integer, _seed, nilpotent_product, truncated_conditional_error,
                    write_window_csv)
-from .readouts import ACTIVATIONS
+from .readouts import ACTIVATIONS, LinearReadout, eval_readout
 from .reservoirs import (
     EspNotCertifiedError,
-    ReservoirModel,
     build_block_esn,
     build_nilpotent_trig_sas,
     build_shift_register,
     block_esn_functional,
     certify_esp,
     direct_sum_sas,
+    final_states,
     fit_identity_network,
     random_esn,
     random_trig_sas,
@@ -308,8 +308,9 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
             system = build_shift_register(n, spec.memory)
             fits = [(targets._window_readout(spec), None)]
         elif cfg.family == "constructed_nilpotent_sas":
-            system = build_nilpotent_trig_sas(spec.params["freqs"], spec.params["sine_lags"])
-            fits = [(None, None)]
+            system, readout = build_nilpotent_trig_sas(spec.params["freqs"],
+                                                       spec.params["sine_lags"])
+            fits = [(readout, None)]
         else:  # constructed_block_esn
             states, y = train(build_shift_register(n, spec.memory))
             inner, diag = training.fit_network_readout(
@@ -319,8 +320,8 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
                 n, half_width=fp["half_width"], hidden_units=fp["identity_units"],
                 activation=fp["activation"], seed=cfg.seed_train + 1,
             )
-            system = build_block_esn(inner, id_nets, n)
-            fits = [(None, diag)]
+            system, readout = build_block_esn(inner, id_nets, n)
+            fits = [(readout, diag)]
             extras["identity_sup_error"] = eps
 
     esp = certify_esp(system)
@@ -353,9 +354,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
         system, esp, fits, extras = _build_group(cfg, capacities)
         out.mkdir(parents=True, exist_ok=True)  # only once a point is built and certified
         estimates = metrics.approx_error(
-            cfg.target.spec,
-            [ReservoirModel(system, readout, train_seed=cfg.seed_train) for readout, _ in fits],
-            cfg.sampler, cfg.p, cfg.T, cfg.M_eval, cfg.seed_eval,
+            cfg.target.spec, system, [readout for readout, _ in fits],
+            cfg.sampler, cfg.p, cfg.T, cfg.M_eval, cfg.seed_eval, train_seed=cfg.seed_train,
         )
         for capacity, (_, diag), est in zip(capacities, fits, estimates):
             metrics.warn_on_truncation(tail, est)
@@ -479,11 +479,11 @@ def _esp_fixtures():
     A *= 0.7 / np.linalg.norm(A, 2)
     yield "linear_contractive", reservoirs.LinearReservoir(A, rng.standard_normal((6, 2))), 2
     yield "shift_register", build_shift_register(2, 2), 2
-    yield "nilpotent_sas", build_nilpotent_trig_sas(rng.standard_normal((3, 2)), (1,)), 2
+    yield "nilpotent_sas", build_nilpotent_trig_sas(rng.standard_normal((3, 2)), (1,))[0], 2
     yield "contractive_sas", random_trig_sas(4, 2, terms=3, seed=7, contraction=0.8), 2
     yield "esn_logistic", reservoirs.EchoStateNetwork(
         3.0 * A[:4, :4], rng.standard_normal((4, 2)), rng.uniform(-0.1, 0.1, 4),
-        np.zeros(4), "logistic"), 2
+        "logistic"), 2
     yield "esn_tanh", random_esn(5, 2, seed=9, activation="tanh", spectral=0.9), 2
 
 
@@ -518,18 +518,20 @@ def _verify_direct_sum() -> list[PropertyCheck]:
     worst = 0.0
     for trial in range(5):
         K1, K2 = rng.integers(0, 4), rng.integers(0, 4)
-        s1 = build_nilpotent_trig_sas(
+        s1, r1 = build_nilpotent_trig_sas(
             rng.standard_normal((K1 + 1, 2)),
             [k for k in range(K1 + 1) if rng.uniform() < 0.5],
         )
-        s2 = build_nilpotent_trig_sas(
+        s2, r2 = build_nilpotent_trig_sas(
             rng.standard_normal((K2 + 1, 2)),
             [k for k in range(K2 + 1) if rng.uniform() < 0.5],
         )
         data = processes.sample_paths(sampler, max(K1, K2) + 2, 10, seed=trial * 10)
-        y1, y2 = ReservoirModel(s1).values(data), ReservoirModel(s2).values(data)
+        y1 = eval_readout(r1, final_states(s1, data))
+        y2 = eval_readout(r2, final_states(s2, data))
+        states = final_states(direct_sum_sas(s1, s2), data)
         for lam in (-1.0, 2.5):
-            y = ReservoirModel(direct_sum_sas(s1, s2, lam)).values(data)
+            y = eval_readout(LinearReadout(np.concatenate([r1.W, lam * r2.W])), states)
             worst = max(worst, float(np.max(np.abs(y - (y1 + lam * y2)))))
     return [_check("direct_sum_linearity", worst / 1e-10,
                    f"max |H - (H1 + lam H2)| = {worst:.1e}")]
@@ -543,10 +545,10 @@ def _verify_block_esn() -> list[PropertyCheck]:
         for K in (1, 2):
             inner = _random_inner_net(rng, n=1, K=K, units=10, activation=activation)
             id_nets, _ = fit_identity_network(1, 2.5, 12, activation, seed=3)
-            system = build_block_esn(inner, id_nets, n=1)
+            system, readout = build_block_esn(inner, id_nets, n=1)
             data = processes.sample_paths(sampler, K + 2, 20, seed=41)
             direct = block_esn_functional(inner, id_nets, data)
-            run = ReservoirModel(system).values(data)
+            run = eval_readout(readout, final_states(system, data))
             worst = max(worst, float(np.max(np.abs(run - direct)
                                             / np.maximum(1.0, np.abs(direct)))))
     return [_check("block_esn_equivalence", worst / 1e-8,

@@ -7,7 +7,8 @@ depend on chunking or worker count; the worker threads run inside the
 state loop (reservoirs.final_states), not here.  approx_error scores
 every readout of one system in one pass: each chunk of evaluation paths
 is drawn, its target evaluated and its states run once, whatever the
-number of readouts.
+number of readouts.  Both estimators check p, M and seed before any
+draw.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSpec, _check_p, evaluate_functional_batch
+from .core import FunctionalSpec, _check_p, _integer, _seed, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
-from .reservoirs import _BLOCK_ROWS, ReservoirModel, final_states
+from .readouts import eval_readout
+from .reservoirs import _BLOCK_ROWS, final_states
 from .targets import check_sampler
 
 __all__ = [
@@ -80,6 +82,15 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     return LpEstimate(p=p, value=float(value), stderr=float(stderr), M=M, seed=seed)
 
 
+def _check_draw_args(p, M, seed) -> None:
+    """Raise ValueError for a bad norm order, path count or seed; draws nothing."""
+    _check_p(p)
+    if not _integer(M, 2):
+        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _collect_values(values_fn, count: int, sampler: ProcessSampler, T: int, M: int,
                     seed: int) -> np.ndarray:
     """(count, M) per-path values, _EVAL_CHUNK paths at a time.
@@ -94,38 +105,22 @@ def _collect_values(values_fn, count: int, sampler: ProcessSampler, T: int, M: i
     return out
 
 
-def _values_fn(functional, sampler: ProcessSampler):
-    if isinstance(functional, FunctionalSpec):
-        check_sampler(functional, sampler)
-        return lambda data: evaluate_functional_batch(functional, data)
-    if isinstance(functional, ReservoirModel):
-        return functional.values
-    raise TypeError(
-        f"expected FunctionalSpec or ReservoirModel, got {type(functional).__name__}"
-    )
-
-
 def lp_norm(
-    functional,
+    spec: FunctionalSpec,
     sampler: ProcessSampler,
     p: float,
     T: int,
     M: int,
     seed: int,
-    tail_bound: float | None = None,
 ) -> LpEstimate:
-    """||H(Z)||_p over M windows of length T.
-
-    functional is a FunctionalSpec or a ReservoirModel.  When a closed-form
-    truncation bound for the chosen T is passed in, a warning is raised if
-    it is not below a tenth of the measured standard error.
-    """
-    if M < 2:
-        raise ValueError("need M >= 2 paths")
-    (vals,) = _collect_values(_values_fn(functional, sampler), 1, sampler, T, M, seed)
-    est = lp_norm_of_values(vals, p=p, seed=seed)
-    warn_on_truncation(tail_bound, est)
-    return est
+    """||H(Z)||_p of a functional over M windows of length T."""
+    if not isinstance(spec, FunctionalSpec):
+        raise TypeError(f"expected a FunctionalSpec, got {type(spec).__name__}")
+    _check_draw_args(p, M, seed)
+    check_sampler(spec, sampler)
+    (vals,) = _collect_values(lambda data: evaluate_functional_batch(spec, data), 1,
+                              sampler, T, M, seed)
+    return lp_norm_of_values(vals, p=p, seed=seed)
 
 
 def warn_on_truncation(tail_bound: float | None, est: LpEstimate) -> None:
@@ -146,30 +141,31 @@ def warn_on_truncation(tail_bound: float | None, est: LpEstimate) -> None:
 
 def approx_error(
     target: FunctionalSpec,
-    model: ReservoirModel | list[ReservoirModel],
+    system,
+    readouts,
     sampler: ProcessSampler,
     p: float,
     T: int,
     M: int,
     seed: int,
-) -> LpEstimate | list[LpEstimate]:
-    """|| H_target(Z) - H_model(Z) ||_p on fresh evaluation paths.
+    *,
+    train_seed: int | None = None,
+) -> list[LpEstimate]:
+    """|| H_target(Z) - readout(final state of system) ||_p per readout, on fresh paths.
 
-    model is a ReservoirModel, or a list of ReservoirModels on one system
-    (the same object), which gets a list of estimates in its order.  Each
-    chunk of paths is drawn, its target evaluated and its states run once,
-    and every model's readout is applied to those states, so each estimate
-    is the one a single-model call would return.  The evaluation seed must
-    differ from every model's recorded training seed so train and eval
-    paths never coincide.
+    readouts is a non-empty sequence of readouts of the system's states,
+    and the result lists one estimate per readout in its order.  Each
+    chunk of paths is drawn, its target evaluated and its states run
+    once, and every readout is applied to those states, so each estimate
+    is the one a single-readout call would return.  The evaluation seed
+    must differ from train_seed, the seed the readouts were fit on, so
+    train and eval paths never coincide.
     """
-    models = [model] if isinstance(model, ReservoirModel) else list(model)
-    if not models or not all(isinstance(m, ReservoirModel) for m in models):
-        raise TypeError("expected a ReservoirModel or a non-empty list of them")
-    system = models[0].system
-    if any(m.system is not system for m in models):
-        raise ValueError("the models of one approx_error call must share one system")
-    if any(m.train_seed is not None and seed == m.train_seed for m in models):
+    readouts = list(readouts)
+    if not readouts:
+        raise ValueError("need at least one readout")
+    _check_draw_args(p, M, seed)
+    if train_seed is not None and seed == train_seed:
         raise ValueError(
             f"evaluation seed {seed} equals the training seed; use disjoint seeds"
         )
@@ -178,8 +174,7 @@ def approx_error(
     def diffs(data):
         y = evaluate_functional_batch(target, data)
         states = final_states(system, data)
-        return [y - m.outputs(states) for m in models]
+        return [y - eval_readout(r, states) for r in readouts]
 
-    vals = _collect_values(diffs, len(models), sampler, T, M, seed)
-    estimates = [lp_norm_of_values(v, p=p, seed=seed) for v in vals]
-    return estimates[0] if isinstance(model, ReservoirModel) else estimates
+    vals = _collect_values(diffs, len(readouts), sampler, T, M, seed)
+    return [lp_norm_of_values(v, p=p, seed=seed) for v in vals]

@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _run_blocks, nilpotent_product
+from .core import _run_blocks
 from .readouts import (
+    LinearReadout,
     NetworkReadout,
     _random_features,
     _ridge_solve,
@@ -45,7 +46,6 @@ __all__ = [
     "block_esn_functional",
     "random_esn",
     "random_trig_sas",
-    "ReservoirModel",
     "system_to_dict",
     "system_from_dict",
 ]
@@ -323,7 +323,7 @@ def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TrigSAS(_ReservoirSystem):
-    """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t), y_t = W . x_t.
+    """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t).
 
     Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
     certificate() (nilpotent support of P, else _block_norm_bound(P) < 1),
@@ -332,22 +332,17 @@ class TrigSAS(_ReservoirSystem):
 
     P: TrigPolynomial
     Q: TrigPolynomial
-    W: np.ndarray
     # P(z) x accumulates in one slot while its terms go through the other,
     # which then takes Q(z); x, once read, is the workspace for Q's terms
     scratch_slots = 2
 
     def __post_init__(self):
-        W = np.atleast_1d(_frozen(self.W))
         if self.P.rows != self.P.cols:
             raise ValueError("P must be square")
         if self.Q.cols != 1 or self.Q.rows != self.P.rows:
             raise ValueError("Q must be a single-column polynomial with N rows")
-        if W.shape != (self.P.rows,):
-            raise ValueError("W must have N entries")
         if self.P.r and self.Q.r and self.P.n != self.Q.n:
             raise ValueError("P and Q must share the input channel count")
-        object.__setattr__(self, "W", W)
 
     @property
     def N(self) -> int:
@@ -367,18 +362,16 @@ class TrigSAS(_ReservoirSystem):
         return _structural_report("spectral", _block_norm_bound(self.P, support), support)
 
     def to_dict(self) -> dict:
-        return {"variant": "trig_sas", "P": self.P.to_dict(), "Q": self.Q.to_dict(),
-                "W": self.W.tolist()}
+        return {"variant": "trig_sas", "P": self.P.to_dict(), "Q": self.Q.to_dict()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrigSAS":
-        return cls(TrigPolynomial.from_dict(doc["P"]), TrigPolynomial.from_dict(doc["Q"]),
-                   doc["W"])
+        return cls(TrigPolynomial.from_dict(doc["P"]), TrigPolynomial.from_dict(doc["Q"]))
 
 
 @dataclass(frozen=True)
 class EchoStateNetwork(_ReservoirSystem):
-    """x_t = sigma(A x_{t-1} + C z_t + bias), y_t = W . x_t.
+    """x_t = sigma(A x_{t-1} + C z_t + bias).
 
     Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
     certificate() (nilpotent support of A, else Lip(sigma) ||A||_2 < 1),
@@ -388,7 +381,6 @@ class EchoStateNetwork(_ReservoirSystem):
     A: np.ndarray
     C: np.ndarray
     bias: np.ndarray
-    W: np.ndarray
     activation: str = "logistic"
     scratch_slots = 1
 
@@ -396,14 +388,13 @@ class EchoStateNetwork(_ReservoirSystem):
         A = _frozen(self.A, "A")
         C = _frozen(self.C, "C")
         bias = np.atleast_1d(_frozen(self.bias))
-        W = np.atleast_1d(_frozen(self.W))
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         N = A.shape[0]
-        if C.shape[0] != N or bias.shape != (N,) or W.shape != (N,):
-            raise ValueError("C, bias, W must match the state dimension")
+        if C.shape[0] != N or bias.shape != (N,):
+            raise ValueError("C, bias must match the state dimension")
         get_activation(self.activation)
-        for name, arr in (("A", A), ("C", C), ("bias", bias), ("W", W)):
+        for name, arr in (("A", A), ("C", C), ("bias", bias)):
             object.__setattr__(self, name, arr)
 
     @property
@@ -432,12 +423,11 @@ class EchoStateNetwork(_ReservoirSystem):
 
     def to_dict(self) -> dict:
         return {"variant": "esn", "A": self.A.tolist(), "C": self.C.tolist(),
-                "bias": self.bias.tolist(), "W": self.W.tolist(),
-                "activation": self.activation}
+                "bias": self.bias.tolist(), "activation": self.activation}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EchoStateNetwork":
-        return cls(doc["A"], doc["C"], doc["bias"], doc["W"], doc["activation"])
+        return cls(doc["A"], doc["C"], doc["bias"], doc["activation"])
 
 
 _VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNetwork}
@@ -545,14 +535,14 @@ def build_shift_register(n: int, K: int) -> LinearReservoir:
     return LinearReservoir(A, c)
 
 
-def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
-    """Nilpotent state-affine system realizing a product of sines/cosines.
+def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadout]:
+    """Nilpotent state-affine system and the linear readout realizing a product of sines/cosines.
 
-    freqs has shape (K + 1, n); the system output after at least K + 1
-    steps equals prod_k g_k(freqs[k] . z_-k) with g_k = sin for lags in
-    sine_lags and cos otherwise.  N = K + 1; the state polynomial uses a
-    chain of unit shift matrices so every product of more than K factors
-    vanishes identically.
+    freqs has shape (K + 1, n); the readout of the final state after at
+    least K + 1 steps equals prod_k g_k(freqs[k] . z_-k) with g_k = sin
+    for lags in sine_lags and cos otherwise.  N = K + 1; the state
+    polynomial uses a chain of unit shift matrices so every product of
+    more than K factors vanishes identically.
     """
     freqs = np.asarray(freqs, dtype=np.float64)
     if freqs.ndim == 1:
@@ -571,13 +561,9 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
     for j in range(K):
         # term j carries the lag-j factor on the shift matrix with unit
         # entry at (K - j + 1, K - j), 1-indexed
-        mat = nilpotent_product(N, [K - j])
-        if j in sine_lags:
-            sin_mats[j] = mat
-            sin_freqs[j] = freqs[j]
-        else:
-            cos_mats[j] = mat
-            cos_freqs[j] = freqs[j]
+        mats, term_freqs = (sin_mats, sin_freqs) if j in sine_lags else (cos_mats, cos_freqs)
+        mats[j, K - j, K - j - 1] = 1.0
+        term_freqs[j] = freqs[j]
     P = TrigPolynomial(cos_mats, sin_mats, cos_freqs, sin_freqs)
 
     qc = np.zeros((1, N, 1))
@@ -594,7 +580,7 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> TrigSAS:
 
     W = np.zeros(N)
     W[N - 1] = 1.0
-    return TrigSAS(P, Q, W)
+    return TrigSAS(P, Q), LinearReadout(W)
 
 
 def _block_terms(p1: TrigPolynomial, p2: TrigPolynomial, rows: int, cols: int,
@@ -610,12 +596,14 @@ def _block_terms(p1: TrigPolynomial, p2: TrigPolynomial, rows: int, cols: int,
     return TrigPolynomial(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
-def direct_sum_sas(s1: TrigSAS, s2: TrigSAS, lam: float) -> TrigSAS:
-    """Combine two certified systems so the output is H1 + lam * H2.
+def direct_sum_sas(s1: TrigSAS, s2: TrigSAS) -> TrigSAS:
+    """Block system whose state concatenates the states of two certified systems.
 
-    The state polynomials act block-diagonally on the concatenated state;
-    the drive terms stack; the readout concatenates W1 with lam * W2.
-    Raises if either input lacks an ESP certificate.
+    The state polynomials act block-diagonally on the concatenated state
+    and the drive terms stack.  With linear readouts r1 of s1 and r2 of
+    s2, LinearReadout(np.concatenate([r1.W, lam * r2.W])) reads
+    H1 + lam * H2 off the block system.  Raises if either input lacks an
+    ESP certificate.
     """
     r1, r2 = certify_esp(s1), certify_esp(s2)
     if not (r1.certified and r2.certified):
@@ -626,8 +614,7 @@ def direct_sum_sas(s1: TrigSAS, s2: TrigSAS, lam: float) -> TrigSAS:
 
     P = _block_terms(s1.P, s2.P, N, N, N1, N1, n)  # block diagonal
     Q = _block_terms(s1.Q, s2.Q, N, 1, N1, 0, n)  # stacked column
-    W = np.concatenate([s1.W, lam * s2.W])
-    return TrigSAS(P, Q, W)
+    return TrigSAS(P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +679,15 @@ def build_block_esn(
     inner: NetworkReadout,
     identity_nets: Sequence[NetworkReadout],
     n: int,
-) -> EchoStateNetwork:
-    """Echo state network realizing a shallow network of the last K + 1 inputs.
+) -> tuple[EchoStateNetwork, LinearReadout]:
+    """Echo state network and linear readout realizing a shallow network of the last K + 1 inputs.
 
     inner maps the stacked window (z_0, z_-1, ..., z_-K) in R^{n(K+1)}
     through one hidden layer; identity_nets feed each input forward one
     step per block.  The coupling matrix is strictly block lower
     triangular, so the state forgets its initialization exactly after
-    K + 1 steps, and the output reproduces the closed form of
-    block_esn_functional once the window is at least K + 1 long.
+    K + 1 steps, and the readout of the final state reproduces the closed
+    form of block_esn_functional once the window is at least K + 1 long.
     """
     if inner.alpha.shape[1] % n != 0:
         raise ValueError("inner network input dimension must be a multiple of n")
@@ -714,8 +701,8 @@ def build_block_esn(
     if K == 0:
         return EchoStateNetwork(
             A=np.zeros((Nbar, Nbar)), C=lag_blocks[0], bias=zeta_bar,
-            W=inner.beta, activation=inner.activation,
-        )
+            activation=inner.activation,
+        ), LinearReadout(inner.beta)
 
     if len(identity_nets) != n:
         raise ValueError(f"need one identity network per channel, got {len(identity_nets)}")
@@ -747,7 +734,7 @@ def build_block_esn(
     bias = np.concatenate([np.tile(zeta_J, K), zeta_bar])
     W = np.zeros(N)
     W[K * N_J :] = inner.beta
-    return EchoStateNetwork(A=A, C=C, bias=bias, W=W, activation=inner.activation)
+    return EchoStateNetwork(A=A, C=C, bias=bias, activation=inner.activation), LinearReadout(W)
 
 
 def block_esn_functional(
@@ -806,7 +793,7 @@ def random_esn(
         A *= (1.0 - 1e-12) / sigma
     C = input_scale * rng.standard_normal((N, n))
     bias = rng.uniform(-bias_scale, bias_scale, size=N)
-    return EchoStateNetwork(A=A, C=C, bias=bias, W=np.zeros(N), activation=activation)
+    return EchoStateNetwork(A=A, C=C, bias=bias, activation=activation)
 
 
 def random_trig_sas(
@@ -830,40 +817,7 @@ def random_trig_sas(
     qc /= np.linalg.norm(qc[0], 2)
     Q = TrigPolynomial(qc, np.zeros((1, N, 1)), freq_scale * rng.standard_normal((1, n)),
                        np.zeros((1, n)))
-    return TrigSAS(P, Q, np.zeros(N))
-
-
-# ---------------------------------------------------------------------------
-# system + readout as an evaluable functional
-
-
-@dataclass(frozen=True)
-class ReservoirModel:
-    """A reservoir with the readout that turns final states into outputs.
-
-    For TrigSAS and EchoStateNetwork the built-in W is used unless an
-    explicit readout overrides it; LinearReservoir always needs a readout.
-    train_seed records the seed used to fit the readout so evaluation
-    seeds can be checked for disjointness.
-    """
-
-    system: object
-    readout: object | None = None
-    train_seed: int | None = None
-
-    def __post_init__(self):
-        if self.readout is None and isinstance(self.system, LinearReservoir):
-            raise ValueError("LinearReservoir needs an explicit readout")
-
-    def values(self, data: np.ndarray) -> np.ndarray:
-        """Outputs on a batch of windows (M, T, n) -> (M,)."""
-        return self.outputs(final_states(self.system, data))
-
-    def outputs(self, states: np.ndarray) -> np.ndarray:
-        """Outputs on final states (M, N) -> (M,); values() without the state run."""
-        if self.readout is not None:
-            return np.asarray(eval_readout(self.readout, states))
-        return states @ self.system.W
+    return TrigSAS(P, Q)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,10 @@ def test_c01_shift_register_poly_readout_exact():
         readout = rc.PolynomialReadout(
             n * (K + 1), degree, entry.spec.params["coefficients"]
         )
-        model = rc.ReservoirModel(sr, readout, train_seed=0)
         samp = samp_cache.setdefault(n, rc.iid_gaussian(n))
-        est = rc.approx_error(
-            entry.spec, model, samp, p=2.0, T=K + 2, M=1000, seed=5000 + case
+        (est,) = rc.approx_error(
+            entry.spec, sr, [readout], samp, p=2.0, T=K + 2, M=1000, seed=5000 + case,
+            train_seed=0,
         )
         assert est.value < 1e-8, f"case {case}: error {est.value:.3g}"
     _budget(t0, 10.0)
@@ -49,10 +49,10 @@ def test_c02_nilpotent_sas_reproduces_trig_products():
         n = int(rng.integers(1, 3))
         freqs = rng.normal(scale=1.5, size=(K + 1, n))
         lags = tuple(int(j) for j in range(K + 1) if rng.uniform() < 0.5)
-        sas = rc.build_nilpotent_trig_sas(freqs, sine_lags=lags)
+        sas, readout = rc.build_nilpotent_trig_sas(freqs, sine_lags=lags)
         spec = rc.trig_product(freqs, sine_lags=lags).spec
         data = rng.normal(size=(100, K + 1, n))
-        got = rc.ReservoirModel(sas).values(data)
+        got = rc.eval_readout(readout, rc.final_states(sas, data))
         want = rc.evaluate_functional_batch(spec, data)
         assert np.max(np.abs(got - want)) < 1e-10, f"case {case}"
     _budget(t0, 5.0)
@@ -72,9 +72,9 @@ def test_c03_block_esn_matches_closed_form(activation):
         nets, _ = rc.fit_identity_network(
             1, half_width=3.0, hidden_units=24, activation=activation, seed=30 + K
         )
-        esn = rc.build_block_esn(inner, nets, 1)
+        esn, readout = rc.build_block_esn(inner, nets, 1)
         data = rng.normal(size=(100, K + 1, 1)) * 0.8
-        got = rc.ReservoirModel(esn).values(data)
+        got = rc.eval_readout(readout, rc.final_states(esn, data))
         want = rc.block_esn_functional(inner, nets, data)
         scale = np.maximum(np.abs(want), 1.0)
         assert np.max(np.abs(got - want) / scale) < 1e-8, f"K={K}"
@@ -131,7 +131,7 @@ def test_c06_esp_certificates_are_sound():
         rc.LinearReservoir(0.7 * np.eye(3), np.ones((3, 1))),
         rc.build_shift_register(1, 3),
         rc.build_shift_register(2, 2),
-        rc.build_nilpotent_trig_sas(rng.normal(size=(3, 1)), sine_lags=(0, 2)),
+        rc.build_nilpotent_trig_sas(rng.normal(size=(3, 1)), sine_lags=(0, 2))[0],
         rc.random_trig_sas(4, 1, terms=3, seed=61, contraction=0.85),
         rc.random_esn(8, 1, seed=62, activation="tanh"),
         rc.random_esn(8, 1, seed=63, activation="logistic", spectral=3.0),
@@ -140,7 +140,7 @@ def test_c06_esp_certificates_are_sound():
         rng.normal(size=6), rng.normal(size=(6, 3)), rng.normal(size=6), "logistic"
     )
     nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=16, seed=64)
-    systems.append(rc.build_block_esn(inner, nets, 1))
+    systems.append(rc.build_block_esn(inner, nets, 1)[0])
 
     for system in systems:
         rep = rc.certify_esp(system)
@@ -170,10 +170,9 @@ def test_c07_esn_capacity_sweep_reduces_error():
             readout, _ = rc.fit_linear_readout(
                 *rc.sample_states(esn, entry.spec, samp, T=60, M=5000, seed=seed * 1000),
                 ridge=1e-6, seed=seed * 1000)
-            model = rc.ReservoirModel(esn, readout, train_seed=seed * 1000)
-            est = rc.approx_error(
-                entry.spec, model, samp, p=2.0, T=60, M=5000,
-                seed=seed * 1000 + 500,
+            (est,) = rc.approx_error(
+                entry.spec, esn, [readout], samp, p=2.0, T=60, M=5000,
+                seed=seed * 1000 + 500, train_seed=seed * 1000,
             )
             errs[N].append(est.value)
     med = {N: float(np.median(v)) for N, v in errs.items()}
@@ -220,20 +219,21 @@ def test_c10_direct_sums_are_linear():
     rng = np.random.default_rng(1010)
     for case in range(20):
         K1, K2 = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        s1 = rc.build_nilpotent_trig_sas(
+        s1, r1 = rc.build_nilpotent_trig_sas(
             rng.normal(size=(K1 + 1, 1)),
             tuple(int(j) for j in range(K1 + 1) if rng.uniform() < 0.5),
         )
-        s2 = rc.build_nilpotent_trig_sas(
+        s2, r2 = rc.build_nilpotent_trig_sas(
             rng.normal(size=(K2 + 1, 1)),
             tuple(int(j) for j in range(K2 + 1) if rng.uniform() < 0.5),
         )
         T = max(K1, K2) + 1
         data = rng.normal(size=(50, T, 1))
-        h1 = rc.ReservoirModel(s1).values(data)
-        h2 = rc.ReservoirModel(s2).values(data)
+        h1 = rc.eval_readout(r1, rc.final_states(s1, data))
+        h2 = rc.eval_readout(r2, rc.final_states(s2, data))
+        states = rc.final_states(rc.direct_sum_sas(s1, s2), data)
         for lam in (-1.0, 0.0, 2.5):
-            combined = rc.direct_sum_sas(s1, s2, lam)
-            got = rc.ReservoirModel(combined).values(data)
+            readout = rc.LinearReadout(np.concatenate([r1.W, lam * r2.W]))
+            got = rc.eval_readout(readout, states)
             assert np.max(np.abs(got - (h1 + lam * h2))) < 1e-10, (case, lam)
     _budget(t0, 5.0)

@@ -1,6 +1,7 @@
 """Public surface: every exported name exists, the package imports only
-names its modules export, only processes reads the path streams, and no
-module imports a name it neither uses nor exports."""
+names its modules export, only processes reads the path streams, no
+module imports a name it neither uses nor exports, and no private
+module-level name goes unused."""
 
 import ast
 import importlib
@@ -84,3 +85,37 @@ def test_no_unused_imports(name):
     path = Path(rcuniv.__file__).parent / f"{name}.py"
     unused = _unused_imports(path)
     assert not unused, f"imported but never used or exported: {unused}"
+
+
+def _private_definitions(tree):
+    """(name, line) of each private module-level def, class or assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def _named(tree):
+    """Names a module reads: loaded names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_unused_private_definitions():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(rcuniv.__file__).parent.glob("*.py"))}
+    named = {name for tree in trees.values() for name in _named(tree)}
+    unused = [f"{file}:{line} {name}" for file, tree in trees.items()
+              for name, line in _private_definitions(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in named]
+    assert not unused, f"private definitions named nowhere else in rcuniv: {unused}"

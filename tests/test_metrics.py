@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import rcuniv as rc
-from rcuniv.metrics import lp_norm_of_values
+from rcuniv.metrics import lp_norm_of_values, warn_on_truncation
 
 
 def test_constant_values_exact():
@@ -95,6 +95,12 @@ def test_lp_norm_whitelist_enforced():
         rc.lp_norm(rc.peak_hold().spec, rc.iid_gaussian(1), p=2.0, T=8, M=10, seed=0)
 
 
+def test_lp_norm_takes_a_functional_spec_only():
+    # a catalog entry is not its spec
+    with pytest.raises(TypeError, match="FunctionalSpec"):
+        rc.lp_norm(rc.geometric_ma(0.5), rc.iid_gaussian(1), p=2.0, T=4, M=10, seed=0)
+
+
 def test_lp_norm_stderr_shrinks_with_paths():
     spec = rc.geometric_ma(0.5).spec
     samp = rc.iid_gaussian(1)
@@ -107,27 +113,28 @@ def test_lp_norm_stderr_shrinks_with_paths():
 def test_lp_norm_tail_bound_warning():
     spec = rc.geometric_ma(0.9).spec
     samp = rc.iid_gaussian(1)
+    short = rc.lp_norm(spec, samp, p=2.0, T=5, M=400, seed=7)
     with pytest.warns(RuntimeWarning, match="truncation"):
-        rc.lp_norm(spec, samp, p=2.0, T=5, M=400, seed=7, tail_bound=0.9**5 / 0.1)
+        warn_on_truncation(0.9**5 / 0.1, short)
+    long = rc.lp_norm(spec, samp, p=2.0, T=200, M=400, seed=7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc.lp_norm(spec, samp, p=2.0, T=200, M=400, seed=7, tail_bound=1e-12)
+        warn_on_truncation(1e-12, long)
 
 
 def test_worker_env_does_not_change_results(monkeypatch):
-    # M = 3000 is two evaluation chunks, and the model's states run in
+    # M = 3000 is two evaluation chunks, and the readout's states run in
     # six 512-row blocks spread over the workers
     spec = rc.geometric_ma(0.5).spec
     samp = rc.iid_gaussian(1)
     esn = rc.random_esn(20, 1, seed=8)
     readout = rc.LinearReadout(np.random.default_rng(8).normal(size=20))
-    model = rc.ReservoirModel(esn, readout, train_seed=1)
     results = {}
     for workers in ("1", "2", "4"):
         monkeypatch.setenv("RCUNIV_WORKERS", workers)
         estimates = (rc.lp_norm(spec, samp, p=2.0, T=16, M=3000, seed=8),
-                     rc.lp_norm(model, samp, p=2.0, T=16, M=3000, seed=8),
-                     rc.approx_error(spec, model, samp, p=2.0, T=16, M=3000, seed=8))
+                     *rc.approx_error(spec, esn, [readout], samp, p=2.0, T=16, M=3000, seed=8,
+                                      train_seed=1))
         results[workers] = [(e.value, e.stderr) for e in estimates]
     assert results["2"] == results["1"] and results["4"] == results["1"]
 
@@ -143,8 +150,8 @@ def test_approx_error_exact_model_is_tiny():
     target = rc.finite_poly(1, 1, 2, {(1, 1): 1.0, (2, 0): 0.5})
     sr = rc.build_shift_register(1, 1)
     readout = rc.PolynomialReadout(2, 2, target.spec.params["coefficients"])
-    model = rc.ReservoirModel(sr, readout, train_seed=100)
-    est = rc.approx_error(target.spec, model, rc.iid_gaussian(1), p=2.0, T=4, M=500, seed=9)
+    (est,) = rc.approx_error(target.spec, sr, [readout], rc.iid_gaussian(1), p=2.0, T=4, M=500,
+                             seed=9, train_seed=100)
     assert est.value < 1e-10
 
 
@@ -154,27 +161,54 @@ def test_approx_error_scores_a_list_of_models_as_single_calls_would():
     samp = rc.iid_gaussian(1)
     esn = rc.random_esn(8, 1, seed=3)
     rng = np.random.default_rng(3)
-    models = [rc.ReservoirModel(esn, rc.LinearReadout(rng.normal(size=8)), train_seed=1),
-              rc.ReservoirModel(esn, None, train_seed=1),
-              rc.ReservoirModel(esn, rc.PolynomialReadout(8, 2, {(2,) + (0,) * 7: 0.5}))]
-    together = rc.approx_error(spec, models, samp, p=2.0, T=10, M=2500, seed=4)
-    alone = [rc.approx_error(spec, m, samp, p=2.0, T=10, M=2500, seed=4) for m in models]
+    readouts = [rc.LinearReadout(rng.normal(size=8)),
+                rc.LinearReadout(np.zeros(8)),
+                rc.PolynomialReadout(8, 2, {(2,) + (0,) * 7: 0.5})]
+    together = rc.approx_error(spec, esn, readouts, samp, p=2.0, T=10, M=2500, seed=4,
+                               train_seed=1)
+    alone = [rc.approx_error(spec, esn, [r], samp, p=2.0, T=10, M=2500, seed=4, train_seed=1)[0]
+             for r in readouts]
     assert together == alone
-    other = rc.ReservoirModel(rc.random_esn(8, 1, seed=3), None)
-    with pytest.raises(ValueError, match="share one system"):
-        rc.approx_error(spec, [models[0], other], samp, p=2.0, T=10, M=10, seed=4)
     with pytest.raises(ValueError, match="training seed"):
-        rc.approx_error(spec, [models[2], models[0]], samp, p=2.0, T=10, M=10, seed=1)
-    with pytest.raises(TypeError):
-        rc.approx_error(spec, [], samp, p=2.0, T=10, M=10, seed=4)
+        rc.approx_error(spec, esn, readouts, samp, p=2.0, T=10, M=10, seed=1, train_seed=1)
+    with pytest.raises(ValueError, match="at least one readout"):
+        rc.approx_error(spec, esn, [], samp, p=2.0, T=10, M=10, seed=4)
 
 
 def test_approx_error_rejects_training_seed():
     sr = rc.build_shift_register(1, 0)
-    model = rc.ReservoirModel(sr, rc.LinearReadout(np.ones(1)), train_seed=9)
     with pytest.raises(ValueError):
-        rc.approx_error(rc.geometric_ma(0.5).spec, model, rc.iid_gaussian(1),
-                        p=2.0, T=4, M=10, seed=9)
+        rc.approx_error(rc.geometric_ma(0.5).spec, sr, [rc.LinearReadout(np.ones(1))],
+                        rc.iid_gaussian(1), p=2.0, T=4, M=10, seed=9, train_seed=9)
+
+
+_BAD_ARGS = {
+    "p_half": (dict(p=0.5), "p must be a finite number >= 1"),
+    "p_nan": (dict(p=math.nan), "p must be a finite number >= 1"),
+    "p_bool": (dict(p=True), "p must be a finite number >= 1"),
+    "M_one": (dict(M=1), "M >= 2"),
+    "M_float": (dict(M=3000.0), "M >= 2"),
+    "seed_negative": (dict(seed=-1), "seed must be an integer"),
+    "seed_float": (dict(seed=8.0), "seed must be an integer"),
+}
+
+
+@pytest.mark.parametrize("estimator", ["lp_norm", "approx_error"])
+@pytest.mark.parametrize("case", sorted(_BAD_ARGS))
+def test_bad_arguments_raise_before_any_draw(monkeypatch, estimator, case):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("paths drawn before the arguments were checked")
+
+    monkeypatch.setattr(rc.metrics, "sample_paths", no_draws)
+    bad, message = _BAD_ARGS[case]
+    args = {"p": 2.0, "T": 16, "M": 3000, "seed": 8, **bad}
+    spec, samp = rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)
+    with pytest.raises(ValueError, match=message):
+        if estimator == "lp_norm":
+            rc.lp_norm(spec, samp, **args)
+        else:
+            esn = rc.random_esn(4, 1, seed=8)
+            rc.approx_error(spec, esn, [rc.LinearReadout(np.ones(4))], samp, **args)
 
 
 def test_lp_estimate_is_frozen_record():

@@ -1,6 +1,7 @@
 """Reservoir systems: dynamics, ESP certificates, constructive builders,
 direct sums, block networks, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -31,10 +32,10 @@ def _trajectory(system, window, x_init=None):
     return traj[:, 0]
 
 
-def _builtin_output(system, states):
-    """W . x_0 for systems with a built-in linear readout, else None."""
-    W = getattr(system, "W", None)
-    return None if W is None else float(states[0] @ W)
+def _outputs(built, data):
+    """Readout of the final states of a (system, readout) pair over windows (M, T, n)."""
+    system, readout = built
+    return rc.eval_readout(readout, final_states(system, data))
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,6 @@ def test_linear_identity_trace():
     sys1 = rc.LinearReservoir(np.zeros((1, 1)), np.ones((1, 1)))
     states = _trajectory(sys1, np.array([[1.0], [1.0], [1.0]]))
     np.testing.assert_array_equal(states, np.ones((3, 1)))
-    assert _builtin_output(sys1, states) is None
 
 
 def test_states_are_lag_ordered():
@@ -75,12 +75,9 @@ def test_shift_register_matrices_frozen():
 
 
 def test_esn_zero_weights():
-    esn = rc.EchoStateNetwork(
-        np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2), np.ones(2), "logistic"
-    )
+    esn = rc.EchoStateNetwork(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2), "logistic")
     states = _trajectory(esn, np.ones((4, 1)))
     np.testing.assert_array_equal(states, np.full((4, 2), 0.5))
-    assert _builtin_output(esn, states) == 1.0
 
 
 def test_state_overflow_raises():
@@ -115,7 +112,7 @@ def test_certify_shift_register_nilpotent():
 def test_certify_esn_failure_reports_bound():
     # tanh with sigma_max(A) = 1.5: certificate fails, bound reported
     A = np.diag([1.5, 0.5])
-    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), np.ones(2), "tanh")
+    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), "tanh")
     rep = rc.certify_esp(esn)
     assert not rep.certified
     assert rep.method == "lipschitz-spectral"
@@ -126,7 +123,7 @@ def test_certify_esn_failure_reports_bound():
 def test_certify_esn_logistic_gain():
     # logistic L = 1/4 certifies sigma_max(A) = 3 at bound 0.75
     A = np.diag([3.0, 1.0])
-    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), np.ones(2), "logistic")
+    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), "logistic")
     rep = rc.certify_esp(esn)
     assert rep.certified and rep.method == "lipschitz-spectral"
     assert rep.bound == pytest.approx(0.75, rel=1e-12)
@@ -135,7 +132,7 @@ def test_certify_esn_logistic_gain():
 def test_uncertified_esn_never_reports_empirical():
     # the certificate is structural only: no window is read, no empirical method
     A = np.diag([1.5, 0.5])
-    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), np.ones(2), "tanh")
+    esn = rc.EchoStateNetwork(A, np.ones((2, 1)), np.zeros(2), "tanh")
     rep = rc.certify_esp(esn)
     assert not rep.certified
     assert rep.method == "lipschitz-spectral"
@@ -149,7 +146,7 @@ def test_certify_trig_sas_paths():
     rep = rc.certify_esp(sas)
     assert rep.certified and rep.method == "spectral"
     assert rep.bound == pytest.approx(0.8, rel=1e-9)
-    nil = rc.build_nilpotent_trig_sas(np.array([[1.0], [2.0]]), sine_lags=(0,))
+    nil, _ = rc.build_nilpotent_trig_sas(np.array([[1.0], [2.0]]), sine_lags=(0,))
     rep = rc.certify_esp(nil)
     assert rep.certified and rep.method == "nilpotent" and rep.nilpotency_index == 2
 
@@ -221,7 +218,7 @@ def test_nilpotency_index_at_scale():
         lambda: rc.build_shift_register(1, 3),
         lambda: rc.random_trig_sas(4, 1, terms=3, seed=3, contraction=0.85),
         lambda: rc.random_esn(6, 1, seed=4, activation="logistic"),
-        lambda: rc.build_nilpotent_trig_sas(np.array([[0.8], [1.3], [0.4]]), (1,)),
+        lambda: rc.build_nilpotent_trig_sas(np.array([[0.8], [1.3], [0.4]]), (1,))[0],
     ],
 )
 def test_washout_soundness(build):
@@ -243,8 +240,7 @@ def test_washout_rate_within_lipschitz_budget():
     rng = np.random.default_rng(6)
     A = rng.normal(size=(5, 5))
     A *= 0.9 / np.linalg.norm(A, 2)
-    esn = rc.EchoStateNetwork(A, rng.normal(size=(5, 1)), rng.normal(size=5),
-                              rng.normal(size=5), "logistic")
+    esn = rc.EchoStateNetwork(A, rng.normal(size=(5, 1)), rng.normal(size=5), "logistic")
     rep = rc.certify_esp(esn)
     assert rep.certified and rep.bound == pytest.approx(0.225, rel=1e-12)
     d = rc.washout_decay(esn, rng.normal(size=(1, 30, 1)), seed=7)[0]
@@ -256,7 +252,8 @@ def test_washout_rate_within_lipschitz_budget():
     [
         lambda: rc.random_esn(6, 2, seed=8, activation="tanh", spectral=0.9),
         lambda: rc.build_shift_register(2, 2),
-        lambda: rc.build_nilpotent_trig_sas(np.array([[0.8, -0.3], [1.3, 0.5], [0.4, 1.1]]), (1,)),
+        lambda: rc.build_nilpotent_trig_sas(np.array([[0.8, -0.3], [1.3, 0.5], [0.4, 1.1]]),
+                                            (1,))[0],
     ],
     ids=["contractive_esn", "shift_register", "nilpotent_sas"],
 )
@@ -282,18 +279,15 @@ def test_washout_decay_batch_rows_match_single_windows(build):
 
 def test_nilpotent_sas_zero_freqs_is_one():
     sas = rc.build_nilpotent_trig_sas(np.zeros((2, 1)), sine_lags=())
-    model = rc.ReservoirModel(sas)
     for w in _gauss_windows(4, 1, 20, 8):
-        assert model.values(w[None])[0] == 1.0
+        assert _outputs(sas, w[None])[0] == 1.0
 
 
 def test_nilpotent_sas_single_sine():
     u = np.array([[1.3]])
     sas = rc.build_nilpotent_trig_sas(u, sine_lags=(0,))
     w = np.array([[0.4]])
-    assert rc.ReservoirModel(sas).values(w[None])[0] == pytest.approx(
-        math.sin(1.3 * 0.4), rel=1e-14
-    )
+    assert _outputs(sas, w[None])[0] == pytest.approx(math.sin(1.3 * 0.4), rel=1e-14)
 
 
 def test_nilpotent_sas_matches_product():
@@ -302,7 +296,7 @@ def test_nilpotent_sas_matches_product():
     sas = rc.build_nilpotent_trig_sas(freqs, sine_lags=(0, 2))
     spec = rc.trig_product(freqs, sine_lags=(0, 2)).spec
     data = _gauss_windows(3, 2, 50, 10)
-    got = rc.ReservoirModel(sas).values(data)
+    got = _outputs(sas, data)
     want = rc.evaluate_functional_batch(spec, data)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -310,10 +304,9 @@ def test_nilpotent_sas_matches_product():
 def test_nilpotent_sas_time_invariant_beyond_depth():
     freqs = np.random.default_rng(11).normal(size=(2, 1))
     sas = rc.build_nilpotent_trig_sas(freqs, sine_lags=(1,))
-    model = rc.ReservoirModel(sas)
     data = _gauss_windows(9, 1, 8, 12)
-    long_vals = model.values(data)
-    short_vals = model.values(np.ascontiguousarray(data[:, :2]))
+    long_vals = _outputs(sas, data)
+    short_vals = _outputs(sas, np.ascontiguousarray(data[:, :2]))
     np.testing.assert_array_equal(long_vals, short_vals)
 
 
@@ -340,7 +333,7 @@ def _polynomials():
         "non_square": TrigPolynomial(rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6)),
                                      rng.normal(size=(3, 2)), rng.normal(size=(3, 2))),
         "one_matrix_per_term": rc.build_nilpotent_trig_sas(
-            rng.normal(size=(4, 2)), sine_lags=(0, 2)).P,
+            rng.normal(size=(4, 2)), sine_lags=(0, 2))[0].P,
     }
 
 
@@ -370,31 +363,31 @@ def _random_nilpotent(seed, K=2, n=1):
     return rc.build_nilpotent_trig_sas(freqs, sine_lags=lags)
 
 
+def _sum_outputs(built1, built2, lam, data):
+    """H1 + lam H2 read off the direct sum of two (system, linear readout) pairs."""
+    (s1, r1), (s2, r2) = built1, built2
+    readout = rc.LinearReadout(np.concatenate([r1.W, lam * r2.W]))
+    return _outputs((rc.direct_sum_sas(s1, s2), readout), data)
+
+
 def test_direct_sum_zero_weight_returns_first():
-    s1, s2 = _random_nilpotent(13), _random_nilpotent(14)
-    combined = rc.direct_sum_sas(s1, s2, 0.0)
+    b1, b2 = _random_nilpotent(13), _random_nilpotent(14)
     data = _gauss_windows(3, 1, 40, 15)
-    np.testing.assert_allclose(
-        rc.ReservoirModel(combined).values(data),
-        rc.ReservoirModel(s1).values(data),
-        atol=1e-14,
-    )
+    np.testing.assert_allclose(_sum_outputs(b1, b2, 0.0, data), _outputs(b1, data), atol=1e-14)
 
 
 def test_direct_sum_self_cancellation():
-    s = _random_nilpotent(16)
-    combined = rc.direct_sum_sas(s, s, -1.0)
+    b = _random_nilpotent(16)
     data = _gauss_windows(3, 1, 40, 17)
-    np.testing.assert_allclose(rc.ReservoirModel(combined).values(data), 0.0, atol=1e-13)
+    np.testing.assert_allclose(_sum_outputs(b, b, -1.0, data), 0.0, atol=1e-13)
 
 
 def test_direct_sum_linearity():
-    s1, s2 = _random_nilpotent(18, K=1), _random_nilpotent(19, K=3)
+    b1, b2 = _random_nilpotent(18, K=1), _random_nilpotent(19, K=3)
     lam = 2.5
-    combined = rc.direct_sum_sas(s1, s2, lam)
     data = _gauss_windows(4, 1, 50, 20)
-    want = rc.ReservoirModel(s1).values(data) + lam * rc.ReservoirModel(s2).values(data)
-    np.testing.assert_allclose(rc.ReservoirModel(combined).values(data), want, atol=1e-10)
+    want = _outputs(b1, data) + lam * _outputs(b2, data)
+    np.testing.assert_allclose(_sum_outputs(b1, b2, lam, data), want, atol=1e-10)
 
 
 def test_direct_sum_requires_certificates():
@@ -404,29 +397,30 @@ def test_direct_sum_requires_certificates():
         TrigPolynomial(
             np.ones((1, 3, 1)), np.zeros((1, 3, 1)), np.zeros((1, 1)), np.zeros((1, 1))
         ),
-        np.ones(3),
     )
     assert not rc.certify_esp(loud).certified
     with pytest.raises(ValueError):
-        rc.direct_sum_sas(loud, _random_nilpotent(22), 1.0)
+        rc.direct_sum_sas(loud, _random_nilpotent(22)[0])
 
 
 def test_direct_sum_carries_contraction_certificate():
     s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
-    combined = rc.direct_sum_sas(s1, s2, 1.5)
-    rep = rc.certify_esp(combined)
+    rep = rc.certify_esp(rc.direct_sum_sas(s1, s2))
     assert rep.certified
     assert rep.bound == pytest.approx(0.8, rel=1e-9)
+    rng = np.random.default_rng(25)
+    b1 = s1, rc.LinearReadout(rng.normal(size=3))
+    b2 = s2, rc.LinearReadout(rng.normal(size=4))
     data = _gauss_windows(25, 1, 30, 25)
-    want = rc.ReservoirModel(s1).values(data) + 1.5 * rc.ReservoirModel(s2).values(data)
-    np.testing.assert_allclose(rc.ReservoirModel(combined).values(data), want, atol=1e-10)
+    want = _outputs(b1, data) + 1.5 * _outputs(b2, data)
+    np.testing.assert_allclose(_sum_outputs(b1, b2, 1.5, data), want, atol=1e-10)
 
 
 def test_direct_sum_certificate_survives_a_system_document_round_trip():
     s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
-    doc = json.loads(json.dumps(rc.system_to_dict(rc.direct_sum_sas(s1, s2, 1.5))))
+    doc = json.loads(json.dumps(rc.system_to_dict(rc.direct_sum_sas(s1, s2))))
     back, _ = rc.system_from_dict(doc)
     rep = rc.certify_esp(back)
     assert rep.certified and rep.method == "spectral"
@@ -439,7 +433,7 @@ def test_block_bound_is_the_largest_component_bound():
     # block-diagonal P contracts on its own
     s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
-    combined = rc.direct_sum_sas(s1, s2, 1.0)
+    combined = rc.direct_sum_sas(s1, s2)
     P, bound = combined.P, rc.certify_esp(combined).bound
     assert P.norm_bound() == pytest.approx(1.4, rel=1e-9)
     assert bound == pytest.approx(0.8, rel=1e-9)
@@ -477,7 +471,7 @@ def test_block_esn_matches_functional(K, activation):
                                       activation=activation, seed=27)
     esn = rc.build_block_esn(inner, nets, n)
     data = _gauss_windows(K + 1, n, 40, 28) * 0.8
-    got = rc.ReservoirModel(esn).values(data)
+    got = _outputs(esn, data)
     want = rc.block_esn_functional(inner, nets, data)
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-12)
 
@@ -485,7 +479,7 @@ def test_block_esn_matches_functional(K, activation):
 def test_block_esn_exact_washout():
     inner = _random_inner(29, 1, 2, 5, "logistic")
     nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=16, seed=30)
-    esn = rc.build_block_esn(inner, nets, 1)
+    esn, _ = rc.build_block_esn(inner, nets, 1)
     rep = rc.certify_esp(esn)
     assert rep.certified and rep.method == "nilpotent"
     assert rep.nilpotency_index == 3
@@ -499,7 +493,7 @@ def test_block_esn_degenerate_depth_zero():
     nets, _ = rc.fit_identity_network(2, half_width=3.0, hidden_units=16, seed=33)
     esn = rc.build_block_esn(inner, nets, 2)
     data = _gauss_windows(1, 2, 20, 34)
-    got = rc.ReservoirModel(esn).values(data)
+    got = _outputs(esn, data)
     want = rc.eval_readout(inner, data[:, 0, :])
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -517,7 +511,7 @@ def test_block_esn_error_bound_propagation():
     budget = np.sum(np.abs(inner.beta)) * L * np.max(np.sum(np.abs(lag1), axis=1)) * eps
     rng = np.random.default_rng(37)
     data = rng.uniform(-0.9 * half_width, 0.9 * half_width, size=(200, 2, n))
-    got = rc.ReservoirModel(esn).values(data)
+    got = _outputs(esn, data)
     exact = rc.eval_readout(inner, data.reshape(200, 2 * n))
     assert np.max(np.abs(got - exact)) <= budget * (1.0 + 1e-9) + 1e-12
 
@@ -601,22 +595,64 @@ def test_random_trig_sas_contraction():
 
 
 # ---------------------------------------------------------------------------
-# model wrapper and serialization
+# one system interface, readouts and serialization
 
 
-def test_linear_model_requires_readout():
-    sr = rc.build_shift_register(1, 1)
-    with pytest.raises(ValueError):
-        rc.ReservoirModel(sr).values(np.ones((1, 2, 1)))
+def _interface(cls):
+    """Public names of a system type other than its data fields."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return {name for name in dir(cls) if not name.startswith("_")} - fields
+
+
+def test_system_types_share_one_interface():
+    types = (rc.LinearReservoir, rc.TrigSAS, rc.EchoStateNetwork)
+    for cls in types:
+        assert _interface(cls) == {"N", "n", "scratch_slots", "step", "certificate",
+                                   "to_dict", "from_dict"}, cls.__name__
+        assert "W" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def _built_pairs():
+    """Builder name -> (system, readout) of the system's outputs."""
+    rng = np.random.default_rng(80)
+    s1, r1 = rc.build_nilpotent_trig_sas(rng.normal(size=(3, 1)), sine_lags=(1,))
+    s2, r2 = rc.build_nilpotent_trig_sas(rng.normal(size=(2, 1)))
+    inner = rc.NetworkReadout(rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=4),
+                              "tanh")
+    nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=8, activation="tanh",
+                                      seed=81)
+    return {
+        "build_shift_register": (rc.build_shift_register(1, 2),
+                                 rc.PolynomialReadout(3, 2, {(1, 1, 0): 1.0, (0, 0, 2): -0.5})),
+        "build_nilpotent_trig_sas": (s1, r1),
+        "direct_sum_sas": (rc.direct_sum_sas(s1, s2),
+                           rc.LinearReadout(np.concatenate([r1.W, -2.0 * r2.W]))),
+        "build_block_esn": rc.build_block_esn(inner, nets, 1),
+        "random_esn": (rc.random_esn(6, 1, seed=82), rc.LinearReadout(rng.normal(size=6))),
+        "random_trig_sas": (rc.random_trig_sas(5, 1, terms=2, seed=83),
+                            rc.NetworkReadout(rng.normal(size=3), rng.normal(size=(3, 5)),
+                                              rng.normal(size=3), "logistic")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_built_pairs()))
+def test_built_pairs_round_trip_with_bit_identical_outputs(name):
+    system, readout = _built_pairs()[name]
+    assert not hasattr(system, "W")
+    doc = json.loads(json.dumps(rc.system_to_dict(system, readout)))
+    back, back_readout = rc.system_from_dict(doc)
+    assert type(back) is type(system) and type(back_readout) is type(readout)
+    data = _gauss_windows(5, system.n, 40, 84)
+    _assert_same_bits(_outputs((back, back_readout), data), _outputs((system, readout), data))
 
 
 def test_model_batch_matches_single():
-    esn = rc.random_esn(6, 1, seed=42)
-    model = rc.ReservoirModel(esn)
+    readout = rc.LinearReadout(np.random.default_rng(42).normal(size=6))
+    built = rc.random_esn(6, 1, seed=42), readout
     data = _gauss_windows(8, 1, 10, 43)
-    batch = model.values(data)
+    batch = _outputs(built, data)
     # M one-window batches against one batch of M windows
-    single = np.concatenate([model.values(d[None]) for d in data])
+    single = np.concatenate([_outputs(built, d[None]) for d in data])
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
@@ -625,7 +661,7 @@ def test_serialization_round_trips():
     systems = [
         rc.LinearReservoir(rng.normal(size=(3, 3)) * 0.2, rng.normal(size=(3, 2))),
         rc.random_trig_sas(4, 1, terms=3, seed=45),
-        rc.build_nilpotent_trig_sas(rng.normal(size=(2, 1)), sine_lags=()),
+        rc.build_nilpotent_trig_sas(rng.normal(size=(2, 1)), sine_lags=())[0],
         rc.random_esn(5, 2, seed=46, activation="hard_sigmoid"),
     ]
     for system in systems:
@@ -636,7 +672,6 @@ def test_serialization_round_trips():
         w = rng.normal(size=(6, system.n))
         states_a, states_b = _trajectory(system, w), _trajectory(back, w)
         np.testing.assert_array_equal(states_a, states_b)
-        assert _builtin_output(system, states_a) == _builtin_output(back, states_b)
         assert doc["esp"]["certified"] == rc.certify_esp(system).certified
         # the recorded trajectory ends exactly where the batch loop does
         x0 = rng.normal(size=system.N)
@@ -763,7 +798,7 @@ def _random_block_esn(seed):
     inner = rc.NetworkReadout(rng.normal(size=6), rng.normal(size=(6, 3)), rng.normal(size=6),
                               "logistic")
     nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=8, seed=seed + 1)
-    return rc.build_block_esn(inner, nets, 1)
+    return rc.build_block_esn(inner, nets, 1)[0]
 
 
 # name -> builder; input_scale 2 drives every activation into saturation on some rows
@@ -774,9 +809,9 @@ _IN_PLACE_SYSTEMS = {
     "random_trig_sas": lambda: rc.random_trig_sas(12, 2, terms=3, seed=68),
     "trig_sas_zero_Q": lambda: rc.TrigSAS(
         rc.random_trig_sas(5, 1, terms=2, seed=75).P,
-        TrigPolynomial(*np.zeros((2, 0, 5, 1)), *np.zeros((2, 0, 1))), np.ones(5)),
+        TrigPolynomial(*np.zeros((2, 0, 5, 1)), *np.zeros((2, 0, 1)))),
     "nilpotent_trig_sas": lambda: rc.build_nilpotent_trig_sas(
-        np.random.default_rng(67).normal(size=(4, 1)), sine_lags=(1, 3)),
+        np.random.default_rng(67).normal(size=(4, 1)), sine_lags=(1, 3))[0],
     "linear": lambda: _random_linear(76),
     "shift_register": lambda: rc.build_shift_register(1, 3),
     "block_esn": lambda: _random_block_esn(77),
@@ -819,11 +854,9 @@ def _system_and_its_inputs(kind):
     if kind == "trig_sas":
         arrays = (np.zeros((1, 3, 3)), 0.2 * rng.normal(size=(1, 3, 3)),
                   rng.normal(size=(1, 1)), rng.normal(size=(1, 1)))
-        W = rng.normal(size=3)
         Q = rc.random_trig_sas(3, 1, terms=1, seed=48).Q
-        return rc.TrigSAS(TrigPolynomial(*arrays), Q, W), arrays + (W,)
-    arrays = (0.1 * rng.normal(size=(3, 3)), rng.normal(size=(3, 1)),
-              rng.normal(size=3), rng.normal(size=3))
+        return rc.TrigSAS(TrigPolynomial(*arrays), Q), arrays
+    arrays = (0.1 * rng.normal(size=(3, 3)), rng.normal(size=(3, 1)), rng.normal(size=3))
     return rc.EchoStateNetwork(*arrays, "tanh"), arrays
 
 

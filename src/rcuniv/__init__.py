@@ -28,8 +28,6 @@ from .processes import (
     shift_invariance_probe,
 )
 from .targets import (
-    TargetCatalogEntry,
-    catalog,
     check_sampler,
     constant,
     entry_by_name,

@@ -55,6 +55,15 @@ def _check_p(p) -> None:
         raise ValueError(f"p must be a finite number >= 1, got {p!r}")
 
 
+def _check_draw_args(p, M, seed) -> None:
+    """Raise ValueError for a bad norm order, path count or seed; draws nothing."""
+    _check_p(p)
+    if not _integer(M, 2):
+        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class FunctionalSpec:
     """Description of a causal, time-invariant functional.
@@ -262,13 +271,9 @@ def truncated_conditional_error(
     if not cutoffs or not all(_integer(k, 0) for k in cutoffs):
         raise ValueError(
             f"cutoff K must be an integer >= 0 or a non-empty sequence of them, got {K!r}")
-    if not _integer(M, 2):
-        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    _check_draw_args(p, M, seed)
     if not _integer(inner_samples, 1):
         raise ValueError(f"need an integer inner_samples >= 1, got {inner_samples!r}")
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    _check_p(p)
     if not sampler.iid:
         raise ValueError(
             f"sampler kind {sampler.kind!r} does not have independent innovations; "

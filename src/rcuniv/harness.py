@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import (_finite_real, _integer, _seed, nilpotent_product, truncated_conditional_error,
-                   write_window_csv)
+from .core import (FunctionalSpec, _finite_real, _integer, _seed, nilpotent_product,
+                   truncated_conditional_error, write_window_csv)
 from .readouts import ACTIVATIONS, LinearReadout, eval_readout
 from .reservoirs import (
     EspNotCertifiedError,
@@ -115,7 +115,7 @@ class ExperimentConfig:
     family: str
     capacity: tuple[int, ...]
     sampler: processes.ProcessSampler
-    target: targets.TargetCatalogEntry
+    target: FunctionalSpec
     p: float
     T: int
     M_train: int
@@ -167,7 +167,7 @@ def load_config(doc: dict) -> ExperimentConfig:
             raw = params.get("coefficients", {})
             if isinstance(raw, list):
                 params["coefficients"] = {tuple(mi): c for mi, c in raw}
-        entry = targets.entry_by_name(tdoc["name"], params)
+        target = targets.entry_by_name(tdoc["name"], params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"target: {exc}") from exc
 
@@ -187,12 +187,12 @@ def load_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"family_params.{key} must be {want}, got {value!r}")
     family_params = {**defaults, **fp}
     if "memory" in family_params and family_params["memory"] is None:
-        if entry.spec.memory is None:
+        if target.memory is None:
             raise ConfigError(
                 "target has unbounded memory; set family_params.memory to the "
                 "shift-register depth"
             )
-        family_params["memory"] = entry.spec.memory
+        family_params["memory"] = target.memory
 
     p = doc["p"]
     if not _number(p, 1):
@@ -207,30 +207,26 @@ def load_config(doc: dict) -> ExperimentConfig:
     if not _number(ridge, 0):
         raise ConfigError("ridge must be a finite number >= 0")
 
-    if sampler.n != entry.spec.n:
-        raise ConfigError(
-            f"sampler has {sampler.n} channels but target expects {entry.spec.n}"
-        )
+    if sampler.n != target.n:
+        raise ConfigError(f"sampler has {sampler.n} channels but target expects {target.n}")
     try:
-        targets.check_sampler(entry.spec, sampler)
+        targets.check_sampler(target, sampler)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if entry.spec.memory is not None and doc["T"] < entry.spec.memory + 1:
-        raise ConfigError(
-            f"T = {doc['T']} is shorter than the target memory {entry.spec.memory}"
-        )
-    if family == "constructed_shift" and entry.spec.kind != "finite_poly":
+    if target.memory is not None and doc["T"] < target.memory + 1:
+        raise ConfigError(f"T = {doc['T']} is shorter than the target memory {target.memory}")
+    if family == "constructed_shift" and target.kind != "finite_poly":
         raise ConfigError("constructed_shift requires a finite_poly target")
-    if family == "constructed_nilpotent_sas" and entry.spec.kind != "trig_product":
+    if family == "constructed_nilpotent_sas" and target.kind != "trig_product":
         raise ConfigError("constructed_nilpotent_sas requires a trig_product target")
-    if family == "constructed_block_esn" and entry.spec.memory is None:
+    if family == "constructed_block_esn" and target.memory is None:
         raise ConfigError("constructed_block_esn requires a finite-memory target")
 
     return ExperimentConfig(
         family=family,
         capacity=tuple(cap),
         sampler=sampler,
-        target=entry,
+        target=target,
         p=float(p),
         T=doc["T"],
         M_train=doc["M_train"],
@@ -279,7 +275,7 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
     diag) per capacity, all from one training stage; extras are artifact
     fields of the group's points.
     """
-    spec, sampler, n, fp = cfg.target.spec, cfg.sampler, cfg.sampler.n, cfg.family_params
+    spec, sampler, n, fp = cfg.target, cfg.sampler, cfg.sampler.n, cfg.family_params
     fit_args = dict(ridge=cfg.ridge, seed=cfg.seed_train)
     extras: dict = {}
 
@@ -341,7 +337,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """
     out = Path(out_dir)
     if cfg.family == "linear_poly":  # polynomial density needs an exponential moment
-        memory = cfg.target.spec.memory
+        memory = cfg.target.memory
         screen = processes.exp_moment_check(
             cfg.sampler, alpha=1.0, K=2 if memory is None else min(2, memory))
         if screen.verdict is processes.MomentVerdict.SUSPECT_INFINITE:  # proved per kind; warn only
@@ -354,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
         system, esp, fits, extras = _build_group(cfg, capacities)
         out.mkdir(parents=True, exist_ok=True)  # only once a point is built and certified
         estimates = metrics.approx_error(
-            cfg.target.spec, system, [readout for readout, _ in fits],
+            cfg.target, system, [readout for readout, _ in fits],
             cfg.sampler, cfg.p, cfg.T, cfg.M_eval, cfg.seed_eval, train_seed=cfg.seed_train,
         )
         for capacity, (_, diag), est in zip(capacities, fits, estimates):
@@ -362,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
             rows.append({
                 "family": cfg.family,
                 "N": system.N,
-                "target": cfg.target.name,
+                "target": cfg.target.kind,
                 "p": cfg.p,
                 "value": est.value,
                 "stderr": est.stderr,
@@ -456,13 +452,13 @@ def _verify_product_rule() -> list[PropertyCheck]:
 
 
 def _verify_conditional_truncation() -> list[PropertyCheck]:
-    entry = targets.geometric_ma(0.5)
+    target = targets.geometric_ma(0.5)
     sampler = processes.iid_gaussian()
     lam = 0.5
     worst = 0.0
     cutoffs = (1, 3)
     estimates = truncated_conditional_error(
-        entry.spec, cutoffs, sampler, p=2.0, M=4000, seed=11,
+        target, cutoffs, sampler, p=2.0, M=4000, seed=11,
         window_length=40, inner_samples=100,
     )
     for K, est in zip(cutoffs, estimates):
@@ -567,10 +563,10 @@ def _random_inner_net(rng, n: int, K: int, units: int, activation: str):
 
 
 def _verify_stationarity() -> list[PropertyCheck]:
-    entry = targets.geometric_ma(0.5)
+    target = targets.geometric_ma(0.5)
     sampler = processes.iid_gaussian()
     probes = processes.shift_invariance_probe(
-        sampler, entry.spec, p=2.0, shifts=(0, -5), T=40, M=4000, seed=53,
+        sampler, target, p=2.0, shifts=(0, -5), T=40, M=4000, seed=53,
     )
     (e1, e2) = probes.values()
     gap = abs(e1.value - e2.value) / (3 * math.hypot(e1.stderr, e2.stderr))

@@ -7,8 +7,8 @@ depend on chunking or worker count; the worker threads run inside the
 state loop (reservoirs.final_states), not here.  approx_error scores
 every readout of one system in one pass: each chunk of evaluation paths
 is drawn, its target evaluated and its states run once, whatever the
-number of readouts.  Both estimators check p, M and seed before any
-draw.
+number of readouts.  Both estimators check p, M and seed, and
+approx_error the readouts' input dimension, before any draw.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSpec, _check_p, _integer, _seed, evaluate_functional_batch
+from .core import FunctionalSpec, _check_draw_args, _check_p, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
-from .readouts import eval_readout
+from .readouts import _input_dim, eval_readout
 from .reservoirs import _BLOCK_ROWS, final_states
 from .targets import check_sampler
 
@@ -80,15 +80,6 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     value = mean_q ** (1.0 / p)
     stderr = se_mean * mean_q ** (1.0 / p - 1.0) / p
     return LpEstimate(p=p, value=float(value), stderr=float(stderr), M=M, seed=seed)
-
-
-def _check_draw_args(p, M, seed) -> None:
-    """Raise ValueError for a bad norm order, path count or seed; draws nothing."""
-    _check_p(p)
-    if not _integer(M, 2):
-        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _collect_values(values_fn, count: int, sampler: ProcessSampler, T: int, M: int,
@@ -165,6 +156,9 @@ def approx_error(
     if not readouts:
         raise ValueError("need at least one readout")
     _check_draw_args(p, M, seed)
+    for r in readouts:
+        if _input_dim(r) != system.N:
+            raise ValueError(f"state dim {system.N} != readout dim {_input_dim(r)}")
     if train_seed is not None and seed == train_seed:
         raise ValueError(
             f"evaluation seed {seed} equals the training seed; use disjoint seeds"

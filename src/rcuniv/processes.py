@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_check_p, _finite_real, _integer, _run_blocks, _seed,
+from .core import (_check_draw_args, _finite_real, _integer, _run_blocks, _seed,
                    evaluate_functional_batch)
 
 __all__ = [
@@ -461,13 +461,9 @@ def shift_invariance_probe(
     """
     from . import metrics
 
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not _integer(M, 2):
-        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
+    _check_draw_args(p, M, seed)
     if not _integer(T, 1):
         raise ValueError(f"need an integer window length T >= 1, got {T!r}")
-    _check_p(p)
     shifts = tuple(shifts)
     if not all(_integer(t) and t <= 0 for t in shifts):
         raise ValueError(f"shifts must be integers <= 0, got {shifts!r}")

@@ -226,24 +226,32 @@ class LinearReadout:
         object.__setattr__(self, "W", W)
 
 
+def _input_dim(readout) -> int:
+    """The state dimension a readout takes; TypeError for anything else."""
+    if isinstance(readout, PolynomialReadout):
+        return readout.n_vars
+    if isinstance(readout, NetworkReadout):
+        return readout.alpha.shape[1]
+    if isinstance(readout, LinearReadout):
+        return readout.W.shape[0]
+    raise TypeError(f"not a readout: {type(readout).__name__}")
+
+
 def eval_readout(readout, x: np.ndarray) -> float | np.ndarray:
     """Apply a readout to a state (N,) or a batch of states (M, N)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     X = x[None, :] if single else x
+    dim = _input_dim(readout)
+    if X.shape[1] != dim:
+        raise ValueError(f"state dim {X.shape[1]} != readout dim {dim}")
     if isinstance(readout, PolynomialReadout):
-        if X.shape[1] != readout.n_vars:
-            raise ValueError(f"state dim {X.shape[1]} != n_vars {readout.n_vars}")
         vals = poly_features(X, readout.degree) @ readout.coefficient_vector()
     elif isinstance(readout, NetworkReadout):
         act = get_activation(readout.activation).fn
         vals = act(X @ readout.alpha.T - readout.theta) @ readout.beta
-    elif isinstance(readout, LinearReadout):
-        if X.shape[1] != readout.W.shape[0]:
-            raise ValueError(f"state dim {X.shape[1]} != readout dim {readout.W.shape[0]}")
-        vals = X @ readout.W
     else:
-        raise TypeError(f"not a readout: {type(readout).__name__}")
+        vals = X @ readout.W
     return float(vals[0]) if single else vals
 
 

@@ -9,7 +9,7 @@ accepted as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -840,5 +840,11 @@ def system_from_dict(doc: dict):
     variant = doc.get("variant")
     if variant not in _VARIANTS:
         raise ValueError(f"unknown system variant {variant!r}")
+    cls = _VARIANTS[variant]
+    unknown = set(doc) - {f.name for f in fields(cls)} - {"variant", "esp", "readout"}
+    if "W" in unknown:
+        raise ValueError("a system has no output weights 'W'; store them as the 'readout' entry")
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in a {variant!r} system document")
     readout = readout_from_dict(doc["readout"]) if "readout" in doc else None
-    return _VARIANTS[variant].from_dict(doc), readout
+    return cls.from_dict(doc), readout

@@ -1,17 +1,17 @@
-"""Catalog of target functionals with integrability notes and tail bounds.
+"""Target functionals and their tail bounds.
 
-Each entry wraps a FunctionalSpec whose evaluator is registered with the
-core dispatcher; a sampler whitelist holds where the functional only makes
-sense for particular input laws (peak_hold needs bounded support, log_sine
-positive values).  truncation_bound reads the window truncation error off
-the sampler's law, so no target describes the input law a second time.
+Each factory returns a FunctionalSpec whose evaluator is registered with the
+core dispatcher, and states in its docstring for which input laws the
+functional is integrable; a sampler whitelist holds where the functional
+only makes sense for particular input laws (peak_hold needs bounded support,
+log_sine positive values).  truncation_bound reads the window truncation
+error off the sampler's law, so no target describes the input law a second
+time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import FunctionalSpec, _finite_real, _integer, register_evaluator
@@ -19,7 +19,6 @@ from .processes import _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
 __all__ = [
-    "TargetCatalogEntry",
     "constant",
     "finite_poly",
     "random_finite_poly",
@@ -28,20 +27,10 @@ __all__ = [
     "trig_product",
     "garch_vol",
     "log_sine",
-    "catalog",
     "entry_by_name",
     "truncation_bound",
     "check_sampler",
 ]
-
-
-@dataclass(frozen=True)
-class TargetCatalogEntry:
-    """A named target functional with metadata for experiments."""
-
-    name: str
-    spec: FunctionalSpec
-    integrability_note: str
 
 
 _WHITELIST = {
@@ -131,7 +120,7 @@ for _kind, _fn in [
 
 
 # ---------------------------------------------------------------------------
-# entry factories; each checks its params by the number rules of core before
+# factories; each checks its params by the number rules of core before
 # it builds anything
 
 
@@ -141,19 +130,20 @@ def _require_reals(**values) -> None:
             raise ValueError(f"{key} must be a finite real, got {v!r}")
 
 
-def constant(value: float, n: int = 1) -> TargetCatalogEntry:
+def constant(value: float, n: int = 1) -> FunctionalSpec:
+    """The constant value; bounded, integrable for every input law."""
     _require_reals(value=value)
     if not _integer(n, 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    spec = FunctionalSpec("constant", n=n, memory=0, params={"value": float(value)})
-    return TargetCatalogEntry("constant", spec, "bounded, integrable for every input law")
+    return FunctionalSpec("constant", n=n, memory=0, params={"value": float(value)})
 
 
-def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalogEntry:
+def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> FunctionalSpec:
     """Polynomial q(z_0, z_-1, ..., z_-K); variables are stacked lag-major.
 
     coefficients maps exponent tuples of length n*(K+1) to reals; variable
-    index k*n + i is channel i at lag k.
+    index k*n + i is channel i at lag k.  Integrable whenever the input law
+    has moments of the polynomial degree.
     """
     if not (_integer(n, 1) and _integer(K, 0)):
         raise ValueError(f"need integers n >= 1 and K >= 0, got n={n!r}, K={K!r}")
@@ -165,16 +155,13 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> TargetCatalo
     # not integers >= 0 of the right length or that exceed the degree, and
     # coefficients that are not finite reals, before any evaluation
     _window_readout(spec)
-    return TargetCatalogEntry(
-        "finite_poly", spec,
-        "integrable whenever the input law has moments of the polynomial degree",
-    )
+    return spec
 
 
 def random_finite_poly(
     n: int, K: int, degree: int, seed: int, density: float = 0.6, scale: float = 1.0
-) -> TargetCatalogEntry:
-    """Random sparse polynomial target, deterministic in seed."""
+) -> FunctionalSpec:
+    """Random sparse finite_poly target, deterministic in seed."""
     if not (_integer(n, 1) and _integer(K, 0) and _integer(degree, 0) and _integer(seed, 0)):
         raise ValueError("n >= 1, K >= 0, degree >= 0 and seed >= 0 must be integers, got "
                          f"n={n!r}, K={K!r}, degree={degree!r}, seed={seed!r}")
@@ -196,27 +183,30 @@ def random_finite_poly(
     return finite_poly(n, K, degree, coeffs)
 
 
-def geometric_ma(decay: float) -> TargetCatalogEntry:
-    """Geometric moving average of channel 0: sum_t decay^t z_-t."""
+def geometric_ma(decay: float) -> FunctionalSpec:
+    """Geometric moving average of channel 0: sum_t decay^t z_-t.
+
+    Integrable for any input law with a finite p-th moment.
+    """
     _require_reals(decay=decay)
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0, 1)")
-    spec = FunctionalSpec("geometric_ma", n=1, memory=None, params={"decay": float(decay)})
-    return TargetCatalogEntry(
-        "geometric_ma", spec, "integrable for any input law with a finite p-th moment",
-    )
+    return FunctionalSpec("geometric_ma", n=1, memory=None, params={"decay": float(decay)})
 
 
-def peak_hold() -> TargetCatalogEntry:
-    """Running supremum of channel 0; on uniform[a_min, a_max] inputs it is a_max a.s."""
-    spec = FunctionalSpec("peak_hold", n=1, memory=None, params={})
-    return TargetCatalogEntry("peak_hold", spec, "bounded; requires almost-surely bounded inputs")
+def peak_hold() -> FunctionalSpec:
+    """Running supremum of channel 0; on uniform[a_min, a_max] inputs it is a_max a.s.
+
+    Bounded; requires almost-surely bounded inputs.
+    """
+    return FunctionalSpec("peak_hold", n=1, memory=None, params={})
 
 
-def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
+def trig_product(freqs, sine_lags=()) -> FunctionalSpec:
     """prod_k g_k(u_k . z_-k) with g_k = sin for lags in sine_lags, else cos.
 
-    freqs is (K+1, n), or (K+1,) for one channel.
+    freqs is (K+1, n), or (K+1,) for one channel.  Bounded by 1 in absolute
+    value.
     """
     freqs = np.asarray(freqs)
     if freqs.ndim not in (1, 2) or freqs.size == 0 or not all(map(_finite_real, freqs.flat)):
@@ -228,31 +218,29 @@ def trig_product(freqs, sine_lags=()) -> TargetCatalogEntry:
     if not all(_integer(k, 0) and k <= K for k in sine_lags):
         raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
     sine_lags = tuple(sorted(set(int(k) for k in sine_lags)))
-    spec = FunctionalSpec(
+    return FunctionalSpec(
         "trig_product", n=freqs.shape[1], memory=K,
         params={"freqs": freqs, "sine_lags": sine_lags},
     )
-    return TargetCatalogEntry("trig_product", spec, "bounded by 1 in absolute value")
 
 
-def garch_vol(omega: float, alpha: float, beta: float) -> TargetCatalogEntry:
-    """GARCH(1,1) conditional variance, unrolled: omega/(1-beta) + alpha sum_j beta^j z_{-j-1}^2."""
+def garch_vol(omega: float, alpha: float, beta: float) -> FunctionalSpec:
+    """GARCH(1,1) conditional variance, unrolled: omega/(1-beta) + alpha sum_j beta^j z_{-j-1}^2.
+
+    Integrable in L^1 for stationary GARCH(1,1) inputs; higher moments need
+    the corresponding moment condition on the input process.
+    """
     _require_reals(omega=omega, alpha=alpha, beta=beta)
     if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
         raise ValueError("need omega > 0, alpha, beta >= 0, alpha + beta < 1")
-    spec = FunctionalSpec(
+    return FunctionalSpec(
         "garch_vol", n=1, memory=None,
         params={"omega": float(omega), "alpha": float(alpha), "beta": float(beta)},
     )
-    return TargetCatalogEntry(
-        "garch_vol", spec,
-        "integrable in L^1 for stationary GARCH(1,1) inputs; higher moments "
-        "need the corresponding moment condition on the input process",
-    )
 
 
-def log_sine(freq: float = 2.0 * math.pi) -> TargetCatalogEntry:
-    """sin(freq * log z_0) on positive inputs.
+def log_sine(freq: float = 2.0 * math.pi) -> FunctionalSpec:
+    """sin(freq * log z_0); bounded, requires strictly positive inputs.
 
     With standard lognormal inputs and freq = 2*pi this functional is
     L^2-orthogonal to every polynomial in z_0, so polynomial readouts
@@ -260,21 +248,7 @@ def log_sine(freq: float = 2.0 * math.pi) -> TargetCatalogEntry:
     sqrt((1 - exp(-2 freq^2)) / 2).
     """
     _require_reals(freq=freq)
-    spec = FunctionalSpec("log_sine", n=1, memory=0, params={"freq": float(freq)})
-    return TargetCatalogEntry("log_sine", spec, "bounded; requires strictly positive inputs")
-
-
-def catalog() -> tuple[TargetCatalogEntry, ...]:
-    """Fixed, deterministic list of representative catalog entries."""
-    return (
-        constant(1.0),
-        finite_poly(1, 1, 2, {(1, 1): 1.0}),
-        geometric_ma(0.5),
-        peak_hold(),
-        trig_product(np.array([[1.0], [0.7]]), sine_lags=(0,)),
-        garch_vol(0.1, 0.1, 0.8),
-        log_sine(),
-    )
+    return FunctionalSpec("log_sine", n=1, memory=0, params={"freq": float(freq)})
 
 
 _FACTORIES = {
@@ -289,8 +263,8 @@ _FACTORIES = {
 }
 
 
-def entry_by_name(name: str, params: dict | None = None) -> TargetCatalogEntry:
-    """Build a catalog entry from its name and factory parameters."""
+def entry_by_name(name: str, params: dict | None = None) -> FunctionalSpec:
+    """Build a target from its factory's name and parameters."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -298,7 +272,7 @@ def entry_by_name(name: str, params: dict | None = None) -> TargetCatalogEntry:
     return factory(**(params or {}))
 
 
-def truncation_bound(entry: TargetCatalogEntry, sampler, T: int, p: float = 2.0) -> float | None:
+def truncation_bound(spec: FunctionalSpec, sampler, T: int, p: float = 2.0) -> float | None:
     """Closed-form bound on the L^p gap between a T-row window and the semi-infinite past.
 
     The tail is read off the sampler's law; returns a finite float, or None
@@ -308,7 +282,6 @@ def truncation_bound(entry: TargetCatalogEntry, sampler, T: int, p: float = 2.0)
         raise ValueError(f"T must be an integer >= 1, got {T!r}")
     if not (_finite_real(p) and p >= 1):
         raise ValueError(f"p must be a finite real >= 1, got {p!r}")
-    spec = entry.spec
     if spec.memory is not None:
         return 0.0 if T >= spec.memory + 1 else None
     check_sampler(spec, sampler)

@@ -27,14 +27,14 @@ def test_c01_shift_register_poly_readout_exact():
         n = int(rng.integers(1, 3))
         K = int(rng.integers(0, 4))
         degree = int(rng.integers(1, 4))
-        entry = rc.random_finite_poly(n, K, degree, seed=1000 + case)
+        spec = rc.random_finite_poly(n, K, degree, seed=1000 + case)
         sr = rc.build_shift_register(n, K)
         readout = rc.PolynomialReadout(
-            n * (K + 1), degree, entry.spec.params["coefficients"]
+            n * (K + 1), degree, spec.params["coefficients"]
         )
         samp = samp_cache.setdefault(n, rc.iid_gaussian(n))
         (est,) = rc.approx_error(
-            entry.spec, sr, [readout], samp, p=2.0, T=K + 2, M=1000, seed=5000 + case,
+            spec, sr, [readout], samp, p=2.0, T=K + 2, M=1000, seed=5000 + case,
             train_seed=0,
         )
         assert est.value < 1e-8, f"case {case}: error {est.value:.3g}"
@@ -50,7 +50,7 @@ def test_c02_nilpotent_sas_reproduces_trig_products():
         freqs = rng.normal(scale=1.5, size=(K + 1, n))
         lags = tuple(int(j) for j in range(K + 1) if rng.uniform() < 0.5)
         sas, readout = rc.build_nilpotent_trig_sas(freqs, sine_lags=lags)
-        spec = rc.trig_product(freqs, sine_lags=lags).spec
+        spec = rc.trig_product(freqs, sine_lags=lags)
         data = rng.normal(size=(100, K + 1, n))
         got = rc.eval_readout(readout, rc.final_states(sas, data))
         want = rc.evaluate_functional_batch(spec, data)
@@ -104,7 +104,7 @@ def test_c05_conditional_truncation_error_closed_form():
     # estimate is nonincreasing in the cutoff
     t0 = time.time()
     decay = 0.5
-    spec = rc.geometric_ma(decay).spec
+    spec = rc.geometric_ma(decay)
     samp = rc.iid_gaussian(1)
     results = {}
     for K in (1, 3, 5, 7):
@@ -161,17 +161,17 @@ def test_c07_esn_capacity_sweep_reduces_error():
     # error on the geometric target and land under 0.2 x the target norm
     t0 = time.time()
     samp = rc.iid_gaussian(1)
-    entry = rc.geometric_ma(0.9)
-    norm = rc.lp_norm(entry.spec, samp, p=2.0, T=60, M=5000, seed=77).value
+    spec = rc.geometric_ma(0.9)
+    norm = rc.lp_norm(spec, samp, p=2.0, T=60, M=5000, seed=77).value
     errs = {10: [], 50: [], 200: []}
     for seed in (1, 2, 3):
         for N in errs:
             esn = rc.random_esn(N, 1, seed=seed)
             readout, _ = rc.fit_linear_readout(
-                *rc.sample_states(esn, entry.spec, samp, T=60, M=5000, seed=seed * 1000),
+                *rc.sample_states(esn, spec, samp, T=60, M=5000, seed=seed * 1000),
                 ridge=1e-6, seed=seed * 1000)
             (est,) = rc.approx_error(
-                entry.spec, esn, [readout], samp, p=2.0, T=60, M=5000,
+                spec, esn, [readout], samp, p=2.0, T=60, M=5000,
                 seed=seed * 1000 + 500, train_seed=seed * 1000,
             )
             errs[N].append(est.value)
@@ -184,8 +184,8 @@ def test_c07_esn_capacity_sweep_reduces_error():
 def test_c08_stationarity_of_estimates_under_shifts():
     t0 = time.time()
     cases = [
-        (rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)),
-        (rc.garch_vol(0.1, 0.1, 0.8).spec, rc.garch11(0.1, 0.1, 0.8)),
+        (rc.geometric_ma(0.5), rc.iid_gaussian(1)),
+        (rc.garch_vol(0.1, 0.1, 0.8), rc.garch11(0.1, 0.1, 0.8)),
     ]
     for spec, samp in cases:
         out = rc.shift_invariance_probe(

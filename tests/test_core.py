@@ -29,38 +29,38 @@ from rcuniv.processes import path_rng
 
 
 def test_constant_functional():
-    spec = rc.constant(3.5).spec
+    spec = rc.constant(3.5)
     data = np.random.default_rng(0).normal(size=(1, 5, 1))
     assert rc.evaluate_functional_batch(spec, data)[0] == 3.5
 
 
 def test_peak_hold_example():
-    spec = rc.peak_hold().spec
+    spec = rc.peak_hold()
     data = np.array([[[0.2], [0.9], [0.4]]])
     assert rc.evaluate_functional_batch(spec, data)[0] == 0.9
 
 
 def test_finite_poly_product_example():
     # q(z) = z_0 * z_{-1} on the window (2, 3)
-    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0}).spec
+    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0})
     data = np.array([[[2.0], [3.0]]])
     assert rc.evaluate_functional_batch(spec, data)[0] == 6.0
 
 
 def test_window_too_short_for_memory():
-    spec = rc.finite_poly(1, 3, 2, {(1, 0, 0, 0): 1.0}).spec
+    spec = rc.finite_poly(1, 3, 2, {(1, 0, 0, 0): 1.0})
     with pytest.raises(ValueError):
         rc.evaluate_functional_batch(spec, np.ones((1, 2, 1)))
 
 
 def test_channel_mismatch_rejected():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     with pytest.raises(ValueError):
         rc.evaluate_functional_batch(spec, np.ones((1, 4, 2)))
 
 
 def test_batch_matches_single():
-    spec = rc.geometric_ma(0.7).spec
+    spec = rc.geometric_ma(0.7)
     data = np.random.default_rng(1).normal(size=(16, 10, 1))
     batch = rc.evaluate_functional_batch(spec, data)
     # M one-window batches against one batch of M windows
@@ -70,7 +70,7 @@ def test_batch_matches_single():
 
 def test_causality_beyond_memory():
     # rows deeper than the declared memory must not affect the value
-    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0, (2, 0): 0.5}).spec
+    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0, (2, 0): 0.5})
     rng = np.random.default_rng(2)
     base = rng.normal(size=(6, 1))
     tweaked = base.copy()
@@ -149,7 +149,7 @@ def test_product_rejects_bad_indices():
 
 
 def test_truncation_error_zero_for_finite_memory():
-    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0}).spec
+    spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0})
     samp = rc.iid_gaussian(1)
     est = rc.truncated_conditional_error(spec, K=1, sampler=samp, p=2.0, M=64, seed=3)
     assert est.value == 0.0 and est.stderr == 0.0
@@ -160,7 +160,7 @@ def test_truncation_error_zero_for_finite_memory():
 def test_truncation_error_matches_geometric_closed_form():
     # E[(H - E[H | lags 0..K])^2]^(1/2) = decay^(K+1) / sqrt(1 - decay^2)
     decay = 0.5
-    spec = rc.geometric_ma(decay).spec
+    spec = rc.geometric_ma(decay)
     samp = rc.iid_gaussian(1)
     est = rc.truncated_conditional_error(
         spec, K=3, sampler=samp, p=2.0, M=4000, seed=9, window_length=40
@@ -170,7 +170,7 @@ def test_truncation_error_matches_geometric_closed_form():
 
 
 def test_truncation_error_monotone_in_cutoff():
-    spec = rc.geometric_ma(0.6).spec
+    spec = rc.geometric_ma(0.6)
     samp = rc.iid_gaussian(1)
     kw = dict(sampler=samp, p=2.0, M=3000, seed=4, window_length=36)
     e2 = rc.truncated_conditional_error(spec, K=2, **kw)
@@ -179,7 +179,7 @@ def test_truncation_error_monotone_in_cutoff():
 
 
 def test_truncation_error_rejects_dependent_sampler():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     with pytest.raises(ValueError):
         rc.truncated_conditional_error(
             spec, K=1, sampler=rc.garch11(0.1, 0.1, 0.8), p=2.0, M=16, seed=0
@@ -187,7 +187,7 @@ def test_truncation_error_rejects_dependent_sampler():
 
 
 def test_truncation_error_input_validation():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     samp = rc.iid_gaussian(1)
     with pytest.raises(ValueError):
         rc.truncated_conditional_error(spec, K=-1, sampler=samp, p=2.0, M=16, seed=0)
@@ -211,9 +211,9 @@ def test_truncation_error_input_validation():
 def test_truncation_error_checks_arguments_before_the_exact_zero(bad, message):
     # window_length == K + 1 leaves nothing to redraw, where the estimate is exactly 0
     kw = dict(K=3, sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
-    assert rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, **kw).value == 0.0
+    assert rc.truncated_conditional_error(rc.geometric_ma(0.5), **kw).value == 0.0
     with pytest.raises(ValueError, match=re.escape(message)):
-        rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, **{**kw, **bad})
+        rc.truncated_conditional_error(rc.geometric_ma(0.5), **{**kw, **bad})
 
 
 _LAWS = {
@@ -244,7 +244,7 @@ def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
 
 def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
     # 2_000_000 // (100 inner draws * 40 rows) = 500 paths per chunk: 3 chunks
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     sampler = rc.iid_gaussian(1)
     oracle = _conditional_error_oracle(spec, 2, sampler, 2.0, 1100, 5, T=40, R=100)
     for workers in ("1", "2", "3"):
@@ -256,7 +256,7 @@ def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
 
 def test_truncation_error_matches_serial_loop_on_two_bounded_channels(monkeypatch):
     # trig_product evaluates without BLAS; 1003 paths end in an 11-path task
-    spec = rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,)).spec
+    spec = rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,))
     sampler = rc.iid_uniform_bounded(-1.0, 2.0, n=2)
     oracle = _conditional_error_oracle(spec, 1, sampler, 2.0, 1003, 9, T=8, R=50)
     assert oracle.value > 0
@@ -275,7 +275,7 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
         return path_rng(seed, path)
 
     monkeypatch.setattr(rc.processes, "path_rng", counted)
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     sampler = rc.iid_gaussian(1)
     est = rc.truncated_conditional_error(spec, K=39, sampler=sampler, p=2.0, M=100, seed=1,
                                          window_length=40, inner_samples=10)
@@ -292,10 +292,10 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, sampler", [
-    (rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)),
-    (rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,)).spec,
+    (rc.geometric_ma(0.5), rc.iid_gaussian(1)),
+    (rc.trig_product(np.arange(10.0).reshape(5, 2) / 7, sine_lags=(1,)),
      rc.iid_uniform_bounded(-1.0, 2.0, n=2)),
-    (rc.geometric_ma(0.5).spec, rc.iid_lognormal()),
+    (rc.geometric_ma(0.5), rc.iid_lognormal()),
 ], ids=["iid_gaussian", "iid_uniform_bounded_n2", "iid_lognormal"])
 def test_cutoff_sweep_equals_single_calls(spec, sampler):
     # 40 paths: two full 16-path tasks and one of 8; cutoffs out of order and repeated
@@ -307,7 +307,7 @@ def test_cutoff_sweep_equals_single_calls(spec, sampler):
 
 
 def test_cutoff_sweep_exact_cutoff_reads_zero_and_leaves_the_others():
-    spec, sampler = rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)
+    spec, sampler = rc.geometric_ma(0.5), rc.iid_gaussian(1)
     kw = dict(sampler=sampler, p=2.0, M=40, seed=2, window_length=8, inner_samples=20)
     exact, two = rc.truncated_conditional_error(spec, (7, 2), **kw)
     assert (exact.value, exact.stderr, exact.M) == (0.0, 0.0, 40)
@@ -336,7 +336,7 @@ def _count_draws(monkeypatch):
 ], ids=["M_1", "seed_negative", "inner_samples_0", "K_negative_element", "window_too_short"])
 def test_cutoff_sweep_with_every_cutoff_exact_draws_nothing(monkeypatch, bad, message):
     calls = _count_draws(monkeypatch)
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     kw = dict(K=(3, 3), sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
     estimates = rc.truncated_conditional_error(spec, **kw)
     assert [(e.value, e.stderr) for e in estimates] == [(0.0, 0.0)] * 2
@@ -349,7 +349,7 @@ def test_cutoff_sweep_draws_each_task_once(monkeypatch):
     # per task: the base windows and the past of the smallest cutoff, however many cutoffs
     calls = _count_draws(monkeypatch)
     monkeypatch.setenv("RCUNIV_WORKERS", "2")
-    rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, (5, 1, 2), rc.iid_gaussian(1),
+    rc.truncated_conditional_error(rc.geometric_ma(0.5), (5, 1, 2), rc.iid_gaussian(1),
                                    p=2.0, M=40, seed=3, window_length=12, inner_samples=10)
     tasks = [(0, 16), (16, 16), (32, 8)]
     assert sorted(calls) == sorted([(12, m, start) for start, m in tasks]
@@ -368,7 +368,7 @@ def test_cutoff_sweep_rejects_bad_cutoffs_before_any_draw(monkeypatch, K, messag
     calls = _count_draws(monkeypatch)
     kw = dict(sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=12, inner_samples=4)
     with pytest.raises(ValueError, match=re.escape(message)):
-        rc.truncated_conditional_error(rc.geometric_ma(0.5).spec, K, **kw)
+        rc.truncated_conditional_error(rc.geometric_ma(0.5), K, **kw)
     assert calls == []
 
 
@@ -386,13 +386,13 @@ def test_bad_p_raises_before_any_draw(monkeypatch, estimate, p):
 
     monkeypatch.setattr(rc.processes, "sample_paths", no_draws)
     with pytest.raises(ValueError, match="p must be a finite number >= 1"):
-        estimate(rc.iid_gaussian(1), rc.geometric_ma(0.5).spec, p)
+        estimate(rc.iid_gaussian(1), rc.geometric_ma(0.5), p)
 
 
 def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
     # a (chunk, R, T, n) replica array of 500 paths would take 16 MB here
     monkeypatch.setenv("RCUNIV_WORKERS", "2")
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     sampler = rc.iid_gaussian(1)
 
     def peak(M):

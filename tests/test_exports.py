@@ -1,11 +1,13 @@
 """Public surface: every exported name exists, the package imports only
 names its modules export, only processes reads the path streams, no
-module imports a name it neither uses nor exports, and no private
-module-level name goes unused."""
+module imports a name it neither uses nor exports, no private
+module-level name goes unused, and every annotation resolves."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -119,3 +121,37 @@ def test_no_unused_private_definitions():
               for name, line in _private_definitions(tree)
               if name.startswith("_") and not name.startswith("__") and name not in named]
     assert not unused, f"private definitions named nowhere else in rcuniv: {unused}"
+
+
+def _annotated_objects(module):
+    """(qualified name, object) of each function, class and method module defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    # with `from __future__ import annotations` a stale annotation, such as a
+    # deleted type, is a string nothing evaluates; get_type_hints evaluates it
+    checked, broken = 0, []
+    for name in MODULES:
+        module = importlib.import_module(f"rcuniv.{name}")
+        for qualname, obj in _annotated_objects(module):
+            checked += 1
+            try:
+                typing.get_type_hints(obj)
+            except Exception as exc:  # report every failure at once
+                broken.append(f"rcuniv.{name}.{qualname}: {type(exc).__name__}: {exc}")
+    assert checked > 100
+    assert not broken, f"annotations that do not resolve: {broken}"

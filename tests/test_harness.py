@@ -61,7 +61,7 @@ def test_load_config_happy_path():
     assert cfg.family == "constructed_shift"
     assert cfg.capacity == (1,)
     assert cfg.sampler.kind == "iid_gaussian"
-    assert cfg.target.name == "finite_poly"
+    assert cfg.target.kind == "finite_poly"
     assert cfg.seed_train == 11 and cfg.seed_eval == 12
     # defaults filled in, memory taken from the target
     assert load_config(_base_doc(family="linear_poly", capacity=[2])).family_params == {
@@ -270,6 +270,15 @@ def test_linear_poly_capacity_sweep(tmp_path):
     assert len(csv_lines) == 3
     art = json.loads((tmp_path / "run_linear_poly_c2.json").read_text())
     assert set(art["training"]) >= {"lambda", "rmse_train", "rmse_holdout"}
+
+
+def test_results_name_the_target_by_its_kind(tmp_path):
+    # random_finite_poly builds a finite_poly, and the csv names what was built
+    doc = _base_doc(target={"name": "random_finite_poly",
+                            "params": {"n": 1, "K": 1, "degree": 2, "seed": 4}})
+    run_experiment(load_config(doc), tmp_path)
+    header, row = (tmp_path / "results.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["target"] == "finite_poly"
 
 
 _GARCH = {"omega": 0.1, "alpha": 0.1, "beta": 0.8}
@@ -717,7 +726,7 @@ def test_verify_suite_all_passes():
 def test_conditional_truncation_margin_equals_two_single_cutoff_calls():
     # the suite scores K = 1 and 3 in one sweep call; each cutoff's estimate,
     # and so the margin, must be that of its own single-cutoff call
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     kw = dict(sampler=rc.iid_gaussian(), p=2.0, M=4000, seed=11, window_length=40,
               inner_samples=100)
     worst = 0.0

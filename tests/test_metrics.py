@@ -66,7 +66,7 @@ def test_kurtosis_warning_fires_on_heavy_tails():
 
 def test_lp_norm_geometric_closed_form():
     # ||sum 0.5^k Z_k||_2 = 1/sqrt(0.75) for iid standard normals
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     est = rc.lp_norm(spec, rc.iid_gaussian(1), p=2.0, T=40, M=20000, seed=3)
     assert abs(est.value - 1.0 / math.sqrt(0.75)) <= 3.0 * est.stderr
     assert est.stderr < 0.01
@@ -74,14 +74,14 @@ def test_lp_norm_geometric_closed_form():
 
 def test_lp_norm_peak_hold_moments():
     # E[max(U_1..U_T)^2] = T / (T + 2) on uniform[0, 1]
-    spec = rc.peak_hold().spec
+    spec = rc.peak_hold()
     samp = rc.iid_uniform_bounded(0.0, 1.0)
     est = rc.lp_norm(spec, samp, p=2.0, T=60, M=20000, seed=4)
     assert abs(est.value - math.sqrt(60.0 / 62.0)) <= 3.0 * est.stderr
 
 
 def test_lp_norm_matches_direct_average():
-    spec = rc.geometric_ma(0.7).spec
+    spec = rc.geometric_ma(0.7)
     samp = rc.iid_gaussian(1)
     est = rc.lp_norm(spec, samp, p=2.0, T=12, M=500, seed=5)
     data = rc.sample_paths(samp, T=12, M=500, seed=5)
@@ -92,17 +92,17 @@ def test_lp_norm_matches_direct_average():
 
 def test_lp_norm_whitelist_enforced():
     with pytest.raises(ValueError):
-        rc.lp_norm(rc.peak_hold().spec, rc.iid_gaussian(1), p=2.0, T=8, M=10, seed=0)
+        rc.lp_norm(rc.peak_hold(), rc.iid_gaussian(1), p=2.0, T=8, M=10, seed=0)
 
 
 def test_lp_norm_takes_a_functional_spec_only():
-    # a catalog entry is not its spec
+    # the arguments swapped: a sampler is not a functional
     with pytest.raises(TypeError, match="FunctionalSpec"):
-        rc.lp_norm(rc.geometric_ma(0.5), rc.iid_gaussian(1), p=2.0, T=4, M=10, seed=0)
+        rc.lp_norm(rc.iid_gaussian(1), rc.iid_gaussian(1), p=2.0, T=4, M=10, seed=0)
 
 
 def test_lp_norm_stderr_shrinks_with_paths():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     samp = rc.iid_gaussian(1)
     small = rc.lp_norm(spec, samp, p=2.0, T=20, M=1000, seed=6)
     large = rc.lp_norm(spec, samp, p=2.0, T=20, M=16000, seed=6)
@@ -111,7 +111,7 @@ def test_lp_norm_stderr_shrinks_with_paths():
 
 
 def test_lp_norm_tail_bound_warning():
-    spec = rc.geometric_ma(0.9).spec
+    spec = rc.geometric_ma(0.9)
     samp = rc.iid_gaussian(1)
     short = rc.lp_norm(spec, samp, p=2.0, T=5, M=400, seed=7)
     with pytest.warns(RuntimeWarning, match="truncation"):
@@ -125,7 +125,7 @@ def test_lp_norm_tail_bound_warning():
 def test_worker_env_does_not_change_results(monkeypatch):
     # M = 3000 is two evaluation chunks, and the readout's states run in
     # six 512-row blocks spread over the workers
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     samp = rc.iid_gaussian(1)
     esn = rc.random_esn(20, 1, seed=8)
     readout = rc.LinearReadout(np.random.default_rng(8).normal(size=20))
@@ -149,15 +149,15 @@ def test_metrics_reexports_the_worker_count():
 def test_approx_error_exact_model_is_tiny():
     target = rc.finite_poly(1, 1, 2, {(1, 1): 1.0, (2, 0): 0.5})
     sr = rc.build_shift_register(1, 1)
-    readout = rc.PolynomialReadout(2, 2, target.spec.params["coefficients"])
-    (est,) = rc.approx_error(target.spec, sr, [readout], rc.iid_gaussian(1), p=2.0, T=4, M=500,
+    readout = rc.PolynomialReadout(2, 2, target.params["coefficients"])
+    (est,) = rc.approx_error(target, sr, [readout], rc.iid_gaussian(1), p=2.0, T=4, M=500,
                              seed=9, train_seed=100)
     assert est.value < 1e-10
 
 
 def test_approx_error_scores_a_list_of_models_as_single_calls_would():
     # M = 2500 is two evaluation chunks; every readout sees the same states
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     samp = rc.iid_gaussian(1)
     esn = rc.random_esn(8, 1, seed=3)
     rng = np.random.default_rng(3)
@@ -178,7 +178,7 @@ def test_approx_error_scores_a_list_of_models_as_single_calls_would():
 def test_approx_error_rejects_training_seed():
     sr = rc.build_shift_register(1, 0)
     with pytest.raises(ValueError):
-        rc.approx_error(rc.geometric_ma(0.5).spec, sr, [rc.LinearReadout(np.ones(1))],
+        rc.approx_error(rc.geometric_ma(0.5), sr, [rc.LinearReadout(np.ones(1))],
                         rc.iid_gaussian(1), p=2.0, T=4, M=10, seed=9, train_seed=9)
 
 
@@ -202,13 +202,29 @@ def test_bad_arguments_raise_before_any_draw(monkeypatch, estimator, case):
     monkeypatch.setattr(rc.metrics, "sample_paths", no_draws)
     bad, message = _BAD_ARGS[case]
     args = {"p": 2.0, "T": 16, "M": 3000, "seed": 8, **bad}
-    spec, samp = rc.geometric_ma(0.5).spec, rc.iid_gaussian(1)
+    spec, samp = rc.geometric_ma(0.5), rc.iid_gaussian(1)
     with pytest.raises(ValueError, match=message):
         if estimator == "lp_norm":
             rc.lp_norm(spec, samp, **args)
         else:
             esn = rc.random_esn(4, 1, seed=8)
             rc.approx_error(spec, esn, [rc.LinearReadout(np.ones(4))], samp, **args)
+
+
+@pytest.mark.parametrize("readout", [
+    rc.PolynomialReadout(3, 1, {(1, 0, 0): 1.0}),
+    rc.NetworkReadout(np.ones(2), np.ones((2, 3)), np.zeros(2)),
+    rc.LinearReadout(np.ones(3)),
+], ids=["polynomial", "network", "linear"])
+def test_readout_dimension_is_checked_before_any_draw(monkeypatch, readout):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("paths drawn before the readouts were checked")
+
+    monkeypatch.setattr(rc.metrics, "sample_paths", no_draws)
+    esn = rc.random_esn(4, 1, seed=8)
+    with pytest.raises(ValueError, match="state dim 4 != readout dim 3"):
+        rc.approx_error(rc.geometric_ma(0.5), esn, [rc.LinearReadout(np.ones(4)), readout],
+                        rc.iid_gaussian(1), p=2.0, T=16, M=3000, seed=8)
 
 
 def test_lp_estimate_is_frozen_record():

@@ -556,7 +556,7 @@ def test_moment_diagnostic_fields():
 
 
 def test_probe_constant_exact():
-    spec = rc.constant(-2.0).spec
+    spec = rc.constant(-2.0)
     out = rc.shift_invariance_probe(
         rc.iid_gaussian(1), spec, p=2.0, shifts=(0, -3), T=4, M=50, seed=14
     )
@@ -566,7 +566,7 @@ def test_probe_constant_exact():
 
 
 def test_probe_stationary_agreement():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     out = rc.shift_invariance_probe(
         rc.iid_gaussian(1), spec, p=2.0, shifts=(0, -4, -8), T=30, M=4000, seed=15
     )
@@ -576,7 +576,7 @@ def test_probe_stationary_agreement():
 
 
 def test_probe_rejects_positive_shift():
-    spec = rc.constant(1.0).spec
+    spec = rc.constant(1.0)
     with pytest.raises(ValueError):
         rc.shift_invariance_probe(
             rc.iid_gaussian(1), spec, p=2.0, shifts=(1,), T=4, M=10, seed=0
@@ -600,12 +600,12 @@ def test_probe_checks_numbers_before_any_draw(monkeypatch, bad, message):
     monkeypatch.setattr(rc.processes, "sample_paths", lambda *a, **k: calls.append(a))
     kw = dict(p=2.0, shifts=(0, -3), T=4, M=50, seed=14)
     with pytest.raises(ValueError, match=re.escape(message)):
-        rc.shift_invariance_probe(rc.iid_gaussian(1), rc.constant(2.0).spec, **{**kw, **bad})
+        rc.shift_invariance_probe(rc.iid_gaussian(1), rc.constant(2.0), **{**kw, **bad})
     assert calls == []
 
 
 def test_probe_deterministic():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     kw = dict(p=2.0, shifts=(0, -2), T=10, M=200, seed=16)
     a = rc.shift_invariance_probe(rc.iid_gaussian(1), spec, **kw)
     b = rc.shift_invariance_probe(rc.iid_gaussian(1), spec, **kw)

@@ -130,6 +130,21 @@ def test_linear_readout():
         rc.eval_readout(lin, np.array([1.0, 2.0, 3.0]))
 
 
+def test_every_readout_checks_the_state_dimension():
+    rng = np.random.default_rng(9)
+    four_inputs = [
+        rc.PolynomialReadout(4, 2, {(1, 0, 0, 1): 1.0}),
+        rc.NetworkReadout(rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=3)),
+        rc.LinearReadout(rng.normal(size=4)),
+    ]
+    for r in four_inputs:
+        assert rc.eval_readout(r, rng.normal(size=(5, 4))).shape == (5,)
+        with pytest.raises(ValueError, match="state dim 3 != readout dim 4"):
+            rc.eval_readout(r, rng.normal(size=(5, 3)))
+    with pytest.raises(TypeError, match="not a readout"):
+        rc.eval_readout(np.ones(4), rng.normal(size=(5, 4)))
+
+
 def test_batch_eval_consistency():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(11, 2))

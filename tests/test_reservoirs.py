@@ -294,7 +294,7 @@ def test_nilpotent_sas_matches_product():
     rng = np.random.default_rng(9)
     freqs = rng.normal(size=(3, 2))
     sas = rc.build_nilpotent_trig_sas(freqs, sine_lags=(0, 2))
-    spec = rc.trig_product(freqs, sine_lags=(0, 2)).spec
+    spec = rc.trig_product(freqs, sine_lags=(0, 2))
     data = _gauss_windows(3, 2, 50, 10)
     got = _outputs(sas, data)
     want = rc.evaluate_functional_batch(spec, data)
@@ -880,3 +880,14 @@ def test_systems_copy_their_inputs_and_keep_their_certificate(kind):
 def test_serialization_rejects_unknown_variant():
     with pytest.raises(ValueError):
         rc.system_from_dict({"variant": "mystery"})
+
+
+def test_serialization_rejects_unknown_keys():
+    doc = rc.system_to_dict(rc.random_esn(4, 1, seed=3), rc.LinearReadout(np.ones(4)))
+    rc.system_from_dict(doc)
+    # output weights stored on the system, as documents once did, are not dropped silently
+    with pytest.raises(ValueError, match="'readout' entry"):
+        rc.system_from_dict({**doc, "W": [0.0] * 4})
+    for system in (rc.random_trig_sas(3, 1, terms=2, seed=4), rc.build_shift_register(1, 2)):
+        with pytest.raises(ValueError, match=r"unknown keys \['spectral'\]"):
+            rc.system_from_dict({**rc.system_to_dict(system), "spectral": 0.9})

@@ -1,4 +1,4 @@
-"""Target catalog: evaluator correctness, truncation bounds, whitelists."""
+"""Targets: evaluator correctness, truncation bounds, whitelists."""
 
 import math
 
@@ -10,23 +10,35 @@ from rcuniv import targets
 from rcuniv.metrics import lp_norm_of_values
 
 
-def test_catalog_is_fixed():
-    names = [e.name for e in targets.catalog()]
-    assert names == [
-        "constant",
-        "finite_poly",
-        "geometric_ma",
-        "peak_hold",
-        "trig_product",
-        "garch_vol",
-        "log_sine",
-    ]
-    assert all(e.integrability_note for e in targets.catalog())
+# small params for every factory, and an input law each one allows
+_SMALL = {
+    "constant": ({"value": 1.5, "n": 2}, rc.iid_gaussian(2)),
+    "finite_poly": ({"n": 1, "K": 1, "degree": 2, "coefficients": {(1, 1): 1.0}},
+                    rc.iid_gaussian(1)),
+    "random_finite_poly": ({"n": 2, "K": 1, "degree": 2, "seed": 3}, rc.iid_gaussian(2)),
+    "geometric_ma": ({"decay": 0.5}, rc.iid_gaussian(1)),
+    "peak_hold": ({}, rc.iid_uniform_bounded(0.0, 1.0)),
+    "trig_product": ({"freqs": [[1.0], [0.7]], "sine_lags": (0,)}, rc.iid_gaussian(1)),
+    "garch_vol": ({"omega": 0.1, "alpha": 0.1, "beta": 0.8}, rc.garch11(0.1, 0.1, 0.8)),
+    "log_sine": ({}, rc.iid_lognormal(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(targets._FACTORIES))
+def test_every_factory_returns_an_evaluable_spec(name):
+    params, sampler = _SMALL[name]
+    spec = targets.entry_by_name(name, params)
+    assert isinstance(spec, rc.FunctionalSpec)
+    assert spec.kind == ("finite_poly" if name == "random_finite_poly" else name)
+    targets.check_sampler(spec, sampler)
+    data = rc.sample_paths(sampler, T=4, M=7, seed=2)
+    values = rc.evaluate_functional_batch(spec, data)
+    assert values.shape == (7,) and np.all(np.isfinite(values))
 
 
 def test_entry_by_name():
     e = targets.entry_by_name("geometric_ma", {"decay": 0.25})
-    assert e.spec.params["decay"] == 0.25
+    assert e.params["decay"] == 0.25
     with pytest.raises(ValueError):
         targets.entry_by_name("nope", {})
 
@@ -34,8 +46,8 @@ def test_entry_by_name():
 def test_finite_poly_variable_ordering():
     # stacked lag-major variables: index k*n + i is channel i at lag k
     data = np.array([[[3.0, 4.0], [5.0, 6.0]]])
-    ch1_lag0 = rc.finite_poly(2, 1, 1, {(0, 1, 0, 0): 2.0}).spec
-    ch0_lag1 = rc.finite_poly(2, 1, 1, {(0, 0, 1, 0): 1.0}).spec
+    ch1_lag0 = rc.finite_poly(2, 1, 1, {(0, 1, 0, 0): 2.0})
+    ch0_lag1 = rc.finite_poly(2, 1, 1, {(0, 0, 1, 0): 1.0})
     assert rc.evaluate_functional_batch(ch1_lag0, data)[0] == 8.0
     assert rc.evaluate_functional_batch(ch0_lag1, data)[0] == 5.0
 
@@ -56,13 +68,13 @@ def test_finite_poly_rejects_bad_terms_when_built(degree, coefficients, message)
 
 
 def test_geometric_ma_manual():
-    spec = rc.geometric_ma(0.5).spec
+    spec = rc.geometric_ma(0.5)
     data = np.array([[[1.0], [2.0], [3.0]]])
     assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(2.75, rel=1e-15)
 
 
 def test_trig_product_manual():
-    spec = rc.trig_product(np.array([[1.0], [2.0]]), sine_lags=(0,)).spec
+    spec = rc.trig_product(np.array([[1.0], [2.0]]), sine_lags=(0,))
     data = np.array([[[0.3], [0.7]]])
     expected = math.sin(0.3) * math.cos(2.0 * 0.7)
     assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(expected, rel=1e-15)
@@ -78,7 +90,7 @@ def _garch_vol_recursion(z, omega, alpha, beta):
 
 def test_garch_vol_matches_recursion_oracle():
     omega, alpha, beta = 0.1, 0.1, 0.8
-    spec = rc.garch_vol(omega, alpha, beta).spec
+    spec = rc.garch_vol(omega, alpha, beta)
     rng = np.random.default_rng(21)
     for _ in range(5):
         z = rng.normal(size=40)
@@ -89,20 +101,20 @@ def test_garch_vol_matches_recursion_oracle():
 
 def test_garch_vol_tail_bound_matches_simulation():
     # positive tail terms: E[H_60 - H_10] should sit at the L^1 bound
-    entry = rc.garch_vol(0.1, 0.1, 0.8)
+    spec = rc.garch_vol(0.1, 0.1, 0.8)
     samp = rc.garch11(0.1, 0.1, 0.8)
     data = rc.sample_paths(samp, T=60, M=4000, seed=22)
-    full = rc.evaluate_functional_batch(entry.spec, data)
-    short = rc.evaluate_functional_batch(entry.spec, np.ascontiguousarray(data[:, :10]))
+    full = rc.evaluate_functional_batch(spec, data)
+    short = rc.evaluate_functional_batch(spec, np.ascontiguousarray(data[:, :10]))
     diffs = full - short
     assert np.all(diffs >= 0)
-    bound = targets.truncation_bound(entry, samp, 10, p=1.0)
+    bound = targets.truncation_bound(spec, samp, 10, p=1.0)
     assert bound == pytest.approx(0.067108864, rel=1e-12)
     assert 0.8 * bound < diffs.mean() < 1.2 * bound
 
 
 def test_log_sine_eval_and_domain():
-    spec = rc.log_sine(freq=2.0).spec
+    spec = rc.log_sine(freq=2.0)
     data = np.array([[[2.0], [5.0]]])
     assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(
         math.sin(2.0 * math.log(2.0)), rel=1e-15
@@ -112,65 +124,65 @@ def test_log_sine_eval_and_domain():
 
 
 def test_whitelists():
-    targets.check_sampler(rc.peak_hold().spec, rc.iid_uniform_bounded(0, 1))
+    targets.check_sampler(rc.peak_hold(), rc.iid_uniform_bounded(0, 1))
     with pytest.raises(ValueError):
-        targets.check_sampler(rc.peak_hold().spec, rc.iid_gaussian(1))
-    targets.check_sampler(rc.log_sine().spec, rc.iid_lognormal(1))
+        targets.check_sampler(rc.peak_hold(), rc.iid_gaussian(1))
+    targets.check_sampler(rc.log_sine(), rc.iid_lognormal(1))
     with pytest.raises(ValueError):
-        targets.check_sampler(rc.log_sine().spec, rc.iid_uniform_bounded(0.5, 2.0))
+        targets.check_sampler(rc.log_sine(), rc.iid_uniform_bounded(0.5, 2.0))
     # unrestricted targets take anything
-    targets.check_sampler(rc.geometric_ma(0.5).spec, rc.garch11(0.1, 0.1, 0.8))
+    targets.check_sampler(rc.geometric_ma(0.5), rc.garch11(0.1, 0.1, 0.8))
 
 
 def test_truncation_bound_finite_memory():
-    entry = rc.finite_poly(1, 2, 2, {(1, 0, 1): 1.0})
+    spec = rc.finite_poly(1, 2, 2, {(1, 0, 1): 1.0})
     samp = rc.iid_gaussian(1)
-    assert targets.truncation_bound(entry, samp, 3) == 0.0
-    assert targets.truncation_bound(entry, samp, 50) == 0.0
-    assert targets.truncation_bound(entry, samp, 2) is None
+    assert targets.truncation_bound(spec, samp, 3) == 0.0
+    assert targets.truncation_bound(spec, samp, 50) == 0.0
+    assert targets.truncation_bound(spec, samp, 2) is None
     assert targets.truncation_bound(rc.constant(5.0), rc.arma(ar=(0.5,)), 1) == 0.0
     assert targets.truncation_bound(rc.log_sine(), rc.iid_lognormal(1), 1) == 0.0
 
 
 def test_truncation_bound_geometric_frozen():
     # past p = 2 the a.s. bound 1 of uniform[-1, 1] gives 0.5^20 / (1 - 0.5) = 2^-19 exactly
-    entry = rc.geometric_ma(0.5)
-    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 1), 20, p=3.0) == 2.0**-19
+    spec = rc.geometric_ma(0.5)
+    assert targets.truncation_bound(spec, rc.iid_uniform_bounded(-1, 1), 20, p=3.0) == 2.0**-19
     # at p <= 2 an iid law gives the exact L^2 norm of the tail
-    assert targets.truncation_bound(entry, rc.iid_gaussian(1), 20, p=2.0) == pytest.approx(
+    assert targets.truncation_bound(spec, rc.iid_gaussian(1), 20, p=2.0) == pytest.approx(
         2.0**-20 / math.sqrt(0.75), rel=1e-14
     )
-    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 1), 20, p=1.0) == (
+    assert targets.truncation_bound(spec, rc.iid_uniform_bounded(-1, 1), 20, p=1.0) == (
         pytest.approx(2.0**-20 / math.sqrt(3 * 0.75), rel=1e-14))
 
 
 def test_truncation_bound_decreasing_in_window():
-    entry = rc.geometric_ma(0.9)
+    spec = rc.geometric_ma(0.9)
     samp = rc.iid_uniform_bounded(-1, 1)
-    bounds = [targets.truncation_bound(entry, samp, T) for T in (5, 10, 20, 40)]
+    bounds = [targets.truncation_bound(spec, samp, T) for T in (5, 10, 20, 40)]
     assert all(b > 0 for b in bounds)
     assert bounds == sorted(bounds, reverse=True)
 
 
 def test_peak_hold_bound_beta_moments():
     # excess of the window max over uniform[a, b] is (b-a) * Beta(1, T)
-    entry = rc.peak_hold()
+    spec = rc.peak_hold()
     for samp in (rc.iid_uniform_bounded(0.0, 2.0), rc.iid_uniform_bounded(-3.0, -1.0)):
-        assert targets.truncation_bound(entry, samp, 9, p=1.0) == pytest.approx(0.2, rel=1e-12)
+        assert targets.truncation_bound(spec, samp, 9, p=1.0) == pytest.approx(0.2, rel=1e-12)
         want = 2.0 * math.sqrt(2.0 / (10.0 * 11.0))
-        assert targets.truncation_bound(entry, samp, 9, p=2.0) == pytest.approx(want, rel=1e-12)
+        assert targets.truncation_bound(spec, samp, 9, p=2.0) == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="requires a sampler"):
-        targets.truncation_bound(entry, rc.iid_gaussian(1), 9)
+        targets.truncation_bound(spec, rc.iid_gaussian(1), 9)
 
 
 def test_peak_hold_bound_past_lgamma_range_is_the_range_width():
     # load_config accepts any finite p >= 1; lgamma(p + 1) overflows near 1.7e308,
     # and the Beta(1, T) excess lies in [0, 1], so the sound bound is a_max - a_min
-    entry = rc.peak_hold()
-    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(0, 1), 10, 1.7e308) == 1.0
-    assert targets.truncation_bound(entry, rc.iid_uniform_bounded(-1, 2), 10, 1.7e308) == 3.0
+    spec = rc.peak_hold()
+    assert targets.truncation_bound(spec, rc.iid_uniform_bounded(0, 1), 10, 1.7e308) == 1.0
+    assert targets.truncation_bound(spec, rc.iid_uniform_bounded(-1, 2), 10, 1.7e308) == 3.0
     # below the overflow the closed form still holds, and approaches the width
-    near = targets.truncation_bound(entry, rc.iid_uniform_bounded(0, 1), 10, 1e300)
+    near = targets.truncation_bound(spec, rc.iid_uniform_bounded(0, 1), 10, 1e300)
     assert near == pytest.approx(1.0, rel=1e-9)
 
 
@@ -195,7 +207,7 @@ def test_truncation_bound_reads_the_sampler_law():
     assert got == pytest.approx(0.9**20 * math.exp(0.5 + 3 * 0.125) / 0.1, rel=1e-12)
 
 
-@pytest.mark.parametrize("entry, sampler, p", [
+@pytest.mark.parametrize("spec, sampler, p", [
     (rc.geometric_ma(0.5), rc.arma(ar=(0.5,)), 2.0),  # no stationary variance in closed form
     (rc.geometric_ma(0.5), rc.garch11(0.1, 0.1, 0.8), 3.0),  # power-law tail
     (rc.garch_vol(0.1, 0.1, 0.8), rc.garch11(0.1, 0.1, 0.8), 2.0),  # needs ||z||_4
@@ -203,18 +215,18 @@ def test_truncation_bound_reads_the_sampler_law():
     (rc.geometric_ma(0.5), rc.iid_lognormal(1, sigma=30.0), 2.0),  # past float range
     (rc.geometric_ma(0.5), rc.iid_gaussian(1, mean=1e300, std=1e300), 2.0),
 ], ids=["arma", "garch_p3", "garch_vol_p2", "garch_vol_arma", "lognormal_huge", "gaussian_huge"])
-def test_truncation_bound_is_none_where_no_sound_bound_is_known(entry, sampler, p):
-    assert targets.truncation_bound(entry, sampler, 10, p) is None
+def test_truncation_bound_is_none_where_no_sound_bound_is_known(spec, sampler, p):
+    assert targets.truncation_bound(spec, sampler, 10, p) is None
 
 
 def test_truncation_bound_rejects_bad_arguments():
-    entry, samp = rc.geometric_ma(0.5), rc.iid_gaussian(1)
+    spec, samp = rc.geometric_ma(0.5), rc.iid_gaussian(1)
     for T in (0, 2.5, True):
         with pytest.raises(ValueError, match="T must be an integer"):
-            targets.truncation_bound(entry, samp, T)
+            targets.truncation_bound(spec, samp, T)
     for p in (0.5, math.inf, math.nan):
         with pytest.raises(ValueError, match="p must be a finite real"):
-            targets.truncation_bound(entry, samp, 10, p)
+            targets.truncation_bound(spec, samp, 10, p)
 
 
 # every sampler kind on a few params, nonzero means and std 10 among them
@@ -239,31 +251,31 @@ def test_truncation_bound_is_sound_against_the_semi_infinite_value(sampler):
     L, M = 400, 4000
     data = rc.sample_paths(sampler, L, M, seed=41)
     checked = 0
-    for entry in _UNBOUNDED_MEMORY:
-        if entry.spec.kind == "peak_hold" and sampler.kind != "iid_uniform_bounded":
+    for spec in _UNBOUNDED_MEMORY:
+        if spec.kind == "peak_hold" and sampler.kind != "iid_uniform_bounded":
             continue
-        full = (np.full(M, sampler.params["a_max"]) if entry.spec.kind == "peak_hold"
-                else rc.evaluate_functional_batch(entry.spec, data))
+        full = (np.full(M, sampler.params["a_max"]) if spec.kind == "peak_hold"
+                else rc.evaluate_functional_batch(spec, data))
         for T in (3, 10):
-            short = rc.evaluate_functional_batch(entry.spec, np.ascontiguousarray(data[:, :T]))
+            short = rc.evaluate_functional_batch(spec, np.ascontiguousarray(data[:, :T]))
             for p in (1.0, 2.0, 3.0):
-                bound = targets.truncation_bound(entry, sampler, T, p)
+                bound = targets.truncation_bound(spec, sampler, T, p)
                 gap = lp_norm_of_values(full - short, p)
                 assert bound is None or math.isfinite(bound)
-                assert bound is None or bound >= gap.value - 3 * gap.stderr, (entry.name, T, p)
+                assert bound is None or bound >= gap.value - 3 * gap.stderr, (spec.kind, T, p)
                 checked += bound is not None
     assert checked > 0 or sampler.kind == "arma"
 def test_random_finite_poly_deterministic():
     a = rc.random_finite_poly(2, 1, 2, seed=5)
     b = rc.random_finite_poly(2, 1, 2, seed=5)
     c = rc.random_finite_poly(2, 1, 2, seed=6)
-    assert a.spec.params["coefficients"] == b.spec.params["coefficients"]
-    assert a.spec.params["coefficients"] != c.spec.params["coefficients"]
-    assert a.spec.memory == 1 and a.spec.n == 2
+    assert a.params["coefficients"] == b.params["coefficients"]
+    assert a.params["coefficients"] != c.params["coefficients"]
+    assert a.memory == 1 and a.n == 2
 
 
 def test_spec_shapes():
     e = rc.trig_product(np.array([[1.0, 0.5], [0.2, 0.1], [0.0, 1.0]]), sine_lags=(2,))
-    assert e.spec.n == 2 and e.spec.memory == 2
-    assert rc.garch_vol(0.1, 0.1, 0.8).spec.memory is None
-    assert rc.peak_hold().spec.memory is None
+    assert e.n == 2 and e.memory == 2
+    assert rc.garch_vol(0.1, 0.1, 0.8).memory is None
+    assert rc.peak_hold().memory is None

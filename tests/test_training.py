@@ -67,7 +67,7 @@ def test_holdout_is_every_fifth_path():
 def test_linear_recovery_of_state_coordinate():
     # target = newest input = first shift register coordinate; exact fit
     sr = rc.build_shift_register(1, 1)
-    target = rc.finite_poly(1, 1, 1, {(1, 0): 1.0}).spec
+    target = rc.finite_poly(1, 1, 1, {(1, 0): 1.0})
     states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=200, seed=3)
     readout, diag = rc.fit_linear_readout(states, y, ridge=0.0, seed=3)
     np.testing.assert_allclose(readout.W, [1.0, 0.0], atol=1e-8)
@@ -80,7 +80,7 @@ def test_linear_recovery_of_state_coordinate():
 def test_polynomial_recovery_frozen_coefficients():
     # z_0^2 + z_0 z_-1 over graded-lex features -> (0, 0, 0, 1, 1, 0)
     sr = rc.build_shift_register(1, 1)
-    target = rc.finite_poly(1, 1, 2, {(2, 0): 1.0, (1, 1): 1.0}).spec
+    target = rc.finite_poly(1, 1, 2, {(2, 0): 1.0, (1, 1): 1.0})
     readout, diag = rc.fit_polynomial_readout(
         *rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=200, seed=4), 2,
         ridge=1e-10, seed=4,
@@ -94,7 +94,7 @@ def test_polynomial_recovery_frozen_coefficients():
 
 def test_degree_zero_fits_the_mean():
     sr = rc.build_shift_register(1, 0)
-    target = rc.geometric_ma(0.5).spec
+    target = rc.geometric_ma(0.5)
     readout, _ = rc.fit_polynomial_readout(
         *rc.sample_states(sr, target, rc.iid_gaussian(1), T=20, M=500, seed=5), 0,
         ridge=0.0, seed=5,
@@ -108,7 +108,7 @@ def test_degree_zero_fits_the_mean():
 def test_zero_target_gives_zero_weights():
     sr = rc.build_shift_register(1, 1)
     readout, diag = rc.fit_linear_readout(
-        *rc.sample_states(sr, rc.constant(0.0).spec, rc.iid_gaussian(1), T=4, M=100, seed=6),
+        *rc.sample_states(sr, rc.constant(0.0), rc.iid_gaussian(1), T=4, M=100, seed=6),
         ridge=1.0, seed=6,
     )
     np.testing.assert_array_equal(readout.W, np.zeros(2))
@@ -118,13 +118,13 @@ def test_zero_target_gives_zero_weights():
 def test_training_requires_certificate():
     esn = rc.random_esn(6, 1, seed=7, spectral=1.2)
     with pytest.raises(rc.EspNotCertifiedError):
-        rc.sample_states(esn, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1), T=8, M=50, seed=8)
+        rc.sample_states(esn, rc.geometric_ma(0.5), rc.iid_gaussian(1), T=8, M=50, seed=8)
 
 
 def test_training_respects_whitelist():
     sr = rc.build_shift_register(1, 0)
     with pytest.raises(ValueError):
-        rc.sample_states(sr, rc.peak_hold().spec, rc.iid_gaussian(1), T=4, M=50, seed=9)
+        rc.sample_states(sr, rc.peak_hold(), rc.iid_gaussian(1), T=4, M=50, seed=9)
 
 
 def _fit_network(**kw):
@@ -172,7 +172,7 @@ def test_fits_reject_arrays_that_are_not_the_training_stage_shape(fit):
 def test_rank_deficiency_warns_without_penalty():
     # duplicated state coordinates make the feature matrix singular
     dup = rc.LinearReservoir(np.zeros((2, 2)), np.array([[1.0], [1.0]]))
-    states, y = rc.sample_states(dup, rc.geometric_ma(0.5).spec, rc.iid_gaussian(1),
+    states, y = rc.sample_states(dup, rc.geometric_ma(0.5), rc.iid_gaussian(1),
                                  T=4, M=100, seed=10)
     with pytest.warns(RuntimeWarning, match="rank"):
         rc.fit_linear_readout(states, y, ridge=0.0, seed=10)
@@ -180,7 +180,7 @@ def test_rank_deficiency_warns_without_penalty():
 
 def test_network_units_nest_by_prefix():
     sr = rc.build_shift_register(1, 1)
-    target = rc.trig_product(np.array([[1.0], [0.7]])).spec
+    target = rc.trig_product(np.array([[1.0], [0.7]]))
     states, y = rc.sample_states(sr, target, rc.iid_gaussian(1), T=6, M=500, seed=11)
     small, diag_s = rc.fit_network_readout(states, y, 4, ridge=0.0, seed=11)
     large, diag_l = rc.fit_network_readout(states, y, 16, ridge=0.0, seed=11)
@@ -192,7 +192,7 @@ def test_network_units_nest_by_prefix():
 def test_network_fit_matches_reference_draw():
     # the hidden layer drawn inline, as before the shared random-feature builder
     sr = rc.build_shift_register(1, 2)
-    target = rc.trig_product(np.array([[1.0], [0.7], [0.4]])).spec
+    target = rc.trig_product(np.array([[1.0], [0.7], [0.4]]))
     T, M, seed, ridge = 5, 400, 21, 1e-8
     net, _ = rc.fit_network_readout(*rc.sample_states(sr, target, rc.iid_gaussian(1), T, M, seed),
                                     24, ridge=ridge, seed=seed, activation="logistic")
@@ -214,7 +214,7 @@ def test_network_fit_matches_reference_draw():
 def test_network_fit_reaches_small_error():
     # bounded two-lag target; 256 random features should get within 5%
     freqs = np.array([[1.0], [0.7]])
-    target = rc.trig_product(freqs).spec
+    target = rc.trig_product(freqs)
     norm = math.sqrt(
         0.5 * (1.0 + math.exp(-2.0 * 1.0**2)) * 0.5 * (1.0 + math.exp(-2.0 * 0.7**2))
     )
@@ -230,7 +230,7 @@ def test_network_fit_reaches_small_error():
 def test_polynomials_plateau_on_lognormal_log_sine():
     # the orthogonal-target floor: no polynomial degree helps
     sr = rc.build_shift_register(1, 0)
-    target = rc.log_sine().spec
+    target = rc.log_sine()
     samp = rc.iid_lognormal(1)
     floor = math.sqrt(0.5)
     states, y = rc.sample_states(sr, target, samp, T=2, M=3000, seed=15)
@@ -241,7 +241,7 @@ def test_polynomials_plateau_on_lognormal_log_sine():
 
 def test_fits_are_deterministic():
     sr = rc.build_shift_register(1, 1)
-    target = rc.geometric_ma(0.5).spec
+    target = rc.geometric_ma(0.5)
     n1, d1 = rc.fit_network_readout(
         *rc.sample_states(sr, target, rc.iid_gaussian(1), T=12, M=300, seed=17),
         32, ridge=1e-6, seed=17)

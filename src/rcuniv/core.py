@@ -249,6 +249,13 @@ def truncated_conditional_error(
     A cutoff with nothing to redraw (window_length == K + 1) reads exactly
     0; when every cutoff is such, no path is drawn.
 
+    With R = inner_samples, the mean of R redrawn pasts adds Var(H | lags
+    0..K) / R to the expected squared difference.  For p == 2 each path's
+    difference is therefore multiplied by sqrt(R / (R + 1)), which makes
+    the squared norm unbiased for any R >= 1, R = 1 included; value and
+    stderr scale together.  For p != 2 no such form is used: the inner
+    mean biases the estimate up by O(1/R).
+
     K is one cutoff or a sequence of cutoffs.  A sweep draws each task's
     windows and its deepest redrawn past once and evaluates H on the
     windows once; a cutoff's redrawn rows are a prefix of path M + i's
@@ -323,6 +330,8 @@ def truncated_conditional_error(
     if max(deeps) > 0:
         # each path has its own streams and output rows, so the 16-path tasks move no value
         _run_blocks(fill, M, 16, blas=False)
+    if p == 2:
+        diffs *= np.sqrt(R / (R + 1))
     estimates = [metrics.lp_norm_of_values(d, p=p, seed=seed) for d in diffs]
     return estimates if sweep else estimates[0]
 

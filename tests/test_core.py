@@ -8,6 +8,7 @@ import os
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -224,8 +225,9 @@ _LAWS = {
 }
 
 
-def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
-    # the estimator's former serial chunk loop, kept as the bit-level reference
+def _conditional_diffs(spec, K, sampler, M, seed, T, R):
+    # the estimator's former serial chunk loop, kept as the bit-level reference:
+    # each path's value minus the mean over its R redrawn pasts
     n, deep = sampler.n, T - (K + 1)
     law = functools.partial(_LAWS[sampler.kind], sampler.params)
     chunk = max(1, 2_000_000 // (R * T * n))
@@ -239,11 +241,19 @@ def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
             rep[i, :, K + 1 :] = law(path_rng(seed, M + start + i), (R, deep, n))
         cond = evaluate_functional_batch(spec, rep.reshape(m * R, T, n)).reshape(m, R)
         diffs[start:stop] = evaluate_functional_batch(spec, base) - cond.mean(axis=1)
+    return diffs
+
+
+def _conditional_error_oracle(spec, K, sampler, p, M, seed, T, R):
+    diffs = _conditional_diffs(spec, K, sampler, M, seed, T, R)
+    if p == 2:
+        # the inner mean adds Var(H | lags 0..K) / R to the mean square
+        diffs *= np.sqrt(R / (R + 1))
     return lp_norm_of_values(diffs, p=p, seed=seed)
 
 
 def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
-    # 2_000_000 // (100 inner draws * 40 rows) = 500 paths per chunk: 3 chunks
+    # 1100 paths: 68 full 16-path tasks and one of 12
     spec = rc.geometric_ma(0.5)
     sampler = rc.iid_gaussian(1)
     oracle = _conditional_error_oracle(spec, 2, sampler, 2.0, 1100, 5, T=40, R=100)
@@ -265,6 +275,37 @@ def test_truncation_error_matches_serial_loop_on_two_bounded_channels(monkeypatc
         est = rc.truncated_conditional_error(spec, K=1, sampler=sampler, p=2.0, M=1003,
                                              seed=9, window_length=8, inner_samples=50)
         assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_truncation_error_scales_only_the_l2_differences(R):
+    # p = 2 multiplies the differences by sqrt(R / (R + 1)); p = 1 and 3 keep them
+    spec, sampler = rc.geometric_ma(0.5), rc.iid_gaussian(1)
+    kw = dict(sampler=sampler, M=40, seed=4, window_length=12, inner_samples=R)
+    diffs = _conditional_diffs(spec, 2, sampler, 40, 4, T=12, R=R)
+    factor = np.sqrt(R / (R + 1))
+    for p in (1.0, 3.0, 2.0):
+        est = rc.truncated_conditional_error(spec, 2, p=p, **kw)
+        exact = lp_norm_of_values(diffs * factor if p == 2 else diffs, p=p, seed=4)
+        assert (est.value, est.stderr) == (exact.value, exact.stderr)
+    # value and stderr of the p = 2 estimate scale together
+    plain = lp_norm_of_values(diffs, p=2.0, seed=4)
+    assert est.value == pytest.approx(plain.value * factor, rel=1e-12)
+    assert est.stderr == pytest.approx(plain.stderr * factor, rel=1e-12)
+
+
+def test_one_redrawn_past_is_unbiased_at_p2():
+    # R = 1 against the closed form decay^(K+1) / sqrt(1 - decay^2); without the
+    # sqrt(R / (R + 1)) factor each estimate is sqrt(2) too large, about 26 stderr here
+    t0 = time.perf_counter()
+    spec, sampler = rc.geometric_ma(0.5), rc.iid_gaussian(1)
+    for seed in (12, 13):
+        estimates = rc.truncated_conditional_error(spec, (1, 3), sampler, p=2.0, M=4000,
+                                                   seed=seed, window_length=40, inner_samples=1)
+        for K, est in zip((1, 3), estimates):
+            exact = 0.5 ** (K + 1) / math.sqrt(0.75)
+            assert abs(est.value - exact) <= 3 * est.stderr, (seed, K, est, exact)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):

@@ -728,7 +728,7 @@ def test_conditional_truncation_margin_equals_two_single_cutoff_calls():
     # and so the margin, must be that of its own single-cutoff call
     spec = rc.geometric_ma(0.5)
     kw = dict(sampler=rc.iid_gaussian(), p=2.0, M=4000, seed=11, window_length=40,
-              inner_samples=100)
+              inner_samples=1)
     worst = 0.0
     for K in (1, 3):
         est = rc.truncated_conditional_error(spec, K, **kw)

@@ -234,10 +234,10 @@ def truncated_conditional_error(
     seed: int,
     window_length: int | None = None,
     inner_samples: int = 200,
-):
-    """Monte Carlo estimate of || H(Z) - E[H(Z) | lags 0..K] ||_p.
+) -> list:
+    """Monte Carlo estimates of || H(Z) - E[H(Z) | lags 0..k] ||_p, one per cutoff k in K.
 
-    The conditional expectation is estimated per path by holding lags 0..K
+    The conditional expectation is estimated per path by holding lags 0..k
     fixed and redrawing the deeper past inner_samples times, which is valid
     only for samplers with independent innovations (the iid kinds).  Windows
     of window_length rows stand in for the full past; pick it so the
@@ -246,38 +246,37 @@ def truncated_conditional_error(
     redrawn deeper pasts are the rows of path M + i, both under seed.
     Tasks of 16 paths draw, evaluate and difference on the worker threads,
     with one replica buffer per thread, so memory does not grow with M.
-    A cutoff with nothing to redraw (window_length == K + 1) reads exactly
+    A cutoff with nothing to redraw (window_length == k + 1) reads exactly
     0; when every cutoff is such, no path is drawn.
 
     With R = inner_samples, the mean of R redrawn pasts adds Var(H | lags
-    0..K) / R to the expected squared difference.  For p == 2 each path's
+    0..k) / R to the expected squared difference.  For p == 2 each path's
     difference is therefore multiplied by sqrt(R / (R + 1)), which makes
     the squared norm unbiased for any R >= 1, R = 1 included; value and
     stderr scale together.  For p != 2 no such form is used: the inner
     mean biases the estimate up by O(1/R).
 
-    K is one cutoff or a sequence of cutoffs.  A sweep draws each task's
-    windows and its deepest redrawn past once and evaluates H on the
-    windows once; a cutoff's redrawn rows are a prefix of path M + i's
-    stream, so each estimate equals the single-cutoff call with the same
-    seed and window_length, bit for bit.
+    K is a non-empty sequence of cutoffs.  Each task's windows and its
+    deepest redrawn past are drawn once and H is evaluated on the windows
+    once; a cutoff's redrawn rows are a prefix of path M + i's stream, so
+    each estimate equals the one for K = (k,) with the same seed and
+    window_length, bit for bit.
 
-    Returns an LpEstimate for an int K, else a list of them in the order of
-    K.  Raises ValueError for dependent-innovation samplers, for a cutoff,
-    M, inner_samples, window_length or seed outside its integer range, and
-    for p not a finite number >= 1, before any other work.
+    Returns a list of LpEstimates in the order of K.  Raises ValueError for
+    dependent-innovation samplers, for a K that is not a non-empty sequence,
+    for a cutoff, M, inner_samples, window_length or seed outside its
+    integer range, and for p not a finite number >= 1, before any other work.
     """
     from . import metrics
     from .processes import sample_paths
 
-    sweep = not isinstance(K, numbers.Number)
     try:
-        cutoffs = tuple(K) if sweep else (K,)
+        cutoffs = tuple(K)
     except TypeError:
         cutoffs = ()
     if not cutoffs or not all(_integer(k, 0) for k in cutoffs):
         raise ValueError(
-            f"cutoff K must be an integer >= 0 or a non-empty sequence of them, got {K!r}")
+            f"cutoff K must be an integer >= 0 and K a non-empty sequence of cutoffs, got {K!r}")
     _check_draw_args(p, M, seed)
     if not _integer(inner_samples, 1):
         raise ValueError(f"need an integer inner_samples >= 1, got {inner_samples!r}")
@@ -332,8 +331,7 @@ def truncated_conditional_error(
         _run_blocks(fill, M, 16, blas=False)
     if p == 2:
         diffs *= np.sqrt(R / (R + 1))
-    estimates = [metrics.lp_norm_of_values(d, p=p, seed=seed) for d in diffs]
-    return estimates if sweep else estimates[0]
+    return [metrics.lp_norm_of_values(d, p=p, seed=seed) for d in diffs]
 
 
 # ---------------------------------------------------------------------------

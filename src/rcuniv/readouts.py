@@ -1,4 +1,4 @@
-"""Readout maps applied to reservoir states.
+"""Readout maps applied to batches of reservoir states (M, N).
 
 Three families: multivariate polynomials over a graded-lexicographic
 monomial basis, single-hidden-layer networks with bounded activations, and
@@ -114,17 +114,21 @@ def feature_count(n_vars: int, degree: int) -> int:
     return math.comb(n_vars + degree, degree)
 
 
+def _state_batch(x) -> np.ndarray:
+    """x as a float64 batch of states (M, N); ValueError for any other shape."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"states must be a batch of shape (M, N), got shape {X.shape}")
+    return X
+
+
 def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
     """Monomial feature map in graded-lexicographic order.
 
-    x may be a single vector (N,) or a batch (M, N); returns (C,) or (M, C)
-    with C = comb(N + degree, degree).  Refuses feature counts above 1e7.
+    x is a batch of states (M, N); returns (M, C) with
+    C = comb(N + degree, degree).  Refuses feature counts above 1e7.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    if X.ndim != 2:
-        raise ValueError(f"x must be 1-d or 2-d, got shape {x.shape}")
+    X = _state_batch(x)
     M, N = X.shape
     C = feature_count(N, degree)
     if C > MAX_FEATURES:
@@ -145,7 +149,7 @@ def poly_features(x: np.ndarray, degree: int) -> np.ndarray:
             if e:
                 acc = acc * power(i, e)
         feats[:, col] = acc
-    return feats[0] if single else feats
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -237,22 +241,18 @@ def _input_dim(readout) -> int:
     raise TypeError(f"not a readout: {type(readout).__name__}")
 
 
-def eval_readout(readout, x: np.ndarray) -> float | np.ndarray:
-    """Apply a readout to a state (N,) or a batch of states (M, N)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def eval_readout(readout, x: np.ndarray) -> np.ndarray:
+    """Apply a readout to a batch of states x (M, N) -> values (M,)."""
+    X = _state_batch(x)
     dim = _input_dim(readout)
     if X.shape[1] != dim:
         raise ValueError(f"state dim {X.shape[1]} != readout dim {dim}")
     if isinstance(readout, PolynomialReadout):
-        vals = poly_features(X, readout.degree) @ readout.coefficient_vector()
-    elif isinstance(readout, NetworkReadout):
+        return poly_features(X, readout.degree) @ readout.coefficient_vector()
+    if isinstance(readout, NetworkReadout):
         act = get_activation(readout.activation).fn
-        vals = act(X @ readout.alpha.T - readout.theta) @ readout.beta
-    else:
-        vals = X @ readout.W
-    return float(vals[0]) if single else vals
+        return act(X @ readout.alpha.T - readout.theta) @ readout.beta
+    return X @ readout.W
 
 
 def _random_features(X: np.ndarray, units: int, scale: float, activation: str,

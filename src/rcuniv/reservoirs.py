@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _run_blocks
+from .core import _integer, _run_blocks
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -117,11 +117,17 @@ def _structural_report(method: str, bound: float, support: np.ndarray) -> EspRep
 # system types
 
 
-def _frozen(x, matrix: str | None = None) -> np.ndarray:
-    """Read-only float64 copy, so later writes by the caller cannot reach it."""
+def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
+    """Read-only float64 copy, so later writes by the caller cannot reach it.
+
+    Raises ValueError naming the array for a dimension other than ndim
+    (when given) and for non-finite entries.
+    """
     arr = np.array(x, dtype=np.float64)
-    if matrix is not None and arr.ndim != 2:
-        raise ValueError(f"{matrix} must be 2-d, got shape {arr.shape}")
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -153,8 +159,8 @@ class LinearReservoir(_ReservoirSystem):
     scratch_slots = 1
 
     def __post_init__(self):
-        A = _frozen(self.A, "A")
-        c = _frozen(self.c, "c")
+        A = _frozen(self.A, "A", 2)
+        c = _frozen(self.c, "c", 2)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         if c.shape[0] != A.shape[0]:
@@ -193,8 +199,9 @@ class TrigPolynomial:
     """Matrix-valued trig polynomial R(z) = sum_k A_k cos(u_k.z) + B_k sin(v_k.z).
 
     Stored as stacked read-only arrays: cos_mats/sin_mats have shape
-    (r, rows, cols) and cos_freqs/sin_freqs shape (r, n).  A term may use
-    only one of its two matrices (the other all zeros).
+    (r, rows, cols) and cos_freqs/sin_freqs shape (r, n), so a polynomial
+    with no terms (r = 0) still carries its input channel count n.  A term
+    may use only one of its two matrices (the other all zeros).
     """
 
     cos_mats: np.ndarray
@@ -203,24 +210,12 @@ class TrigPolynomial:
     sin_freqs: np.ndarray
 
     def __post_init__(self):
-        cm = _frozen(self.cos_mats)
-        sm = _frozen(self.sin_mats)
-        cf = np.atleast_2d(_frozen(self.cos_freqs))
-        sf = np.atleast_2d(_frozen(self.sin_freqs))
-        if cm.ndim != 3 or sm.shape != cm.shape:
+        for name, ndim in (("cos_mats", 3), ("sin_mats", 3), ("cos_freqs", 2), ("sin_freqs", 2)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, ndim))
+        if self.sin_mats.shape != self.cos_mats.shape:
             raise ValueError("cos_mats and sin_mats must share shape (r, rows, cols)")
-        r = cm.shape[0]
-        if cf.shape[0] != r or sf.shape[0] != r or cf.shape[1] != sf.shape[1]:
-            if r == 0:
-                cf = cf.reshape(0, max(cf.shape[1] if cf.size else 1, 1))
-                sf = sf.reshape(0, cf.shape[1])
-            else:
-                raise ValueError("frequency arrays must have shape (r, n)")
-        for name, arr in (("cos_mats", cm), ("sin_mats", sm),
-                          ("cos_freqs", cf), ("sin_freqs", sf)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, arr)
+        if self.cos_freqs.shape[0] != self.r or self.sin_freqs.shape != self.cos_freqs.shape:
+            raise ValueError("frequency arrays must have shape (r, n)")
 
     @property
     def r(self) -> int:
@@ -268,14 +263,6 @@ class TrigPolynomial:
         np.matmul(np.sin(z @ self.sin_freqs.T), self.sin_mats[:, :, 0], out=term)
         out += term
 
-    def norm_bound(self) -> float:
-        """sup_z ||R(z)||_2 <= sum_k ||A_k||_2 + ||B_k||_2."""
-        total = 0.0
-        for k in range(self.r):
-            total += np.linalg.norm(self.cos_mats[k], 2)
-            total += np.linalg.norm(self.sin_mats[k], 2)
-        return float(total)
-
     def support(self) -> np.ndarray:
         """Boolean (rows, cols) union of coefficient supports."""
         return np.any(self.cos_mats != 0.0, axis=0) | np.any(self.sin_mats != 0.0, axis=0)
@@ -311,8 +298,8 @@ def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
 
     The blocks are the connected components of P's support, over which
     P(z) is block diagonal up to a permutation, so its norm is the largest
-    block norm.  A connected support sums the terms in P.norm_bound()'s
-    order, to the same float.
+    block norm.  A connected support has one block, the whole of P, whose
+    bound is the sum of all term norms.
     """
     return max((
         float(sum(np.linalg.norm(mats[k][np.ix_(c, c)], 2)
@@ -341,7 +328,7 @@ class TrigSAS(_ReservoirSystem):
             raise ValueError("P must be square")
         if self.Q.cols != 1 or self.Q.rows != self.P.rows:
             raise ValueError("Q must be a single-column polynomial with N rows")
-        if self.P.r and self.Q.r and self.P.n != self.Q.n:
+        if self.P.n != self.Q.n:
             raise ValueError("P and Q must share the input channel count")
 
     @property
@@ -350,7 +337,7 @@ class TrigSAS(_ReservoirSystem):
 
     @property
     def n(self) -> int:
-        return self.Q.n if self.Q.r else self.P.n
+        return self.Q.n
 
     def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
         self.P.apply(z, x, scratch[0], scratch[1])
@@ -385,9 +372,9 @@ class EchoStateNetwork(_ReservoirSystem):
     scratch_slots = 1
 
     def __post_init__(self):
-        A = _frozen(self.A, "A")
-        C = _frozen(self.C, "C")
-        bias = np.atleast_1d(_frozen(self.bias))
+        A = _frozen(self.A, "A", 2)
+        C = _frozen(self.C, "C", 2)
+        bias = np.atleast_1d(_frozen(self.bias, "bias"))
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         N = A.shape[0]
@@ -516,6 +503,13 @@ def washout_decay(system, data: np.ndarray, seed: int = 0) -> np.ndarray:
 # constructive builders
 
 
+def _check_sizes(lo: int, **sizes) -> None:
+    """Raise ValueError unless every named size is an integer >= lo."""
+    for name, v in sizes.items():
+        if not _integer(v, lo):
+            raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
 def build_shift_register(n: int, K: int) -> LinearReservoir:
     """Linear reservoir whose state stacks the last K + 1 inputs.
 
@@ -524,8 +518,8 @@ def build_shift_register(n: int, K: int) -> LinearReservoir:
     entries by copies and additions with zeros only, so the identity is
     exact in floating point.
     """
-    if n < 1 or K < 0:
-        raise ValueError("need n >= 1 and K >= 0")
+    _check_sizes(1, n=n)
+    _check_sizes(0, K=K)
     N = n * (K + 1)
     A = np.zeros((N, N))
     idx = np.arange(n, N)
@@ -584,15 +578,14 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadou
 
 
 def _block_terms(p1: TrigPolynomial, p2: TrigPolynomial, rows: int, cols: int,
-                 r0: int, c0: int, n: int) -> TrigPolynomial:
+                 r0: int, c0: int) -> TrigPolynomial:
     """The terms of p1 placed at (0, 0) and of p2 at (r0, c0) of a (rows, cols) polynomial."""
     parts = []
     for poly, i, j in ((p1, 0, 0), (p2, r0, c0)):
         cm, sm = np.zeros((2, poly.r, rows, cols))
         cm[:, i : i + poly.rows, j : j + poly.cols] = poly.cos_mats
         sm[:, i : i + poly.rows, j : j + poly.cols] = poly.sin_mats
-        cf, sf = (poly.cos_freqs, poly.sin_freqs) if poly.r else np.zeros((2, 0, n))
-        parts.append((cm, sm, cf, sf))
+        parts.append((cm, sm, poly.cos_freqs, poly.sin_freqs))
     return TrigPolynomial(*(np.concatenate(arrays) for arrays in zip(*parts)))
 
 
@@ -610,10 +603,10 @@ def direct_sum_sas(s1: TrigSAS, s2: TrigSAS) -> TrigSAS:
         raise ValueError("direct sum requires both systems ESP-certified")
     if s1.n != s2.n:
         raise ValueError("systems must share the input channel count")
-    N1, n, N = s1.N, s1.n, s1.N + s2.N
+    N1, N = s1.N, s1.N + s2.N
 
-    P = _block_terms(s1.P, s2.P, N, N, N1, N1, n)  # block diagonal
-    Q = _block_terms(s1.Q, s2.Q, N, 1, N1, 0, n)  # stacked column
+    P = _block_terms(s1.P, s2.P, N, N, N1, N1)  # block diagonal
+    Q = _block_terms(s1.Q, s2.Q, N, 1, N1, 0)  # stacked column
     return TrigSAS(P, Q)
 
 
@@ -783,6 +776,7 @@ def random_esn(
     rescaled to the same sigma_max has a much smaller spectral radius and
     forgets quickly).
     """
+    _check_sizes(1, N=N, n=n)
     if spectral <= 0.0:
         raise ValueError("spectral must be positive")
     rng = np.random.default_rng(seed)
@@ -805,13 +799,14 @@ def random_trig_sas(
     freq_scale: float = 1.0,
 ) -> TrigSAS:
     """Random state-affine system rescaled inside the contraction certificate."""
+    _check_sizes(1, N=N, n=n, terms=terms)
     rng = np.random.default_rng(seed)
     cm = rng.standard_normal((terms, N, N))
     sm = rng.standard_normal((terms, N, N))
     cf = freq_scale * rng.standard_normal((terms, n))
     sf = freq_scale * rng.standard_normal((terms, n))
     P = TrigPolynomial(cm, sm, cf, sf)
-    scale = contraction / P.norm_bound()
+    scale = contraction / _block_norm_bound(P, P.support())
     P = TrigPolynomial(cm * scale, sm * scale, cf, sf)
     qc = rng.standard_normal((1, N, 1))
     qc /= np.linalg.norm(qc[0], 2)

@@ -108,8 +108,8 @@ def test_c05_conditional_truncation_error_closed_form():
     samp = rc.iid_gaussian(1)
     results = {}
     for K in (1, 3, 5, 7):
-        est = rc.truncated_conditional_error(
-            spec, K=K, sampler=samp, p=2.0, M=20000, seed=500 + K,
+        (est,) = rc.truncated_conditional_error(
+            spec, K=(K,), sampler=samp, p=2.0, M=20000, seed=500 + K,
             window_length=48,
         )
         exact = decay ** (K + 1) / math.sqrt(1.0 - decay**2)

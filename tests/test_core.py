@@ -152,9 +152,9 @@ def test_product_rejects_bad_indices():
 def test_truncation_error_zero_for_finite_memory():
     spec = rc.finite_poly(1, 1, 2, {(1, 1): 1.0})
     samp = rc.iid_gaussian(1)
-    est = rc.truncated_conditional_error(spec, K=1, sampler=samp, p=2.0, M=64, seed=3)
+    (est,) = rc.truncated_conditional_error(spec, K=(1,), sampler=samp, p=2.0, M=64, seed=3)
     assert est.value == 0.0 and est.stderr == 0.0
-    est = rc.truncated_conditional_error(spec, K=3, sampler=samp, p=2.0, M=64, seed=3)
+    (est,) = rc.truncated_conditional_error(spec, K=(3,), sampler=samp, p=2.0, M=64, seed=3)
     assert est.value == 0.0
 
 
@@ -163,8 +163,8 @@ def test_truncation_error_matches_geometric_closed_form():
     decay = 0.5
     spec = rc.geometric_ma(decay)
     samp = rc.iid_gaussian(1)
-    est = rc.truncated_conditional_error(
-        spec, K=3, sampler=samp, p=2.0, M=4000, seed=9, window_length=40
+    (est,) = rc.truncated_conditional_error(
+        spec, K=(3,), sampler=samp, p=2.0, M=4000, seed=9, window_length=40
     )
     exact = decay**4 / math.sqrt(1.0 - decay**2)
     assert abs(est.value - exact) <= 3.0 * est.stderr
@@ -174,8 +174,8 @@ def test_truncation_error_monotone_in_cutoff():
     spec = rc.geometric_ma(0.6)
     samp = rc.iid_gaussian(1)
     kw = dict(sampler=samp, p=2.0, M=3000, seed=4, window_length=36)
-    e2 = rc.truncated_conditional_error(spec, K=2, **kw)
-    e5 = rc.truncated_conditional_error(spec, K=5, **kw)
+    (e2,) = rc.truncated_conditional_error(spec, K=(2,), **kw)
+    (e5,) = rc.truncated_conditional_error(spec, K=(5,), **kw)
     assert e5.value <= e2.value + 3.0 * (e2.stderr + e5.stderr)
 
 
@@ -183,7 +183,7 @@ def test_truncation_error_rejects_dependent_sampler():
     spec = rc.geometric_ma(0.5)
     with pytest.raises(ValueError):
         rc.truncated_conditional_error(
-            spec, K=1, sampler=rc.garch11(0.1, 0.1, 0.8), p=2.0, M=16, seed=0
+            spec, K=(1,), sampler=rc.garch11(0.1, 0.1, 0.8), p=2.0, M=16, seed=0
         )
 
 
@@ -191,19 +191,19 @@ def test_truncation_error_input_validation():
     spec = rc.geometric_ma(0.5)
     samp = rc.iid_gaussian(1)
     with pytest.raises(ValueError):
-        rc.truncated_conditional_error(spec, K=-1, sampler=samp, p=2.0, M=16, seed=0)
+        rc.truncated_conditional_error(spec, K=(-1,), sampler=samp, p=2.0, M=16, seed=0)
     with pytest.raises(ValueError):
-        rc.truncated_conditional_error(spec, K=1, sampler=samp, p=2.0, M=1, seed=0)
+        rc.truncated_conditional_error(spec, K=(1,), sampler=samp, p=2.0, M=1, seed=0)
     with pytest.raises(ValueError, match="channels"):
         # nothing to redraw, but the sampler still has to fit the functional
-        rc.truncated_conditional_error(spec, K=3, sampler=rc.iid_gaussian(2), p=2.0, M=16,
+        rc.truncated_conditional_error(spec, K=(3,), sampler=rc.iid_gaussian(2), p=2.0, M=16,
                                        seed=0, window_length=4)
 
 
 @pytest.mark.parametrize("bad, message", [
     (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
     (dict(seed=2**64), "seed must be an integer in [0, 2**64)"),
-    (dict(K=3.0), "cutoff K must be an integer"),
+    (dict(K=(3.0,)), "cutoff K must be an integer"),
     (dict(M=16.0), "integer M >= 2"),
     (dict(inner_samples=2.5), "integer inner_samples >= 1"),
     (dict(window_length=4.9), "window_length must be an integer"),
@@ -211,8 +211,9 @@ def test_truncation_error_input_validation():
         "window_length_float"])
 def test_truncation_error_checks_arguments_before_the_exact_zero(bad, message):
     # window_length == K + 1 leaves nothing to redraw, where the estimate is exactly 0
-    kw = dict(K=3, sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
-    assert rc.truncated_conditional_error(rc.geometric_ma(0.5), **kw).value == 0.0
+    kw = dict(K=(3,), sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=4)
+    (est,) = rc.truncated_conditional_error(rc.geometric_ma(0.5), **kw)
+    assert est.value == 0.0
     with pytest.raises(ValueError, match=re.escape(message)):
         rc.truncated_conditional_error(rc.geometric_ma(0.5), **{**kw, **bad})
 
@@ -259,7 +260,7 @@ def test_truncation_error_matches_serial_loop_for_any_worker_count(monkeypatch):
     oracle = _conditional_error_oracle(spec, 2, sampler, 2.0, 1100, 5, T=40, R=100)
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("RCUNIV_WORKERS", workers)
-        est = rc.truncated_conditional_error(spec, K=2, sampler=sampler, p=2.0, M=1100,
+        (est,) = rc.truncated_conditional_error(spec, K=(2,), sampler=sampler, p=2.0, M=1100,
                                              seed=5, window_length=40, inner_samples=100)
         assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
 
@@ -272,7 +273,7 @@ def test_truncation_error_matches_serial_loop_on_two_bounded_channels(monkeypatc
     assert oracle.value > 0
     for workers in ("1", "2", "3"):
         monkeypatch.setenv("RCUNIV_WORKERS", workers)
-        est = rc.truncated_conditional_error(spec, K=1, sampler=sampler, p=2.0, M=1003,
+        (est,) = rc.truncated_conditional_error(spec, K=(1,), sampler=sampler, p=2.0, M=1003,
                                              seed=9, window_length=8, inner_samples=50)
         assert (est.value, est.stderr) == (oracle.value, oracle.stderr)
 
@@ -285,7 +286,7 @@ def test_truncation_error_scales_only_the_l2_differences(R):
     diffs = _conditional_diffs(spec, 2, sampler, 40, 4, T=12, R=R)
     factor = np.sqrt(R / (R + 1))
     for p in (1.0, 3.0, 2.0):
-        est = rc.truncated_conditional_error(spec, 2, p=p, **kw)
+        (est,) = rc.truncated_conditional_error(spec, (2,), p=p, **kw)
         exact = lp_norm_of_values(diffs * factor if p == 2 else diffs, p=p, seed=4)
         assert (est.value, est.stderr) == (exact.value, exact.stderr)
     # value and stderr of the p = 2 estimate scale together
@@ -318,12 +319,12 @@ def test_truncation_error_with_nothing_to_resample_draws_no_path(monkeypatch):
     monkeypatch.setattr(rc.processes, "path_rng", counted)
     spec = rc.geometric_ma(0.5)
     sampler = rc.iid_gaussian(1)
-    est = rc.truncated_conditional_error(spec, K=39, sampler=sampler, p=2.0, M=100, seed=1,
-                                         window_length=40, inner_samples=10)
+    (est,) = rc.truncated_conditional_error(spec, K=(39,), sampler=sampler, p=2.0, M=100,
+                                            seed=1, window_length=40, inner_samples=10)
     assert (est.value, est.stderr, est.M) == (0.0, 0.0, 100)
     assert calls == []
     # one resampled lag: each path draws its base and its replicas' past
-    rc.truncated_conditional_error(spec, K=38, sampler=sampler, p=2.0, M=100, seed=1,
+    rc.truncated_conditional_error(spec, K=(38,), sampler=sampler, p=2.0, M=100, seed=1,
                                    window_length=40, inner_samples=10)
     assert sorted(calls) == list(range(200))
 
@@ -342,7 +343,8 @@ def test_cutoff_sweep_equals_single_calls(spec, sampler):
     # 40 paths: two full 16-path tasks and one of 8; cutoffs out of order and repeated
     kw = dict(sampler=sampler, p=2.0, M=40, seed=7, window_length=12, inner_samples=20)
     sweep = rc.truncated_conditional_error(spec, (3, 1, 3), **kw)
-    assert sweep == [rc.truncated_conditional_error(spec, K, **kw) for K in (3, 1, 3)]
+    assert [[est] for est in sweep] == [rc.truncated_conditional_error(spec, (K,), **kw)
+                                        for K in (3, 1, 3)]
     assert sweep[0].value > 0 and sweep[1].value > 0
     assert rc.truncated_conditional_error(spec, [1], **kw) == [sweep[1]]
 
@@ -352,7 +354,7 @@ def test_cutoff_sweep_exact_cutoff_reads_zero_and_leaves_the_others():
     kw = dict(sampler=sampler, p=2.0, M=40, seed=2, window_length=8, inner_samples=20)
     exact, two = rc.truncated_conditional_error(spec, (7, 2), **kw)
     assert (exact.value, exact.stderr, exact.M) == (0.0, 0.0, 40)
-    assert two == rc.truncated_conditional_error(spec, 2, **kw)
+    assert [two] == rc.truncated_conditional_error(spec, (2,), **kw)
     assert two.value > 0
 
 
@@ -403,8 +405,10 @@ def test_cutoff_sweep_draws_each_task_once(monkeypatch):
     ((1, True), "cutoff K must be an integer"),
     ((-1, 2), "cutoff K must be an integer"),
     (2.0, "cutoff K must be an integer"),
+    (2, "cutoff K must be an integer"),
     ((1, 12), "window_length must be an integer >= max K + 1 = 13"),
-], ids=["empty", "float_element", "bool_element", "negative_element", "float", "K_past_window"])
+], ids=["empty", "float_element", "bool_element", "negative_element", "float", "int",
+        "K_past_window"])
 def test_cutoff_sweep_rejects_bad_cutoffs_before_any_draw(monkeypatch, K, message):
     calls = _count_draws(monkeypatch)
     kw = dict(sampler=rc.iid_gaussian(1), p=2.0, M=16, seed=0, window_length=12, inner_samples=4)
@@ -439,7 +443,7 @@ def test_truncation_error_memory_does_not_grow_with_paths(monkeypatch):
     def peak(M):
         tracemalloc.start()
         try:
-            rc.truncated_conditional_error(spec, K=2, sampler=sampler, p=2.0, M=M, seed=3,
+            rc.truncated_conditional_error(spec, K=(2,), sampler=sampler, p=2.0, M=M, seed=3,
                                            window_length=40, inner_samples=100)
             return tracemalloc.get_traced_memory()[1]
         finally:

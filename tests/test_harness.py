@@ -731,7 +731,7 @@ def test_conditional_truncation_margin_equals_two_single_cutoff_calls():
               inner_samples=1)
     worst = 0.0
     for K in (1, 3):
-        est = rc.truncated_conditional_error(spec, K, **kw)
+        (est,) = rc.truncated_conditional_error(spec, (K,), **kw)
         exact = 0.5 ** (K + 1) / math.sqrt(1 - 0.5**2)
         worst = max(worst, abs(est.value - exact) / (3 * est.stderr))
     (check,) = verify_suite("conditional_truncation")

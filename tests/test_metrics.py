@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import rcuniv as rc
 from rcuniv.metrics import lp_norm_of_values, warn_on_truncation
@@ -173,6 +173,43 @@ def test_approx_error_scores_a_list_of_models_as_single_calls_would():
         rc.approx_error(spec, esn, readouts, samp, p=2.0, T=10, M=10, seed=1, train_seed=1)
     with pytest.raises(ValueError, match="at least one readout"):
         rc.approx_error(spec, esn, [], samp, p=2.0, T=10, M=10, seed=4)
+
+
+def _exact_gaussian_lp(mean, sd, p):
+    """(E|X|^p)^(1/p) for X ~ N(mean, sd^2), by quadrature split at the kink x = 0."""
+    def moment(u):
+        return abs(mean + sd * u) ** p * stats.norm.pdf(u)
+
+    kink = -mean / sd
+    total = integrate.quad(moment, -np.inf, kink)[0] + integrate.quad(moment, kink, np.inf)[0]
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("m", [2, 5, 10])
+def test_fitted_shift_register_error_matches_its_gaussian_closed_form(m):
+    # the shift register's state is (z_0, ..., z_-m), so a degree-1 readout with
+    # intercept b0 and lag weights b leaves the Gaussian error
+    # sum_{j<=m} (lam^j - b_j) z_-j + sum_{m<k<T} lam^k z_-k - b0 of the geometric
+    # moving average; its exact L^p norm checks the train -> fit -> evaluate pipeline
+    lam, mu, sigma, T = 0.9, 0.3, 1.0, 60
+    target, sampler = rc.geometric_ma(lam), rc.iid_gaussian(mean=mu, std=sigma)
+    system = rc.build_shift_register(1, m)
+    states, y = rc.sample_states(system, target, sampler, T, 2000, seed=11)
+    readout, _ = rc.fit_polynomial_readout(states, y, 1, ridge=1e-8, seed=11)
+    coefficients = readout.coefficient_vector()  # intercept, then one weight per lag
+    b0, b = coefficients[0], coefficients[1:]
+    weights = lam ** np.arange(T)
+    mean = mu * (weights.sum() - b.sum()) - b0
+    tail = np.sum(weights[m + 1:] ** 2)
+    sd = sigma * math.sqrt(np.sum((weights[: m + 1] - b) ** 2) + tail)
+    for p in (1.0, 2.0, 3.0):
+        (est,) = rc.approx_error(target, system, [readout], sampler, p=p, T=T, M=5000,
+                                 seed=12, train_seed=11)
+        exact = _exact_gaussian_lp(mean, sd, p)
+        assert abs(est.value - exact) <= 3 * est.stderr, (p, est, exact)
+        if p == 2.0:
+            # no readout of the last m + 1 inputs beats the finite-T optimum
+            assert exact >= sigma * math.sqrt(tail)
 
 
 def test_approx_error_rejects_training_seed():

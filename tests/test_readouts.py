@@ -1,6 +1,7 @@
 """Polynomial feature maps, readout evaluation, activations, serialization."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -48,8 +49,8 @@ def test_multi_indices_match_brute_force_order(n, d):
 
 def test_poly_features_frozen_example():
     np.testing.assert_array_equal(
-        rc.poly_features(np.array([2.0, 3.0]), 2),
-        np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0]),
+        rc.poly_features(np.array([[2.0, 3.0]]), 2),
+        np.array([[1.0, 2.0, 3.0, 4.0, 6.0, 9.0]]),
     )
 
 
@@ -57,18 +58,19 @@ def test_poly_features_batch_matches_single():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(7, 3))
     batch = rc.poly_features(X, 3)
-    rows = np.stack([rc.poly_features(x, 3) for x in X])
+    rows = np.concatenate([rc.poly_features(x[None], 3) for x in X])
     np.testing.assert_array_equal(batch, rows)
 
 
 def test_poly_features_size_guard():
     with pytest.raises(ValueError):
-        rc.poly_features(np.zeros(100), 5)  # C(105, 5) blows the cap
+        rc.poly_features(np.zeros((1, 100)), 5)  # C(105, 5) blows the cap
 
 
 def test_polynomial_readout_example():
     r = rc.PolynomialReadout(2, 2, {(1, 1): 1.0, (0, 2): 0.5})
-    assert rc.eval_readout(r, np.array([2.0, 3.0])) == 10.5
+    (value,) = rc.eval_readout(r, np.array([[2.0, 3.0]]))
+    assert value == 10.5
 
 
 def test_polynomial_readout_matches_feature_dot():
@@ -76,8 +78,8 @@ def test_polynomial_readout_matches_feature_dot():
     r = rc.PolynomialReadout(3, 2, {(1, 0, 1): 2.0, (0, 2, 0): -1.5, (0, 0, 0): 0.25})
     for _ in range(5):
         x = rng.normal(size=3)
-        direct = rc.eval_readout(r, x)
-        assert direct == np.dot(r.coefficient_vector(), rc.poly_features(x, 2))
+        (direct,) = rc.eval_readout(r, x[None])
+        assert direct == np.dot(r.coefficient_vector(), rc.poly_features(x[None], 2)[0])
 
 
 def test_polynomial_readout_validates_exponents():
@@ -108,9 +110,10 @@ def test_network_readout_formula():
     alpha = np.array([[1.0, 0.0], [0.0, 2.0]])
     theta = np.array([0.0, 1.0])
     net = rc.NetworkReadout(beta, alpha, theta, "tanh")
-    x = np.array([0.3, -0.7])
+    x = np.array([[0.3, -0.7]])
     expected = 0.5 * np.tanh(0.3) - np.tanh(2.0 * (-0.7) - 1.0)
-    assert rc.eval_readout(net, x) == pytest.approx(expected, rel=1e-15)
+    (value,) = rc.eval_readout(net, x)
+    assert value == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", ["logistic", "tanh", "hard_sigmoid"])
@@ -125,9 +128,10 @@ def test_network_readout_bounded(name):
 
 def test_linear_readout():
     lin = rc.LinearReadout(np.array([1.0, -2.0]))
-    assert rc.eval_readout(lin, np.array([3.0, 1.0])) == 1.0
+    (value,) = rc.eval_readout(lin, np.array([[3.0, 1.0]]))
+    assert value == 1.0
     with pytest.raises(ValueError):
-        rc.eval_readout(lin, np.array([1.0, 2.0, 3.0]))
+        rc.eval_readout(lin, np.array([[1.0, 2.0, 3.0]]))
 
 
 def test_every_readout_checks_the_state_dimension():
@@ -145,6 +149,22 @@ def test_every_readout_checks_the_state_dimension():
         rc.eval_readout(np.ones(4), rng.normal(size=(5, 4)))
 
 
+@pytest.mark.parametrize("shape", [(4,), (), (2, 5, 4)], ids=["state", "scalar", "3-d"])
+def test_readouts_take_a_batch_of_states_only(shape):
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=shape)
+    message = re.escape(f"states must be a batch of shape (M, N), got shape {shape}")
+    for r in [
+        rc.PolynomialReadout(4, 2, {(1, 0, 0, 1): 1.0}),
+        rc.NetworkReadout(rng.normal(size=3), rng.normal(size=(3, 4)), rng.normal(size=3)),
+        rc.LinearReadout(rng.normal(size=4)),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            rc.eval_readout(r, x)
+    with pytest.raises(ValueError, match=message):
+        rc.poly_features(x, 2)
+
+
 def test_batch_eval_consistency():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(11, 2))
@@ -157,7 +177,7 @@ def test_batch_eval_consistency():
     ]
     for r in readouts:
         batch = rc.eval_readout(r, X)
-        single = np.array([rc.eval_readout(r, x) for x in X])
+        single = np.concatenate([rc.eval_readout(r, x[None]) for x in X])
         np.testing.assert_allclose(batch, single, rtol=1e-13, atol=1e-15)
 
 

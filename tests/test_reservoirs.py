@@ -4,6 +4,7 @@ direct sums, block networks, serialization."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,21 @@ def test_apply_matches_einsum(name):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
 
+def test_trig_polynomial_takes_r_by_n_frequencies_only():
+    mats = np.zeros((1, 2, 2))
+    with pytest.raises(ValueError, match=re.escape("cos_freqs must be 2-d, got shape (1,)")):
+        TrigPolynomial(mats, mats, np.ones(1), np.ones((1, 1)))
+    with pytest.raises(ValueError, match=re.escape("frequency arrays must have shape (r, n)")):
+        TrigPolynomial(mats, mats, np.ones((2, 1)), np.ones((2, 1)))
+    # a polynomial with no terms keeps its own channel count, which a system checks
+    no_terms = TrigPolynomial(np.zeros((0, 2, 2)), np.zeros((0, 2, 2)),
+                              np.zeros((0, 3)), np.zeros((0, 3)))
+    assert no_terms.n == 3
+    Q = TrigPolynomial(np.ones((1, 2, 1)), np.zeros((1, 2, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="P and Q must share the input channel count"):
+        rc.TrigSAS(no_terms, Q)
+
+
 # ---------------------------------------------------------------------------
 # direct sums
 
@@ -428,6 +444,12 @@ def test_direct_sum_certificate_survives_a_system_document_round_trip():
     assert rep.summary() == doc["esp"]
 
 
+def _term_norm_sum(P):
+    """sum_k ||A_k||_2 + ||B_k||_2, the bound on sup_z ||P(z)||_2 that ignores blocks."""
+    return float(sum(np.linalg.norm(mats[k], 2)
+                     for k in range(P.r) for mats in (P.cos_mats, P.sin_mats)))
+
+
 def test_block_bound_is_the_largest_component_bound():
     # the sum of all term norms is 0.6 + 0.8 > 1, but each block of the
     # block-diagonal P contracts on its own
@@ -435,7 +457,7 @@ def test_block_bound_is_the_largest_component_bound():
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
     combined = rc.direct_sum_sas(s1, s2)
     P, bound = combined.P, rc.certify_esp(combined).bound
-    assert P.norm_bound() == pytest.approx(1.4, rel=1e-9)
+    assert _term_norm_sum(P) == pytest.approx(1.4, rel=1e-9)
     assert bound == pytest.approx(0.8, rel=1e-9)
     for z in np.random.default_rng(26).normal(size=(200, 1)):
         Pz = sum(np.cos(P.cos_freqs[k] @ z) * P.cos_mats[k]
@@ -445,7 +467,7 @@ def test_block_bound_is_the_largest_component_bound():
 
 def test_connected_support_keeps_the_sum_of_term_norms():
     s = rc.random_trig_sas(5, 2, terms=3, seed=27, contraction=0.9)
-    assert rc.certify_esp(s).bound == s.P.norm_bound()
+    assert rc.certify_esp(s).bound == _term_norm_sum(s.P)
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +614,28 @@ def test_random_trig_sas_contraction():
     rep = rc.certify_esp(sas)
     assert rep.certified
     assert rep.bound == pytest.approx(0.9, rel=1e-9)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: rc.random_trig_sas(5, 1, terms=0, seed=0), "terms must be an integer >= 1, got 0"),
+    (lambda: rc.random_trig_sas(0, 1, terms=2, seed=0), "N must be an integer >= 1, got 0"),
+    (lambda: rc.random_trig_sas(5, 0, terms=2, seed=0), "n must be an integer >= 1, got 0"),
+    (lambda: rc.random_trig_sas(5, 1, terms=2.0, seed=0), "terms must be an integer >= 1, got 2.0"),
+    (lambda: rc.random_esn(0, 1, seed=0), "N must be an integer >= 1, got 0"),
+    (lambda: rc.random_esn(3, True, seed=0), "n must be an integer >= 1, got True"),
+    (lambda: rc.build_shift_register(1, 1.5), "K must be an integer >= 0, got 1.5"),
+    (lambda: rc.build_shift_register(1, -1), "K must be an integer >= 0, got -1"),
+    (lambda: rc.build_shift_register(0, 2), "n must be an integer >= 1, got 0"),
+], ids=["trig_sas_terms_0", "trig_sas_N_0", "trig_sas_n_0", "trig_sas_terms_float", "esn_N_0",
+        "esn_n_bool", "shift_register_K_float", "shift_register_K_negative",
+        "shift_register_n_0"])
+def test_builders_check_their_sizes_before_any_draw(monkeypatch, build, message):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("a generator was made before the sizes were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -875,6 +919,36 @@ def test_systems_copy_their_inputs_and_keep_their_certificate(kind):
     for arr in frozen:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
+
+
+_SYSTEM_ARRAYS = {
+    "linear": [("A",), ("c",)],
+    "esn": [("A",), ("C",), ("bias",)],
+    "trig_sas": [(poly, name) for poly in ("P", "Q")
+                 for name in ("cos_mats", "sin_mats", "cos_freqs", "sin_freqs")],
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, path", [(kind, path) for kind, paths in _SYSTEM_ARRAYS.items()
+                                        for path in paths],
+                         ids=lambda v: v if isinstance(v, str) else ".".join(v))
+def test_systems_reject_non_finite_arrays_by_name(kind, path, bad):
+    system, _ = _system_and_its_inputs(kind)
+    doc = rc.system_to_dict(system)
+    *outer, name = path
+    entries = doc[outer[0]] if outer else doc
+    arr = np.array(entries[name])
+    arr.flat[-1] = bad
+    entries[name] = arr.tolist()
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+        rc.system_from_dict(doc)
+
+
+def test_random_esn_with_an_infinite_input_scale_is_rejected():
+    # once built, it would fail only at its first state step
+    with pytest.raises(ValueError, match="^C has non-finite entries$"):
+        rc.random_esn(3, 1, seed=0, input_scale=math.inf)
 
 
 def test_serialization_rejects_unknown_variant():

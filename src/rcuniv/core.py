@@ -5,6 +5,12 @@ n-channel discrete-time process, row k being the value k steps in the
 past; a batch of M windows is an (M, T, n) array.  Functionals of the
 semi-infinite past are evaluated on such truncations; the targets module
 registers the concrete evaluators.
+
+The argument rules of the whole package live here: every public builder,
+sampler, target, fit and estimator checks its counts with
+_require_integers, its reals with _require_numbers, its seed with
+_require_seed and its arrays with _frozen, so a bad argument raises a
+ValueError that names it before anything is drawn.
 """
 
 from __future__ import annotations
@@ -33,15 +39,20 @@ __all__ = [
 ]
 
 
-# the number rules every constructor and config check shares
+# the argument rules of every public entry point: two predicates, the
+# raisers that name the argument, and the read-only array copy
 def _integer(v, lo: float = -math.inf) -> bool:
     """An integer, not a boolean, >= lo."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo
 
 
-def _finite_real(v) -> bool:
-    """A real, not a boolean, inside float range: nan, inf and ints past it fail."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+def _number(v, lo: float = -math.inf, strict: bool = False) -> bool:
+    """A real, not a boolean, inside float range, >= lo (> lo when strict).
+
+    nan, inf and integers past float range fail.
+    """
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max and (v > lo if strict else v >= lo))
 
 
 def _seed(v) -> bool:
@@ -49,19 +60,47 @@ def _seed(v) -> bool:
     return _integer(v, 0) and v < 2**64
 
 
-def _check_p(p) -> None:
-    """Raise ValueError unless p is a finite real >= 1, an L^p norm order."""
-    if not (_finite_real(p) and p >= 1):
-        raise ValueError(f"p must be a finite number >= 1, got {p!r}")
+def _require_integers(lo: int, **values) -> None:
+    """Raise ValueError naming the first value not an integer >= lo."""
+    for name, v in values.items():
+        if not _integer(v, lo):
+            raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+
+
+def _require_numbers(lo: float = -math.inf, strict: bool = False, **values) -> None:
+    """Raise ValueError naming the first value not a finite number >= lo (> lo if strict)."""
+    for name, v in values.items():
+        if not _number(v, lo, strict):
+            bound = "" if lo == -math.inf else f" {'>' if strict else '>='} {lo}"
+            raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
+
+
+def _require_seed(seed) -> None:
+    """Raise ValueError unless seed is an integer in [0, 2**64)."""
+    if not _seed(seed):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _check_draw_args(p, M, seed) -> None:
     """Raise ValueError for a bad norm order, path count or seed; draws nothing."""
-    _check_p(p)
-    if not _integer(M, 2):
-        raise ValueError(f"need an integer M >= 2 paths, got {M!r}")
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _require_numbers(1, p=p)
+    _require_integers(2, M=M)
+    _require_seed(seed)
+
+
+def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
+    """Read-only float64 copy, so later writes by the caller cannot reach it.
+
+    Raises ValueError naming the array for a dimension other than ndim
+    (when given) and for non-finite entries.
+    """
+    arr = np.array(x, dtype=np.float64)
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -79,10 +118,9 @@ class FunctionalSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("channel count n must be >= 1")
-        if self.memory is not None and self.memory < 0:
-            raise ValueError("memory must be >= 0 or None")
+        _require_integers(1, n=self.n)
+        if self.memory is not None:
+            _require_integers(0, memory=self.memory)
 
 
 # kind -> evaluator acting on a batch of windows, shape (M, T, n) -> (M,)
@@ -278,8 +316,7 @@ def truncated_conditional_error(
         raise ValueError(
             f"cutoff K must be an integer >= 0 and K a non-empty sequence of cutoffs, got {K!r}")
     _check_draw_args(p, M, seed)
-    if not _integer(inner_samples, 1):
-        raise ValueError(f"need an integer inner_samples >= 1, got {inner_samples!r}")
+    _require_integers(1, inner_samples=inner_samples)
     if not sampler.iid:
         raise ValueError(
             f"sampler kind {sampler.kind!r} does not have independent innovations; "
@@ -292,9 +329,7 @@ def truncated_conditional_error(
         else:
             window_length = max(spec.memory + 1, K_max + 1)
     T = window_length
-    if not _integer(T, K_max + 1):
-        raise ValueError(
-            f"window_length must be an integer >= max K + 1 = {K_max + 1}, got {T!r}")
+    _require_integers(K_max + 1, window_length=T)
     if spec.memory is not None and T < spec.memory + 1:
         raise ValueError("window_length shorter than the functional's memory")
     if sampler.n != spec.n:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import (FunctionalSpec, _finite_real, _integer, _seed, nilpotent_product,
+from .core import (FunctionalSpec, _integer, _number, _seed, nilpotent_product,
                    truncated_conditional_error, write_window_csv)
 from .readouts import ACTIVATIONS, LinearReadout, eval_readout
 from .reservoirs import (
@@ -54,11 +54,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _number(v, lo: float = -math.inf, strict: bool = False) -> bool:
-    """A finite real, not a boolean, >= lo (> lo when strict)."""
-    return _finite_real(v) and (v > lo if strict else v >= lo)
-
-
 # family -> (smallest capacity, or None when the family ignores the value and
 # takes a single entry; family_params defaults, where memory None means the
 # target's memory).  The trig_sas and esn params are the keyword arguments of
@@ -82,7 +77,7 @@ _PARAM_RULES = {
     "activation": (lambda v: isinstance(v, str) and v in ACTIVATIONS,
                    f"one of {sorted(ACTIVATIONS)}"),
     "terms": (lambda v: _integer(v, 1), "an integer >= 1"),
-    "contraction": (_number, "a finite number"),
+    "contraction": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
     "freq_scale": (_number, "a finite number"),
     "spectral": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
     "input_scale": (_number, "a finite number"),
@@ -242,8 +237,6 @@ def load_sampler(doc: dict) -> processes.ProcessSampler:
     """Validate a sampler document {"kind", "n"?, "params"?}."""
     _require_keys(doc, {"kind"}, {"n", "params"}, "sampler")
     n, params = doc.get("n", 1), doc.get("params", {})
-    if not _integer(n, 1):
-        raise ConfigError("sampler: n must be an integer >= 1")
     if not isinstance(params, dict):
         raise ConfigError("sampler: params must be a JSON object")
     try:

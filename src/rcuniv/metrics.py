@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSpec, _check_draw_args, _check_p, evaluate_functional_batch
+from .core import FunctionalSpec, _check_draw_args, _require_numbers, evaluate_functional_batch
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
 from .readouts import _input_dim, eval_readout
@@ -57,7 +57,7 @@ def lp_norm_of_values(values: np.ndarray, p: float, seed: int = 0) -> LpEstimate
     Warns when the p-th power sample is so heavy-tailed (kurtosis above
     100) that the reported standard error is unreliable.
     """
-    _check_p(p)
+    _require_numbers(1, p=p)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.shape[0] < 1:
         raise ValueError("values must be a non-empty vector")

@@ -17,8 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_check_draw_args, _finite_real, _integer, _run_blocks, _seed,
-                   evaluate_functional_batch)
+from .core import (_check_draw_args, _integer, _number, _require_integers, _require_numbers,
+                   _require_seed, _run_blocks, evaluate_functional_batch)
 
 __all__ = [
     "ProcessSampler",
@@ -89,8 +89,7 @@ class ProcessSampler:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; choices {list(_KINDS)}")
-        if self.n < 1:
-            raise ValueError("channel count n must be >= 1")
+        _require_integers(1, n=self.n)
         required, defaults = _PARAMS[self.kind]
         unknown = self.params.keys() - set(required) - defaults.keys()
         if unknown:
@@ -102,11 +101,11 @@ class ProcessSampler:
         p = {**defaults, **self.params}
         for key, value in p.items():
             if key in ("ar", "ma"):
-                if not isinstance(value, (list, tuple)) or not all(map(_finite_real, value)):
+                if not isinstance(value, (list, tuple)) or not all(map(_number, value)):
                     raise ValueError(f"{key} must be a sequence of finite reals")
                 p[key] = tuple(float(c) for c in value)
-            elif not _finite_real(value):
-                raise ValueError(f"{key} must be a finite real, got {value!r}")
+            else:
+                _require_numbers(**{key: value})
         if self.kind == "iid_gaussian":
             if p["std"] <= 0:
                 raise ValueError("std must be > 0")
@@ -237,12 +236,8 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
     independent and the recursion works row by row, so the values depend
     neither on the worker count nor on the block size.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _require_integers(1, T=T, M=M)
+    _require_seed(seed)
     out = np.empty((M, T, s.n))
     if s.iid:
         # standard variates straight into the result, then the kind's map in
@@ -356,10 +351,8 @@ def exp_moment_check(s: ProcessSampler, alpha: float, K: int) -> MomentDiagnosti
     power law (Kesten-Goldie; Mikosch & Starica, Ann. Statist. 28, 2000),
     have none.  The kind alone decides the verdict; no path is drawn.
     """
-    if not (_finite_real(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be a finite real > 0, got {alpha!r}")
-    if not _integer(K, 0):
-        raise ValueError(f"K must be an integer >= 0, got {K!r}")
+    _require_numbers(0, strict=True, alpha=alpha)
+    _require_integers(0, K=K)
     p, lags = s.params, s.n * (K + 1)
     if s.kind == "iid_gaussian":
         holds, reason = True, "Gaussian marginal: every exponential moment is finite"
@@ -462,8 +455,7 @@ def shift_invariance_probe(
     from . import metrics
 
     _check_draw_args(p, M, seed)
-    if not _integer(T, 1):
-        raise ValueError(f"need an integer window length T >= 1, got {T!r}")
+    _require_integers(1, T=T)
     shifts = tuple(shifts)
     if not all(_integer(t) and t <= 0 for t in shifts):
         raise ValueError(f"shifts must be integers <= 0, got {shifts!r}")

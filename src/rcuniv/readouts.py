@@ -4,9 +4,11 @@ Three families: multivariate polynomials over a graded-lexicographic
 monomial basis, single-hidden-layer networks with bounded activations, and
 plain linear maps.  Polynomial readout evaluation is defined as the dot
 product of the coefficient vector with poly_features, so the two agree
-bit for bit.  _random_features draws every random hidden layer and
-_ridge_solve is the one ridge least-squares path; both serve readout
-training and the identity networks of the block construction.
+bit for bit.  Network and linear readouts hold read-only float64 copies
+of their arrays (core._frozen), so caller writes cannot reach them and a
+non-finite array is refused by name.  _random_features draws every random
+hidden layer and _ridge_solve is the one ridge least-squares path; both
+serve readout training and the identity networks of the block construction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _finite_real, _integer
+from .core import _frozen, _integer, _number, _require_integers
 
 __all__ = [
     "Activation",
@@ -93,10 +95,8 @@ def multi_indices(n_vars: int, degree: int) -> list[tuple[int, ...]]:
     descending, e.g. n_vars=2, degree=2 gives
     (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
     """
-    if n_vars < 1:
-        raise ValueError("n_vars must be >= 1")
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
+    _require_integers(1, n_vars=n_vars)
+    _require_integers(0, degree=degree)
     # sorted variable multisets of one size come in lexicographic order, which
     # is descending lexicographic order of their exponent tuples
     out = []
@@ -171,17 +171,15 @@ class PolynomialReadout:
     coefficients: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _integer(self.n_vars, 1):
-            raise ValueError(f"n_vars must be an integer >= 1, got {self.n_vars!r}")
-        if not _integer(self.degree, 0):
-            raise ValueError(f"degree must be >= 0 and an integer, got {self.degree!r}")
+        _require_integers(1, n_vars=self.n_vars)
+        _require_integers(0, degree=self.degree)
         for mi, c in self.coefficients.items():
             if (not isinstance(mi, tuple) or len(mi) != self.n_vars
                     or not all(_integer(e, 0) for e in mi)):
                 raise ValueError(f"bad multi-index {mi!r} for n_vars={self.n_vars}")
             if sum(mi) > self.degree:
                 raise ValueError(f"multi-index {mi} exceeds degree {self.degree}")
-            if not _finite_real(c):
+            if not _number(c):
                 raise ValueError(f"non-finite coefficient {c!r} for {mi}; need a finite real")
 
     def coefficient_vector(self) -> np.ndarray:
@@ -191,7 +189,10 @@ class PolynomialReadout:
 
 @dataclass(frozen=True)
 class NetworkReadout:
-    """Single-hidden-layer map h(x) = sum_j beta_j sigma(alpha_j . x - theta_j)."""
+    """Single-hidden-layer map h(x) = sum_j beta_j sigma(alpha_j . x - theta_j).
+
+    beta (k,), alpha (k, N) and theta (k,) are stored as read-only copies.
+    """
 
     beta: np.ndarray  # (k,)
     alpha: np.ndarray  # (k, N)
@@ -199,18 +200,12 @@ class NetworkReadout:
     activation: str = "logistic"
 
     def __post_init__(self):
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
-        if alpha.ndim != 2:
-            raise ValueError("alpha must be (k, N)")
-        k = alpha.shape[0]
-        if beta.shape != (k,) or theta.shape != (k,):
+        for name, ndim in (("beta", 1), ("alpha", 2), ("theta", 1)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), name, ndim))
+        k = self.alpha.shape[0]
+        if self.beta.shape != (k,) or self.theta.shape != (k,):
             raise ValueError("beta, alpha, theta must share leading dimension k")
         get_activation(self.activation)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "theta", theta)
 
     @property
     def k(self) -> int:
@@ -219,15 +214,12 @@ class NetworkReadout:
 
 @dataclass(frozen=True)
 class LinearReadout:
-    """Linear map h(x) = W . x."""
+    """Linear map h(x) = W . x; W (N,) is stored as a read-only copy."""
 
     W: np.ndarray
 
     def __post_init__(self):
-        W = np.atleast_1d(np.asarray(self.W, dtype=np.float64))
-        if W.ndim != 1:
-            raise ValueError("W must be a vector")
-        object.__setattr__(self, "W", W)
+        object.__setattr__(self, "W", _frozen(self.W, "W", 1))
 
 
 def _input_dim(readout) -> int:

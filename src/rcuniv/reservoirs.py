@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _integer, _run_blocks
+from .core import _frozen, _integer, _require_integers, _require_numbers, _run_blocks
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -115,21 +115,6 @@ def _structural_report(method: str, bound: float, support: np.ndarray) -> EspRep
 
 # ---------------------------------------------------------------------------
 # system types
-
-
-def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
-    """Read-only float64 copy, so later writes by the caller cannot reach it.
-
-    Raises ValueError naming the array for a dimension other than ndim
-    (when given) and for non-finite entries.
-    """
-    arr = np.array(x, dtype=np.float64)
-    if ndim is not None and arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    arr.setflags(write=False)
-    return arr
 
 
 class _ReservoirSystem:
@@ -503,13 +488,6 @@ def washout_decay(system, data: np.ndarray, seed: int = 0) -> np.ndarray:
 # constructive builders
 
 
-def _check_sizes(lo: int, **sizes) -> None:
-    """Raise ValueError unless every named size is an integer >= lo."""
-    for name, v in sizes.items():
-        if not _integer(v, lo):
-            raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-
-
 def build_shift_register(n: int, K: int) -> LinearReservoir:
     """Linear reservoir whose state stacks the last K + 1 inputs.
 
@@ -518,8 +496,8 @@ def build_shift_register(n: int, K: int) -> LinearReservoir:
     entries by copies and additions with zeros only, so the identity is
     exact in floating point.
     """
-    _check_sizes(1, n=n)
-    _check_sizes(0, K=K)
+    _require_integers(1, n=n)
+    _require_integers(0, K=K)
     N = n * (K + 1)
     A = np.zeros((N, N))
     idx = np.arange(n, N)
@@ -532,20 +510,21 @@ def build_shift_register(n: int, K: int) -> LinearReservoir:
 def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadout]:
     """Nilpotent state-affine system and the linear readout realizing a product of sines/cosines.
 
-    freqs has shape (K + 1, n); the readout of the final state after at
-    least K + 1 steps equals prod_k g_k(freqs[k] . z_-k) with g_k = sin
-    for lags in sine_lags and cos otherwise.  N = K + 1; the state
-    polynomial uses a chain of unit shift matrices so every product of
-    more than K factors vanishes identically.
+    freqs is a finite array of shape (K + 1, n) with K >= 0 and n >= 1, and
+    sine_lags are integers in 0..K; ValueError otherwise.  The readout of
+    the final state after at least K + 1 steps equals
+    prod_k g_k(freqs[k] . z_-k) with g_k = sin for lags in sine_lags and
+    cos otherwise.  N = K + 1; the state polynomial uses a chain of unit
+    shift matrices so every product of more than K factors vanishes
+    identically.
     """
-    freqs = np.asarray(freqs, dtype=np.float64)
-    if freqs.ndim == 1:
-        freqs = freqs[:, None]
-    K = freqs.shape[0] - 1
-    n = freqs.shape[1]
-    sine_lags = set(int(k) for k in sine_lags)
-    if any(k < 0 or k > K for k in sine_lags):
-        raise ValueError(f"sine lags must lie in 0..{K}")
+    freqs = _frozen(freqs, "freqs", 2)
+    if freqs.size == 0:
+        raise ValueError(f"freqs must have at least one row and column, got shape {freqs.shape}")
+    K, n = freqs.shape[0] - 1, freqs.shape[1]
+    sine_lags = tuple(sine_lags)
+    if not all(_integer(k, 0) and k <= K for k in sine_lags):
+        raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
     N = K + 1
 
     cos_mats = np.zeros((K, N, N))
@@ -634,11 +613,9 @@ def fit_identity_network(
     Returns the networks and the measured sup error over a dense check set,
     which is the epsilon entering downstream approximation bounds.
     """
-    if hidden_units < 1:
-        raise ValueError("hidden_units must be >= 1")
+    _require_integers(1, n=n, hidden_units=hidden_units)
+    _require_numbers(0, strict=True, half_width=half_width)
     m = float(half_width)
-    if m <= 0:
-        raise ValueError("half_width must be > 0")
     rng = np.random.default_rng(seed)
     if n <= 2:
         axes = [np.linspace(-m, m, _IDENTITY_GRID)] * n
@@ -776,9 +753,10 @@ def random_esn(
     rescaled to the same sigma_max has a much smaller spectral radius and
     forgets quickly).
     """
-    _check_sizes(1, N=N, n=n)
-    if spectral <= 0.0:
-        raise ValueError("spectral must be positive")
+    _require_integers(1, N=N, n=n)
+    _require_numbers(0, strict=True, spectral=spectral)
+    _require_numbers(input_scale=input_scale)
+    _require_numbers(0, bias_scale=bias_scale)
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
     A = spectral * Q
@@ -798,8 +776,14 @@ def random_trig_sas(
     contraction: float = 0.9,
     freq_scale: float = 1.0,
 ) -> TrigSAS:
-    """Random state-affine system rescaled inside the contraction certificate."""
-    _check_sizes(1, N=N, n=n, terms=terms)
+    """Random state-affine system rescaled inside the contraction certificate.
+
+    contraction, the certificate bound, is a finite number > 0, and
+    freq_scale a finite number; ValueError otherwise, before any draw.
+    """
+    _require_integers(1, N=N, n=n, terms=terms)
+    _require_numbers(0, strict=True, contraction=contraction)
+    _require_numbers(freq_scale=freq_scale)
     rng = np.random.default_rng(seed)
     cm = rng.standard_normal((terms, N, N))
     sm = rng.standard_normal((terms, N, N))

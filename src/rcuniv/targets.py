@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import FunctionalSpec, _finite_real, _integer, register_evaluator
+from .core import (FunctionalSpec, _integer, _number, _require_integers, _require_numbers,
+                   register_evaluator)
 from .processes import _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
@@ -120,21 +121,14 @@ for _kind, _fn in [
 
 
 # ---------------------------------------------------------------------------
-# factories; each checks its params by the number rules of core before
+# factories; each checks its params by the argument rules of core before
 # it builds anything
-
-
-def _require_reals(**values) -> None:
-    for key, v in values.items():
-        if not _finite_real(v):
-            raise ValueError(f"{key} must be a finite real, got {v!r}")
 
 
 def constant(value: float, n: int = 1) -> FunctionalSpec:
     """The constant value; bounded, integrable for every input law."""
-    _require_reals(value=value)
-    if not _integer(n, 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _require_numbers(value=value)
+    _require_integers(1, n=n)
     return FunctionalSpec("constant", n=n, memory=0, params={"value": float(value)})
 
 
@@ -145,8 +139,8 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> FunctionalSp
     index k*n + i is channel i at lag k.  Integrable whenever the input law
     has moments of the polynomial degree.
     """
-    if not (_integer(n, 1) and _integer(K, 0)):
-        raise ValueError(f"need integers n >= 1 and K >= 0, got n={n!r}, K={K!r}")
+    _require_integers(1, n=n)
+    _require_integers(0, K=K)
     spec = FunctionalSpec(
         "finite_poly", n=n, memory=K,
         params={"degree": degree, "coefficients": dict(coefficients)},
@@ -162,10 +156,9 @@ def random_finite_poly(
     n: int, K: int, degree: int, seed: int, density: float = 0.6, scale: float = 1.0
 ) -> FunctionalSpec:
     """Random sparse finite_poly target, deterministic in seed."""
-    if not (_integer(n, 1) and _integer(K, 0) and _integer(degree, 0) and _integer(seed, 0)):
-        raise ValueError("n >= 1, K >= 0, degree >= 0 and seed >= 0 must be integers, got "
-                         f"n={n!r}, K={K!r}, degree={degree!r}, seed={seed!r}")
-    _require_reals(density=density, scale=scale)
+    _require_integers(1, n=n)
+    _require_integers(0, K=K, degree=degree, seed=seed)
+    _require_numbers(density=density, scale=scale)
     if not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
@@ -188,7 +181,7 @@ def geometric_ma(decay: float) -> FunctionalSpec:
 
     Integrable for any input law with a finite p-th moment.
     """
-    _require_reals(decay=decay)
+    _require_numbers(decay=decay)
     if not 0 < decay < 1:
         raise ValueError("decay must lie in (0, 1)")
     return FunctionalSpec("geometric_ma", n=1, memory=None, params={"decay": float(decay)})
@@ -209,18 +202,17 @@ def trig_product(freqs, sine_lags=()) -> FunctionalSpec:
     value.
     """
     freqs = np.asarray(freqs)
-    if freqs.ndim not in (1, 2) or freqs.size == 0 or not all(map(_finite_real, freqs.flat)):
+    if freqs.ndim not in (1, 2) or freqs.size == 0 or not all(map(_number, freqs.flat)):
         raise ValueError("freqs must be a non-empty (K+1,) or (K+1, n) array of finite reals")
     freqs = freqs.astype(np.float64)
     if freqs.ndim == 1:
         freqs = freqs[:, None]
-    K = freqs.shape[0] - 1
+    K, sine_lags = freqs.shape[0] - 1, tuple(sine_lags)
     if not all(_integer(k, 0) and k <= K for k in sine_lags):
         raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
-    sine_lags = tuple(sorted(set(int(k) for k in sine_lags)))
     return FunctionalSpec(
         "trig_product", n=freqs.shape[1], memory=K,
-        params={"freqs": freqs, "sine_lags": sine_lags},
+        params={"freqs": freqs, "sine_lags": tuple(sorted(set(int(k) for k in sine_lags)))},
     )
 
 
@@ -230,7 +222,7 @@ def garch_vol(omega: float, alpha: float, beta: float) -> FunctionalSpec:
     Integrable in L^1 for stationary GARCH(1,1) inputs; higher moments need
     the corresponding moment condition on the input process.
     """
-    _require_reals(omega=omega, alpha=alpha, beta=beta)
+    _require_numbers(omega=omega, alpha=alpha, beta=beta)
     if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
         raise ValueError("need omega > 0, alpha, beta >= 0, alpha + beta < 1")
     return FunctionalSpec(
@@ -247,7 +239,7 @@ def log_sine(freq: float = 2.0 * math.pi) -> FunctionalSpec:
     cannot approximate it below the floor ||sin(2*pi log Z)||_2 =
     sqrt((1 - exp(-2 freq^2)) / 2).
     """
-    _require_reals(freq=freq)
+    _require_numbers(freq=freq)
     return FunctionalSpec("log_sine", n=1, memory=0, params={"freq": float(freq)})
 
 
@@ -278,10 +270,8 @@ def truncation_bound(spec: FunctionalSpec, sampler, T: int, p: float = 2.0) -> f
     The tail is read off the sampler's law; returns a finite float, or None
     where no sound bound is known.
     """
-    if not _integer(T, 1):
-        raise ValueError(f"T must be an integer >= 1, got {T!r}")
-    if not (_finite_real(p) and p >= 1):
-        raise ValueError(f"p must be a finite real >= 1, got {p!r}")
+    _require_integers(1, T=T)
+    _require_numbers(1, p=p)
     if spec.memory is not None:
         return 0.0 if T >= spec.memory + 1 else None
     check_sampler(spec, sampler)

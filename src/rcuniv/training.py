@@ -18,7 +18,8 @@ import warnings
 
 import numpy as np
 
-from .core import FunctionalSpec, _finite_real, _integer, _seed, evaluate_functional_batch
+from .core import (FunctionalSpec, _require_integers, _require_numbers, _require_seed,
+                   evaluate_functional_batch)
 from .processes import ProcessSampler, sample_paths
 from .readouts import (
     LinearReadout,
@@ -71,10 +72,8 @@ def sample_states(system, target: FunctionalSpec, sampler: ProcessSampler, T: in
 
 def _training_arrays(states, y, ridge, seed):
     """The training stage's (states, y), checked with the ridge penalty and seed."""
-    if not (_finite_real(ridge) and ridge >= 0):
-        raise ValueError(f"ridge must be a finite number >= 0, got {ridge!r}")
-    if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _require_numbers(0, ridge=ridge)
+    _require_seed(seed)
     states = np.asarray(states, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if states.ndim != 2 or states.shape[0] < 5 or y.shape != states.shape[:1]:
@@ -128,8 +127,7 @@ def fit_polynomial_readout(states, y, degree: int, *, ridge: float, seed: int):
     is decided once per experiment, from the sampler's kind, in
     harness.run_experiment, not here.
     """
-    if not _integer(degree, 0):
-        raise ValueError(f"degree must be an integer >= 0, got {degree!r}")
+    _require_integers(0, degree=degree)
     states, y = _training_arrays(states, y, ridge, seed)
     feats = poly_features(states, degree)
     w, diag = _fit_on_features(feats, y, ridge, seed)
@@ -151,8 +149,7 @@ def fit_network_readout(states, y, hidden_units: int, *, ridge: float, seed: int
     is solved, by ridge least squares.  Growing hidden_units with the same
     seed extends the hidden layer by new units, keeping earlier ones fixed.
     """
-    if not _integer(hidden_units, 1):
-        raise ValueError(f"hidden_units must be an integer >= 1, got {hidden_units!r}")
+    _require_integers(1, hidden_units=hidden_units)
     get_activation(activation)
     states, y = _training_arrays(states, y, ridge, seed)
     # separate streams so unit j's direction and threshold do not depend on

@@ -82,6 +82,82 @@ def test_causality_beyond_memory():
 
 
 # ---------------------------------------------------------------------------
+# argument rules
+
+
+_GAPS = {
+    "spec_fractional_n": (lambda: rc.FunctionalSpec("geometric_ma", 1.5, None, {"decay": 0.5}),
+                          "n must be an integer >= 1, got 1.5"),
+    "spec_bool_n": (lambda: rc.FunctionalSpec("geometric_ma", True, None, {"decay": 0.5}),
+                    "n must be an integer >= 1, got True"),
+    "spec_fractional_memory": (lambda: rc.FunctionalSpec("constant", 1, 0.5, {"value": 1.0}),
+                               "memory must be an integer >= 0, got 0.5"),
+    "sampler_fractional_n": (lambda: rc.ProcessSampler("iid_gaussian", 1.5, {}),
+                             "n must be an integer >= 1, got 1.5"),
+    "paths_fractional_T": (lambda: rc.sample_paths(rc.iid_gaussian(1), 2.5, 2, 0),
+                           "T must be an integer >= 1, got 2.5"),
+    "paths_bool_T": (lambda: rc.sample_paths(rc.iid_gaussian(1), True, 2, 0),
+                     "T must be an integer >= 1, got True"),
+    "paths_fractional_M": (lambda: rc.sample_paths(rc.iid_gaussian(1), 2, 2.5, 0),
+                           "M must be an integer >= 1, got 2.5"),
+    "multi_indices_fractional": (lambda: rc.readouts.multi_indices(1.5, 2),
+                                 "n_vars must be an integer >= 1, got 1.5"),
+    "identity_fractional_units": (lambda: rc.fit_identity_network(1, 1.0, 2.5),
+                                  "hidden_units must be an integer >= 1, got 2.5"),
+    "identity_bool_units": (lambda: rc.fit_identity_network(1, 1.0, True),
+                            "hidden_units must be an integer >= 1, got True"),
+    "identity_nan_half_width": (lambda: rc.fit_identity_network(1, math.nan, 4),
+                                "half_width must be a finite number > 0, got nan"),
+    "identity_no_channels": (lambda: rc.fit_identity_network(0, 1.0, 4),
+                             "n must be an integer >= 1, got 0"),
+    "esn_nan_spectral": (lambda: rc.random_esn(4, 1, seed=0, spectral=math.nan),
+                         "spectral must be a finite number > 0, got nan"),
+    "esn_bool_spectral": (lambda: rc.random_esn(4, 1, seed=0, spectral=True),
+                          "spectral must be a finite number > 0, got True"),
+    "esn_nan_bias_scale": (lambda: rc.random_esn(4, 1, seed=0, bias_scale=math.nan),
+                           "bias_scale must be a finite number >= 0, got nan"),
+    "esn_negative_bias_scale": (lambda: rc.random_esn(4, 1, seed=0, bias_scale=-1),
+                                "bias_scale must be a finite number >= 0, got -1"),
+    "trig_sas_negative_contraction": (
+        lambda: rc.random_trig_sas(4, 1, terms=2, seed=0, contraction=-0.5),
+        "contraction must be a finite number > 0, got -0.5"),
+    "trig_sas_nan_freq_scale": (
+        lambda: rc.random_trig_sas(4, 1, terms=2, seed=0, freq_scale=math.nan),
+        "freq_scale must be a finite number, got nan"),
+    "nilpotent_no_rows": (lambda: rc.build_nilpotent_trig_sas(np.zeros((0, 1))),
+                          "freqs must have at least one row and column, got shape (0, 1)"),
+    "nilpotent_1d_freqs": (lambda: rc.build_nilpotent_trig_sas(np.array([1.0, 0.5])),
+                           "freqs must be 2-d, got shape (2,)"),
+    "nilpotent_nan_freq": (lambda: rc.build_nilpotent_trig_sas([[1.0], [math.nan]]),
+                           "freqs has non-finite entries"),
+    "nilpotent_fractional_lag": (
+        lambda: rc.build_nilpotent_trig_sas([[1.0], [0.5]], sine_lags=(0.5,)),
+        "sine lags must be integers in 0..1, got (0.5,)"),
+    "linear_readout_nan": (lambda: rc.LinearReadout([math.nan, 1.0]),
+                           "W has non-finite entries"),
+    "linear_readout_scalar": (lambda: rc.LinearReadout(2.0), "W must be 1-d, got shape ()"),
+    "network_readout_nan_beta": (lambda: rc.NetworkReadout([math.nan], [[1.0]], [0.0]),
+                                 "beta has non-finite entries"),
+    "network_readout_nan_alpha": (lambda: rc.NetworkReadout([1.0], [[math.nan]], [0.0]),
+                                  "alpha has non-finite entries"),
+    "network_readout_nan_theta": (lambda: rc.NetworkReadout([1.0], [[1.0]], [math.inf]),
+                                  "theta has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GAPS))
+def test_bad_arguments_are_named_before_any_draw(monkeypatch, case):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("drew before the arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(rc.processes, "path_rng", no_draws)
+    call, message = _GAPS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+# ---------------------------------------------------------------------------
 # nilpotent shift algebra
 
 
@@ -204,8 +280,8 @@ def test_truncation_error_input_validation():
     (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
     (dict(seed=2**64), "seed must be an integer in [0, 2**64)"),
     (dict(K=(3.0,)), "cutoff K must be an integer"),
-    (dict(M=16.0), "integer M >= 2"),
-    (dict(inner_samples=2.5), "integer inner_samples >= 1"),
+    (dict(M=16.0), "M must be an integer >= 2, got 16.0"),
+    (dict(inner_samples=2.5), "inner_samples must be an integer >= 1, got 2.5"),
     (dict(window_length=4.9), "window_length must be an integer"),
 ], ids=["seed_negative", "seed_2_to_64", "K_float", "M_float", "inner_samples_float",
         "window_length_float"])
@@ -371,11 +447,11 @@ def _count_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (dict(M=1), "integer M >= 2"),
+    (dict(M=1), "M must be an integer >= 2, got 1"),
     (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
-    (dict(inner_samples=0), "integer inner_samples >= 1"),
+    (dict(inner_samples=0), "inner_samples must be an integer >= 1, got 0"),
     (dict(K=(3, -1)), "cutoff K must be an integer"),
-    (dict(window_length=3), "window_length must be an integer >= max K + 1 = 4"),
+    (dict(window_length=3), "window_length must be an integer >= 4, got 3"),
 ], ids=["M_1", "seed_negative", "inner_samples_0", "K_negative_element", "window_too_short"])
 def test_cutoff_sweep_with_every_cutoff_exact_draws_nothing(monkeypatch, bad, message):
     calls = _count_draws(monkeypatch)
@@ -406,7 +482,7 @@ def test_cutoff_sweep_draws_each_task_once(monkeypatch):
     ((-1, 2), "cutoff K must be an integer"),
     (2.0, "cutoff K must be an integer"),
     (2, "cutoff K must be an integer"),
-    ((1, 12), "window_length must be an integer >= max K + 1 = 13"),
+    ((1, 12), "window_length must be an integer >= 13, got 12"),
 ], ids=["empty", "float_element", "bool_element", "negative_element", "float", "int",
         "K_past_window"])
 def test_cutoff_sweep_rejects_bad_cutoffs_before_any_draw(monkeypatch, K, message):

@@ -1,5 +1,6 @@
 """Public surface: every exported name exists, the package imports only
-names its modules export, only processes reads the path streams, no
+names its modules export, only processes reads the path streams, only
+core words the integer and finite-number argument rules, no
 module imports a name it neither uses nor exports, no private
 module-level name goes unused, and every annotation resolves."""
 
@@ -58,6 +59,24 @@ def test_only_processes_names_path_rng():
                 names.append(f"{path.name}:{node.lineno}")
     assert not names, f"path_rng named outside processes: {names}"
 
+
+
+def test_only_core_words_the_argument_rules():
+    # integer and finite-number arguments are refused by core's raisers, so every
+    # module names a bad argument in one wording
+    found = []
+    for path in sorted(Path(rcuniv.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                continue
+            text = "".join(c.value for c in ast.walk(node.exc)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if "must be an integer" in text or "must be a finite" in text:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"argument rules worded outside core: {found}"
 
 # metrics re-exports core._worker_count for the benchmark's manifest, which reads it by name
 _IMPORTED_FOR_READERS = {("metrics", "_worker_count")}

@@ -514,10 +514,10 @@ _BIG = 10**400  # an integer past float range
     (dict(target=_poly([[[1, 1, 1], 1.0]])), "bad multi-index"),
     (dict(target=_poly([[[2, 1], 1.0]])), "exceeds degree"),
     (dict(target=_poly([[[1, 1], math.nan]])), "non-finite coefficient"),
-    (dict(target=_poly([], degree=-1)), "degree must be >= 0"),
-    (_esn("constant", value=math.nan), "value must be a finite real"),
-    (_esn("constant", value=math.inf), "value must be a finite real"),
-    (_esn("garch_vol", omega=math.nan, alpha=0.1, beta=0.8), "omega must be a finite real"),
+    (dict(target=_poly([], degree=-1)), "degree must be an integer >= 0, got -1"),
+    (_esn("constant", value=math.nan), "value must be a finite number, got nan"),
+    (_esn("constant", value=math.inf), "value must be a finite number, got inf"),
+    (_esn("garch_vol", omega=math.nan, alpha=0.1, beta=0.8), "omega must be a finite number"),
     # the input law is the sampler's alone: the removed tail param is an unknown key
     (_esn("geometric_ma", decay=0.5, step_bound=1.0), "unexpected keyword argument 'step_bound'"),
     (dict(family="constructed_nilpotent_sas",
@@ -528,10 +528,10 @@ _BIG = 10**400  # an integer past float range
     (dict(target={"name": "random_finite_poly",
                   "params": {"n": 1, "K": 1, "degree": 2, "seed": 0, "density": 2.0}}),
      "density must lie in [0, 1]"),
-    (dict(target=_poly([[[1, 1], 1.0]], K=True)), "need integers n >= 1 and K >= 0"),
+    (dict(target=_poly([[[1, 1], 1.0]], K=True)), "K must be an integer >= 0, got True"),
     (dict(target=_poly([[[1, 1], "1.0"]])), "non-finite coefficient"),
     (dict(target=_poly([[[1.5, 0], 1.0]])), "bad multi-index"),
-    (dict(target=_poly([[[1, 1], 1.0]], degree=2.7)), "degree must be >= 0 and an integer"),
+    (dict(target=_poly([[[1, 1], 1.0]], degree=2.7)), "degree must be an integer >= 0, got 2.7"),
 ], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
         "nan_coefficient", "negative_degree", "constant_nan", "constant_inf",
         "garch_vol_nan_omega", "step_bound",
@@ -541,6 +541,17 @@ def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrid
     out = tmp_path / "out"
     assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("contraction", [-0.5, 0])
+def test_cli_run_nonpositive_contraction_exits_2_and_writes_nothing(tmp_path, capsys, contraction):
+    doc = _base_doc(family="trig_sas", capacity=[4], target=_GMA,
+                    family_params={"contraction": contraction})
+    out = tmp_path / "out"
+    assert cli.main(["run", _write_cfg(tmp_path, doc), "--out", str(out)]) == 2
+    assert ("config error: family_params.contraction must be a finite number > 0, "
+            f"got {contraction!r}") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -72,6 +72,31 @@ def test_lp_norm_geometric_closed_form():
     assert est.stderr < 0.01
 
 
+
+def test_lp_norm_geometric_with_a_mean_closed_form():
+    # sum_{t < T} lam^t Z_t with Z_t iid N(mu, sigma^2): variance sigma^2 (1 - lam^2T) / (1 - lam^2)
+    # and mean mu (1 - lam^T) / (1 - lam)
+    lam, mu, sigma, T = 0.9, 0.3, 1.0, 60
+    exact = math.sqrt(sigma**2 * (1 - lam ** (2 * T)) / (1 - lam**2)
+                      + mu**2 * (1 - lam**T) ** 2 / (1 - lam) ** 2)
+    assert exact == pytest.approx(3.77238, abs=5e-6)
+    est = rc.lp_norm(rc.geometric_ma(lam), rc.iid_gaussian(1, mean=mu, std=sigma),
+                     p=2.0, T=T, M=5000, seed=11)
+    assert abs(est.value - exact) <= 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_lp_norm_trig_product_closed_form(mu):
+    # E cos^2(f Z) = (1 + cos(2 f mu) exp(-2 f^2 sigma^2)) / 2 for Z ~ N(mu, sigma^2), and
+    # sin^2 takes the minus sign; the lags are independent, so the squared norm is the product
+    freqs, sine_lags, sigma = (1.0, 0.5, 2.0), (1,), 1.0
+    exact = math.sqrt(math.prod(
+        (1 + (-1 if k in sine_lags else 1) * math.cos(2 * f * mu) * math.exp(-2 * (f * sigma) ** 2))
+        / 2 for k, f in enumerate(freqs)))
+    spec = rc.trig_product([[f] for f in freqs], sine_lags=sine_lags)
+    est = rc.lp_norm(spec, rc.iid_gaussian(1, mean=mu, std=sigma), p=2.0, T=3, M=5000, seed=11)
+    assert abs(est.value - exact) <= 3.0 * est.stderr
+
 def test_lp_norm_peak_hold_moments():
     # E[max(U_1..U_T)^2] = T / (T + 2) on uniform[0, 1]
     spec = rc.peak_hold()
@@ -223,8 +248,8 @@ _BAD_ARGS = {
     "p_half": (dict(p=0.5), "p must be a finite number >= 1"),
     "p_nan": (dict(p=math.nan), "p must be a finite number >= 1"),
     "p_bool": (dict(p=True), "p must be a finite number >= 1"),
-    "M_one": (dict(M=1), "M >= 2"),
-    "M_float": (dict(M=3000.0), "M >= 2"),
+    "M_one": (dict(M=1), "M must be an integer >= 2, got 1"),
+    "M_float": (dict(M=3000.0), "M must be an integer >= 2, got 3000.0"),
     "seed_negative": (dict(seed=-1), "seed must be an integer"),
     "seed_float": (dict(seed=8.0), "seed must be an integer"),
 }

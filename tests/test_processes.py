@@ -587,10 +587,10 @@ def test_probe_rejects_positive_shift():
     (dict(seed=-1), "seed must be an integer in [0, 2**64)"),
     (dict(seed=2**64 + 3), "seed must be an integer in [0, 2**64)"),
     (dict(seed=3.0), "seed must be an integer in [0, 2**64)"),
-    (dict(M=1), "integer M >= 2"),
-    (dict(M=50.0), "integer M >= 2"),
-    (dict(T=0), "integer window length T >= 1"),
-    (dict(T=4.5), "integer window length T >= 1"),
+    (dict(M=1), "M must be an integer >= 2, got 1"),
+    (dict(M=50.0), "M must be an integer >= 2, got 50.0"),
+    (dict(T=0), "T must be an integer >= 1, got 0"),
+    (dict(T=4.5), "T must be an integer >= 1, got 4.5"),
     (dict(shifts=(0, -2.7)), "shifts must be integers <= 0"),
     (dict(shifts=(0, False)), "shifts must be integers <= 0"),
 ], ids=["seed_negative", "seed_past_2_to_64", "seed_float", "M_1", "M_float", "T_0", "T_float",

@@ -91,13 +91,31 @@ def test_polynomial_readout_validates_exponents():
         rc.PolynomialReadout(2, 2, {(-1, 1): 1.0})
 
 
+def test_readout_arrays_are_read_only_copies():
+    W, beta, alpha, theta = np.array([1.0, 2.0, 3.0]), np.ones(2), np.ones((2, 3)), np.zeros(2)
+    lin = rc.LinearReadout(W)
+    net = rc.NetworkReadout(beta, alpha, theta)
+    X = np.arange(6.0).reshape(2, 3)
+    before = rc.eval_readout(lin, X), rc.eval_readout(net, X)
+    for arr in (W, beta, alpha, theta):
+        arr[0] = 99.0  # the caller's writes do not reach the readouts
+    assert lin.W[0] == 1.0 and net.beta[0] == 1.0 and net.alpha[0, 0] == 1.0
+    assert net.theta[0] == 0.0
+    np.testing.assert_array_equal(rc.eval_readout(lin, X), before[0])
+    np.testing.assert_array_equal(rc.eval_readout(net, X), before[1])
+    for arr in (lin.W, net.beta, net.alpha, net.theta):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 5.0
+
+
 @pytest.mark.parametrize("n_vars, degree, coefficients, message", [
     (2, 2, {(1.5, 0): 1.0}, "bad multi-index"),  # would match no basis element
     (2, 2, {(True, 0): 1.0}, "bad multi-index"),  # would act as exponent 1
     (2, 2, {"10": 1.0}, "bad multi-index"),
     (2, 2, {(1, 0): "1.0"}, "non-finite coefficient"),
     (2, 2, {(1, 0): 10**400}, "non-finite coefficient"),
-    (2, 2.7, {}, "degree must be >= 0 and an integer"),
+    (2, 2.7, {}, "degree must be an integer >= 0, got 2.7"),
     (True, 2, {}, "n_vars must be an integer"),
 ])
 def test_polynomial_readout_rejects_what_it_would_coerce(n_vars, degree, coefficients, message):

@@ -947,9 +947,19 @@ def test_systems_reject_non_finite_arrays_by_name(kind, path, bad):
 
 def test_random_esn_with_an_infinite_input_scale_is_rejected():
     # once built, it would fail only at its first state step
-    with pytest.raises(ValueError, match="^C has non-finite entries$"):
+    with pytest.raises(ValueError, match="^input_scale must be a finite number, got inf$"):
         rc.random_esn(3, 1, seed=0, input_scale=math.inf)
 
+
+
+@pytest.mark.parametrize("contraction", [-0.5, 0, math.nan, True])
+def test_random_trig_sas_takes_a_positive_contraction_only(contraction):
+    # a negative contraction used to build a system certified at its absolute value
+    message = f"contraction must be a finite number > 0, got {contraction!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rc.random_trig_sas(4, 1, terms=2, seed=0, contraction=contraction)
+    assert rc.certify_esp(rc.random_trig_sas(4, 1, terms=2, seed=0, contraction=0.5)).bound \
+        == pytest.approx(0.5, rel=1e-12)
 
 def test_serialization_rejects_unknown_variant():
     with pytest.raises(ValueError):

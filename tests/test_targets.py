@@ -56,8 +56,8 @@ def test_finite_poly_variable_ordering():
     (2, {(1, 1, 1): 1.0}, "bad multi-index"),
     (2, {(2, 1): 1.0}, "exceeds degree"),
     (2, {(1, 1): math.nan}, "non-finite coefficient"),
-    (-1, {}, "degree must be >= 0"),
-    (2.7, {}, "degree must be >= 0 and an integer"),
+    (-1, {}, "degree must be an integer >= 0, got -1"),
+    (2.7, {}, "degree must be an integer >= 0, got 2.7"),
     (2, {(1.5, 0): 1.0}, "bad multi-index"),
     (2, {(True, 0): 1.0}, "bad multi-index"),
     (2, {(1, 1): "1.0"}, "non-finite coefficient"),
@@ -79,6 +79,17 @@ def test_trig_product_manual():
     expected = math.sin(0.3) * math.cos(2.0 * 0.7)
     assert rc.evaluate_functional_batch(spec, data)[0] == pytest.approx(expected, rel=1e-15)
 
+
+
+def test_trig_product_reads_sine_lags_from_any_iterable():
+    # a generator is read once: checking it must not leave the sine lags empty
+    freqs = [[1.0], [2.0], [0.5]]
+    spec = rc.trig_product(freqs, sine_lags=(k for k in (2, 0)))
+    assert spec.params["sine_lags"] == (0, 2)
+    system, readout = rc.build_nilpotent_trig_sas(freqs, sine_lags=(k for k in (2, 0)))
+    data = rc.sample_paths(rc.iid_gaussian(1), 3, 8, seed=1)
+    np.testing.assert_allclose(rc.eval_readout(readout, rc.final_states(system, data)),
+                               rc.evaluate_functional_batch(spec, data), rtol=1e-12, atol=1e-15)
 
 def _garch_vol_recursion(z, omega, alpha, beta):
     # forward recursion from the stationary floor at the oldest lag
@@ -225,7 +236,7 @@ def test_truncation_bound_rejects_bad_arguments():
         with pytest.raises(ValueError, match="T must be an integer"):
             targets.truncation_bound(spec, samp, T)
     for p in (0.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="p must be a finite real"):
+        with pytest.raises(ValueError, match="p must be a finite number >= 1"):
             targets.truncation_bound(spec, samp, 10, p)
 
 

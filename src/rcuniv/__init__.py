@@ -8,7 +8,6 @@ and Monte Carlo L^p approximation metrics, with a CLI harness.
 from .core import (
     FunctionalSpec,
     evaluate_functional_batch,
-    nilpotent_product,
     read_window_csv,
     truncated_conditional_error,
     write_window_csv,

@@ -32,7 +32,6 @@ __all__ = [
     "FunctionalSpec",
     "register_evaluator",
     "evaluate_functional_batch",
-    "nilpotent_product",
     "truncated_conditional_error",
     "write_window_csv",
     "read_window_csv",
@@ -151,32 +150,6 @@ def evaluate_functional_batch(spec: FunctionalSpec, data: np.ndarray) -> np.ndar
     out = np.asarray(fn(spec, data), dtype=np.float64)
     if out.shape != (M,):
         raise RuntimeError(f"evaluator for {spec.kind!r} returned shape {out.shape}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# nilpotent shift algebra
-
-
-def nilpotent_product(N: int, indices) -> np.ndarray:
-    """Product of unit shift matrices, factors applied right to left.
-
-    indices = (j_0, ..., j_L) denotes the product A_{j_L} ... A_{j_0} where
-    A_j has its only unit entry at (j+1, j).  The product is nonzero exactly
-    when the indices form a consecutive run j_i = j_0 + i, in which case it
-    has a single unit entry at row j_L + 1, column j_0.  Computed without
-    matrix multiplication.
-    """
-    indices = list(indices)
-    if not indices:
-        raise ValueError("need at least one factor")
-    for j in indices:
-        if not 1 <= j <= N - 1:
-            raise ValueError(f"index {j} outside 1..{N - 1}")
-    out = np.zeros((N, N))
-    consecutive = all(indices[i] == indices[0] + i for i in range(len(indices)))
-    if consecutive and indices[-1] + 1 <= N:
-        out[indices[-1], indices[0] - 1] = 1.0
     return out
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import (FunctionalSpec, _integer, _number, _seed, nilpotent_product,
-                   truncated_conditional_error, write_window_csv)
+from .core import (FunctionalSpec, _integer, _number, _seed, truncated_conditional_error,
+                   write_window_csv)
 from .readouts import ACTIVATIONS, LinearReadout, eval_readout
 from .reservoirs import (
     EspNotCertifiedError,
@@ -307,7 +307,7 @@ def _build_group(cfg: ExperimentConfig, capacities: tuple[int, ...]):
             )
             id_nets, eps = fit_identity_network(
                 n, half_width=fp["half_width"], hidden_units=fp["identity_units"],
-                activation=fp["activation"], seed=cfg.seed_train + 1,
+                activation=fp["activation"], seed=(cfg.seed_train + 1) % 2**64,
             )
             system, readout = build_block_esn(inner, id_nets, n)
             fits = [(readout, diag)]
@@ -330,10 +330,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     """
     out = Path(out_dir)
     if cfg.family == "linear_poly":  # polynomial density needs an exponential moment
-        memory = cfg.target.memory
-        screen = processes.exp_moment_check(
-            cfg.sampler, alpha=1.0, K=2 if memory is None else min(2, memory))
-        if screen.verdict is processes.MomentVerdict.SUSPECT_INFINITE:  # proved per kind; warn only
+        verdict = processes.exp_moment_check(cfg.sampler).verdict
+        if verdict is processes.MomentVerdict.SUSPECT_INFINITE:  # proved per kind; warn only
             warnings.warn("input law flagged by the exponential-moment screen; polynomial "
                           "readout families may not be dense for this process",
                           RuntimeWarning, stacklevel=2)
@@ -424,21 +422,26 @@ def _check(name: str, margin: float, detail: str) -> PropertyCheck:
 
 
 def _verify_product_rule() -> list[PropertyCheck]:
+    # link s = N - 1 - j, term j of the chain build_nilpotent_trig_sas writes, moves
+    # basis vector s - 1 to s; links s_0, ..., s_L applied in turn give the unit
+    # matrix at (s_L, s_0 - 1) when s_i = s_0 + i (a run down the chain), else zero
     import itertools
 
     worst = 0.0
     count = 0
     for N in range(2, 5):
-        shifts = [np.zeros((N, N)) for _ in range(N)]
-        for j in range(1, N):
-            shifts[j][j, j - 1] = 1.0
+        P = build_nilpotent_trig_sas(np.ones((N, 1)))[0].P
+        links = P.cos_mats + P.sin_mats
         for L in range(1, 6):
-            for idx in itertools.product(range(1, N), repeat=L):
+            for terms in itertools.product(range(N - 1), repeat=L):
                 dense = np.eye(N)
-                for j in idx:
-                    dense = shifts[j] @ dense
-                fast = nilpotent_product(N, idx)
-                worst = max(worst, float(np.max(np.abs(dense - fast))))
+                for j in terms:
+                    dense = links[j] @ dense
+                s = [N - 1 - j for j in terms]
+                rule = np.zeros((N, N))
+                if all(s[i] == s[0] + i for i in range(L)):
+                    rule[s[-1], s[0] - 1] = 1.0
+                worst = max(worst, float(np.max(np.abs(dense - rule))))
                 count += 1
     return [_check("shift_product_rule", worst / 1e-12 if worst else 0.0,
                    f"{count} index sequences, max deviation {worst:.1e}")]

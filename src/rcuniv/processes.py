@@ -4,8 +4,9 @@ Every path is generated from its own counter-based stream keyed by
 (seed, path index), so path i is the same no matter how many paths are
 drawn, in what order, or across how many workers.  Windows follow the
 core convention: row k holds the value k steps in the past.
-exp_moment_check decides the exponential moment condition of a sampler
-from its kind and params alone; it draws no path.
+exp_moment_check(sampler) decides from the sampler's kind and params
+alone whether every exponential moment of the input law is finite, at
+every rate and window depth; it takes nothing else and draws no path.
 """
 
 from __future__ import annotations
@@ -330,76 +331,36 @@ class MomentVerdict(str, Enum):
 
 @dataclass(frozen=True)
 class MomentDiagnostic:
-    """E[exp(alpha * sum_{k<=K} sum_i |z_i,-k|)] < inf at rate alpha and depth K.
+    """Whether E exp(alpha |z|) < inf for every rate alpha > 0, and why."""
 
-    value: the closed form (inf when infinite or past float range), else None.
-    """
-
-    alpha: float
-    K: int
-    value: float | None
     verdict: MomentVerdict
     reason: str
 
 
-def exp_moment_check(s: ProcessSampler, alpha: float, K: int) -> MomentDiagnostic:
+def exp_moment_check(s: ProcessSampler) -> MomentDiagnostic:
     """Decide the exponential moment condition from the sampler's kind and params.
 
     iid Gaussian and bounded uniform laws, Gaussian ARMA and garch11 with
-    alpha = 0 (iid N(0, omega / (1 - beta))) have every exponential moment;
-    lognormal laws and garch11 with alpha > 0, whose stationary tail is a
-    power law (Kesten-Goldie; Mikosch & Starica, Ann. Statist. 28, 2000),
-    have none.  The kind alone decides the verdict; no path is drawn.
+    alpha = 0 (iid N(0, omega / (1 - beta))) have every exponential moment,
+    of every window of any depth; lognormal laws and garch11 with alpha > 0,
+    whose stationary tail is a power law (Kesten-Goldie; Mikosch & Starica,
+    Ann. Statist. 28, 2000), have none.  The kind alone decides the verdict;
+    no path is drawn.
     """
-    _require_numbers(0, strict=True, alpha=alpha)
-    _require_integers(0, K=K)
-    p, lags = s.params, s.n * (K + 1)
     if s.kind == "iid_gaussian":
         holds, reason = True, "Gaussian marginal: every exponential moment is finite"
-        value = _closed_form(_gaussian_abs_mgf, alpha, p["mean"], p["std"], lags=lags)
     elif s.kind == "iid_uniform_bounded":
         holds, reason = True, "bounded support: every exponential moment is finite"
-        value = _closed_form(_uniform_abs_mgf, alpha, p["a_min"], p["a_max"], lags=lags)
     elif s.kind == "iid_lognormal":
         holds, reason = False, "lognormal tail: E exp(alpha |z|) is infinite for alpha > 0"
-        value = math.inf
     elif s.kind == "arma":
         holds, reason = True, "stationary Gaussian ARMA: every exponential moment is finite"
-        value = None  # the window's lags are correlated: no closed form
-    elif p["alpha"] == 0:
+    elif s.params["alpha"] == 0:
         holds, reason = True, "GARCH(1,1) with alpha = 0 is iid N(0, omega / (1 - beta))"
-        sigma = math.sqrt(p["omega"] / (1.0 - p["beta"]))
-        value = _closed_form(_gaussian_abs_mgf, alpha, 0.0, sigma, lags=lags)
     else:
         holds, reason = False, "GARCH(1,1) with alpha > 0 has a power-law tail (Kesten-Goldie)"
-        value = math.inf
-    verdict = MomentVerdict.PLAUSIBLE if holds else MomentVerdict.SUSPECT_INFINITE
-    return MomentDiagnostic(float(alpha), int(K), value, verdict, reason)
-
-
-def _closed_form(abs_mgf, *args, lags: int) -> float:
-    """abs_mgf(*args) ** lags, the value over lags independent values; inf past float range."""
-    try:
-        return abs_mgf(*args) ** lags
-    except OverflowError:
-        return math.inf
-
-
-def _gaussian_abs_mgf(alpha: float, mu: float, sigma: float) -> float:
-    """E exp(alpha |X|) for X ~ N(mu, sigma^2); may raise OverflowError."""
-    r2 = math.sqrt(2.0)
-    return math.exp(alpha**2 * sigma**2 / 2.0) * 0.5 * (
-        math.exp(alpha * mu) * (1.0 + math.erf((mu / sigma + alpha * sigma) / r2))
-        + math.exp(-alpha * mu) * (1.0 + math.erf((alpha * sigma - mu / sigma) / r2)))
-
-
-def _uniform_abs_mgf(alpha: float, a: float, b: float) -> float:
-    """E exp(alpha |U|) for U uniform on [a, b]; may raise OverflowError."""
-    if a < 0 < b:
-        integral = (math.expm1(alpha * b) + math.expm1(-alpha * a)) / alpha
-    else:  # one-sided: exp(alpha * near end) * expm1(alpha * width), free of cancellation
-        integral = math.exp(alpha * min(abs(a), abs(b))) * math.expm1(alpha * (b - a)) / alpha
-    return integral / (b - a)
+    return MomentDiagnostic(MomentVerdict.PLAUSIBLE if holds else MomentVerdict.SUSPECT_INFINITE,
+                            reason)
 
 
 def _marginal(s: ProcessSampler, q: float) -> tuple[float, float, float]:

@@ -310,8 +310,20 @@ def readout_to_dict(readout) -> dict:
     raise TypeError(f"not a readout: {type(readout).__name__}")
 
 
+# the keys readout_to_dict writes for each variant, besides "variant"
+_READOUT_KEYS = {"polynomial": {"n_vars", "degree", "terms"},
+                 "network": {"beta", "alpha", "theta", "activation"}, "linear": {"W"}}
+
+
 def readout_from_dict(doc: dict):
+    """Inverse of readout_to_dict; ValueError naming any key it does not write or misses."""
     variant = doc.get("variant")
+    if variant not in _READOUT_KEYS:
+        raise ValueError(f"unknown readout variant {variant!r}")
+    for which, keys in (("unknown", set(doc) - _READOUT_KEYS[variant] - {"variant"}),
+                        ("missing", _READOUT_KEYS[variant] - set(doc))):
+        if keys:
+            raise ValueError(f"{which} keys {sorted(keys)} in a {variant!r} readout document")
     if variant == "polynomial":
         coeffs = {tuple(t["exponents"]): t["coefficient"] for t in doc["terms"]}
         return PolynomialReadout(doc["n_vars"], doc["degree"], coeffs)
@@ -320,6 +332,4 @@ def readout_from_dict(doc: dict):
             np.array(doc["beta"]), np.array(doc["alpha"]), np.array(doc["theta"]),
             doc["activation"],
         )
-    if variant == "linear":
-        return LinearReadout(np.array(doc["W"]))
-    raise ValueError(f"unknown readout variant {variant!r}")
+    return LinearReadout(np.array(doc["W"]))

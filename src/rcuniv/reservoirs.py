@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _frozen, _integer, _require_integers, _require_numbers, _run_blocks
+from .core import _frozen, _integer, _require_integers, _require_numbers, _require_seed, _run_blocks
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -615,6 +615,7 @@ def fit_identity_network(
     """
     _require_integers(1, n=n, hidden_units=hidden_units)
     _require_numbers(0, strict=True, half_width=half_width)
+    _require_seed(seed)
     m = float(half_width)
     rng = np.random.default_rng(seed)
     if n <= 2:
@@ -757,6 +758,7 @@ def random_esn(
     _require_numbers(0, strict=True, spectral=spectral)
     _require_numbers(input_scale=input_scale)
     _require_numbers(0, bias_scale=bias_scale)
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
     A = spectral * Q
@@ -784,6 +786,7 @@ def random_trig_sas(
     _require_integers(1, N=N, n=n, terms=terms)
     _require_numbers(0, strict=True, contraction=contraction)
     _require_numbers(freq_scale=freq_scale)
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     cm = rng.standard_normal((terms, N, N))
     sm = rng.standard_normal((terms, N, N))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .core import (FunctionalSpec, _integer, _number, _require_integers, _require_numbers,
-                   register_evaluator)
+                   _require_seed, register_evaluator)
 from .processes import _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
@@ -157,8 +157,9 @@ def random_finite_poly(
 ) -> FunctionalSpec:
     """Random sparse finite_poly target, deterministic in seed."""
     _require_integers(1, n=n)
-    _require_integers(0, K=K, degree=degree, seed=seed)
+    _require_integers(0, K=K, degree=degree)
     _require_numbers(density=density, scale=scale)
+    _require_seed(seed)
     if not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)

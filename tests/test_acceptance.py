@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import rcuniv as rc
-from rcuniv.core import nilpotent_product
 
 
 def _budget(t0, seconds):
@@ -81,21 +80,23 @@ def test_c03_block_esn_matches_closed_form(activation):
     _budget(t0, 10.0)
 
 
-def test_c04_nilpotent_product_rule_exhaustive():
-    def dense_shift(N, j):  # unit entry at (j+1, j), 1-indexed
-        return np.diag(np.arange(1, N) == j, -1).astype(float)
-
+def test_c04_nilpotent_chain_product_rule_exhaustive():
+    # link s of the chain build_nilpotent_trig_sas writes moves basis vector
+    # s - 1 to s; its term j is link N - 1 - j
     t0 = time.time()
     for N in range(2, 6):
+        P = rc.build_nilpotent_trig_sas(np.ones((N, 1)))[0].P
+        links = P.cos_mats + P.sin_mats
         for L in range(1, 7):
-            for idx in iproduct(range(1, N), repeat=L):
-                got = nilpotent_product(N, list(idx))
+            for terms in iproduct(range(N - 1), repeat=L):
                 dense = np.eye(N)
-                for j in idx:
-                    dense = dense_shift(N, j) @ dense
-                np.testing.assert_array_equal(got, dense)
-                run = all(idx[i] == idx[0] + i for i in range(L))
-                assert got.any() == (run and idx[-1] <= N - 1)
+                for j in terms:
+                    dense = links[j] @ dense
+                s = [N - 1 - j for j in terms]
+                want = np.zeros((N, N))
+                if all(s[i] == s[0] + i for i in range(L)):
+                    want[s[-1], s[0] - 1] = 1.0
+                np.testing.assert_array_equal(dense, want)
     _budget(t0, 5.0)
 
 
@@ -202,15 +203,12 @@ def test_c08_stationarity_of_estimates_under_shifts():
 
 def test_c09_moment_screen_separates_input_laws():
     t0 = time.time()
-    for alpha in (0.1, 1.0):
-        heavy = rc.exp_moment_check(rc.iid_lognormal(1), alpha=alpha, K=1)
-        assert heavy.verdict is rc.MomentVerdict.SUSPECT_INFINITE, (alpha, heavy)
-        light = rc.exp_moment_check(rc.iid_gaussian(1), alpha=alpha, K=1)
-        assert light.verdict is rc.MomentVerdict.PLAUSIBLE, (alpha, light)
-        flat = rc.exp_moment_check(
-            rc.iid_uniform_bounded(-1.0, 1.0), alpha=alpha, K=1
-        )
-        assert flat.verdict is rc.MomentVerdict.PLAUSIBLE, (alpha, flat)
+    heavy = rc.exp_moment_check(rc.iid_lognormal(1))
+    assert heavy.verdict is rc.MomentVerdict.SUSPECT_INFINITE, heavy
+    light = rc.exp_moment_check(rc.iid_gaussian(1))
+    assert light.verdict is rc.MomentVerdict.PLAUSIBLE, light
+    flat = rc.exp_moment_check(rc.iid_uniform_bounded(-1.0, 1.0))
+    assert flat.verdict is rc.MomentVerdict.PLAUSIBLE, flat
     _budget(t0, 30.0)
 
 

@@ -19,7 +19,6 @@ from rcuniv.core import (
     _run_blocks,
     _worker_count,
     evaluate_functional_batch,
-    nilpotent_product,
 )
 from rcuniv.metrics import lp_norm_of_values
 from rcuniv.processes import path_rng
@@ -155,70 +154,6 @@ def test_bad_arguments_are_named_before_any_draw(monkeypatch, case):
     call, message = _GAPS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
-
-
-# ---------------------------------------------------------------------------
-# nilpotent shift algebra
-
-
-def _dense_product(N, indices):
-    """A_{j_L} ... A_{j_0} by dense products; A_j has its unit entry at (j+1, j), 1-indexed."""
-    shifts = [np.diag(np.arange(1, N) == j, -1).astype(float) for j in indices]
-    return functools.reduce(lambda out, A: A @ out, shifts, np.eye(N))
-
-
-def test_shift_matrix_entries():
-    A1 = nilpotent_product(3, [1])
-    expected = np.zeros((3, 3))
-    expected[1, 0] = 1.0
-    np.testing.assert_array_equal(A1, expected)
-    with pytest.raises(ValueError):
-        nilpotent_product(3, [3])
-    with pytest.raises(ValueError):
-        nilpotent_product(3, [0])
-
-
-def test_product_consecutive_run_hits_single_entry():
-    # A_2 A_1 in dimension 3: one at row 3, column 1 (1-indexed)
-    got = nilpotent_product(3, [1, 2])
-    expected = np.zeros((3, 3))
-    expected[2, 0] = 1.0
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_product_non_consecutive_vanishes():
-    np.testing.assert_array_equal(nilpotent_product(4, [2, 2]), np.zeros((4, 4)))
-    np.testing.assert_array_equal(nilpotent_product(4, [1, 3]), np.zeros((4, 4)))
-
-
-def test_product_single_factor():
-    got = nilpotent_product(4, [2])
-    expected = np.zeros((4, 4))
-    expected[2, 1] = 1.0
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_product_matches_dense_oracle_exhaustive_small():
-    from itertools import product as iproduct
-
-    for N in (2, 3, 4):
-        for L in (1, 2, 3, 4):
-            for idx in iproduct(range(1, N), repeat=L):
-                got = nilpotent_product(N, list(idx))
-                np.testing.assert_array_equal(got, _dense_product(N, idx))
-                consecutive = all(
-                    idx[i] == idx[0] + i for i in range(L)
-                ) and idx[-1] <= N - 1
-                assert got.any() == consecutive
-
-
-def test_product_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        nilpotent_product(3, [0])
-    with pytest.raises(ValueError):
-        nilpotent_product(3, [3])
-    with pytest.raises(ValueError):
-        nilpotent_product(3, [])
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,25 @@ def test_readme_lists_every_family_param_and_default():
                       for key, value in defaults.items()}
 
 
+def test_readme_moment_table_names_each_kinds_verdict():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = text[text.index("| kind | verdict | reason |"):].splitlines()
+    verdicts = {}
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        kind, verdict, _ = (c.strip() for c in line.strip("|").split("|"))
+        verdicts[kind.strip("`")] = verdict
+    # each kind's factory with its defaults, and the required params where it has none
+    defaults = {"iid_gaussian": rc.iid_gaussian(), "iid_lognormal": rc.iid_lognormal(),
+                "iid_uniform_bounded": rc.iid_uniform_bounded(0.0, 1.0), "arma": rc.arma(),
+                "garch11": rc.garch11(0.1, 0.1, 0.8)}
+    assert set(verdicts) == set(rc.processes._KINDS) == set(defaults)
+    for kind, sampler in defaults.items():
+        assert f"`{rc.exp_moment_check(sampler).verdict.value}`" in verdicts[kind], kind
+    assert all(f"`{v.value}`" in verdicts["garch11"] for v in rc.MomentVerdict)
+
+
 def test_readme_example_config_loads():
     text = (Path(__file__).parents[1] / "README.md").read_text()
     (block,) = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
@@ -362,7 +381,7 @@ def test_moment_screen_warns_once_per_experiment(tmp_path, monkeypatch):
     screens = []
     screen = rc.processes.exp_moment_check
     monkeypatch.setattr(rc.processes, "exp_moment_check",
-                        lambda *a, **k: screens.append(k) or screen(*a, **k))
+                        lambda *a, **k: screens.append((a, k)) or screen(*a, **k))
     doc = _base_doc(
         family="linear_poly",
         capacity=[1, 2],
@@ -376,7 +395,7 @@ def test_moment_screen_warns_once_per_experiment(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning, match="exponential-moment screen") as record:
         run_experiment(load_config(doc), tmp_path)
     assert len([w for w in record if "moment" in str(w.message)]) == 1
-    assert screens == [{"alpha": 1.0, "K": 0}]
+    assert screens == [((rc.iid_lognormal(1),), {})]
 
 
 def test_each_point_proves_its_certificate_once(tmp_path, monkeypatch):
@@ -434,6 +453,22 @@ def test_constructed_block_esn_family_runs(tmp_path):
     assert art["identity_sup_error"] < 0.05
     # target norm is ~0.55; the trained block system should land well below
     assert rows[0]["value"] < 0.2
+
+
+def test_block_esn_identity_seed_stays_in_64_bits(tmp_path, monkeypatch):
+    # the identity networks take the train seed plus one, wrapped at 2**64 - 1
+    seeds = []
+    fit = harness.fit_identity_network
+    monkeypatch.setattr(harness, "fit_identity_network",
+                        lambda *a, **k: seeds.append(k["seed"]) or fit(*a, **k))
+    for train in (5, 2**64 - 1):
+        doc = _base_doc(
+            family="constructed_block_esn", capacity=[4], seeds={"train": train, "eval": 1},
+            target={"name": "trig_product", "params": {"freqs": [[1.0], [0.7]]}},
+            family_params={"identity_units": 4}, M_train=20, M_eval=20,
+        )
+        run_experiment(load_config(doc), tmp_path / str(train))
+    assert seeds == [6, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -747,6 +782,24 @@ def test_conditional_truncation_margin_equals_two_single_cutoff_calls():
         worst = max(worst, abs(est.value - exact) / (3 * est.stderr))
     (check,) = verify_suite("conditional_truncation")
     assert (check.name, check.margin) == ("conditional_truncation", worst)
+
+
+def test_product_rule_fails_on_a_reversed_link(monkeypatch):
+    build = harness.build_nilpotent_trig_sas
+
+    def reversed_link(freqs, sine_lags=()):
+        system, readout = build(freqs, sine_lags)
+        P = system.P
+        cos_mats = P.cos_mats.copy()
+        cos_mats[-1] = cos_mats[-1].T  # the chain's first link points up, not down
+        P = rc.TrigPolynomial(cos_mats, P.sin_mats, P.cos_freqs, P.sin_freqs)
+        return rc.TrigSAS(P, system.Q), readout
+
+    (check,) = verify_suite("product_rule")
+    assert (check.name, check.passed, check.margin) == ("shift_product_rule", True, 0.0)
+    monkeypatch.setattr(harness, "build_nilpotent_trig_sas", reversed_link)
+    (check,) = verify_suite("product_rule")
+    assert check.name == "shift_product_rule" and not check.passed and check.margin > 1.0
 
 
 def test_verify_suite_unknown_name():

@@ -258,6 +258,20 @@ def test_serialization_round_trip_exact():
             np.testing.assert_array_equal(back.W, r.W)
 
 
+def test_deserialization_names_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match=r"unknown keys \['bias'\] in a 'linear' readout"):
+        readout_from_dict({"variant": "linear", "W": [1.0], "bias": 3.0})
+    doc = readout_to_dict(rc.NetworkReadout(np.ones(2), np.ones((2, 1)), np.zeros(2), "tanh"))
+    del doc["activation"]
+    with pytest.raises(ValueError, match=r"missing keys \['activation'\] in a 'network'"):
+        readout_from_dict(doc)
+    # a system document's readout entry follows the same rule
+    sys_doc = rc.system_to_dict(rc.build_shift_register(1, 1), rc.LinearReadout(np.ones(2)))
+    sys_doc["readout"]["bias"] = 3.0
+    with pytest.raises(ValueError, match=r"unknown keys \['bias'\]"):
+        rc.system_from_dict(sys_doc)
+
+
 def test_serialization_survives_json_text():
     import json
 

@@ -609,6 +609,19 @@ def test_random_esn_rejects_bad_scale():
     assert rep.bound == pytest.approx(1.3, rel=1e-9)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, -1, 2**70],
+                         ids=["bool", "float", "negative", "2_to_70"])
+@pytest.mark.parametrize("build", [
+    lambda seed: rc.random_esn(4, 1, seed=seed),
+    lambda seed: rc.random_trig_sas(4, 1, terms=2, seed=seed),
+    lambda seed: rc.fit_identity_network(1, 1.0, 4, seed=seed),
+    lambda seed: rc.random_finite_poly(1, 1, 2, seed=seed),
+], ids=["random_esn", "random_trig_sas", "fit_identity_network", "random_finite_poly"])
+def test_random_builders_reject_seeds_outside_64_bits(build, seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        build(seed)
+
+
 def test_random_trig_sas_contraction():
     sas = rc.random_trig_sas(5, 2, terms=4, seed=41, contraction=0.9)
     rep = rc.certify_esp(sas)

@@ -10,7 +10,8 @@ The argument rules of the whole package live here: every public builder,
 sampler, target, fit and estimator checks its counts with
 _require_integers, its reals with _require_numbers, its seed with
 _require_seed and its arrays with _frozen, so a bad argument raises a
-ValueError that names it before anything is drawn.
+ValueError that names it before anything is drawn.  Every JSON document
+checks its keys with _require_keys.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -74,10 +75,10 @@ def _require_numbers(lo: float = -math.inf, strict: bool = False, **values) -> N
             raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
 
 
-def _require_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer in [0, 2**64)."""
+def _require_seed(seed, name: str = "seed") -> None:
+    """Raise ValueError, naming the seed, unless it is an integer in [0, 2**64)."""
     if not _seed(seed):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _check_draw_args(p, M, seed) -> None:
@@ -100,6 +101,42 @@ def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
         raise ValueError(f"{name} has non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _require_keys(doc, required, optional, where: str) -> None:
+    """Raise ValueError unless doc is a dict with every required key and no key
+    outside required and optional, naming every missing and every unknown key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    missing, unknown = set(required) - doc.keys(), doc.keys() - set(required) - set(optional)
+    wrong = [f"{which} keys {sorted(keys, key=str)}"
+             for which, keys in (("missing", missing), ("unknown", unknown)) if keys]
+    if wrong:
+        raise ValueError(f"{' and '.join(wrong)} in {where}")
+
+
+# the document codec of systems and readouts: their dataclass fields by name
+def _document(obj, **head) -> dict:
+    """{**head, **fields} of a dataclass, arrays as nested lists (floats exact through JSON)."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {**head, **{k: v.tolist() if isinstance(v, np.ndarray) else v
+                       for k, v in values.items()}}
+
+
+def _variant(doc, variants: dict, what: str) -> tuple[type, str]:
+    """The class in variants that doc's "variant" names, and doc's name for messages."""
+    _require_keys(doc, {"variant"}, doc, f"a {what} document")  # its fields decide the rest
+    variant = doc["variant"]
+    if not isinstance(variant, str) or variant not in variants:
+        raise ValueError(f"unknown {what} variant {variant!r}; choices {sorted(variants)}")
+    return variants[variant], f"a {variant!r} {what} document"
+
+
+def _field_entries(doc, cls, where: str, head=("variant",), optional=()) -> dict:
+    """doc's entry for each field of dataclass cls; doc may hold head and optional keys besides."""
+    names = [f.name for f in fields(cls)]
+    _require_keys(doc, {*head, *names}, optional, where)
+    return {name: doc[name] for name in names}
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import (FunctionalSpec, _integer, _number, _seed, truncated_conditional_error,
-                   write_window_csv)
-from .readouts import ACTIVATIONS, LinearReadout, eval_readout
+from .core import (FunctionalSpec, _integer, _number, _require_integers, _require_keys,
+                   _require_numbers, _require_seed, truncated_conditional_error, write_window_csv)
+from .readouts import ACTIVATIONS, LinearReadout, _coefficients, eval_readout
 from .reservoirs import (
     EspNotCertifiedError,
     build_block_esn,
@@ -91,18 +91,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _require_keys(doc, required: set, optional: set, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    keys = set(doc)
-    missing = required - keys
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see load_config for the JSON form."""
@@ -123,7 +111,18 @@ class ExperimentConfig:
 
 def load_config(doc: dict) -> ExperimentConfig:
     """Validate a config document; unknown keys and bad values are rejected at
-    every level.  family_params come back with the family's defaults filled in."""
+    every level with a ConfigError.  family_params come back with the family's
+    defaults filled in."""
+    try:
+        return _config(doc)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config(doc: dict) -> ExperimentConfig:
+    """load_config's checks, raising ValueError."""
     _require_keys(
         doc,
         required={"schema_version", "family", "capacity", "sampler", "target",
@@ -132,24 +131,24 @@ def load_config(doc: dict) -> ExperimentConfig:
         where="config",
     )
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
+        raise ValueError(
             f"schema_version {doc['schema_version']!r} unsupported; this build "
             f"reads version {SCHEMA_VERSION}"
         )
     family = doc["family"]
     if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; choices {list(FAMILIES)}")
+        raise ValueError(f"unknown family {family!r}; choices {list(FAMILIES)}")
     floor, defaults = _FAMILIES[family]
 
     cap = doc["capacity"]
     if not isinstance(cap, list) or not cap or not all(_integer(c) for c in cap):
-        raise ConfigError("capacity must be a non-empty list of integers")
+        raise ValueError("capacity must be a non-empty list of integers")
     if len(set(cap)) != len(cap):
-        raise ConfigError("capacity entries must be unique")
+        raise ValueError("capacity entries must be unique")
     if floor is None and len(cap) != 1:
-        raise ConfigError(f"family {family!r} takes a single capacity entry")
+        raise ValueError(f"family {family!r} takes a single capacity entry")
     if floor is not None and min(cap) < floor:
-        raise ConfigError(f"family {family!r} needs capacity entries >= {floor}")
+        raise ValueError(f"family {family!r} needs capacity entries >= {floor}")
 
     sampler = load_sampler(doc["sampler"])
 
@@ -161,72 +160,65 @@ def load_config(doc: dict) -> ExperimentConfig:
             # JSON represents exponent tuples as lists of [exponents, coeff]
             raw = params.get("coefficients", {})
             if isinstance(raw, list):
-                params["coefficients"] = {tuple(mi): c for mi, c in raw}
+                params["coefficients"] = _coefficients(raw)
         target = targets.entry_by_name(tdoc["name"], params)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"target: {exc}") from exc
+        raise ValueError(f"target: {exc}") from exc
 
     seeds = doc["seeds"]
-    _require_keys(seeds, {"train", "eval"}, set(), "seeds")
+    _require_keys(seeds, {"train", "eval"}, (), "seeds")
     for k in ("train", "eval"):
-        if not _seed(seeds[k]):
-            raise ConfigError(f"seeds.{k} must be an integer in [0, 2**64)")
+        _require_seed(seeds[k], f"seeds.{k}")
     if seeds["train"] == seeds["eval"]:
-        raise ConfigError("seeds.train and seeds.eval must differ")
+        raise ValueError("seeds.train and seeds.eval must differ")
 
     fp = doc.get("family_params", {})
-    _require_keys(fp, set(), set(defaults), f"family_params of family {family!r}")
+    _require_keys(fp, (), defaults, f"family_params of family {family!r}")
     for key, value in fp.items():
         check, want = _PARAM_RULES[key]
         if not check(value):
-            raise ConfigError(f"family_params.{key} must be {want}, got {value!r}")
+            raise ValueError(f"family_params.{key} must be {want}, got {value!r}")
     family_params = {**defaults, **fp}
     if "memory" in family_params and family_params["memory"] is None:
         if target.memory is None:
-            raise ConfigError(
+            raise ValueError(
                 "target has unbounded memory; set family_params.memory to the "
                 "shift-register depth"
             )
         family_params["memory"] = target.memory
 
-    p = doc["p"]
-    if not _number(p, 1):
-        raise ConfigError("p must be a finite number >= 1")
-    for k, lo in (("T", 1), ("M_train", 5), ("M_eval", 2)):
-        if not _integer(doc[k], lo):
-            raise ConfigError(f"{k} must be an integer >= {lo}")
+    _require_numbers(1, p=doc["p"])
+    _require_integers(1, T=doc["T"])
+    _require_integers(5, M_train=doc["M_train"])
+    _require_integers(2, M_eval=doc["M_eval"])
     # schema 1 requires washout; it is validated, but nothing reads it
-    if not _integer(doc["washout"], 0) or doc["washout"] >= doc["T"]:
-        raise ConfigError("washout must be an integer in [0, T)")
-    ridge = doc["ridge"]
-    if not _number(ridge, 0):
-        raise ConfigError("ridge must be a finite number >= 0")
+    _require_integers(0, washout=doc["washout"])
+    if doc["washout"] >= doc["T"]:
+        raise ValueError(f"washout must be below T = {doc['T']}, got {doc['washout']}")
+    _require_numbers(0, ridge=doc["ridge"])
 
     if sampler.n != target.n:
-        raise ConfigError(f"sampler has {sampler.n} channels but target expects {target.n}")
-    try:
-        targets.check_sampler(target, sampler)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError(f"sampler has {sampler.n} channels but target expects {target.n}")
+    targets.check_sampler(target, sampler)
     if target.memory is not None and doc["T"] < target.memory + 1:
-        raise ConfigError(f"T = {doc['T']} is shorter than the target memory {target.memory}")
+        raise ValueError(f"T = {doc['T']} is shorter than the target memory {target.memory}")
     if family == "constructed_shift" and target.kind != "finite_poly":
-        raise ConfigError("constructed_shift requires a finite_poly target")
+        raise ValueError("constructed_shift requires a finite_poly target")
     if family == "constructed_nilpotent_sas" and target.kind != "trig_product":
-        raise ConfigError("constructed_nilpotent_sas requires a trig_product target")
+        raise ValueError("constructed_nilpotent_sas requires a trig_product target")
     if family == "constructed_block_esn" and target.memory is None:
-        raise ConfigError("constructed_block_esn requires a finite-memory target")
+        raise ValueError("constructed_block_esn requires a finite-memory target")
 
     return ExperimentConfig(
         family=family,
         capacity=tuple(cap),
         sampler=sampler,
         target=target,
-        p=float(p),
+        p=float(doc["p"]),
         T=doc["T"],
         M_train=doc["M_train"],
         M_eval=doc["M_eval"],
-        ridge=float(ridge),
+        ridge=float(doc["ridge"]),
         seed_train=seeds["train"],
         seed_eval=seeds["eval"],
         family_params=family_params,
@@ -234,13 +226,10 @@ def load_config(doc: dict) -> ExperimentConfig:
 
 
 def load_sampler(doc: dict) -> processes.ProcessSampler:
-    """Validate a sampler document {"kind", "n"?, "params"?}."""
-    _require_keys(doc, {"kind"}, {"n", "params"}, "sampler")
-    n, params = doc.get("n", 1), doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("sampler: params must be a JSON object")
+    """Validate a sampler document {"kind", "n"?, "params"?}; ConfigError otherwise."""
     try:
-        return processes.ProcessSampler(doc["kind"], n, dict(params))
+        _require_keys(doc, {"kind"}, {"n", "params"}, "the sampler document")
+        return processes.ProcessSampler(doc["kind"], doc.get("n", 1), doc.get("params", {}))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"sampler: {exc}") from exc
 

@@ -18,8 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_check_draw_args, _integer, _number, _require_integers, _require_numbers,
-                   _require_seed, _run_blocks, evaluate_functional_batch)
+from .core import (_check_draw_args, _integer, _number, _require_integers, _require_keys,
+                   _require_numbers, _require_seed, _run_blocks, evaluate_functional_batch)
 
 __all__ = [
     "ProcessSampler",
@@ -78,9 +78,9 @@ class ProcessSampler:
     """Stationary n-channel input process.
 
     kind is one of iid_gaussian, iid_uniform_bounded, iid_lognormal, arma,
-    garch11; params are validated per kind at construction: only the
-    kind's own keys, every value a finite real (ar and ma sequences of
-    them).  arma and garch11 are univariate.
+    garch11; params are validated per kind at construction: a dict of
+    the kind's own keys, its required ones included, every value a finite
+    real (ar and ma sequences of them).  arma and garch11 are univariate.
     """
 
     kind: str
@@ -92,13 +92,7 @@ class ProcessSampler:
             raise ValueError(f"unknown sampler kind {self.kind!r}; choices {list(_KINDS)}")
         _require_integers(1, n=self.n)
         required, defaults = _PARAMS[self.kind]
-        unknown = self.params.keys() - set(required) - defaults.keys()
-        if unknown:
-            raise ValueError(f"{self.kind} takes no params {sorted(unknown)}; "
-                             f"allowed {sorted(set(required) | defaults.keys())}")
-        missing = set(required) - self.params.keys()
-        if missing:
-            raise ValueError(f"{self.kind} needs params {sorted(missing)}")
+        _require_keys(self.params, required, defaults, f"{self.kind} params")
         p = {**defaults, **self.params}
         for key, value in p.items():
             if key in ("ar", "ma"):

@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _frozen, _integer, _number, _require_integers
+from .core import (_document, _field_entries, _frozen, _integer, _number, _require_integers,
+                   _require_keys, _variant)
 
 __all__ = [
     "Activation",
@@ -285,51 +286,43 @@ def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
 # serialization
 
 
+_VARIANTS = {"polynomial": PolynomialReadout, "network": NetworkReadout, "linear": LinearReadout}
+
+
+def _coefficients(pairs) -> dict:
+    """{exponent tuple: coefficient} of (exponents, coefficient) pairs; ValueError on a repeat."""
+    coefficients = {}
+    for exponents, c in pairs:
+        mi = tuple(exponents)
+        if mi in coefficients:
+            raise ValueError(f"exponents {list(mi)} appear twice in the polynomial coefficients")
+        coefficients[mi] = c
+    return coefficients
+
+
 def readout_to_dict(readout) -> dict:
-    """JSON-compatible dict with a variant tag; binary64 exact via repr."""
-    if isinstance(readout, PolynomialReadout):
-        return {
-            "variant": "polynomial",
-            "n_vars": readout.n_vars,
-            "degree": readout.degree,
-            "terms": [
-                {"exponents": list(mi), "coefficient": float(c)}
-                for mi, c in sorted(readout.coefficients.items())
-            ],
-        }
-    if isinstance(readout, NetworkReadout):
-        return {
-            "variant": "network",
-            "beta": readout.beta.tolist(),
-            "alpha": readout.alpha.tolist(),
-            "theta": readout.theta.tolist(),
-            "activation": readout.activation,
-        }
-    if isinstance(readout, LinearReadout):
-        return {"variant": "linear", "W": readout.W.tolist()}
-    raise TypeError(f"not a readout: {type(readout).__name__}")
+    """{"variant", **fields}, arrays as nested lists; binary64 exact via repr.
 
-
-# the keys readout_to_dict writes for each variant, besides "variant"
-_READOUT_KEYS = {"polynomial": {"n_vars", "degree", "terms"},
-                 "network": {"beta", "alpha", "theta", "activation"}, "linear": {"W"}}
+    A polynomial's coefficients are its "terms", {"exponents", "coefficient"}
+    in exponent order, since exponent tuples cannot be JSON keys.
+    """
+    variant = next((name for name, cls in _VARIANTS.items() if isinstance(readout, cls)), None)
+    if variant is None:
+        raise TypeError(f"not a readout: {type(readout).__name__}")
+    doc = _document(readout, variant=variant)
+    if variant == "polynomial":
+        doc["terms"] = [{"exponents": list(mi), "coefficient": float(c)}
+                        for mi, c in sorted(doc.pop("coefficients").items())]
+    return doc
 
 
 def readout_from_dict(doc: dict):
-    """Inverse of readout_to_dict; ValueError naming any key it does not write or misses."""
-    variant = doc.get("variant")
-    if variant not in _READOUT_KEYS:
-        raise ValueError(f"unknown readout variant {variant!r}")
-    for which, keys in (("unknown", set(doc) - _READOUT_KEYS[variant] - {"variant"}),
-                        ("missing", _READOUT_KEYS[variant] - set(doc))):
-        if keys:
-            raise ValueError(f"{which} keys {sorted(keys)} in a {variant!r} readout document")
-    if variant == "polynomial":
-        coeffs = {tuple(t["exponents"]): t["coefficient"] for t in doc["terms"]}
-        return PolynomialReadout(doc["n_vars"], doc["degree"], coeffs)
-    if variant == "network":
-        return NetworkReadout(
-            np.array(doc["beta"]), np.array(doc["alpha"]), np.array(doc["theta"]),
-            doc["activation"],
-        )
-    return LinearReadout(np.array(doc["W"]))
+    """Inverse of readout_to_dict; ValueError naming every key it does not write or misses."""
+    cls, where = _variant(doc, _VARIANTS, "readout")
+    if cls is not PolynomialReadout:
+        return cls(**_field_entries(doc, cls, where))
+    _require_keys(doc, {"variant", "n_vars", "degree", "terms"}, (), where)
+    for i, term in enumerate(doc["terms"]):
+        _require_keys(term, {"exponents", "coefficient"}, (), f"term {i} of {where}")
+    pairs = ((term["exponents"], term["coefficient"]) for term in doc["terms"])
+    return PolynomialReadout(doc["n_vars"], doc["degree"], _coefficients(pairs))

@@ -9,12 +9,13 @@ accepted as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import _frozen, _integer, _require_integers, _require_numbers, _require_seed, _run_blocks
+from .core import (_document, _field_entries, _frozen, _integer, _require_integers,
+                   _require_numbers, _require_seed, _run_blocks, _variant)
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -133,8 +134,8 @@ class _ReservoirSystem:
 class LinearReservoir(_ReservoirSystem):
     """x_t = A x_{t-1} + c z_t with A (N, N) and c (N, n).
 
-    Interface: N, n, scratch_slots, step(x, z, scratch), certificate()
-    (nilpotent support of A, else ||A||_2 < 1), to_dict(), from_dict().
+    Interface: N, n, scratch_slots, step(x, z, scratch) and certificate()
+    (nilpotent support of A, else ||A||_2 < 1).
     step overwrites a state batch x (M, N) with its successor under inputs
     z (M, n), using scratch of shape (scratch_slots, M, N) as workspace.
     """
@@ -170,13 +171,6 @@ class LinearReservoir(_ReservoirSystem):
 
     def _prove(self) -> EspReport:
         return _structural_report("spectral", float(np.linalg.norm(self.A, 2)), self.A != 0.0)
-
-    def to_dict(self) -> dict:
-        return {"variant": "linear", "A": self.A.tolist(), "c": self.c.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LinearReservoir":
-        return cls(doc["A"], doc["c"])
 
 
 @dataclass(frozen=True)
@@ -252,18 +246,6 @@ class TrigPolynomial:
         """Boolean (rows, cols) union of coefficient supports."""
         return np.any(self.cos_mats != 0.0, axis=0) | np.any(self.sin_mats != 0.0, axis=0)
 
-    def to_dict(self) -> dict:
-        names = ("cos_mats", "sin_mats", "cos_freqs", "sin_freqs")
-        return {"shape": [self.r, self.rows, self.cols, self.n],
-                **{name: getattr(self, name).tolist() for name in names}}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrigPolynomial":
-        r, rows, cols, n = doc["shape"]
-        mats, freqs = (r, rows, cols), (r, n)
-        return cls(np.reshape(doc["cos_mats"], mats), np.reshape(doc["sin_mats"], mats),
-                   np.reshape(doc["cos_freqs"], freqs), np.reshape(doc["sin_freqs"], freqs))
-
 
 def _components(support: np.ndarray) -> list[np.ndarray]:
     """Index arrays of the connected components of the graph support | support.T."""
@@ -297,9 +279,8 @@ def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
 class TrigSAS(_ReservoirSystem):
     """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t).
 
-    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
-    certificate() (nilpotent support of P, else _block_norm_bound(P) < 1),
-    to_dict(), from_dict().
+    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch)
+    and certificate() (nilpotent support of P, else _block_norm_bound(P) < 1).
     """
 
     P: TrigPolynomial
@@ -333,21 +314,13 @@ class TrigSAS(_ReservoirSystem):
         support = self.P.support()
         return _structural_report("spectral", _block_norm_bound(self.P, support), support)
 
-    def to_dict(self) -> dict:
-        return {"variant": "trig_sas", "P": self.P.to_dict(), "Q": self.Q.to_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrigSAS":
-        return cls(TrigPolynomial.from_dict(doc["P"]), TrigPolynomial.from_dict(doc["Q"]))
-
 
 @dataclass(frozen=True)
 class EchoStateNetwork(_ReservoirSystem):
     """x_t = sigma(A x_{t-1} + C z_t + bias).
 
-    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch),
-    certificate() (nilpotent support of A, else Lip(sigma) ||A||_2 < 1),
-    to_dict(), from_dict().
+    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch)
+    and certificate() (nilpotent support of A, else Lip(sigma) ||A||_2 < 1).
     """
 
     A: np.ndarray
@@ -392,14 +365,6 @@ class EchoStateNetwork(_ReservoirSystem):
         L = get_activation(self.activation).lipschitz
         factor = float(L * np.linalg.norm(self.A, 2))
         return _structural_report("lipschitz-spectral", factor, self.A != 0.0)
-
-    def to_dict(self) -> dict:
-        return {"variant": "esn", "A": self.A.tolist(), "C": self.C.tolist(),
-                "bias": self.bias.tolist(), "activation": self.activation}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EchoStateNetwork":
-        return cls(doc["A"], doc["C"], doc["bias"], doc["activation"])
 
 
 _VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNetwork}
@@ -471,8 +436,10 @@ def washout_decay(system, data: np.ndarray, seed: int = 0) -> np.ndarray:
     data is a batch (M, T, n); returns (M, T + 1) where column 0 is the
     initial distance and column t the distance after t steps.  The two
     initial states are drawn standard normal from the seed and shared by
-    every window.
+    every window.  seed must be an integer in [0, 2**64); ValueError
+    otherwise, before any state run.
     """
+    _require_seed(seed)
     data = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal(system.N), rng.standard_normal(system.N)
@@ -807,26 +774,44 @@ def random_trig_sas(
 
 
 def system_to_dict(system, readout=None) -> dict:
-    """Variant-tagged JSON document with its ESP summary; floats survive a round trip bit-exact."""
+    """{"variant", **fields, "esp", "readout"?}, arrays as nested lists; floats round-trip exactly.
+
+    A trig SAS's P and Q are {"shape": [r, rows, cols, n], **fields}: the shape
+    restores a polynomial with no terms (r = 0), whose arrays are empty lists.
+    """
     if not isinstance(system, _ReservoirSystem):
         raise TypeError(f"not a reservoir system: {type(system).__name__}")
-    doc = system.to_dict()
+    variant = next(name for name, cls in _VARIANTS.items() if isinstance(system, cls))
+    doc = _document(system, variant=variant)
+    if variant == "trig_sas":
+        for name in ("P", "Q"):
+            poly = doc[name]
+            doc[name] = _document(poly, shape=[poly.r, poly.rows, poly.cols, poly.n])
     doc["esp"] = certify_esp(system).summary()
     if readout is not None:
         doc["readout"] = readout_to_dict(readout)
     return doc
 
 
+def _trig_polynomial(doc, where: str) -> TrigPolynomial:
+    """Inverse of system_to_dict's {"shape", **fields} form of a TrigPolynomial."""
+    entries = _field_entries(doc, TrigPolynomial, where, head=("shape",))
+    r, rows, cols, n = doc["shape"]
+    shapes = [(r, rows, cols)] * 2 + [(r, n)] * 2  # cos_mats, sin_mats, cos_freqs, sin_freqs
+    return TrigPolynomial(*map(np.reshape, entries.values(), shapes))
+
+
 def system_from_dict(doc: dict):
-    """Inverse of system_to_dict; returns (system, readout_or_None)."""
-    variant = doc.get("variant")
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown system variant {variant!r}")
-    cls = _VARIANTS[variant]
-    unknown = set(doc) - {f.name for f in fields(cls)} - {"variant", "esp", "readout"}
-    if "W" in unknown:
+    """Inverse of system_to_dict; returns (system, readout_or_None).
+
+    ValueError for a document or entry that is not an object, an unknown
+    variant, and every missing or unknown key, named.
+    """
+    cls, where = _variant(doc, _VARIANTS, "system")
+    if "W" in doc:
         raise ValueError("a system has no output weights 'W'; store them as the 'readout' entry")
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in a {variant!r} system document")
+    entries = _field_entries(doc, cls, where, optional=("esp", "readout"))
+    if cls is TrigSAS:
+        entries = {name: _trig_polynomial(v, f"{name} of {where}") for name, v in entries.items()}
     readout = readout_from_dict(doc["readout"]) if "readout" in doc else None
-    return cls.from_dict(doc), readout
+    return cls(**entries), readout

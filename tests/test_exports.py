@@ -1,6 +1,7 @@
 """Public surface: every exported name exists, the package imports only
 names its modules export, only processes reads the path streams, only
-core words the integer and finite-number argument rules, no
+core words the integer and finite-number argument rules and the key
+rule of JSON documents, no
 module imports a name it neither uses nor exports, no private
 module-level name goes unused, and every annotation resolves."""
 
@@ -61,22 +62,35 @@ def test_only_processes_names_path_rng():
 
 
 
-def test_only_core_words_the_argument_rules():
-    # integer and finite-number arguments are refused by core's raisers, so every
-    # module names a bad argument in one wording
+def _raises_worded_outside_core(*phrases):
+    """file:line of each ValueError or ConfigError raised outside core whose text has a phrase."""
     found = []
     for path in sorted(Path(rcuniv.__file__).parent.glob("*.py")):
         if path.stem == "core":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                    and getattr(node.exc.func, "id", None) in ("ValueError", "ConfigError")):
                 continue
             text = "".join(c.value for c in ast.walk(node.exc)
                            if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if "must be an integer" in text or "must be a finite" in text:
+            if any(phrase in text for phrase in phrases):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_core_words_the_argument_rules():
+    # integer and finite-number arguments are refused by core's raisers, so every
+    # module names a bad argument in one wording
+    found = _raises_worded_outside_core("must be an integer", "must be a finite")
     assert not found, f"argument rules worded outside core: {found}"
+
+
+def test_only_core_words_the_key_rule():
+    # every JSON document checks its keys with core._require_keys
+    found = _raises_worded_outside_core("unknown keys", "missing keys")
+    assert not found, f"key rule worded outside core: {found}"
+
 
 # metrics re-exports core._worker_count for the benchmark's manifest, which reads it by name
 _IMPORTED_FOR_READERS = {("metrics", "_worker_count")}

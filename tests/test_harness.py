@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -144,6 +145,36 @@ def test_load_config_rejections(mutate):
     doc = _base_doc()
     mutate(doc)
     with pytest.raises(ConfigError):
+        load_config(doc)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(seed=3) or d.pop("washout"),
+     "missing keys ['washout'] and unknown keys ['seed'] in config"),
+    (lambda d: d.update(sampler=[1]),
+     "sampler: the sampler document must be a JSON object, got list"),
+    (lambda d: d["sampler"].pop("kind"), "sampler: missing keys ['kind'] in the sampler document"),
+    (lambda d: d["sampler"].update(params={"mean": 0.0, "mu": 1.0}),
+     "sampler: unknown keys ['mu'] in iid_gaussian params"),
+    (lambda d: d["seeds"].update(test=3), "unknown keys ['test'] in seeds"),
+    (lambda d: d.update(target={"params": {}}), "missing keys ['name'] in target"),
+    (lambda d: d.update(family_params={"memoryy": 2}),
+     "unknown keys ['memoryy'] in family_params of family 'constructed_shift'"),
+    (lambda d: d.update(p=0.5), "p must be a finite number >= 1, got 0.5"),
+    (lambda d: d.update(T=2.0), "T must be an integer >= 1, got 2.0"),
+    (lambda d: d.update(M_train=4), "M_train must be an integer >= 5, got 4"),
+    (lambda d: d.update(M_eval=True), "M_eval must be an integer >= 2, got True"),
+    (lambda d: d.update(washout=-1), "washout must be an integer >= 0, got -1"),
+    (lambda d: d.update(washout=6), "washout must be below T = 6, got 6"),
+    (lambda d: d.update(ridge=-1e-3), "ridge must be a finite number >= 0, got -0.001"),
+    (lambda d: d["seeds"].update(train=2**64), "seeds.train must be an integer in [0, 2**64)"),
+], ids=["config_keys", "sampler_not_object", "sampler_kind", "sampler_params", "seeds_keys",
+        "target_keys", "family_params_keys", "p", "T", "M_train", "M_eval", "washout_negative",
+        "washout_T", "ridge", "seed"])
+def test_load_config_names_what_is_wrong(mutate, message):
+    doc = _base_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         load_config(doc)
 
 
@@ -567,11 +598,14 @@ _BIG = 10**400  # an integer past float range
     (dict(target=_poly([[[1, 1], "1.0"]])), "non-finite coefficient"),
     (dict(target=_poly([[[1.5, 0], 1.0]])), "bad multi-index"),
     (dict(target=_poly([[[1, 1], 1.0]], degree=2.7)), "degree must be an integer >= 0, got 2.7"),
+    # a repeated exponent pair is refused, not overwritten by the last one
+    (dict(target=_poly([[[1, 1], 1.0], [[1, 1], 2.0]])),
+     "config error: target: exponents [1, 1] appear twice in the polynomial coefficients"),
 ], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
         "nan_coefficient", "negative_degree", "constant_nan", "constant_inf",
         "garch_vol_nan_omega", "step_bound",
         "freqs_nan", "freqs_3d", "density_above_1", "bool_memory", "string_coefficient",
-        "fractional_exponent", "fractional_degree"])
+        "fractional_exponent", "fractional_degree", "duplicate_exponents"])
 def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
     assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2

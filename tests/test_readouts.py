@@ -272,6 +272,28 @@ def test_deserialization_names_unknown_and_missing_keys():
         rc.system_from_dict(sys_doc)
 
 
+def _poly_doc(*terms):
+    return {"variant": "polynomial", "n_vars": 2, "degree": 2, "terms": list(terms)}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "a readout document must be a JSON object, got list"),
+    ({"W": [1.0]}, "missing keys ['variant'] in a readout document"),
+    (_poly_doc({"exponents": [1, 0], "coefficient": 2.0, "extra": 1}),
+     "unknown keys ['extra'] in term 0 of a 'polynomial' readout document"),
+    (_poly_doc({"exponents": [0, 0], "coefficient": 1.0}, {"exponents": [1, 0]}),
+     "missing keys ['coefficient'] in term 1 of a 'polynomial' readout document"),
+    (_poly_doc([[1, 0], 2.0]), "term 0 of a 'polynomial' readout document must be a JSON object"),
+    (_poly_doc({"exponents": [1, 1], "coefficient": 1.0},
+               {"exponents": [1, 1], "coefficient": 2.0}),
+     "exponents [1, 1] appear twice in the polynomial coefficients"),
+], ids=["not_an_object", "no_variant", "term_extra_key", "term_missing_key", "term_not_an_object",
+        "duplicate_exponents"])
+def test_readout_documents_check_every_level(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        readout_from_dict(doc)
+
+
 def test_serialization_survives_json_text():
     import json
 

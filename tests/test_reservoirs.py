@@ -609,14 +609,17 @@ def test_random_esn_rejects_bad_scale():
     assert rep.bound == pytest.approx(1.3, rel=1e-9)
 
 
-@pytest.mark.parametrize("seed", [True, 2.5, -1, 2**70],
-                         ids=["bool", "float", "negative", "2_to_70"])
+@pytest.mark.parametrize("seed", [True, 2.5, -1, 2**64, 2**70],
+                         ids=["bool", "float", "negative", "2_to_64", "2_to_70"])
 @pytest.mark.parametrize("build", [
     lambda seed: rc.random_esn(4, 1, seed=seed),
     lambda seed: rc.random_trig_sas(4, 1, terms=2, seed=seed),
     lambda seed: rc.fit_identity_network(1, 1.0, 4, seed=seed),
     lambda seed: rc.random_finite_poly(1, 1, 2, seed=seed),
-], ids=["random_esn", "random_trig_sas", "fit_identity_network", "random_finite_poly"])
+    # washout_decay draws its two initial states from the seed in the same way
+    lambda seed: rc.washout_decay(rc.build_shift_register(1, 1), np.zeros((2, 3, 1)), seed=seed),
+], ids=["random_esn", "random_trig_sas", "fit_identity_network", "random_finite_poly",
+        "washout_decay"])
 def test_random_builders_reject_seeds_outside_64_bits(build, seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         build(seed)
@@ -664,8 +667,7 @@ def _interface(cls):
 def test_system_types_share_one_interface():
     types = (rc.LinearReservoir, rc.TrigSAS, rc.EchoStateNetwork)
     for cls in types:
-        assert _interface(cls) == {"N", "n", "scratch_slots", "step", "certificate",
-                                   "to_dict", "from_dict"}, cls.__name__
+        assert _interface(cls) == {"N", "n", "scratch_slots", "step", "certificate"}, cls.__name__
         assert "W" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
@@ -988,3 +990,73 @@ def test_serialization_rejects_unknown_keys():
     for system in (rc.random_trig_sas(3, 1, terms=2, seed=4), rc.build_shift_register(1, 2)):
         with pytest.raises(ValueError, match=r"unknown keys \['spectral'\]"):
             rc.system_from_dict({**rc.system_to_dict(system), "spectral": 0.9})
+
+
+# the JSON text of one small system per variant, each with a readout of another type
+_PINNED_DOCUMENTS = [
+    ('{"variant": "linear", "A": [[0.0, 0.0], [1.0, 0.0]], "c": [[1.0], [0.5]], '
+     '"esp": {"certified": true, "method": "nilpotent", "bound": 1.0, "nilpotency_index": 2}, '
+     '"readout": {"variant": "polynomial", "n_vars": 2, "degree": 2, "terms": '
+     '[{"exponents": [0, 1], "coefficient": 1.5}, {"exponents": [2, 0], "coefficient": -0.25}]}}'),
+    ('{"variant": "trig_sas", "P": {"shape": [0, 1, 1, 1], "cos_mats": [], "sin_mats": [], '
+     '"cos_freqs": [], "sin_freqs": []}, "Q": {"shape": [1, 1, 1, 1], "cos_mats": [[[1.0]]], '
+     '"sin_mats": [[[0.0]]], "cos_freqs": [[0.5]], "sin_freqs": [[0.0]]}, '
+     '"esp": {"certified": true, "method": "nilpotent", "bound": 0.0, "nilpotency_index": 1}, '
+     '"readout": {"variant": "linear", "W": [1.0]}}'),
+    ('{"variant": "esn", "A": [[0.0]], "C": [[2.0]], "bias": [0.5], "activation": "tanh", '
+     '"esp": {"certified": true, "method": "nilpotent", "bound": 0.0, "nilpotency_index": 1}, '
+     '"readout": {"variant": "network", "beta": [1.0], "alpha": [[2.0]], "theta": [-0.5], '
+     '"activation": "logistic"}}'),
+]
+
+
+def test_documents_keep_their_json_text():
+    built = [
+        (rc.LinearReservoir([[0.0, 0.0], [1.0, 0.0]], [[1.0], [0.5]]),
+         rc.PolynomialReadout(2, 2, {(2, 0): -0.25, (0, 1): 1.5})),
+        rc.build_nilpotent_trig_sas([[0.5]]),  # K = 0: P has no terms
+        (rc.EchoStateNetwork([[0.0]], [[2.0]], [0.5], "tanh"),
+         rc.NetworkReadout([1.0], [[2.0]], [-0.5], "logistic")),
+    ]
+    for (system, readout), text in zip(built, _PINNED_DOCUMENTS):
+        assert json.dumps(rc.system_to_dict(system, readout)) == text
+        assert json.dumps(rc.system_to_dict(*rc.system_from_dict(json.loads(text)))) == text
+
+
+def _field_paths(doc):
+    """Key paths of a system document's fields: top level, and inside P and Q."""
+    for key, value in doc.items():
+        if key in ("variant", "esp", "readout"):
+            continue
+        yield (key,)
+        if isinstance(value, dict):
+            yield from ((key, inner) for inner in value)
+
+
+@pytest.mark.parametrize("index", range(len(_PINNED_DOCUMENTS)),
+                         ids=["linear", "trig_sas", "esn"])
+def test_system_documents_name_each_missing_field(index):
+    doc = json.loads(_PINNED_DOCUMENTS[index])
+    paths = list(_field_paths(doc))
+    assert len(paths) == {0: 2, 1: 12, 2: 4}[index]
+    for path in paths:
+        broken = json.loads(_PINNED_DOCUMENTS[index])
+        *outer, name = path
+        del (broken[outer[0]] if outer else broken)[name]
+        where = f"{outer[0]} of a " if outer else "a "
+        message = f"missing keys ['{name}'] in {where}'{doc['variant']}' system document"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rc.system_from_dict(broken)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rc.system_from_dict([1]), "a system document must be a JSON object, got list"),
+    (lambda: rc.system_from_dict({**json.loads(_PINNED_DOCUMENTS[0]), "readout": [1]}),
+     "a readout document must be a JSON object, got list"),
+    (lambda: rc.system_from_dict({**json.loads(_PINNED_DOCUMENTS[1]), "P": [[1.0]]}),
+     "P of a 'trig_sas' system document must be a JSON object, got list"),
+    (lambda: rc.system_from_dict({"A": [[0.0]]}), "missing keys ['variant'] in a system document"),
+], ids=["system", "readout_entry", "P_entry", "no_variant"])
+def test_non_object_documents_raise_value_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

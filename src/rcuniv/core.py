@@ -8,10 +8,11 @@ registers the concrete evaluators.
 
 The argument rules of the whole package live here: every public builder,
 sampler, target, fit and estimator checks its counts with
-_require_integers, its reals with _require_numbers, its seed with
-_require_seed and its arrays with _frozen, so a bad argument raises a
-ValueError that names it before anything is drawn.  Every JSON document
-checks its keys with _require_keys.
+_require_integers, its reals with _require_numbers, its names with
+_require_choice, its seed with _require_seed, its arrays with _frozen and
+its window batches with _batch, so a bad argument raises a ValueError
+that names it before anything is drawn.  Every JSON document checks its
+keys with _require_keys.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 
 
 # the argument rules of every public entry point: two predicates, the
-# raisers that name the argument, and the read-only array copy
+# raisers that name the argument, the read-only array copy and the batch form
 def _integer(v, lo: float = -math.inf) -> bool:
     """An integer, not a boolean, >= lo."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= lo
@@ -75,6 +76,13 @@ def _require_numbers(lo: float = -math.inf, strict: bool = False, **values) -> N
             raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
 
 
+def _require_choice(choices, **values) -> None:
+    """Raise ValueError naming the first value that is not a string in choices."""
+    for name, v in values.items():
+        if not (isinstance(v, str) and v in choices):
+            raise ValueError(f"{name} must be one of {sorted(choices)}, got {v!r}")
+
+
 def _require_seed(seed, name: str = "seed") -> None:
     """Raise ValueError, naming the seed, unless it is an integer in [0, 2**64)."""
     if not _seed(seed):
@@ -103,6 +111,14 @@ def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _batch(data) -> np.ndarray:
+    """data as a float64 batch of windows (M, T, n); ValueError for any other shape."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise ValueError(f"batch data must be 3-d (M, T, n), got shape {data.shape}")
+    return data
+
+
 def _require_keys(doc, required, optional, where: str) -> None:
     """Raise ValueError unless doc is a dict with every required key and no key
     outside required and optional, naming every missing and every unknown key."""
@@ -127,8 +143,7 @@ def _variant(doc, variants: dict, what: str) -> tuple[type, str]:
     """The class in variants that doc's "variant" names, and doc's name for messages."""
     _require_keys(doc, {"variant"}, doc, f"a {what} document")  # its fields decide the rest
     variant = doc["variant"]
-    if not isinstance(variant, str) or variant not in variants:
-        raise ValueError(f"unknown {what} variant {variant!r}; choices {sorted(variants)}")
+    _require_choice(variants, **{f"{what} variant": variant})
     return variants[variant], f"a {variant!r} {what} document"
 
 
@@ -170,9 +185,7 @@ def register_evaluator(kind: str, fn: Callable[[FunctionalSpec, np.ndarray], np.
 
 def evaluate_functional_batch(spec: FunctionalSpec, data: np.ndarray) -> np.ndarray:
     """Evaluate spec on a stack of windows, shape (M, T, n) -> (M,)."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(f"batch data must be 3-d (M, T, n), got shape {data.shape}")
+    data = _batch(data)
     M, T, n = data.shape
     if n != spec.n:
         raise ValueError(f"spec expects {spec.n} channels, window has {n}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, processes, reservoirs, targets, training
-from .core import (FunctionalSpec, _integer, _number, _require_integers, _require_keys,
+from .core import (FunctionalSpec, _integer, _require_choice, _require_integers, _require_keys,
                    _require_numbers, _require_seed, truncated_conditional_error, write_window_csv)
 from .readouts import ACTIVATIONS, LinearReadout, _coefficients, eval_readout
 from .reservoirs import (
@@ -71,19 +71,18 @@ _FAMILIES = {
 }
 FAMILIES = tuple(_FAMILIES)
 
-# family_params key -> (check, what the check asks for)
+# family_params key -> (core raiser, its bounds), called under the name family_params.{key}
 _PARAM_RULES = {
-    "memory": (lambda v: _integer(v, 0), "an integer >= 0"),
-    "activation": (lambda v: isinstance(v, str) and v in ACTIVATIONS,
-                   f"one of {sorted(ACTIVATIONS)}"),
-    "terms": (lambda v: _integer(v, 1), "an integer >= 1"),
-    "contraction": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
-    "freq_scale": (_number, "a finite number"),
-    "spectral": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
-    "input_scale": (_number, "a finite number"),
-    "bias_scale": (lambda v: _number(v, 0), "a finite number >= 0"),
-    "identity_units": (lambda v: _integer(v, 1), "an integer >= 1"),
-    "half_width": (lambda v: _number(v, 0, strict=True), "a finite number > 0"),
+    "memory": (_require_integers, (0,)),
+    "activation": (_require_choice, (ACTIVATIONS,)),
+    "terms": (_require_integers, (1,)),
+    "contraction": (_require_numbers, (0, True)),
+    "freq_scale": (_require_numbers, ()),
+    "spectral": (_require_numbers, (0, True)),
+    "input_scale": (_require_numbers, ()),
+    "bias_scale": (_require_numbers, (0,)),
+    "identity_units": (_require_integers, (1,)),
+    "half_width": (_require_numbers, (0, True)),
 }
 
 
@@ -136,8 +135,7 @@ def _config(doc: dict) -> ExperimentConfig:
             f"reads version {SCHEMA_VERSION}"
         )
     family = doc["family"]
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choices {list(FAMILIES)}")
+    _require_choice(FAMILIES, family=family)
     floor, defaults = _FAMILIES[family]
 
     cap = doc["capacity"]
@@ -175,9 +173,8 @@ def _config(doc: dict) -> ExperimentConfig:
     fp = doc.get("family_params", {})
     _require_keys(fp, (), defaults, f"family_params of family {family!r}")
     for key, value in fp.items():
-        check, want = _PARAM_RULES[key]
-        if not check(value):
-            raise ValueError(f"family_params.{key} must be {want}, got {value!r}")
+        raiser, bounds = _PARAM_RULES[key]
+        raiser(*bounds, **{f"family_params.{key}": value})
     family_params = {**defaults, **fp}
     if "memory" in family_params and family_params["memory"] is None:
         if target.memory is None:
@@ -571,15 +568,6 @@ VERIFY_SUITES = {
 
 def verify_suite(name: str = "all") -> list[PropertyCheck]:
     """Run one named suite, or every suite for 'all'."""
-    if name == "all":
-        out = []
-        for fn in VERIFY_SUITES.values():
-            out.extend(fn())
-        return out
-    try:
-        fn = VERIFY_SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; choices {sorted(VERIFY_SUITES)} or 'all'"
-        ) from None
-    return fn()
+    _require_choice([*VERIFY_SUITES, "all"], suite=name)
+    suites = VERIFY_SUITES.values() if name == "all" else [VERIFY_SUITES[name]]
+    return [check for fn in suites for check in fn()]

@@ -18,8 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (_check_draw_args, _integer, _number, _require_integers, _require_keys,
-                   _require_numbers, _require_seed, _run_blocks, evaluate_functional_batch)
+from .core import (_check_draw_args, _integer, _number, _require_choice, _require_integers,
+                   _require_keys, _require_numbers, _require_seed, _run_blocks,
+                   evaluate_functional_batch)
 
 __all__ = [
     "ProcessSampler",
@@ -69,6 +70,8 @@ _PARAMS = {
     "arma": ((), {"ar": (), "ma": (), "std": 1.0}),
     "garch11": (("omega", "alpha", "beta"), {}),
 }
+# the sign rule of each param that has one: its lower bound, and whether it is strict
+_SIGNS = {"std": (0, True), "sigma": (0, True), "omega": (0, True), "alpha": (0,), "beta": (0,)}
 _IID_KINDS = ("iid_gaussian", "iid_uniform_bounded", "iid_lognormal")
 _KINDS = tuple(_PARAMS)
 
@@ -80,7 +83,9 @@ class ProcessSampler:
     kind is one of iid_gaussian, iid_uniform_bounded, iid_lognormal, arma,
     garch11; params are validated per kind at construction: a dict of
     the kind's own keys, its required ones included, every value a finite
-    real (ar and ma sequences of them).  arma and garch11 are univariate.
+    real (ar and ma sequences of them), std, sigma and omega > 0 and alpha
+    and beta >= 0; they are stored as floats (ar and ma as float tuples)
+    once checked.  arma and garch11 are univariate.
     """
 
     kind: str
@@ -88,8 +93,7 @@ class ProcessSampler:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}; choices {list(_KINDS)}")
+        _require_choice(_KINDS, kind=self.kind)
         _require_integers(1, n=self.n)
         required, defaults = _PARAMS[self.kind]
         _require_keys(self.params, required, defaults, f"{self.kind} params")
@@ -97,39 +101,23 @@ class ProcessSampler:
         for key, value in p.items():
             if key in ("ar", "ma"):
                 if not isinstance(value, (list, tuple)) or not all(map(_number, value)):
-                    raise ValueError(f"{key} must be a sequence of finite reals")
-                p[key] = tuple(float(c) for c in value)
+                    raise ValueError(f"{key} must be a sequence of finite reals, got {value!r}")
+                p[key] = tuple(map(float, value))
             else:
-                _require_numbers(**{key: value})
-        if self.kind == "iid_gaussian":
-            if p["std"] <= 0:
-                raise ValueError("std must be > 0")
-        elif self.kind == "iid_uniform_bounded":
+                _require_numbers(*_SIGNS.get(key, ()), **{key: value})
+                p[key] = float(value)
+        if self.kind == "iid_uniform_bounded":
             if not p["a_min"] < p["a_max"]:
                 raise ValueError("need a_min < a_max")
             if not math.isfinite(p["a_max"] - p["a_min"]):
                 raise ValueError("a_max - a_min overflows")
-        elif self.kind == "iid_lognormal":
-            if p["sigma"] <= 0:
-                raise ValueError("sigma must be > 0")
-        elif self.kind == "arma":
-            if self.n != 1:
-                raise ValueError("arma sampler is univariate")
-            if p["std"] <= 0:
-                raise ValueError("innovation std must be > 0")
+        elif not self.iid and self.n != 1:
+            raise ValueError(f"{self.kind} sampler is univariate")
+        if self.kind == "arma":
             _check_roots_outside(p["ar"], "ar")
             _check_roots_outside(tuple(-c for c in p["ma"]), "ma")
-        elif self.kind == "garch11":
-            if self.n != 1:
-                raise ValueError("garch11 sampler is univariate")
-            if p["omega"] <= 0:
-                raise ValueError("omega must be > 0")
-            if p["alpha"] < 0 or p["beta"] < 0:
-                raise ValueError("alpha and beta must be >= 0")
-            if p["alpha"] + p["beta"] >= 1:
-                raise ValueError(
-                    f"stationarity needs alpha + beta < 1, got {p['alpha'] + p['beta']}"
-                )
+        elif self.kind == "garch11" and p["alpha"] + p["beta"] >= 1:
+            raise ValueError(f"stationarity needs alpha + beta < 1, got {p['alpha'] + p['beta']}")
         object.__setattr__(self, "params", p)
 
     @property
@@ -184,27 +172,23 @@ def _check_roots_outside(coeffs: tuple, which: str) -> None:
 
 
 def iid_gaussian(n: int = 1, mean: float = 0.0, std: float = 1.0) -> ProcessSampler:
-    return ProcessSampler("iid_gaussian", n, {"mean": float(mean), "std": float(std)})
+    return ProcessSampler("iid_gaussian", n, {"mean": mean, "std": std})
 
 
 def iid_uniform_bounded(a_min: float, a_max: float, n: int = 1) -> ProcessSampler:
-    return ProcessSampler(
-        "iid_uniform_bounded", n, {"a_min": float(a_min), "a_max": float(a_max)}
-    )
+    return ProcessSampler("iid_uniform_bounded", n, {"a_min": a_min, "a_max": a_max})
 
 
 def iid_lognormal(n: int = 1, mu: float = 0.0, sigma: float = 1.0) -> ProcessSampler:
-    return ProcessSampler("iid_lognormal", n, {"mu": float(mu), "sigma": float(sigma)})
+    return ProcessSampler("iid_lognormal", n, {"mu": mu, "sigma": sigma})
 
 
 def arma(ar=(), ma=(), std: float = 1.0) -> ProcessSampler:
-    return ProcessSampler("arma", 1, {"ar": tuple(ar), "ma": tuple(ma), "std": float(std)})
+    return ProcessSampler("arma", 1, {"ar": ar, "ma": ma, "std": std})
 
 
 def garch11(omega: float, alpha: float, beta: float) -> ProcessSampler:
-    return ProcessSampler(
-        "garch11", 1, {"omega": float(omega), "alpha": float(alpha), "beta": float(beta)}
-    )
+    return ProcessSampler("garch11", 1, {"omega": omega, "alpha": alpha, "beta": beta})
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_document, _field_entries, _frozen, _integer, _number, _require_integers,
-                   _require_keys, _variant)
+from .core import (_document, _field_entries, _frozen, _integer, _number, _require_choice,
+                   _require_integers, _require_keys, _variant)
 
 __all__ = [
     "Activation",
@@ -77,12 +77,12 @@ ACTIVATIONS = {
 
 
 def get_activation(name: str) -> Activation:
+    """The activation called name; ValueError naming the choices otherwise."""
     try:
         return ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown activation {name!r}; bounded choices are {sorted(ACTIVATIONS)}"
-        ) from None
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        pass
+    _require_choice(ACTIVATIONS, activation=name)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +290,18 @@ _VARIANTS = {"polynomial": PolynomialReadout, "network": NetworkReadout, "linear
 
 
 def _coefficients(pairs) -> dict:
-    """{exponent tuple: coefficient} of (exponents, coefficient) pairs; ValueError on a repeat."""
+    """{exponent tuple: coefficient} of (exponents, coefficient) pairs.
+
+    ValueError for a pair that is not a list of exponents and a coefficient,
+    and for exponents that appear twice.
+    """
     coefficients = {}
-    for exponents, c in pairs:
+    for i, pair in enumerate(pairs):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"polynomial term {i} must be [exponents, coefficient], got {pair!r}")
+        exponents, c = pair
+        if not isinstance(exponents, (list, tuple)):
+            raise ValueError(f"exponents of polynomial term {i} must be a list, got {exponents!r}")
         mi = tuple(exponents)
         if mi in coefficients:
             raise ValueError(f"exponents {list(mi)} appear twice in the polynomial coefficients")
@@ -322,6 +331,8 @@ def readout_from_dict(doc: dict):
     if cls is not PolynomialReadout:
         return cls(**_field_entries(doc, cls, where))
     _require_keys(doc, {"variant", "n_vars", "degree", "terms"}, (), where)
+    if not isinstance(doc["terms"], list):
+        raise ValueError(f"terms of {where} must be a list, got {doc['terms']!r}")
     for i, term in enumerate(doc["terms"]):
         _require_keys(term, {"exponents", "coefficient"}, (), f"term {i} of {where}")
     pairs = ((term["exponents"], term["coefficient"]) for term in doc["terms"])

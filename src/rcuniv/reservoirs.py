@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_document, _field_entries, _frozen, _integer, _require_integers,
+from .core import (_batch, _document, _field_entries, _frozen, _integer, _require_integers,
                    _require_numbers, _require_seed, _run_blocks, _variant)
 from .readouts import (
     LinearReadout,
@@ -332,7 +332,7 @@ class EchoStateNetwork(_ReservoirSystem):
     def __post_init__(self):
         A = _frozen(self.A, "A", 2)
         C = _frozen(self.C, "C", 2)
-        bias = np.atleast_1d(_frozen(self.bias, "bias"))
+        bias = _frozen(self.bias, "bias", 1)
         if A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         N = A.shape[0]
@@ -397,9 +397,7 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
     StateOverflowError on non-finite states, naming the lag of the first
     block, in window order, that overflowed.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 3:
-        raise ValueError(f"batch data must be (M, T, n), got shape {data.shape}")
+    data = _batch(data)
     M, T, n = data.shape
     if n != system.n:
         raise ValueError(f"system expects {system.n} channels, window has {n}")
@@ -685,7 +683,7 @@ def block_esn_functional(
     Equals W_bar . sigma(sum_j lag_block_j J^j(z_-j) + lag_block_0 z_0 +
     zeta_bar) where J^j is the j-fold identity-network composition.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _batch(data)
     M, T, n = data.shape
     K = inner.alpha.shape[1] // n - 1
     if T < K + 1:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .core import (FunctionalSpec, _integer, _number, _require_integers, _require_numbers,
-                   _require_seed, register_evaluator)
-from .processes import _marginal
+from .core import (FunctionalSpec, _integer, _number, _require_choice, _require_integers,
+                   _require_numbers, _require_seed, register_evaluator)
+from .processes import ProcessSampler, _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
 __all__ = [
@@ -162,10 +162,10 @@ def random_finite_poly(
     _require_seed(seed)
     if not 0 <= density <= 1:
         raise ValueError(f"density must lie in [0, 1], got {density!r}")
-    rng = np.random.default_rng(seed)
     n_vars = n * (K + 1)
     if feature_count(n_vars, degree) > 100_000:
         raise ValueError("polynomial basis too large")
+    rng = np.random.default_rng(seed)
     coeffs = {}
     for mi in multi_indices(n_vars, degree):
         if sum(mi) == 0:
@@ -221,15 +221,11 @@ def garch_vol(omega: float, alpha: float, beta: float) -> FunctionalSpec:
     """GARCH(1,1) conditional variance, unrolled: omega/(1-beta) + alpha sum_j beta^j z_{-j-1}^2.
 
     Integrable in L^1 for stationary GARCH(1,1) inputs; higher moments need
-    the corresponding moment condition on the input process.
+    the corresponding moment condition on the input process.  The params
+    follow the rules of the garch11 sampler.
     """
-    _require_numbers(omega=omega, alpha=alpha, beta=beta)
-    if omega <= 0 or alpha < 0 or beta < 0 or alpha + beta >= 1:
-        raise ValueError("need omega > 0, alpha, beta >= 0, alpha + beta < 1")
-    return FunctionalSpec(
-        "garch_vol", n=1, memory=None,
-        params={"omega": float(omega), "alpha": float(alpha), "beta": float(beta)},
-    )
+    law = ProcessSampler("garch11", 1, {"omega": omega, "alpha": alpha, "beta": beta})
+    return FunctionalSpec("garch_vol", n=1, memory=None, params=law.params)
 
 
 def log_sine(freq: float = 2.0 * math.pi) -> FunctionalSpec:
@@ -258,11 +254,8 @@ _FACTORIES = {
 
 def entry_by_name(name: str, params: dict | None = None) -> FunctionalSpec:
     """Build a target from its factory's name and parameters."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown target {name!r}; choices {sorted(_FACTORIES)}") from None
-    return factory(**(params or {}))
+    _require_choice(_FACTORIES, name=name)
+    return _FACTORIES[name](**(params or {}))
 
 
 def truncation_bound(spec: FunctionalSpec, sampler, T: int, p: float = 2.0) -> float | None:

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +154,125 @@ def test_bad_arguments_are_named_before_any_draw(monkeypatch, case):
     monkeypatch.setattr(rc.processes, "path_rng", no_draws)
     call, message = _GAPS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _window_file(text):
+    """A window CSV holding text, in the working directory."""
+    path = Path("window.csv")
+    path.write_text(text)
+    return path
+
+
+def _trig(cos_mats, sin_mats, cos_freqs, sin_freqs):
+    """A TrigPolynomial of zero arrays of the given shapes."""
+    return rc.TrigPolynomial(*map(np.zeros, (cos_mats, sin_mats, cos_freqs, sin_freqs)))
+
+
+def _net(k, inputs, activation="logistic"):
+    return rc.NetworkReadout(np.ones(k), np.ones((k, inputs)), np.zeros(k), activation)
+
+
+_P2, _Q2 = _trig((1, 2, 2), (1, 2, 2), (1, 1), (1, 1)), _trig((1, 2, 1), (1, 2, 1), (1, 1), (1, 1))
+_MEMORY_5 = rc.finite_poly(1, 5, 1, {(1, 0, 0, 0, 0, 0): 1.0})
+
+# case -> (call, error, message): a rule of each module that no other test reaches
+_RULES = {
+    "core_2d_batch": (lambda: evaluate_functional_batch(rc.geometric_ma(0.5), np.zeros((4, 3))),
+                      ValueError, "batch data must be 3-d (M, T, n), got shape (4, 3)"),
+    "core_unregistered_kind": (
+        lambda: evaluate_functional_batch(rc.FunctionalSpec("nope", 1, 0), np.zeros((2, 1, 1))),
+        ValueError, "no evaluator registered for kind 'nope'"),
+    "core_window_below_memory": (
+        lambda: rc.truncated_conditional_error(_MEMORY_5, (0,), rc.iid_gaussian(), 2.0, 10, 0,
+                                               window_length=3),
+        ValueError, "window_length shorter than the functional's memory"),
+    "core_csv_short_row": (lambda: rc.read_window_csv(_window_file("lag,ch0,ch1\n0,1.0\n")),
+                           ValueError, "window.csv: row 0 has 2 fields, want 3"),
+    "core_csv_no_rows": (lambda: rc.read_window_csv(_window_file("lag,ch0\n")),
+                         ValueError, "window.csv: no data rows"),
+    "metrics_no_values": (lambda: lp_norm_of_values([], p=2.0),
+                          ValueError, "values must be a non-empty vector"),
+    "processes_gaussian_std": (lambda: rc.iid_gaussian(std=0),
+                               ValueError, "std must be a finite number > 0, got 0"),
+    "processes_arma_std": (lambda: rc.arma(std=-1.0),
+                           ValueError, "std must be a finite number > 0, got -1.0"),
+    "processes_uniform_order": (lambda: rc.iid_uniform_bounded(1.0, 1.0),
+                                ValueError, "need a_min < a_max"),
+    "processes_lognormal_sigma": (lambda: rc.iid_lognormal(sigma=0.0),
+                                  ValueError, "sigma must be a finite number > 0, got 0.0"),
+    "processes_arma_channels": (lambda: rc.ProcessSampler("arma", 2, {}),
+                                ValueError, "arma sampler is univariate"),
+    "processes_garch_channels": (
+        lambda: rc.ProcessSampler("garch11", 2, {"omega": 0.1, "alpha": 0.1, "beta": 0.8}),
+        ValueError, "garch11 sampler is univariate"),
+    "readouts_network_k": (lambda: rc.NetworkReadout([1.0, 2.0], [[1.0]], [0.0]),
+                           ValueError, "beta, alpha, theta must share leading dimension k"),
+    "readouts_to_dict_non_readout": (lambda: rc.readouts.readout_to_dict(object()),
+                                     TypeError, "not a readout: object"),
+    "linear_reservoir_square": (lambda: rc.LinearReservoir(np.zeros((2, 3)), np.zeros((2, 1))),
+                                ValueError, "A must be square"),
+    "linear_reservoir_rows": (lambda: rc.LinearReservoir(np.zeros((2, 2)), np.zeros((3, 1))),
+                              ValueError, "c must have N rows"),
+    "trig_polynomial_mats": (lambda: _trig((1, 2, 2), (1, 2, 3), (1, 1), (1, 1)),
+                             ValueError, "cos_mats and sin_mats must share shape (r, rows, cols)"),
+    "trig_polynomial_freqs": (lambda: _trig((1, 2, 2), (1, 2, 2), (2, 1), (2, 1)),
+                              ValueError, "frequency arrays must have shape (r, n)"),
+    "trig_sas_square": (lambda: rc.TrigSAS(_trig((1, 2, 3), (1, 2, 3), (1, 1), (1, 1)), _Q2),
+                        ValueError, "P must be square"),
+    "trig_sas_drive": (lambda: rc.TrigSAS(_P2, _P2),
+                       ValueError, "Q must be a single-column polynomial with N rows"),
+    "trig_sas_channels": (lambda: rc.TrigSAS(_P2, _trig((1, 2, 1), (1, 2, 1), (1, 2), (1, 2))),
+                          ValueError, "P and Q must share the input channel count"),
+    "esn_square": (lambda: rc.EchoStateNetwork(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2)),
+                   ValueError, "A must be square"),
+    "esn_state_dimension": (
+        lambda: rc.EchoStateNetwork(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(2)),
+        ValueError, "C, bias must match the state dimension"),
+    "esn_scalar_bias": (lambda: rc.EchoStateNetwork(np.zeros((1, 1)), np.zeros((1, 1)), 0.0),
+                        ValueError, "bias must be 1-d, got shape ()"),
+    "final_states_2d_batch": (lambda: rc.final_states(rc.build_shift_register(1, 1), np.zeros((3, 1))),
+                              ValueError, "batch data must be 3-d (M, T, n), got shape (3, 1)"),
+    "direct_sum_channels": (
+        lambda: rc.direct_sum_sas(rc.build_nilpotent_trig_sas(np.ones((2, 1)))[0],
+                                  rc.build_nilpotent_trig_sas(np.ones((2, 2)))[0]),
+        ValueError, "systems must share the input channel count"),
+    "block_esn_inputs": (lambda: rc.build_block_esn(_net(2, 3), [], 2),
+                         ValueError, "inner network input dimension must be a multiple of n"),
+    "block_esn_no_input": (lambda: rc.build_block_esn(_net(2, 0), [], 1),
+                           ValueError, "inner network must read at least the current input"),
+    "block_esn_identity_count": (lambda: rc.build_block_esn(_net(2, 2), [], 1),
+                                 ValueError, "need one identity network per channel, got 0"),
+    "block_esn_identity_activation": (
+        lambda: rc.build_block_esn(_net(2, 2), [_net(2, 1, "tanh")], 1),
+        ValueError, "identity networks must share the inner activation"),
+    "block_esn_identity_inputs": (lambda: rc.build_block_esn(_net(2, 2), [_net(2, 2)], 1),
+                                  ValueError, "identity networks must map R^n"),
+    "block_esn_functional_window": (
+        lambda: rc.block_esn_functional(_net(2, 2), [_net(2, 1)], np.zeros((2, 1, 1))),
+        ValueError, "window length 1 shorter than memory 1"),
+    "system_to_dict_non_system": (lambda: rc.system_to_dict(object()),
+                                  TypeError, "not a reservoir system: object"),
+    "targets_basis": (lambda: rc.random_finite_poly(1, 20, 6, seed=0),
+                      ValueError, "polynomial basis too large"),
+    "targets_decay": (lambda: rc.geometric_ma(1.0), ValueError, "decay must lie in (0, 1)"),
+    "targets_sine_lag": (lambda: rc.trig_product([[1.0], [2.0]], sine_lags=(2,)),
+                         ValueError, "sine lags must be integers in 0..1, got (2,)"),
+    "targets_garch_stationarity": (lambda: rc.garch_vol(0.1, 0.5, 0.5),
+                                   ValueError, "stationarity needs alpha + beta < 1, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RULES))
+def test_each_rule_raises_its_named_error_before_any_draw(monkeypatch, tmp_path, case):
+    def no_draws(*args, **kwargs):
+        raise RuntimeError("drew before the arguments were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(rc.processes, "path_rng", no_draws)
+    monkeypatch.chdir(tmp_path)
+    call, error, message = _RULES[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
 
 

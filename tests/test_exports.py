@@ -1,9 +1,9 @@
 """Public surface: every exported name exists, the package imports only
 names its modules export, only processes reads the path streams, only
-core words the integer and finite-number argument rules and the key
-rule of JSON documents, no
-module imports a name it neither uses nor exports, no private
-module-level name goes unused, and every annotation resolves."""
+core words the integer, finite-number and choice argument rules and the
+key rule of JSON documents, no module imports a name it neither uses nor
+exports, no private module-level name goes unused, and every annotation
+resolves."""
 
 import ast
 import importlib
@@ -62,33 +62,38 @@ def test_only_processes_names_path_rng():
 
 
 
-def _raises_worded_outside_core(*phrases):
-    """file:line of each ValueError or ConfigError raised outside core whose text has a phrase."""
-    found = []
+def _worded_outside_core(*phrases):
+    """file:line of each string constant outside core, docstrings aside, that holds a phrase.
+
+    Every constant counts, not only the text of a raise, so a rule worded in a
+    table of (check, wording) pairs is found too.
+    """
+    found = set()
     for path in sorted(Path(rcuniv.__file__).parent.glob("*.py")):
         if path.stem == "core":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) in ("ValueError", "ConfigError")):
-                continue
-            text = "".join(c.value for c in ast.walk(node.exc)
-                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
-            if any(phrase in text for phrase in phrases):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        found.update(f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and id(node) not in docstrings
+                     and any(phrase in node.value for phrase in phrases))
+    return sorted(found)
 
 
 def test_only_core_words_the_argument_rules():
-    # integer and finite-number arguments are refused by core's raisers, so every
-    # module names a bad argument in one wording
-    found = _raises_worded_outside_core("must be an integer", "must be a finite")
+    # integer, finite-number and choice arguments are refused by core's raisers,
+    # so every module names a bad argument in one wording
+    found = _worded_outside_core("must be an integer", "must be a finite", "an integer >=",
+                                 "a finite number", "choices")
     assert not found, f"argument rules worded outside core: {found}"
 
 
 def test_only_core_words_the_key_rule():
     # every JSON document checks its keys with core._require_keys
-    found = _raises_worded_outside_core("unknown keys", "missing keys")
+    found = _worded_outside_core("unknown keys", "missing keys")
     assert not found, f"key rule worded outside core: {found}"
 
 

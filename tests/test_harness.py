@@ -168,9 +168,17 @@ def test_load_config_rejections(mutate):
     (lambda d: d.update(washout=6), "washout must be below T = 6, got 6"),
     (lambda d: d.update(ridge=-1e-3), "ridge must be a finite number >= 0, got -0.001"),
     (lambda d: d["seeds"].update(train=2**64), "seeds.train must be an integer in [0, 2**64)"),
+    (lambda d: d.update(family="nope"),
+     "family must be one of ['constructed_block_esn', 'constructed_nilpotent_sas', "
+     "'constructed_shift', 'esn', 'linear_nn', 'linear_poly', 'trig_sas'], got 'nope'"),
+    (lambda d: d["sampler"].update(kind=["iid_gaussian"]),
+     "sampler: kind must be one of ['arma', 'garch11', 'iid_gaussian', 'iid_lognormal', "
+     "'iid_uniform_bounded'], got ['iid_gaussian']"),
+    (lambda d: d["target"].update(name="nope"), "target: name must be one of ['constant', "),
 ], ids=["config_keys", "sampler_not_object", "sampler_kind", "sampler_params", "seeds_keys",
         "target_keys", "family_params_keys", "p", "T", "M_train", "M_eval", "washout_negative",
-        "washout_T", "ridge", "seed"])
+        "washout_T", "ridge", "seed", "unknown_family", "unknown_sampler_kind",
+        "unknown_target"])
 def test_load_config_names_what_is_wrong(mutate, message):
     doc = _base_doc()
     mutate(doc)
@@ -221,9 +229,53 @@ def test_family_defaults_pass_their_rules():
     assert keys == set(harness._PARAM_RULES)
     for _, defaults in harness._FAMILIES.values():
         for key, value in defaults.items():
-            check, want = harness._PARAM_RULES[key]
+            raiser, bounds = harness._PARAM_RULES[key]
             # memory None means "the target's memory", resolved by load_config
-            assert (key == "memory" and value is None) or check(value), (key, value, want)
+            if not (key == "memory" and value is None):
+                raiser(*bounds, **{key: value})
+
+
+# family_params key -> (a value it refuses, the exact message load_config gives)
+_PARAM_MESSAGES = {
+    "memory": (-1, "family_params.memory must be an integer >= 0, got -1"),
+    "activation": ("relu", "family_params.activation must be one of "
+                           "['hard_sigmoid', 'logistic', 'tanh'], got 'relu'"),
+    "terms": (0, "family_params.terms must be an integer >= 1, got 0"),
+    "contraction": (0.0, "family_params.contraction must be a finite number > 0, got 0.0"),
+    "freq_scale": ("1", "family_params.freq_scale must be a finite number, got '1'"),
+    "spectral": (-1, "family_params.spectral must be a finite number > 0, got -1"),
+    "input_scale": (math.nan, "family_params.input_scale must be a finite number, got nan"),
+    "bias_scale": (-0.5, "family_params.bias_scale must be a finite number >= 0, got -0.5"),
+    "identity_units": (True, "family_params.identity_units must be an integer >= 1, got True"),
+    "half_width": (0, "family_params.half_width must be a finite number > 0, got 0"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PARAM_MESSAGES))
+def test_each_family_param_keeps_its_message(key):
+    assert set(_PARAM_MESSAGES) == set(harness._PARAM_RULES)
+    family = next(f for f, (_, defaults) in harness._FAMILIES.items() if key in defaults)
+    value, message = _PARAM_MESSAGES[key]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(_base_doc(family=family, capacity=[2], target=_GMA,
+                              family_params={key: value}))
+
+
+def test_readme_family_param_ranges_begin_with_their_rules():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = text[text.index("| family | key | type and range | default |"):].splitlines()
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        _, key, cell, _ = (c.strip() for c in line.strip("|").split("|"))
+        raiser, bounds = harness._PARAM_RULES[key.strip("`")]
+        with pytest.raises(ValueError) as refused:
+            raiser(*bounds, v=object())
+        # "v must be an integer >= 0, got ..." reads "integer >= 0" in the table, and a
+        # choice list ['a', 'b'] reads `a`, `b`
+        words = re.sub(r"^an? ", "", str(refused.value).split(" must be ")[1].rsplit(", got ")[0])
+        words = words.replace("[", "").replace("]", "").replace("'", "`")
+        assert cell.startswith(words), (key, cell, words)
 
 
 def test_readme_quick_start_prints_what_it_says(capsys):
@@ -601,11 +653,16 @@ _BIG = 10**400  # an integer past float range
     # a repeated exponent pair is refused, not overwritten by the last one
     (dict(target=_poly([[[1, 1], 1.0], [[1, 1], 2.0]])),
      "config error: target: exponents [1, 1] appear twice in the polynomial coefficients"),
+    (dict(target=_poly([5])),
+     "config error: target: polynomial term 0 must be [exponents, coefficient], got 5"),
+    (dict(target=_poly([[5, 1.0]])),
+     "config error: target: exponents of polynomial term 0 must be a list, got 5"),
 ], ids=["peak_hold_sampler", "log_sine_sampler", "exponent_length", "above_degree",
         "nan_coefficient", "negative_degree", "constant_nan", "constant_inf",
         "garch_vol_nan_omega", "step_bound",
         "freqs_nan", "freqs_3d", "density_above_1", "bool_memory", "string_coefficient",
-        "fractional_exponent", "fractional_degree", "duplicate_exponents"])
+        "fractional_exponent", "fractional_degree", "duplicate_exponents", "term_not_a_pair",
+        "exponents_not_a_list"])
 def test_cli_run_bad_target_exits_2_and_writes_nothing(tmp_path, capsys, overrides, message):
     out = tmp_path / "out"
     assert cli.main(["run", _write_cfg(tmp_path, _base_doc(**overrides)), "--out", str(out)]) == 2
@@ -837,7 +894,7 @@ def test_product_rule_fails_on_a_reversed_link(monkeypatch):
 
 
 def test_verify_suite_unknown_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^suite must be one of \['all', 'block_esn', .*, got 'bogus'$"):
         verify_suite("bogus")
 
 

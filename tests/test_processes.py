@@ -258,6 +258,28 @@ def test_garch_validation():
         rc.garch11(0.1, -0.1, 0.8)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: rc.iid_gaussian(std="2"), "std must be a finite number > 0, got '2'"),
+    (lambda: rc.iid_gaussian(std=True), "std must be a finite number > 0, got True"),
+    (lambda: rc.iid_lognormal(sigma=True), "sigma must be a finite number > 0, got True"),
+    (lambda: rc.iid_uniform_bounded("0", "1"), "a_min must be a finite number, got '0'"),
+    (lambda: rc.garch11(True, 0.1, 0.8), "omega must be a finite number > 0, got True"),
+    (lambda: rc.arma(ar=5), "ar must be a sequence of finite reals, got 5"),
+], ids=["gaussian_str_std", "gaussian_bool_std", "lognormal_bool_sigma", "uniform_str_bounds",
+        "garch_bool_omega", "arma_scalar_ar"])
+def test_sampler_factories_leave_the_checks_to_the_sampler(make, message):
+    # a factory that cast its arguments first would build these samplers
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_sampler_stores_floats_once_checked():
+    s = rc.arma(ar=[np.float64(0.5)], ma=[0], std=2)
+    assert s.params == {"ar": (0.5,), "ma": (0.0,), "std": 2.0}
+    assert all(type(v) is float for v in (*s.params["ar"], *s.params["ma"], s.params["std"]))
+    assert type(rc.garch11(1, 0, 0).params["omega"]) is float
+
+
 def test_garch_stationary_variance_and_fat_tails():
     s = rc.garch11(0.1, 0.1, 0.8)
     data = rc.sample_paths(s, T=3, M=8000, seed=8)

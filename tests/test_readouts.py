@@ -287,8 +287,16 @@ def _poly_doc(*terms):
     (_poly_doc({"exponents": [1, 1], "coefficient": 1.0},
                {"exponents": [1, 1], "coefficient": 2.0}),
      "exponents [1, 1] appear twice in the polynomial coefficients"),
+    ({**_poly_doc(), "terms": 5}, "terms of a 'polynomial' readout document must be a list, got 5"),
+    (_poly_doc({"exponents": 5, "coefficient": 1.0}),
+     "exponents of polynomial term 0 must be a list, got 5"),
+    ({"variant": "network", "beta": [1.0], "alpha": [[1.0]], "theta": [0.0], "activation": [1]},
+     "activation must be one of ['hard_sigmoid', 'logistic', 'tanh'], got [1]"),
+    ({"variant": "affine"},
+     "readout variant must be one of ['linear', 'network', 'polynomial'], got 'affine'"),
 ], ids=["not_an_object", "no_variant", "term_extra_key", "term_missing_key", "term_not_an_object",
-        "duplicate_exponents"])
+        "duplicate_exponents", "terms_not_a_list", "exponents_not_a_list", "activation_not_a_name",
+        "unknown_variant"])
 def test_readout_documents_check_every_level(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         readout_from_dict(doc)

@@ -1,6 +1,7 @@
 """Targets: evaluator correctness, truncation bounds, whitelists."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_trig_product_reads_sine_lags_from_any_iterable():
     data = rc.sample_paths(rc.iid_gaussian(1), 3, 8, seed=1)
     np.testing.assert_allclose(rc.eval_readout(readout, rc.final_states(system, data)),
                                rc.evaluate_functional_batch(spec, data), rtol=1e-12, atol=1e-15)
+
+def test_trig_product_one_channel_form_is_the_column_form():
+    flat, column = rc.trig_product([1.0, 2.0], sine_lags=(1,)), rc.trig_product([[1.0], [2.0]], (1,))
+    assert (flat.n, flat.memory, flat.params["sine_lags"]) == (column.n, column.memory, (1,))
+    np.testing.assert_array_equal(flat.params["freqs"], column.params["freqs"])
+    assert flat.params["freqs"].shape == (2, 1)
+
+
+@pytest.mark.parametrize("omega, alpha, beta", [
+    (0.0, 0.1, 0.8), (0.1, -0.1, 0.8), (0.1, 0.1, True), (0.1, 0.5, 0.5), (math.nan, 0.1, 0.8)])
+def test_garch_vol_params_follow_the_garch_sampler_rules(omega, alpha, beta):
+    with pytest.raises(ValueError) as sampler_error:
+        rc.garch11(omega, alpha, beta)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(sampler_error.value))}$"):
+        rc.garch_vol(omega, alpha, beta)
+
 
 def _garch_vol_recursion(z, omega, alpha, beta):
     # forward recursion from the stationary floor at the oldest lag

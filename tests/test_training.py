@@ -137,7 +137,7 @@ def _fit_polynomial(degree):
 
 
 @pytest.mark.parametrize("fit, message", [
-    (_fit_network(activation="relu"), "unknown activation"),
+    (_fit_network(activation="relu"), "activation must be one of"),
     (_fit_network(units=2.5), "hidden_units must be an integer >= 1"),
     (_fit_network(units=0), "hidden_units must be an integer >= 1"),
     (_fit_polynomial(-1), "degree must be an integer >= 0"),

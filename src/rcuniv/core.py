@@ -9,10 +9,11 @@ registers the concrete evaluators.
 The argument rules of the whole package live here: every public builder,
 sampler, target, fit and estimator checks its counts with
 _require_integers, its reals with _require_numbers, its names with
-_require_choice, its seed with _require_seed, its arrays with _frozen and
-its window batches with _batch, so a bad argument raises a ValueError
-that names it before anything is drawn.  Every JSON document checks its
-keys with _require_keys.
+_require_choice, its seed with _require_seed, its arrays with _frozen (or
+_floats), its window batches with _batch and the factors of a trig
+product with _trig_factors, so a bad argument raises a ValueError that
+names it before anything is drawn.  Every JSON document checks its keys
+with _require_keys.
 """
 
 from __future__ import annotations
@@ -96,13 +97,24 @@ def _check_draw_args(p, M, seed) -> None:
     _require_seed(seed)
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """x as a float64 array; ValueError naming it unless its entries are integers
+    or floats (not booleans, strings or objects)."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf":
+        kind = {"b": "boolean", "U": "string", "S": "string"}.get(arr.dtype.kind, arr.dtype)
+        raise ValueError(f"{name} must hold integers or floats, got {kind} entries")
+    return arr.astype(np.float64, copy=False)
+
+
 def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
     """Read-only float64 copy, so later writes by the caller cannot reach it.
 
-    Raises ValueError naming the array for a dimension other than ndim
-    (when given) and for non-finite entries.
+    Raises ValueError naming the array for entries that are not integers or
+    floats, for a dimension other than ndim (when given) and for non-finite
+    entries.
     """
-    arr = np.array(x, dtype=np.float64)
+    arr = np.array(_floats(x, name))  # a copy
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -111,9 +123,23 @@ def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
     return arr
 
 
+def _trig_factors(freqs, sine_lags) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A trig product's factors: freqs as a read-only finite (K + 1, n) array and
+    sine_lags as sorted unique integers in 0..K; ValueError naming either otherwise."""
+    freqs = _frozen(freqs, "freqs", 2)
+    if freqs.size == 0:
+        raise ValueError(f"freqs must have at least one row and column, got shape {freqs.shape}")
+    K = freqs.shape[0] - 1
+    sine_lags = tuple(sine_lags) if np.iterable(sine_lags) else sine_lags
+    if not (isinstance(sine_lags, tuple) and all(_integer(k, 0) and k <= K for k in sine_lags)):
+        raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
+    return freqs, tuple(sorted({int(k) for k in sine_lags}))
+
+
 def _batch(data) -> np.ndarray:
-    """data as a float64 batch of windows (M, T, n); ValueError for any other shape."""
-    data = np.asarray(data, dtype=np.float64)
+    """data as a float64 batch of windows (M, T, n); ValueError for any other shape
+    and for entries that are not integers or floats."""
+    data = _floats(data, "batch data")
     if data.ndim != 3:
         raise ValueError(f"batch data must be 3-d (M, T, n), got shape {data.shape}")
     return data

@@ -153,12 +153,14 @@ def _config(doc: dict) -> ExperimentConfig:
     tdoc = doc["target"]
     _require_keys(tdoc, {"name"}, {"params"}, "target")
     try:
-        params = dict(tdoc.get("params", {}))
-        if tdoc["name"] in ("finite_poly",):
+        params = tdoc.get("params", {})
+        if tdoc["name"] == "finite_poly" and isinstance(params, dict) and "coefficients" in params:
             # JSON represents exponent tuples as lists of [exponents, coeff]
-            raw = params.get("coefficients", {})
-            if isinstance(raw, list):
-                params["coefficients"] = _coefficients(raw)
+            raw = params["coefficients"]
+            if not isinstance(raw, list):
+                raise ValueError("coefficients must be a list of [exponents, coefficient] pairs, "
+                                 f"got {raw!r}")
+            params = {**params, "coefficients": _coefficients(raw)}
         target = targets.entry_by_name(tdoc["name"], params)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"target: {exc}") from exc

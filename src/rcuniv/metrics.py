@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FunctionalSpec, _check_draw_args, _require_numbers, evaluate_functional_batch
+from .core import (FunctionalSpec, _check_draw_args, _require_numbers, _require_seed,
+                   evaluate_functional_batch)
 from .core import _worker_count  # noqa: F401  (perfbench/child.py reads metrics._worker_count)
 from .processes import ProcessSampler, sample_paths
-from .readouts import _input_dim, eval_readout
+from .readouts import _require_state_dim, eval_readout
 from .reservoirs import _BLOCK_ROWS, final_states
 from .targets import check_sampler
 
@@ -150,16 +151,18 @@ def approx_error(
     once, and every readout is applied to those states, so each estimate
     is the one a single-readout call would return.  The evaluation seed
     must differ from train_seed, the seed the readouts were fit on, so
-    train and eval paths never coincide.
+    train and eval paths never coincide; train_seed, when given, is a seed
+    like any other, an integer in [0, 2**64).
     """
     readouts = list(readouts)
     if not readouts:
         raise ValueError("need at least one readout")
     _check_draw_args(p, M, seed)
     for r in readouts:
-        if _input_dim(r) != system.N:
-            raise ValueError(f"state dim {system.N} != readout dim {_input_dim(r)}")
-    if train_seed is not None and seed == train_seed:
+        _require_state_dim(r, system.N)
+    if train_seed is not None:
+        _require_seed(train_seed, "train_seed")
+    if seed == train_seed:
         raise ValueError(
             f"evaluation seed {seed} equals the training seed; use disjoint seeds"
         )

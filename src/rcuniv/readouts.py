@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_document, _field_entries, _frozen, _integer, _number, _require_choice,
-                   _require_integers, _require_keys, _variant)
+from .core import (_document, _field_entries, _floats, _frozen, _integer, _number,
+                   _require_choice, _require_integers, _require_keys, _variant)
 
 __all__ = [
     "Activation",
@@ -116,8 +116,9 @@ def feature_count(n_vars: int, degree: int) -> int:
 
 
 def _state_batch(x) -> np.ndarray:
-    """x as a float64 batch of states (M, N); ValueError for any other shape."""
-    X = np.asarray(x, dtype=np.float64)
+    """x as a float64 batch of states (M, N); ValueError for any other shape and
+    for entries that are not integers or floats."""
+    X = _floats(x, "states")
     if X.ndim != 2:
         raise ValueError(f"states must be a batch of shape (M, N), got shape {X.shape}")
     return X
@@ -223,23 +224,19 @@ class LinearReadout:
         object.__setattr__(self, "W", _frozen(self.W, "W", 1))
 
 
-def _input_dim(readout) -> int:
-    """The state dimension a readout takes; TypeError for anything else."""
-    if isinstance(readout, PolynomialReadout):
-        return readout.n_vars
-    if isinstance(readout, NetworkReadout):
-        return readout.alpha.shape[1]
-    if isinstance(readout, LinearReadout):
-        return readout.W.shape[0]
-    raise TypeError(f"not a readout: {type(readout).__name__}")
+def _require_state_dim(readout, dim: int) -> None:
+    """ValueError unless readout takes dim-dimensional states; TypeError for a non-readout."""
+    variant = _variant_of(readout)
+    own = (readout.n_vars if variant == "polynomial"
+           else readout.alpha.shape[1] if variant == "network" else readout.W.shape[0])
+    if dim != own:
+        raise ValueError(f"state dim {dim} != readout dim {own}")
 
 
 def eval_readout(readout, x: np.ndarray) -> np.ndarray:
     """Apply a readout to a batch of states x (M, N) -> values (M,)."""
     X = _state_batch(x)
-    dim = _input_dim(readout)
-    if X.shape[1] != dim:
-        raise ValueError(f"state dim {X.shape[1]} != readout dim {dim}")
+    _require_state_dim(readout, X.shape[1])
     if isinstance(readout, PolynomialReadout):
         return poly_features(X, readout.degree) @ readout.coefficient_vector()
     if isinstance(readout, NetworkReadout):
@@ -289,6 +286,14 @@ def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
 _VARIANTS = {"polynomial": PolynomialReadout, "network": NetworkReadout, "linear": LinearReadout}
 
 
+def _variant_of(readout) -> str:
+    """The document variant of a readout; TypeError for anything else."""
+    for name, cls in _VARIANTS.items():
+        if isinstance(readout, cls):
+            return name
+    raise TypeError(f"not a readout: {type(readout).__name__}")
+
+
 def _coefficients(pairs) -> dict:
     """{exponent tuple: coefficient} of (exponents, coefficient) pairs.
 
@@ -315,9 +320,7 @@ def readout_to_dict(readout) -> dict:
     A polynomial's coefficients are its "terms", {"exponents", "coefficient"}
     in exponent order, since exponent tuples cannot be JSON keys.
     """
-    variant = next((name for name, cls in _VARIANTS.items() if isinstance(readout, cls)), None)
-    if variant is None:
-        raise TypeError(f"not a readout: {type(readout).__name__}")
+    variant = _variant_of(readout)
     doc = _document(readout, variant=variant)
     if variant == "polynomial":
         doc["terms"] = [{"exponents": list(mi), "coefficient": float(c)}

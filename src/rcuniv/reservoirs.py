@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (_batch, _document, _field_entries, _frozen, _integer, _require_integers,
-                   _require_numbers, _require_seed, _run_blocks, _variant)
+from .core import (_batch, _document, _field_entries, _frozen, _require_integers, _require_numbers,
+                   _require_seed, _run_blocks, _trig_factors, _variant)
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -118,6 +118,14 @@ def _structural_report(method: str, bound: float, support: np.ndarray) -> EspRep
 # system types
 
 
+def _coupling(A) -> np.ndarray:
+    """The coupling matrix A as a read-only square float64 array; ValueError otherwise."""
+    A = _frozen(A, "A", 2)
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("A must be square")
+    return A
+
+
 class _ReservoirSystem:
     """Base of the system types; caches the structural ESP certificate."""
 
@@ -145,10 +153,8 @@ class LinearReservoir(_ReservoirSystem):
     scratch_slots = 1
 
     def __post_init__(self):
-        A = _frozen(self.A, "A", 2)
+        A = _coupling(self.A)
         c = _frozen(self.c, "c", 2)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
         if c.shape[0] != A.shape[0]:
             raise ValueError("c must have N rows")
         object.__setattr__(self, "A", A)
@@ -330,11 +336,9 @@ class EchoStateNetwork(_ReservoirSystem):
     scratch_slots = 1
 
     def __post_init__(self):
-        A = _frozen(self.A, "A", 2)
+        A = _coupling(self.A)
         C = _frozen(self.C, "C", 2)
         bias = _frozen(self.bias, "bias", 1)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("A must be square")
         N = A.shape[0]
         if C.shape[0] != N or bias.shape != (N,):
             raise ValueError("C, bias must match the state dimension")
@@ -438,7 +442,7 @@ def washout_decay(system, data: np.ndarray, seed: int = 0) -> np.ndarray:
     otherwise, before any state run.
     """
     _require_seed(seed)
-    data = np.asarray(data, dtype=np.float64)
+    data = _batch(data)
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal(system.N), rng.standard_normal(system.N)
     M, T = data.shape[:2]
@@ -483,39 +487,23 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadou
     shift matrices so every product of more than K factors vanishes
     identically.
     """
-    freqs = _frozen(freqs, "freqs", 2)
-    if freqs.size == 0:
-        raise ValueError(f"freqs must have at least one row and column, got shape {freqs.shape}")
-    K, n = freqs.shape[0] - 1, freqs.shape[1]
-    sine_lags = tuple(sine_lags)
-    if not all(_integer(k, 0) and k <= K for k in sine_lags):
-        raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
-    N = K + 1
+    freqs, sine_lags = _trig_factors(freqs, sine_lags)
+    N, n = freqs.shape
+    K = N - 1
 
-    cos_mats = np.zeros((K, N, N))
-    sin_mats = np.zeros((K, N, N))
-    cos_freqs = np.zeros((K, n))
-    sin_freqs = np.zeros((K, n))
-    for j in range(K):
-        # term j carries the lag-j factor on the shift matrix with unit
-        # entry at (K - j + 1, K - j), 1-indexed
-        mats, term_freqs = (sin_mats, sin_freqs) if j in sine_lags else (cos_mats, cos_freqs)
-        mats[j, K - j, K - j - 1] = 1.0
-        term_freqs[j] = freqs[j]
-    P = TrigPolynomial(cos_mats, sin_mats, cos_freqs, sin_freqs)
+    def factors(lags, shape, unit):
+        """One term per lag k: g_k(freqs[k] . z) times the matrix with a 1 at unit(k)."""
+        mats, term_freqs = np.zeros((2, len(lags), *shape)), np.zeros((2, len(lags), n))
+        for t, k in enumerate(lags):
+            g = int(k in sine_lags)  # 0: cos, 1: sin
+            mats[(g, t, *unit(k))] = 1.0
+            term_freqs[g, t] = freqs[k]
+        return TrigPolynomial(mats[0], mats[1], term_freqs[0], term_freqs[1])
 
-    qc = np.zeros((1, N, 1))
-    qs = np.zeros((1, N, 1))
-    qcf = np.zeros((1, n))
-    qsf = np.zeros((1, n))
-    if K in sine_lags:
-        qs[0, 0, 0] = 1.0
-        qsf[0] = freqs[K]
-    else:
-        qc[0, 0, 0] = 1.0
-        qcf[0] = freqs[K]
-    Q = TrigPolynomial(qc, qs, qcf, qsf)
-
+    # term j of P carries the lag-j factor on the shift matrix with unit entry
+    # at (K - j + 1, K - j), 1-indexed; Q carries the lag-K factor into row 1
+    P = factors(range(K), (N, N), lambda j: (K - j, K - j - 1))
+    Q = factors([K], (N, 1), lambda k: (0, 0))
     W = np.zeros(N)
     W[N - 1] = 1.0
     return TrigSAS(P, Q), LinearReadout(W)
@@ -540,8 +528,11 @@ def direct_sum_sas(s1: TrigSAS, s2: TrigSAS) -> TrigSAS:
     and the drive terms stack.  With linear readouts r1 of s1 and r2 of
     s2, LinearReadout(np.concatenate([r1.W, lam * r2.W])) reads
     H1 + lam * H2 off the block system.  Raises if either input lacks an
-    ESP certificate.
+    ESP certificate, and TypeError for a system that is not a TrigSAS.
     """
+    for s in (s1, s2):
+        if not isinstance(s, TrigSAS):
+            raise TypeError(f"direct sums are of TrigSAS systems, got {type(s).__name__}")
     r1, r2 = certify_esp(s1), certify_esp(s2)
     if not (r1.certified and r2.certified):
         raise ValueError("direct sum requires both systems ESP-certified")
@@ -611,6 +602,26 @@ def identity_fit_error(nets: Sequence[NetworkReadout], points: np.ndarray) -> fl
     return float(np.max(np.abs(_identity_apply(nets, points) - points)))
 
 
+def _lag_blocks(inner: NetworkReadout, identity_nets, n: int) -> list[np.ndarray]:
+    """inner's input weights as its K + 1 lag blocks of n columns, lag 0 first; ValueError
+    for a layout the block construction cannot realize."""
+    _require_integers(1, n=n)
+    if inner.alpha.shape[1] % n != 0:
+        raise ValueError("inner network input dimension must be a multiple of n")
+    K = inner.alpha.shape[1] // n - 1
+    if K < 0:
+        raise ValueError("inner network must read at least the current input")
+    if K > 0:
+        if len(identity_nets) != n:
+            raise ValueError(f"need one identity network per channel, got {len(identity_nets)}")
+        for net in identity_nets:
+            if net.activation != inner.activation:
+                raise ValueError("identity networks must share the inner activation")
+            if net.alpha.shape[1] != n:
+                raise ValueError("identity networks must map R^n")
+    return [inner.alpha[:, j * n : (j + 1) * n] for j in range(K + 1)]
+
+
 def build_block_esn(
     inner: NetworkReadout,
     identity_nets: Sequence[NetworkReadout],
@@ -625,12 +636,8 @@ def build_block_esn(
     K + 1 steps, and the readout of the final state reproduces the closed
     form of block_esn_functional once the window is at least K + 1 long.
     """
-    if inner.alpha.shape[1] % n != 0:
-        raise ValueError("inner network input dimension must be a multiple of n")
-    K = inner.alpha.shape[1] // n - 1
-    if K < 0:
-        raise ValueError("inner network must read at least the current input")
-    lag_blocks = [inner.alpha[:, j * n : (j + 1) * n] for j in range(K + 1)]
+    lag_blocks = _lag_blocks(inner, identity_nets, n)
+    K = len(lag_blocks) - 1
     zeta_bar = -inner.theta
     Nbar = inner.k
 
@@ -639,14 +646,6 @@ def build_block_esn(
             A=np.zeros((Nbar, Nbar)), C=lag_blocks[0], bias=zeta_bar,
             activation=inner.activation,
         ), LinearReadout(inner.beta)
-
-    if len(identity_nets) != n:
-        raise ValueError(f"need one identity network per channel, got {len(identity_nets)}")
-    for net in identity_nets:
-        if net.activation != inner.activation:
-            raise ValueError("identity networks must share the inner activation")
-        if net.alpha.shape[1] != n:
-            raise ValueError("identity networks must map R^n")
 
     A_J = np.vstack([net.alpha for net in identity_nets])  # (N_J, n)
     zeta_J = -np.concatenate([net.theta for net in identity_nets])
@@ -682,13 +681,13 @@ def block_esn_functional(
 
     Equals W_bar . sigma(sum_j lag_block_j J^j(z_-j) + lag_block_0 z_0 +
     zeta_bar) where J^j is the j-fold identity-network composition.
+    ValueError for a layout build_block_esn refuses and a window shorter than K + 1.
     """
     data = _batch(data)
-    M, T, n = data.shape
-    K = inner.alpha.shape[1] // n - 1
+    lag_blocks = _lag_blocks(inner, identity_nets, data.shape[2])
+    T, K = data.shape[1], len(lag_blocks) - 1
     if T < K + 1:
         raise ValueError(f"window length {T} shorter than memory {K}")
-    lag_blocks = [inner.alpha[:, j * n : (j + 1) * n] for j in range(K + 1)]
     pre = data[:, 0, :] @ lag_blocks[0].T - inner.theta
     for j in range(1, K + 1):
         v = data[:, j, :]
@@ -777,15 +776,14 @@ def system_to_dict(system, readout=None) -> dict:
     A trig SAS's P and Q are {"shape": [r, rows, cols, n], **fields}: the shape
     restores a polynomial with no terms (r = 0), whose arrays are empty lists.
     """
-    if not isinstance(system, _ReservoirSystem):
-        raise TypeError(f"not a reservoir system: {type(system).__name__}")
+    esp = certify_esp(system).summary()  # TypeError for anything but a system
     variant = next(name for name, cls in _VARIANTS.items() if isinstance(system, cls))
     doc = _document(system, variant=variant)
     if variant == "trig_sas":
         for name in ("P", "Q"):
             poly = doc[name]
             doc[name] = _document(poly, shape=[poly.r, poly.rows, poly.cols, poly.n])
-    doc["esp"] = certify_esp(system).summary()
+    doc["esp"] = esp
     if readout is not None:
         doc["readout"] = readout_to_dict(readout)
     return doc

@@ -11,11 +11,13 @@ time.
 
 from __future__ import annotations
 
+import inspect
 import math
+
 import numpy as np
 
-from .core import (FunctionalSpec, _integer, _number, _require_choice, _require_integers,
-                   _require_numbers, _require_seed, register_evaluator)
+from .core import (FunctionalSpec, _require_choice, _require_integers, _require_keys,
+                   _require_numbers, _require_seed, _trig_factors, register_evaluator)
 from .processes import ProcessSampler, _marginal
 from .readouts import PolynomialReadout, eval_readout, feature_count, multi_indices
 
@@ -81,10 +83,9 @@ def _eval_peak_hold(spec, data):
 
 
 def _eval_trig_product(spec, data):
-    freqs = np.asarray(spec.params["freqs"], dtype=np.float64)  # (K+1, n)
-    sine_lags = set(spec.params["sine_lags"])
+    sine_lags = spec.params["sine_lags"]
     K = spec.memory
-    phases = np.einsum("mtc,tc->mt", data[:, : K + 1, :], freqs)
+    phases = np.einsum("mtc,tc->mt", data[:, : K + 1, :], spec.params["freqs"])  # freqs (K+1, n)
     out = np.ones(data.shape[0])
     for k in range(K + 1):
         g = np.sin if k in sine_lags else np.cos
@@ -199,22 +200,13 @@ def peak_hold() -> FunctionalSpec:
 def trig_product(freqs, sine_lags=()) -> FunctionalSpec:
     """prod_k g_k(u_k . z_-k) with g_k = sin for lags in sine_lags, else cos.
 
-    freqs is (K+1, n), or (K+1,) for one channel.  Bounded by 1 in absolute
-    value.
+    freqs is (K+1, n), or (K+1,) for one channel; the factors follow the
+    rule of build_nilpotent_trig_sas.  Bounded by 1 in absolute value.
     """
     freqs = np.asarray(freqs)
-    if freqs.ndim not in (1, 2) or freqs.size == 0 or not all(map(_number, freqs.flat)):
-        raise ValueError("freqs must be a non-empty (K+1,) or (K+1, n) array of finite reals")
-    freqs = freqs.astype(np.float64)
-    if freqs.ndim == 1:
-        freqs = freqs[:, None]
-    K, sine_lags = freqs.shape[0] - 1, tuple(sine_lags)
-    if not all(_integer(k, 0) and k <= K for k in sine_lags):
-        raise ValueError(f"sine lags must be integers in 0..{K}, got {sine_lags!r}")
-    return FunctionalSpec(
-        "trig_product", n=freqs.shape[1], memory=K,
-        params={"freqs": freqs, "sine_lags": tuple(sorted(set(int(k) for k in sine_lags)))},
-    )
+    freqs, sine_lags = _trig_factors(freqs[:, None] if freqs.ndim == 1 else freqs, sine_lags)
+    return FunctionalSpec("trig_product", n=freqs.shape[1], memory=freqs.shape[0] - 1,
+                          params={"freqs": freqs, "sine_lags": sine_lags})
 
 
 def garch_vol(omega: float, alpha: float, beta: float) -> FunctionalSpec:
@@ -252,10 +244,19 @@ _FACTORIES = {
 }
 
 
-def entry_by_name(name: str, params: dict | None = None) -> FunctionalSpec:
-    """Build a target from its factory's name and parameters."""
+def entry_by_name(name: str, params: dict) -> FunctionalSpec:
+    """Build a target from its factory's name and keyword arguments.
+
+    params must be a dict with every argument of the factory that has no
+    default and no key that is not one of its arguments; ValueError naming
+    every missing and unknown key otherwise.
+    """
     _require_choice(_FACTORIES, name=name)
-    return _FACTORIES[name](**(params or {}))
+    factory = _FACTORIES[name]
+    args = inspect.signature(factory).parameters.values()
+    _require_keys(params, {a.name for a in args if a.default is a.empty}, {a.name for a in args},
+                  f"params of target {name!r}")
+    return factory(**params)
 
 
 def truncation_bound(spec: FunctionalSpec, sampler, T: int, p: float = 2.0) -> float | None:

@@ -133,6 +133,25 @@ _GAPS = {
     "nilpotent_fractional_lag": (
         lambda: rc.build_nilpotent_trig_sas([[1.0], [0.5]], sine_lags=(0.5,)),
         "sine lags must be integers in 0..1, got (0.5,)"),
+    "nilpotent_bool_freqs": (lambda: rc.build_nilpotent_trig_sas([[True]]),
+                             "freqs must hold integers or floats, got boolean entries"),
+    "nilpotent_lags_not_iterable": (lambda: rc.build_nilpotent_trig_sas([[1.0]], sine_lags=5),
+                                    "sine lags must be integers in 0..0, got 5"),
+    "trig_product_lags_not_iterable": (lambda: rc.trig_product([1.0], sine_lags=5),
+                                       "sine lags must be integers in 0..0, got 5"),
+    "linear_readout_string_entries": (lambda: rc.LinearReadout(["1", True]),
+                                      "W must hold integers or floats, got string entries"),
+    "readout_document_string_entries": (
+        lambda: rc.readouts.readout_from_dict({"variant": "linear", "W": ["1e3", False]}),
+        "W must hold integers or floats, got string entries"),
+    "final_states_string_batch": (
+        lambda: rc.final_states(rc.build_shift_register(1, 0), [[["1"]]]),
+        "batch data must hold integers or floats, got string entries"),
+    "washout_string_batch": (
+        lambda: rc.washout_decay(rc.build_shift_register(1, 0), [[["1"]]]),
+        "batch data must hold integers or floats, got string entries"),
+    "eval_readout_bool_states": (lambda: rc.eval_readout(rc.LinearReadout([1.0]), [[True]]),
+                                 "states must hold integers or floats, got boolean entries"),
     "linear_readout_nan": (lambda: rc.LinearReadout([math.nan, 1.0]),
                            "W has non-finite entries"),
     "linear_readout_scalar": (lambda: rc.LinearReadout(2.0), "W must be 1-d, got shape ()"),
@@ -193,6 +212,12 @@ _RULES = {
                          ValueError, "window.csv: no data rows"),
     "metrics_no_values": (lambda: lp_norm_of_values([], p=2.0),
                           ValueError, "values must be a non-empty vector"),
+    **{f"metrics_train_seed_{name}": (
+        lambda bad=bad: rc.approx_error(rc.geometric_ma(0.5), rc.build_shift_register(1, 0),
+                                        [rc.LinearReadout([1.0])], rc.iid_gaussian(), 2.0, 2, 10,
+                                        seed=0, train_seed=bad),
+        ValueError, f"train_seed must be an integer in [0, 2**64), got {bad!r}")
+       for name, bad in (("bool", True), ("negative", -3), ("past_64_bits", 2**70))},
     "processes_gaussian_std": (lambda: rc.iid_gaussian(std=0),
                                ValueError, "std must be a finite number > 0, got 0"),
     "processes_arma_std": (lambda: rc.arma(std=-1.0),
@@ -233,6 +258,11 @@ _RULES = {
                         ValueError, "bias must be 1-d, got shape ()"),
     "final_states_2d_batch": (lambda: rc.final_states(rc.build_shift_register(1, 1), np.zeros((3, 1))),
                               ValueError, "batch data must be 3-d (M, T, n), got shape (3, 1)"),
+    "direct_sum_not_trig_sas": (
+        lambda: rc.direct_sum_sas(rc.EchoStateNetwork(np.zeros((1, 1)), np.ones((1, 1)),
+                                                      np.zeros(1)),
+                                  rc.build_nilpotent_trig_sas(np.ones((1, 1)))[0]),
+        TypeError, "direct sums are of TrigSAS systems, got EchoStateNetwork"),
     "direct_sum_channels": (
         lambda: rc.direct_sum_sas(rc.build_nilpotent_trig_sas(np.ones((2, 1)))[0],
                                   rc.build_nilpotent_trig_sas(np.ones((2, 2)))[0]),
@@ -248,6 +278,21 @@ _RULES = {
         ValueError, "identity networks must share the inner activation"),
     "block_esn_identity_inputs": (lambda: rc.build_block_esn(_net(2, 2), [_net(2, 2)], 1),
                                   ValueError, "identity networks must map R^n"),
+    "block_esn_bool_n": (lambda: rc.build_block_esn(_net(2, 1), [], True),
+                         ValueError, "n must be an integer >= 1, got True"),
+    "block_esn_float_n": (lambda: rc.build_block_esn(_net(2, 2), [], 2.0),
+                          ValueError, "n must be an integer >= 1, got 2.0"),
+    "block_esn_no_channels": (lambda: rc.build_block_esn(_net(2, 1), [], 0),
+                              ValueError, "n must be an integer >= 1, got 0"),
+    "block_esn_functional_inputs": (
+        lambda: rc.block_esn_functional(_net(2, 3), [], np.zeros((2, 2, 2))),
+        ValueError, "inner network input dimension must be a multiple of n"),
+    "block_esn_functional_no_channels": (
+        lambda: rc.block_esn_functional(_net(2, 1), [], np.zeros((2, 2, 0))),
+        ValueError, "n must be an integer >= 1, got 0"),
+    "block_esn_functional_identity_count": (
+        lambda: rc.block_esn_functional(_net(2, 2), [], np.zeros((2, 2, 1))),
+        ValueError, "need one identity network per channel, got 0"),
     "block_esn_functional_window": (
         lambda: rc.block_esn_functional(_net(2, 2), [_net(2, 1)], np.zeros((2, 1, 1))),
         ValueError, "window length 1 shorter than memory 1"),

@@ -2,8 +2,8 @@
 names its modules export, only processes reads the path streams, only
 core words the integer, finite-number and choice argument rules and the
 key rule of JSON documents, no module imports a name it neither uses nor
-exports, no private module-level name goes unused, and every annotation
-resolves."""
+exports, no private module-level name goes unused, no raise message is
+written at two places, and every annotation resolves."""
 
 import ast
 import importlib
@@ -95,6 +95,34 @@ def test_only_core_words_the_key_rule():
     # every JSON document checks its keys with core._require_keys
     found = _worded_outside_core("unknown keys", "missing keys")
     assert not found, f"key rule worded outside core: {found}"
+
+
+def _template(node):
+    """The text of a string or f-string, each placeholder written as {}; None otherwise."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in node.values)
+    return None
+
+
+def _raise_templates():
+    """message template -> file:line of each raise in rcuniv whose exception is built from it."""
+    places = {}
+    for path in sorted(Path(rcuniv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                template = _template(node.exc.args[0])
+                if template is not None:
+                    places.setdefault(template, []).append(f"{path.name}:{node.lineno}")
+    return places
+
+
+def test_no_message_is_raised_from_two_places():
+    # a rule checked twice drifts; each message has one raise, called from every user
+    twice = {t: where for t, where in _raise_templates().items() if len(where) > 1}
+    assert not twice, f"message templates raised from more than one place: {twice}"
 
 
 # metrics re-exports core._worker_count for the benchmark's manifest, which reads it by name

@@ -175,10 +175,26 @@ def test_load_config_rejections(mutate):
      "sampler: kind must be one of ['arma', 'garch11', 'iid_gaussian', 'iid_lognormal', "
      "'iid_uniform_bounded'], got ['iid_gaussian']"),
     (lambda d: d["target"].update(name="nope"), "target: name must be one of ['constant', "),
+    (lambda d: d.update(target={"name": "geometric_ma", "params": {"decay": 0.5, "x": 1}}),
+     "target: unknown keys ['x'] in params of target 'geometric_ma'"),
+    (lambda d: d.update(target={"name": "geometric_ma", "params": {}}),
+     "target: missing keys ['decay'] in params of target 'geometric_ma'"),
+    (lambda d: d.update(target={"name": "geometric_ma", "params": 5}),
+     "target: params of target 'geometric_ma' must be a JSON object, got int"),
+    (lambda d: d.update(target={"name": "geometric_ma", "params": [["decay", 0.5]]}),
+     "target: params of target 'geometric_ma' must be a JSON object, got list"),
+    (lambda d: d.update(target={"name": "peak_hold", "params": None}),
+     "target: params of target 'peak_hold' must be a JSON object, got NoneType"),
+    (lambda d: d["target"]["params"].update(coefficients=5),
+     "target: coefficients must be a list of [exponents, coefficient] pairs, got 5"),
+    (lambda d: d["target"]["params"].update(coefficients="x"),
+     "target: coefficients must be a list of [exponents, coefficient] pairs, got 'x'"),
 ], ids=["config_keys", "sampler_not_object", "sampler_kind", "sampler_params", "seeds_keys",
         "target_keys", "family_params_keys", "p", "T", "M_train", "M_eval", "washout_negative",
         "washout_T", "ridge", "seed", "unknown_family", "unknown_sampler_kind",
-        "unknown_target"])
+        "unknown_target", "target_params_unknown", "target_params_missing",
+        "target_params_number", "target_params_pairs", "target_params_null", "coefficients_number",
+        "coefficients_string"])
 def test_load_config_names_what_is_wrong(mutate, message):
     doc = _base_doc()
     mutate(doc)
@@ -637,10 +653,11 @@ _BIG = 10**400  # an integer past float range
     (_esn("constant", value=math.inf), "value must be a finite number, got inf"),
     (_esn("garch_vol", omega=math.nan, alpha=0.1, beta=0.8), "omega must be a finite number"),
     # the input law is the sampler's alone: the removed tail param is an unknown key
-    (_esn("geometric_ma", decay=0.5, step_bound=1.0), "unexpected keyword argument 'step_bound'"),
+    (_esn("geometric_ma", decay=0.5, step_bound=1.0),
+     "config error: target: unknown keys ['step_bound'] in params of target 'geometric_ma'"),
     (dict(family="constructed_nilpotent_sas",
           target={"name": "trig_product", "params": {"freqs": [[1.0], [math.nan]]}}),
-     "freqs must be"),
+     "config error: target: freqs has non-finite entries"),
     (dict(family="constructed_nilpotent_sas",
           target={"name": "trig_product", "params": {"freqs": [[[1.0]]]}}), "freqs must be"),
     (dict(target={"name": "random_finite_poly",

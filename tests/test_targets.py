@@ -97,6 +97,17 @@ def test_trig_product_one_channel_form_is_the_column_form():
     assert (flat.n, flat.memory, flat.params["sine_lags"]) == (column.n, column.memory, (1,))
     np.testing.assert_array_equal(flat.params["freqs"], column.params["freqs"])
     assert flat.params["freqs"].shape == (2, 1)
+    assert not flat.params["freqs"].flags.writeable and not column.params["freqs"].flags.writeable
+
+
+@pytest.mark.parametrize("freqs, sine_lags", [
+    ([[True]], ()), ([["1.0"]], ()), ([[1.0], [math.nan]], ()), (np.zeros((0, 1)), ()),
+    ([[[1.0]]], ()), ([[1.0], [2.0]], (2,)), ([[1.0]], (0.5,)), ([[1.0]], 5), ([[1.0]], (True,))])
+def test_trig_product_and_its_nilpotent_system_refuse_the_same_factors(freqs, sine_lags):
+    with pytest.raises(ValueError) as target_error:
+        rc.trig_product(freqs, sine_lags)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(target_error.value))}$"):
+        rc.build_nilpotent_trig_sas(freqs, sine_lags)
 
 
 @pytest.mark.parametrize("omega, alpha, beta", [

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import harness
@@ -55,12 +56,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} margin={c.margin:.3g} ({c.detail})")
     if args.json:
-        report = [
-            {"name": c.name, "passed": c.passed, "margin": c.margin,
-             "detail": c.detail}
-            for c in checks
-        ]
-        print(json.dumps(report, indent=2))
+        print(json.dumps([asdict(c) for c in checks], indent=2))
     return EXIT_OK if all(c.passed for c in checks) else EXIT_FAIL
 
 

@@ -97,25 +97,34 @@ def _check_draw_args(p, M, seed) -> None:
     _require_seed(seed)
 
 
+def _has_bool(x) -> bool:
+    """Whether x is a boolean or boolean array, or a (nested) list or tuple holding one."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_has_bool, x))
+    return isinstance(x, bool) or getattr(x, "dtype", None) == np.bool_
+
+
 def _floats(x, name: str) -> np.ndarray:
     """x as a float64 array; ValueError naming it unless its entries are integers
     or floats (not booleans, strings or objects)."""
     arr = np.asarray(x)
-    if arr.dtype.kind not in "iuf":
-        kind = {"b": "boolean", "U": "string", "S": "string"}.get(arr.dtype.kind, arr.dtype)
+    kind = arr.dtype.kind
+    if kind in "iuf" and _has_bool(x):  # numpy promotes booleans listed beside numbers
+        kind = "b"
+    if kind not in "iuf":
+        kind = {"b": "boolean", "U": "string", "S": "string"}.get(kind, arr.dtype)
         raise ValueError(f"{name} must hold integers or floats, got {kind} entries")
     return arr.astype(np.float64, copy=False)
 
 
-def _frozen(x, name: str, ndim: int | None = None) -> np.ndarray:
+def _frozen(x, name: str, ndim: int) -> np.ndarray:
     """Read-only float64 copy, so later writes by the caller cannot reach it.
 
     Raises ValueError naming the array for entries that are not integers or
-    floats, for a dimension other than ndim (when given) and for non-finite
-    entries.
+    floats, for a dimension other than ndim and for non-finite entries.
     """
     arr = np.array(_floats(x, name))  # a copy
-    if ndim is not None and arr.ndim != ndim:
+    if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-d, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} has non-finite entries")

@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -334,26 +334,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
         )
         for capacity, (_, diag), est in zip(capacities, fits, estimates):
             metrics.warn_on_truncation(tail, est)
-            rows.append({
-                "family": cfg.family,
-                "N": system.N,
-                "target": cfg.target.kind,
-                "p": cfg.p,
-                "value": est.value,
-                "stderr": est.stderr,
-                "M": est.M,
-                "seed": est.seed,
-            })
+            estimate = asdict(est)
+            rows.append({"family": cfg.family, "N": system.N, "target": cfg.target.kind,
+                         **estimate})
             artifact = {
                 "schema_version": SCHEMA_VERSION,
                 "family": cfg.family,
                 "capacity": capacity,
                 "state_dimension": system.N,
-                "esp": esp.summary(),
+                "esp": asdict(esp),
                 "training": diag,
                 "truncation_bound": tail,
-                "estimate": {"p": est.p, "value": est.value, "stderr": est.stderr,
-                             "M": est.M, "seed": est.seed},
+                "estimate": estimate,
                 **extras,
             }
             path = out / f"run_{cfg.family}_c{capacity}.json"
@@ -362,16 +354,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> list[dict]:
     return rows
 
 
+# results.csv columns: the point, then the fields of its LpEstimate
+_COLUMNS = ("family", "N", "target", "p", "value", "stderr", "M", "seed")
+
+
 def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    cols = ["family", "N", "target", "p", "value", "stderr", "M", "seed"]
+    """One row per point; ValueError for a row with a key outside _COLUMNS."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([
-                row["family"], row["N"], row["target"], repr(row["p"]),
-                repr(row["value"]), repr(row["stderr"]), row["M"], row["seed"],
-            ])
+        writer = csv.DictWriter(fh, _COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_sample_paths(sampler: processes.ProcessSampler, T: int, M: int,
@@ -457,21 +449,20 @@ def _esp_fixtures():
     rng = np.random.default_rng(5)
     A = rng.standard_normal((6, 6))
     A *= 0.7 / np.linalg.norm(A, 2)
-    yield "linear_contractive", reservoirs.LinearReservoir(A, rng.standard_normal((6, 2))), 2
-    yield "shift_register", build_shift_register(2, 2), 2
-    yield "nilpotent_sas", build_nilpotent_trig_sas(rng.standard_normal((3, 2)), (1,))[0], 2
-    yield "contractive_sas", random_trig_sas(4, 2, terms=3, seed=7, contraction=0.8), 2
+    yield "linear_contractive", reservoirs.LinearReservoir(A, rng.standard_normal((6, 2)))
+    yield "shift_register", build_shift_register(2, 2)
+    yield "nilpotent_sas", build_nilpotent_trig_sas(rng.standard_normal((3, 2)), (1,))[0]
+    yield "contractive_sas", random_trig_sas(4, 2, terms=3, seed=7, contraction=0.8)
     yield "esn_logistic", reservoirs.EchoStateNetwork(
-        3.0 * A[:4, :4], rng.standard_normal((4, 2)), rng.uniform(-0.1, 0.1, 4),
-        "logistic"), 2
-    yield "esn_tanh", random_esn(5, 2, seed=9, activation="tanh", spectral=0.9), 2
+        3.0 * A[:4, :4], rng.standard_normal((4, 2)), rng.uniform(-0.1, 0.1, 4), "logistic")
+    yield "esn_tanh", random_esn(5, 2, seed=9, activation="tanh", spectral=0.9)
 
 
 def _verify_esp() -> list[PropertyCheck]:
     sampler = processes.iid_gaussian(n=2)
     out = []
     slack = 1.0 + 1e-9
-    for name, system, n in _esp_fixtures():
+    for name, system in _esp_fixtures():
         rep = certify_esp(system)
         if not rep.certified:
             out.append(_check(f"esp_{name}", math.inf, "certificate failed"))

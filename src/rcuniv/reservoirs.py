@@ -9,7 +9,7 @@ accepted as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -79,11 +79,6 @@ class EspReport:
     method: str  # spectral | nilpotent | lipschitz-spectral
     bound: float
     nilpotency_index: int | None = None
-
-    def summary(self) -> dict:
-        """The structural fields, as written to artifacts and system documents."""
-        return {"certified": self.certified, "method": self.method, "bound": self.bound,
-                "nilpotency_index": self.nilpotency_index}
 
 
 def _support_nilpotency_index(support: np.ndarray) -> int | None:
@@ -226,8 +221,6 @@ class TrigPolynomial:
         from zeros.  term is workspace; neither may share memory with x.
         """
         out.fill(0.0)
-        if self.r == 0:
-            return
         c = np.cos(z @ self.cos_freqs.T)
         s = np.sin(z @ self.sin_freqs.T)
         for k in range(self.r):
@@ -776,7 +769,7 @@ def system_to_dict(system, readout=None) -> dict:
     A trig SAS's P and Q are {"shape": [r, rows, cols, n], **fields}: the shape
     restores a polynomial with no terms (r = 0), whose arrays are empty lists.
     """
-    esp = certify_esp(system).summary()  # TypeError for anything but a system
+    esp = asdict(certify_esp(system))  # TypeError for anything but a system
     variant = next(name for name, cls in _VARIANTS.items() if isinstance(system, cls))
     doc = _document(system, variant=variant)
     if variant == "trig_sas":

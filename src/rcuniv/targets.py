@@ -156,9 +156,14 @@ def finite_poly(n: int, K: int, degree: int, coefficients: dict) -> FunctionalSp
 def random_finite_poly(
     n: int, K: int, degree: int, seed: int, density: float = 0.6, scale: float = 1.0
 ) -> FunctionalSpec:
-    """Random sparse finite_poly target, deterministic in seed."""
+    """Random sparse finite_poly target, deterministic in seed.
+
+    degree must be at least 1: the constant term is never drawn, and with no
+    term drawn (density 0, say) the target is z_0, channel 0 at lag 0.
+    """
     _require_integers(1, n=n)
-    _require_integers(0, K=K, degree=degree)
+    _require_integers(0, K=K)
+    _require_integers(1, degree=degree)
     _require_numbers(density=density, scale=scale)
     _require_seed(seed)
     if not 0 <= density <= 1:

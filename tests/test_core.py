@@ -150,6 +150,23 @@ _GAPS = {
     "washout_string_batch": (
         lambda: rc.washout_decay(rc.build_shift_register(1, 0), [[["1"]]]),
         "batch data must hold integers or floats, got string entries"),
+    # numpy promotes booleans beside numbers in a list; the entries are read one by one
+    "linear_readout_bool_after_float": (lambda: rc.LinearReadout([1.5, True]),
+                                        "W must hold integers or floats, got boolean entries"),
+    "linear_readout_bool_first": (lambda: rc.LinearReadout([True, 2.0]),
+                                  "W must hold integers or floats, got boolean entries"),
+    "linear_readout_numpy_bool": (lambda: rc.LinearReadout([1, np.True_]),
+                                  "W must hold integers or floats, got boolean entries"),
+    "linear_readout_bool_array_entry": (lambda: rc.LinearReadout([np.array(True), 2.0]),
+                                        "W must hold integers or floats, got boolean entries"),
+    "network_readout_nested_bool": (lambda: rc.NetworkReadout([1.0], [[1.0, False]], [0.0]),
+                                    "alpha must hold integers or floats, got boolean entries"),
+    "readout_document_bool_entries": (
+        lambda: rc.readouts.readout_from_dict({"variant": "linear", "W": [1e3, False]}),
+        "W must hold integers or floats, got boolean entries"),
+    "final_states_nested_bool_batch": (
+        lambda: rc.final_states(rc.build_shift_register(1, 0), [[[1.0], [True]]]),
+        "batch data must hold integers or floats, got boolean entries"),
     "eval_readout_bool_states": (lambda: rc.eval_readout(rc.LinearReadout([1.0]), [[True]]),
                                  "states must hold integers or floats, got boolean entries"),
     "linear_readout_nan": (lambda: rc.LinearReadout([math.nan, 1.0]),
@@ -300,6 +317,8 @@ _RULES = {
                                   TypeError, "not a reservoir system: object"),
     "targets_basis": (lambda: rc.random_finite_poly(1, 20, 6, seed=0),
                       ValueError, "polynomial basis too large"),
+    "targets_degree_0": (lambda: rc.random_finite_poly(1, 1, 0, seed=0),
+                         ValueError, "degree must be an integer >= 1, got 0"),
     "targets_decay": (lambda: rc.geometric_ma(1.0), ValueError, "decay must lie in (0, 1)"),
     "targets_sine_lag": (lambda: rc.trig_product([[1.0], [2.0]], sine_lags=(2,)),
                          ValueError, "sine lags must be integers in 0..1, got (2,)"),
@@ -344,6 +363,15 @@ def test_truncation_error_matches_geometric_closed_form():
     )
     exact = decay**4 / math.sqrt(1.0 - decay**2)
     assert abs(est.value - exact) <= 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("cutoffs, window", [((1, 3), 64), ((40,), 82)])
+def test_truncation_error_default_window_for_unbounded_memory(cutoffs, window):
+    # with no memory to cover, the window is twice the deepest cutoff's lags, at least 64
+    kw = dict(sampler=rc.iid_gaussian(1), p=2.0, M=200, seed=6)
+    spec = rc.geometric_ma(0.5)
+    default = rc.truncated_conditional_error(spec, cutoffs, **kw)
+    assert default == rc.truncated_conditional_error(spec, cutoffs, window_length=window, **kw)
 
 
 def test_truncation_error_monotone_in_cutoff():

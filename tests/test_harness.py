@@ -795,6 +795,21 @@ def test_cli_verify_json_report(capsys):
     assert report[0]["passed"] is True
 
 
+def test_record_formats_are_pinned(tmp_path, capsys):
+    # literal key lists, so a field added to LpEstimate, EspReport or PropertyCheck
+    # shows here before it changes an artifact or the verify report
+    run_experiment(load_config(_base_doc()), tmp_path)
+    art = json.loads((tmp_path / "run_constructed_shift_c1.json").read_text())
+    assert sorted(art) == ["capacity", "esp", "estimate", "family", "schema_version",
+                           "state_dimension", "training", "truncation_bound"]
+    assert sorted(art["estimate"]) == ["M", "p", "seed", "stderr", "value"]
+    assert sorted(art["esp"]) == ["bound", "certified", "method", "nilpotency_index"]
+    assert cli.main(["verify", "product_rule", "--json"]) == 0
+    out = capsys.readouterr().out
+    (entry,) = json.loads(out[out.index("[") :])
+    assert sorted(entry) == ["detail", "margin", "name", "passed"]
+
+
 def test_cli_sample_round_trip(tmp_path, capsys):
     samp = tmp_path / "sampler.json"
     samp.write_text(json.dumps({

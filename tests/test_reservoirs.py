@@ -441,7 +441,7 @@ def test_direct_sum_certificate_survives_a_system_document_round_trip():
     rep = rc.certify_esp(back)
     assert rep.certified and rep.method == "spectral"
     assert rep.bound == pytest.approx(0.8, rel=1e-9)
-    assert rep.summary() == doc["esp"]
+    assert dataclasses.asdict(rep) == doc["esp"]
 
 
 def _term_norm_sum(P):

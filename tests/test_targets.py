@@ -313,6 +313,11 @@ def test_random_finite_poly_deterministic():
     assert a.memory == 1 and a.n == 2
 
 
+def test_random_finite_poly_with_no_term_drawn_is_the_current_input():
+    spec = rc.random_finite_poly(2, 1, 2, seed=5, density=0.0)
+    assert spec.params["coefficients"] == {(1, 0, 0, 0): 1.0}
+
+
 def test_spec_shapes():
     e = rc.trig_product(np.array([[1.0, 0.5], [0.2, 0.1], [0.0, 1.0]]), sine_lags=(2,))
     assert e.n == 2 and e.memory == 2

@@ -10,6 +10,7 @@ accepted as a certificate.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,6 +125,10 @@ def _coupling(A) -> np.ndarray:
 class _ReservoirSystem:
     """Base of the system types; caches the structural ESP certificate."""
 
+    def scratch_slots(self, M: int) -> int:
+        """The number of (M, N) slots of workspace step takes for M states."""
+        return 1
+
     def certificate(self) -> EspReport:
         """Structural ESP report, proved once: the system arrays are read-only."""
         report = self.__dict__.get("_certificate")
@@ -137,15 +142,14 @@ class _ReservoirSystem:
 class LinearReservoir(_ReservoirSystem):
     """x_t = A x_{t-1} + c z_t with A (N, N) and c (N, n).
 
-    Interface: N, n, scratch_slots, step(x, z, scratch) and certificate()
+    Interface: N, n, scratch_slots(M), step(x, z, scratch) and certificate()
     (nilpotent support of A, else ||A||_2 < 1).
     step overwrites a state batch x (M, N) with its successor under inputs
-    z (M, n), using scratch of shape (scratch_slots, M, N) as workspace.
+    z (M, n), using scratch of shape (scratch_slots(M), M, N) as workspace.
     """
 
     A: np.ndarray
     c: np.ndarray
-    scratch_slots = 1
 
     def __post_init__(self):
         A = _coupling(self.A)
@@ -213,33 +217,38 @@ class TrigPolynomial:
     def n(self) -> int:
         return self.cos_freqs.shape[1]
 
-    def apply(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
-        """out = R(z_m) x_m per row for z (M, n) and x (M, cols); out, term (M, rows).
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only frequencies (2r, n) and matrices (2r rows, cols) of the
+        terms, stacked in the order A_1, B_1, ..., A_r, B_r."""
+        freqs = np.stack([self.cos_freqs, self.sin_freqs], axis=1).reshape(2 * self.r, self.n)
+        mats = np.stack([self.cos_mats, self.sin_mats], axis=1)
+        return (_frozen(freqs, "freqs", 2),
+                _frozen(mats.reshape(2 * self.r * self.rows, self.cols), "mats", 2))
 
-        One BLAS matmul per coefficient matrix into term, weighted by its
-        cos or sin column and added term by term into out, which starts
-        from zeros.  term is workspace; neither may share memory with x.
+    def _weights(self, z: np.ndarray) -> np.ndarray:
+        """cos(u_k.z_m) and sin(v_k.z_m) per row, (M, 2r) in the stacked order."""
+        w = z @ self._stacked[0].T
+        np.cos(w[:, 0::2], out=w[:, 0::2])
+        np.sin(w[:, 1::2], out=w[:, 1::2])
+        return w
+
+    def apply(self, z: np.ndarray, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """out = R(z_m) x_m per row for z (M, n), x (M, cols) and out (M, rows).
+
+        One product of z with the stacked frequencies gives the weights.  x
+        times the stacked [A_1 B_1 ... A_r B_r]^T is one BLAS product per
+        slice of as many rows as work, a contiguous float64 workspace of 2r
+        rows entries at least, holds; one batched product with the slice's
+        weights reduces it into out.  Neither may share memory with x.
         """
-        out.fill(0.0)
-        c = np.cos(z @ self.cos_freqs.T)
-        s = np.sin(z @ self.sin_freqs.T)
-        for k in range(self.r):
-            for mats, weights in ((self.cos_mats, c), (self.sin_mats, s)):
-                np.matmul(x, mats[k].T, out=term)
-                term *= weights[:, k, None]
-                out += term
-
-    def value_vector(self, z: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
-        """out = R(z_m) per row for single-column polynomials; z (M, n), out, term (M, rows).
-
-        The cos part goes into out and the sin part through term, which is
-        workspace.
-        """
-        if self.cols != 1:
-            raise ValueError("value_vector needs a single-column polynomial")
-        np.matmul(np.cos(z @ self.cos_freqs.T), self.cos_mats[:, :, 0], out=out)
-        np.matmul(np.sin(z @ self.sin_freqs.T), self.sin_mats[:, :, 0], out=term)
-        out += term
+        w, mats = self._weights(z), self._stacked[1]
+        step = max(1, work.size // len(mats) if len(mats) else len(x))
+        product = work.reshape(-1)[: step * len(mats)].reshape(step, len(mats))
+        for i in range(0, len(x), step):
+            p = np.matmul(x[i : i + step], mats.T, out=product[: len(x) - i])
+            np.matmul(w[i : i + step, None], p.reshape(len(p), 2 * self.r, self.rows),
+                      out=out[i : i + step, None])
 
     def support(self) -> np.ndarray:
         """Boolean (rows, cols) union of coefficient supports."""
@@ -278,15 +287,12 @@ def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
 class TrigSAS(_ReservoirSystem):
     """State-affine system x_t = P(z_t) x_{t-1} + Q(z_t).
 
-    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch)
+    Interface as LinearReservoir: N, n, scratch_slots(M), step(x, z, scratch)
     and certificate() (nilpotent support of P, else _block_norm_bound(P) < 1).
     """
 
     P: TrigPolynomial
     Q: TrigPolynomial
-    # P(z) x accumulates in one slot while its terms go through the other,
-    # which then takes Q(z); x, once read, is the workspace for Q's terms
-    scratch_slots = 2
 
     def __post_init__(self):
         if self.P.rows != self.P.cols:
@@ -304,10 +310,19 @@ class TrigSAS(_ReservoirSystem):
     def n(self) -> int:
         return self.Q.n
 
+    def scratch_slots(self, M: int) -> int:
+        # slot 0 takes P(z) x, the others row slices of P's stacked product: all 2r
+        # if _PRODUCT_BYTES holds them, else as many, but _SLICE_ROWS rows at least
+        terms, rows = 2 * self.P.r, min(M, _SLICE_ROWS)
+        return 1 + min(terms, max(-(-rows * terms // M), _PRODUCT_BYTES // (8 * M * self.N)))
+
     def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
-        self.P.apply(z, x, scratch[0], scratch[1])
-        self.Q.value_vector(z, scratch[1], x)
-        np.add(scratch[0], scratch[1], out=x)
+        # overflow surfaces as a StateOverflowError from the finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.P.apply(z, x, scratch[0], scratch[1:])
+            # Q(z) is its (M, 2r) weights times its (2r, N) stacked columns
+            np.matmul(self.Q._weights(z), self.Q._stacked[1].reshape(-1, self.N), out=x)
+            x += scratch[0]
 
     def _prove(self) -> EspReport:
         support = self.P.support()
@@ -318,7 +333,7 @@ class TrigSAS(_ReservoirSystem):
 class EchoStateNetwork(_ReservoirSystem):
     """x_t = sigma(A x_{t-1} + C z_t + bias).
 
-    Interface as LinearReservoir: N, n, scratch_slots, step(x, z, scratch)
+    Interface as LinearReservoir: N, n, scratch_slots(M), step(x, z, scratch)
     and certificate() (nilpotent support of A, else Lip(sigma) ||A||_2 < 1).
     """
 
@@ -326,7 +341,6 @@ class EchoStateNetwork(_ReservoirSystem):
     C: np.ndarray
     bias: np.ndarray
     activation: str = "logistic"
-    scratch_slots = 1
 
     def __post_init__(self):
         A = _coupling(self.A)
@@ -374,6 +388,11 @@ _VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNet
 # windows per block of a state run; fixed, because BLAS rounding can depend
 # on the number of rows in a product
 _BLOCK_ROWS = 512
+# workspace bytes for row slices of a trig system's stacked product, whatever
+# its number of terms; a slice reads the whole stacked matrix, so it has
+# _SLICE_ROWS rows at least
+_PRODUCT_BYTES = 1 << 19
+_SLICE_ROWS = 64
 
 
 def _step(system, x: np.ndarray, z: np.ndarray, k: int, scratch: np.ndarray) -> None:
@@ -408,7 +427,7 @@ def final_states(system, data: np.ndarray, x_init: np.ndarray | None = None,
         # arena small
         x = out[start:stop]
         x[...] = 0.0 if x_init is None else x_init[start:stop]
-        scratch = np.empty((system.scratch_slots, stop - start, system.N))
+        scratch = np.empty((system.scratch_slots(stop - start), stop - start, system.N))
         for k in range(T - 1, -1, -1):
             _step(system, x, data[start:stop, k, :], k, scratch)
             if trajectory is not None:

@@ -2,9 +2,12 @@
 direct sums, block networks, serialization."""
 
 import dataclasses
+import functools
 import json
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +88,18 @@ def test_state_overflow_raises():
     sys1 = rc.LinearReservoir(np.array([[2.0]]), np.array([[1.0]]))
     with pytest.raises(rc.StateOverflowError):
         _trajectory(sys1, np.ones((1100, 1)))
+
+
+def test_trig_sas_overflow_raises_only_the_state_error():
+    # P(z) x overflows at lag 1, inside the stacked product; warnings are errors,
+    # so a RuntimeWarning from the product would come out instead
+    big = TrigPolynomial(np.full((1, 2, 2), 1e200), np.zeros((1, 2, 2)),
+                         np.zeros((1, 1)), np.zeros((1, 1)))
+    Q = TrigPolynomial(np.ones((1, 2, 1)), np.zeros((1, 2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rc.StateOverflowError, match="at lag 1$"):
+            final_states(rc.TrigSAS(big, Q), np.ones((3, 4, 1)))
 
 
 def test_input_channel_check():
@@ -351,6 +366,42 @@ def test_apply_matches_einsum(name):
     assert want.shape == (300, poly.rows)
     scale = np.abs(want).max(initial=0.0)
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+
+
+def _per_term_final_states(system, data):
+    """final_states of a TrigSAS summed term by term, one product per coefficient matrix."""
+    x, ones = np.zeros((len(data), system.N)), np.ones((len(data), 1))
+    for k in range(data.shape[1] - 1, -1, -1):
+        z, nxt = data[:, k], np.zeros_like(x)
+        for poly, v in ((system.P, x), (system.Q, ones)):
+            c, s = np.cos(z @ poly.cos_freqs.T), np.sin(z @ poly.sin_freqs.T)
+            for j in range(poly.r):
+                nxt += c[:, j, None] * (v @ poly.cos_mats[j].T)
+                nxt += s[:, j, None] * (v @ poly.sin_mats[j].T)
+        x = nxt
+    return x
+
+
+def test_stacked_product_workspace_stays_bounded():
+    # ten nilpotent chains of length 10 in one direct sum: N = 100, r = 90
+    rng = np.random.default_rng(78)
+    system = functools.reduce(rc.direct_sum_sas, [
+        rc.build_nilpotent_trig_sas(rng.normal(size=(10, 1)), sine_lags=(j,))[0]
+        for j in range(10)])
+    assert (system.N, system.P.r) == (100, 90)
+    data = _gauss_windows(10, 1, 512, 79)
+    final_states(system, data[:1])  # builds the cached stacked terms, 14.4 MB
+    tracemalloc.start()
+    try:
+        got = final_states(system, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(got, _per_term_final_states(system, data), rtol=0, atol=1e-14)
+    # 64-row slices: the scratch, 24 slots of (512, 100), takes 9.8 MB, and
+    # the states and the (512, 2r) weights 1.1 MB; the unsliced (512, 2r N)
+    # product of the block would take 74 MB
+    assert peak < 16e6
 
 
 def test_trig_polynomial_takes_r_by_n_frequencies_only():
@@ -802,15 +853,24 @@ _ALLOCATING_ACTIVATIONS = {
 }
 
 
-def _allocating_apply(poly, z, x):
-    out = np.zeros((z.shape[0], poly.rows))
-    if poly.r:
-        c = np.cos(z @ poly.cos_freqs.T)
-        s = np.sin(z @ poly.sin_freqs.T)
-        for k in range(poly.r):
-            for mats, weights in ((poly.cos_mats, c), (poly.sin_mats, s)):
-                out += (x @ mats[k].T) * weights[:, k, None]
-    return out
+def _allocating_terms(poly, z):
+    """The weights (M, 2r) at z and the matrices (2r rows, cols) of poly's terms,
+    stacked A_1, B_1, ..., A_r, B_r."""
+    freqs = np.stack([poly.cos_freqs, poly.sin_freqs], axis=1).reshape(2 * poly.r, poly.n)
+    w = z @ freqs.T
+    w[:, 0::2], w[:, 1::2] = np.cos(w[:, 0::2]), np.sin(w[:, 1::2])
+    mats = np.stack([poly.cos_mats, poly.sin_mats], axis=1)
+    return w, mats.reshape(2 * poly.r * poly.rows, poly.cols)
+
+
+def _allocating_apply(poly, z, x, work_size):
+    # the stacked product in TrigPolynomial.apply's row slices, each as long
+    # as a workspace of work_size entries holds
+    w, mats = _allocating_terms(poly, z)
+    step = work_size // len(mats)
+    return np.concatenate([
+        w[i : i + step, None] @ (x[i : i + step] @ mats.T).reshape(-1, 2 * poly.r, poly.rows)
+        for i in range(0, len(x), step)])[:, 0]
 
 
 def _allocating_step(system, x, z):
@@ -819,10 +879,9 @@ def _allocating_step(system, x, z):
             return _ALLOCATING_ACTIVATIONS[system.activation](
                 x @ system.A.T + z @ system.C.T + system.bias)
     if isinstance(system, rc.TrigSAS):
-        Q = system.Q
-        value = np.cos(z @ Q.cos_freqs.T) @ Q.cos_mats[:, :, 0]
-        value += np.sin(z @ Q.sin_freqs.T) @ Q.sin_mats[:, :, 0]
-        return _allocating_apply(system.P, z, x) + value
+        w, mats = _allocating_terms(system.Q, z)
+        work_size = (system.scratch_slots(len(x)) - 1) * x.size
+        return w @ mats.reshape(-1, system.N) + _allocating_apply(system.P, z, x, work_size)
     return x @ system.A.T + z @ system.c.T
 
 
@@ -866,6 +925,8 @@ _IN_PLACE_SYSTEMS = {
         N, n, seed=N + n, activation=act, input_scale=2.0))
        for act in _ALLOCATING_ACTIVATIONS for n in (1, 2) for N in (5, 50, 300)},
     "random_trig_sas": lambda: rc.random_trig_sas(12, 2, terms=3, seed=68),
+    # the benchmark's largest trig shape: a 512-window block takes 128-row slices
+    "random_trig_sas_sliced": lambda: rc.random_trig_sas(50, 1, terms=4, seed=80),
     "trig_sas_zero_Q": lambda: rc.TrigSAS(
         rc.random_trig_sas(5, 1, terms=2, seed=75).P,
         TrigPolynomial(*np.zeros((2, 0, 5, 1)), *np.zeros((2, 0, 1)))),

@@ -64,8 +64,6 @@ from .reservoirs import (
     fit_identity_network,
     random_esn,
     random_trig_sas,
-    system_from_dict,
-    system_to_dict,
     washout_decay,
 )
 from .training import (

@@ -12,8 +12,8 @@ _require_integers, its reals with _require_numbers, its names with
 _require_choice, its seed with _require_seed, its arrays with _frozen (or
 _floats), its window batches with _batch and the factors of a trig
 product with _trig_factors, so a bad argument raises a ValueError that
-names it before anything is drawn.  Every JSON document checks its keys
-with _require_keys.
+names it before anything is drawn.  Configs, sampler documents and
+target params check their keys with _require_keys.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -164,29 +164,6 @@ def _require_keys(doc, required, optional, where: str) -> None:
              for which, keys in (("missing", missing), ("unknown", unknown)) if keys]
     if wrong:
         raise ValueError(f"{' and '.join(wrong)} in {where}")
-
-
-# the document codec of systems and readouts: their dataclass fields by name
-def _document(obj, **head) -> dict:
-    """{**head, **fields} of a dataclass, arrays as nested lists (floats exact through JSON)."""
-    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    return {**head, **{k: v.tolist() if isinstance(v, np.ndarray) else v
-                       for k, v in values.items()}}
-
-
-def _variant(doc, variants: dict, what: str) -> tuple[type, str]:
-    """The class in variants that doc's "variant" names, and doc's name for messages."""
-    _require_keys(doc, {"variant"}, doc, f"a {what} document")  # its fields decide the rest
-    variant = doc["variant"]
-    _require_choice(variants, **{f"{what} variant": variant})
-    return variants[variant], f"a {variant!r} {what} document"
-
-
-def _field_entries(doc, cls, where: str, head=("variant",), optional=()) -> dict:
-    """doc's entry for each field of dataclass cls; doc may hold head and optional keys besides."""
-    names = [f.name for f in fields(cls)]
-    _require_keys(doc, {*head, *names}, optional, where)
-    return {name: doc[name] for name in names}
 
 
 @dataclass(frozen=True)

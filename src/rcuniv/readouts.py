@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (_document, _field_entries, _floats, _frozen, _integer, _number,
-                   _require_choice, _require_integers, _require_keys, _variant)
+from .core import _floats, _frozen, _integer, _number, _require_choice, _require_integers
 
 __all__ = [
     "Activation",
@@ -34,8 +33,6 @@ __all__ = [
     "NetworkReadout",
     "LinearReadout",
     "eval_readout",
-    "readout_to_dict",
-    "readout_from_dict",
 ]
 
 MAX_FEATURES = 10_000_000
@@ -226,9 +223,14 @@ class LinearReadout:
 
 def _require_state_dim(readout, dim: int) -> None:
     """ValueError unless readout takes dim-dimensional states; TypeError for a non-readout."""
-    variant = _variant_of(readout)
-    own = (readout.n_vars if variant == "polynomial"
-           else readout.alpha.shape[1] if variant == "network" else readout.W.shape[0])
+    if isinstance(readout, PolynomialReadout):
+        own = readout.n_vars
+    elif isinstance(readout, NetworkReadout):
+        own = readout.alpha.shape[1]
+    elif isinstance(readout, LinearReadout):
+        own = readout.W.shape[0]
+    else:
+        raise TypeError(f"not a readout: {type(readout).__name__}")
     if dim != own:
         raise ValueError(f"state dim {dim} != readout dim {own}")
 
@@ -280,18 +282,7 @@ def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-_VARIANTS = {"polynomial": PolynomialReadout, "network": NetworkReadout, "linear": LinearReadout}
-
-
-def _variant_of(readout) -> str:
-    """The document variant of a readout; TypeError for anything else."""
-    for name, cls in _VARIANTS.items():
-        if isinstance(readout, cls):
-            return name
-    raise TypeError(f"not a readout: {type(readout).__name__}")
+# the coefficients of a config's finite_poly target
 
 
 def _coefficients(pairs) -> dict:
@@ -312,31 +303,3 @@ def _coefficients(pairs) -> dict:
             raise ValueError(f"exponents {list(mi)} appear twice in the polynomial coefficients")
         coefficients[mi] = c
     return coefficients
-
-
-def readout_to_dict(readout) -> dict:
-    """{"variant", **fields}, arrays as nested lists; binary64 exact via repr.
-
-    A polynomial's coefficients are its "terms", {"exponents", "coefficient"}
-    in exponent order, since exponent tuples cannot be JSON keys.
-    """
-    variant = _variant_of(readout)
-    doc = _document(readout, variant=variant)
-    if variant == "polynomial":
-        doc["terms"] = [{"exponents": list(mi), "coefficient": float(c)}
-                        for mi, c in sorted(doc.pop("coefficients").items())]
-    return doc
-
-
-def readout_from_dict(doc: dict):
-    """Inverse of readout_to_dict; ValueError naming every key it does not write or misses."""
-    cls, where = _variant(doc, _VARIANTS, "readout")
-    if cls is not PolynomialReadout:
-        return cls(**_field_entries(doc, cls, where))
-    _require_keys(doc, {"variant", "n_vars", "degree", "terms"}, (), where)
-    if not isinstance(doc["terms"], list):
-        raise ValueError(f"terms of {where} must be a list, got {doc['terms']!r}")
-    for i, term in enumerate(doc["terms"]):
-        _require_keys(term, {"exponents", "coefficient"}, (), f"term {i} of {where}")
-    pairs = ((term["exponents"], term["coefficient"]) for term in doc["terms"])
-    return PolynomialReadout(doc["n_vars"], doc["degree"], _coefficients(pairs))

@@ -9,14 +9,14 @@ accepted as a certificate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import (_batch, _document, _field_entries, _frozen, _require_integers, _require_numbers,
-                   _require_seed, _run_blocks, _trig_factors, _variant)
+from .core import (_batch, _frozen, _require_integers, _require_numbers, _require_seed,
+                   _run_blocks, _trig_factors)
 from .readouts import (
     LinearReadout,
     NetworkReadout,
@@ -24,8 +24,6 @@ from .readouts import (
     _ridge_solve,
     eval_readout,
     get_activation,
-    readout_from_dict,
-    readout_to_dict,
 )
 
 __all__ = [
@@ -48,8 +46,6 @@ __all__ = [
     "block_esn_functional",
     "random_esn",
     "random_trig_sas",
-    "system_to_dict",
-    "system_from_dict",
 ]
 
 
@@ -376,9 +372,6 @@ class EchoStateNetwork(_ReservoirSystem):
         L = get_activation(self.activation).lipschitz
         factor = float(L * np.linalg.norm(self.A, 2))
         return _structural_report("lipschitz-spectral", factor, self.A != 0.0)
-
-
-_VARIANTS = {"linear": LinearReservoir, "trig_sas": TrigSAS, "esn": EchoStateNetwork}
 
 
 # ---------------------------------------------------------------------------
@@ -776,50 +769,3 @@ def random_trig_sas(
     Q = TrigPolynomial(qc, np.zeros((1, N, 1)), freq_scale * rng.standard_normal((1, n)),
                        np.zeros((1, n)))
     return TrigSAS(P, Q)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def system_to_dict(system, readout=None) -> dict:
-    """{"variant", **fields, "esp", "readout"?}, arrays as nested lists; floats round-trip exactly.
-
-    A trig SAS's P and Q are {"shape": [r, rows, cols, n], **fields}: the shape
-    restores a polynomial with no terms (r = 0), whose arrays are empty lists.
-    """
-    esp = asdict(certify_esp(system))  # TypeError for anything but a system
-    variant = next(name for name, cls in _VARIANTS.items() if isinstance(system, cls))
-    doc = _document(system, variant=variant)
-    if variant == "trig_sas":
-        for name in ("P", "Q"):
-            poly = doc[name]
-            doc[name] = _document(poly, shape=[poly.r, poly.rows, poly.cols, poly.n])
-    doc["esp"] = esp
-    if readout is not None:
-        doc["readout"] = readout_to_dict(readout)
-    return doc
-
-
-def _trig_polynomial(doc, where: str) -> TrigPolynomial:
-    """Inverse of system_to_dict's {"shape", **fields} form of a TrigPolynomial."""
-    entries = _field_entries(doc, TrigPolynomial, where, head=("shape",))
-    r, rows, cols, n = doc["shape"]
-    shapes = [(r, rows, cols)] * 2 + [(r, n)] * 2  # cos_mats, sin_mats, cos_freqs, sin_freqs
-    return TrigPolynomial(*map(np.reshape, entries.values(), shapes))
-
-
-def system_from_dict(doc: dict):
-    """Inverse of system_to_dict; returns (system, readout_or_None).
-
-    ValueError for a document or entry that is not an object, an unknown
-    variant, and every missing or unknown key, named.
-    """
-    cls, where = _variant(doc, _VARIANTS, "system")
-    if "W" in doc:
-        raise ValueError("a system has no output weights 'W'; store them as the 'readout' entry")
-    entries = _field_entries(doc, cls, where, optional=("esp", "readout"))
-    if cls is TrigSAS:
-        entries = {name: _trig_polynomial(v, f"{name} of {where}") for name, v in entries.items()}
-    readout = readout_from_dict(doc["readout"]) if "readout" in doc else None
-    return cls(**entries), readout

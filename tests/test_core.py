@@ -141,9 +141,6 @@ _GAPS = {
                                        "sine lags must be integers in 0..0, got 5"),
     "linear_readout_string_entries": (lambda: rc.LinearReadout(["1", True]),
                                       "W must hold integers or floats, got string entries"),
-    "readout_document_string_entries": (
-        lambda: rc.readouts.readout_from_dict({"variant": "linear", "W": ["1e3", False]}),
-        "W must hold integers or floats, got string entries"),
     "final_states_string_batch": (
         lambda: rc.final_states(rc.build_shift_register(1, 0), [[["1"]]]),
         "batch data must hold integers or floats, got string entries"),
@@ -161,9 +158,6 @@ _GAPS = {
                                         "W must hold integers or floats, got boolean entries"),
     "network_readout_nested_bool": (lambda: rc.NetworkReadout([1.0], [[1.0, False]], [0.0]),
                                     "alpha must hold integers or floats, got boolean entries"),
-    "readout_document_bool_entries": (
-        lambda: rc.readouts.readout_from_dict({"variant": "linear", "W": [1e3, False]}),
-        "W must hold integers or floats, got boolean entries"),
     "final_states_nested_bool_batch": (
         lambda: rc.final_states(rc.build_shift_register(1, 0), [[[1.0], [True]]]),
         "batch data must hold integers or floats, got boolean entries"),
@@ -250,8 +244,11 @@ _RULES = {
         ValueError, "garch11 sampler is univariate"),
     "readouts_network_k": (lambda: rc.NetworkReadout([1.0, 2.0], [[1.0]], [0.0]),
                            ValueError, "beta, alpha, theta must share leading dimension k"),
-    "readouts_to_dict_non_readout": (lambda: rc.readouts.readout_to_dict(object()),
-                                     TypeError, "not a readout: object"),
+    "readouts_network_unhashable_activation": (
+        lambda: rc.NetworkReadout([1.0], [[1.0]], [0.0], [1]),
+        ValueError, "activation must be one of ['hard_sigmoid', 'logistic', 'tanh'], got [1]"),
+    "readouts_eval_non_readout": (lambda: rc.eval_readout(object(), [[1.0]]),
+                                  TypeError, "not a readout: object"),
     "linear_reservoir_square": (lambda: rc.LinearReservoir(np.zeros((2, 3)), np.zeros((2, 1))),
                                 ValueError, "A must be square"),
     "linear_reservoir_rows": (lambda: rc.LinearReservoir(np.zeros((2, 2)), np.zeros((3, 1))),
@@ -313,8 +310,8 @@ _RULES = {
     "block_esn_functional_window": (
         lambda: rc.block_esn_functional(_net(2, 2), [_net(2, 1)], np.zeros((2, 1, 1))),
         ValueError, "window length 1 shorter than memory 1"),
-    "system_to_dict_non_system": (lambda: rc.system_to_dict(object()),
-                                  TypeError, "not a reservoir system: object"),
+    "certify_esp_non_system": (lambda: rc.certify_esp(object()),
+                               TypeError, "not a reservoir system: object"),
     "targets_basis": (lambda: rc.random_finite_poly(1, 20, 6, seed=0),
                       ValueError, "polynomial basis too large"),
     "targets_degree_0": (lambda: rc.random_finite_poly(1, 1, 0, seed=0),

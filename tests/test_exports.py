@@ -2,13 +2,15 @@
 names its modules export, only processes reads the path streams, only
 core words the integer, finite-number and choice argument rules and the
 key rule of JSON documents, no module imports a name it neither uses nor
-exports, no private module-level name goes unused, no raise message is
-written at two places, and every annotation resolves."""
+exports, no file imports a module outside the standard library and numpy,
+no private module-level name goes unused, no raise message is written at
+two places, and every annotation resolves."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 import typing
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 import rcuniv
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rcuniv.__path__))
+FILES = sorted(path.name for path in Path(rcuniv.__file__).parent.glob("*.py"))
 
 
 def _package_imports():
@@ -123,6 +126,30 @@ def test_no_message_is_raised_from_two_places():
     # a rule checked twice drifts; each message has one raise, called from every user
     twice = {t: where for t, where in _raise_templates().items() if len(where) > 1}
     assert not twice, f"message templates raised from more than one place: {twice}"
+
+
+def _foreign_imports(path):
+    """Top-level modules path imports (module level or inside functions) that are
+    neither in the standard library nor numpy or rcuniv."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "rcuniv"}
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # relative imports stay inside rcuniv
+        foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                    if name.split(".")[0] not in allowed]
+    return foreign
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_imports_only_the_standard_library_and_numpy(name):
+    # pyproject.toml declares numpy as the one dependency; tests may bring in more
+    foreign = _foreign_imports(Path(rcuniv.__file__).parent / name)
+    assert not foreign, f"imports outside the standard library and numpy: {foreign}"
 
 
 # metrics re-exports core._worker_count for the benchmark's manifest, which reads it by name

@@ -1,5 +1,6 @@
 """Experiment configs, the run/verify/sample CLI, and output artifacts."""
 
+import importlib
 import json
 import math
 import re
@@ -335,6 +336,22 @@ def test_readme_moment_table_names_each_kinds_verdict():
     for kind, sampler in defaults.items():
         assert f"`{rc.exp_moment_check(sampler).verdict.value}`" in verdicts[kind], kind
     assert all(f"`{v.value}`" in verdicts["garch11"] for v in rc.MomentVerdict)
+
+
+def test_readme_dotted_names_resolve():
+    # a backticked `rcuniv.<module>` or `rcuniv.<module>.<name>` names code that exists
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    names = sorted(set(re.findall(r"`rcuniv\.(\w+)(?:\.(\w+))?`", text)))
+    assert names
+    unresolved = []
+    for module, name in names:
+        try:
+            found = importlib.import_module(f"rcuniv.{module}")
+        except ImportError:
+            found = None
+        if found is None or (name and not hasattr(found, name)):
+            unresolved.append(".".join(filter(None, ("rcuniv", module, name))))
+    assert not unresolved, f"README names code that does not exist: {unresolved}"
 
 
 def test_readme_example_config_loads():

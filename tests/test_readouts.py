@@ -1,4 +1,4 @@
-"""Polynomial feature maps, readout evaluation, activations, serialization."""
+"""Polynomial feature maps, readout evaluation, activations."""
 
 import itertools
 import re
@@ -13,8 +13,6 @@ from rcuniv.readouts import (
     feature_count,
     get_activation,
     multi_indices,
-    readout_from_dict,
-    readout_to_dict,
 )
 
 
@@ -229,89 +227,3 @@ def test_logistic_within_two_ulps_of_expit():
     assert ulps.max() <= 2
     assert np.mean(ulps > 0) < 0.05
     assert got[0] == 0.0 and got[40000] == 1.0
-
-
-def test_serialization_round_trip_exact():
-    rng = np.random.default_rng(9)
-    readouts = [
-        rc.PolynomialReadout(2, 2, {(1, 1): np.pi, (0, 2): 1.0 / 3.0}),
-        rc.NetworkReadout(
-            rng.normal(size=3), rng.normal(size=(3, 2)), rng.normal(size=3), "tanh"
-        ),
-        rc.LinearReadout(rng.normal(size=4)),
-    ]
-    for r in readouts:
-        doc = readout_to_dict(r)
-        back = readout_from_dict(doc)
-        X = rng.normal(size=(5, doc.get("n_vars") or len(np.atleast_1d(doc.get("W", [0, 0, 0, 0])))))
-        # round trip must preserve every binary64 payload bit for bit
-        if isinstance(r, rc.PolynomialReadout):
-            np.testing.assert_array_equal(
-                back.coefficient_vector(), r.coefficient_vector()
-            )
-        elif isinstance(r, rc.NetworkReadout):
-            np.testing.assert_array_equal(back.beta, r.beta)
-            np.testing.assert_array_equal(back.alpha, r.alpha)
-            np.testing.assert_array_equal(back.theta, r.theta)
-            assert back.activation == r.activation
-        else:
-            np.testing.assert_array_equal(back.W, r.W)
-
-
-def test_deserialization_names_unknown_and_missing_keys():
-    with pytest.raises(ValueError, match=r"unknown keys \['bias'\] in a 'linear' readout"):
-        readout_from_dict({"variant": "linear", "W": [1.0], "bias": 3.0})
-    doc = readout_to_dict(rc.NetworkReadout(np.ones(2), np.ones((2, 1)), np.zeros(2), "tanh"))
-    del doc["activation"]
-    with pytest.raises(ValueError, match=r"missing keys \['activation'\] in a 'network'"):
-        readout_from_dict(doc)
-    # a system document's readout entry follows the same rule
-    sys_doc = rc.system_to_dict(rc.build_shift_register(1, 1), rc.LinearReadout(np.ones(2)))
-    sys_doc["readout"]["bias"] = 3.0
-    with pytest.raises(ValueError, match=r"unknown keys \['bias'\]"):
-        rc.system_from_dict(sys_doc)
-
-
-def _poly_doc(*terms):
-    return {"variant": "polynomial", "n_vars": 2, "degree": 2, "terms": list(terms)}
-
-
-@pytest.mark.parametrize("doc, message", [
-    ([1, 2], "a readout document must be a JSON object, got list"),
-    ({"W": [1.0]}, "missing keys ['variant'] in a readout document"),
-    (_poly_doc({"exponents": [1, 0], "coefficient": 2.0, "extra": 1}),
-     "unknown keys ['extra'] in term 0 of a 'polynomial' readout document"),
-    (_poly_doc({"exponents": [0, 0], "coefficient": 1.0}, {"exponents": [1, 0]}),
-     "missing keys ['coefficient'] in term 1 of a 'polynomial' readout document"),
-    (_poly_doc([[1, 0], 2.0]), "term 0 of a 'polynomial' readout document must be a JSON object"),
-    (_poly_doc({"exponents": [1, 1], "coefficient": 1.0},
-               {"exponents": [1, 1], "coefficient": 2.0}),
-     "exponents [1, 1] appear twice in the polynomial coefficients"),
-    ({**_poly_doc(), "terms": 5}, "terms of a 'polynomial' readout document must be a list, got 5"),
-    (_poly_doc({"exponents": 5, "coefficient": 1.0}),
-     "exponents of polynomial term 0 must be a list, got 5"),
-    ({"variant": "network", "beta": [1.0], "alpha": [[1.0]], "theta": [0.0], "activation": [1]},
-     "activation must be one of ['hard_sigmoid', 'logistic', 'tanh'], got [1]"),
-    ({"variant": "affine"},
-     "readout variant must be one of ['linear', 'network', 'polynomial'], got 'affine'"),
-], ids=["not_an_object", "no_variant", "term_extra_key", "term_missing_key", "term_not_an_object",
-        "duplicate_exponents", "terms_not_a_list", "exponents_not_a_list", "activation_not_a_name",
-        "unknown_variant"])
-def test_readout_documents_check_every_level(doc, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-        readout_from_dict(doc)
-
-
-def test_serialization_survives_json_text():
-    import json
-
-    r = rc.NetworkReadout(
-        np.array([1e-300, np.pi]),
-        np.array([[0.1], [-2.0 / 3.0]]),
-        np.array([0.0, -0.0]),
-        "hard_sigmoid",
-    )
-    doc = json.loads(json.dumps(readout_to_dict(r)))
-    back = readout_from_dict(doc)
-    np.testing.assert_array_equal(back.beta, r.beta)
-    np.testing.assert_array_equal(back.theta, r.theta)

@@ -1,9 +1,8 @@
 """Reservoir systems: dynamics, ESP certificates, constructive builders,
-direct sums, block networks, serialization."""
+direct sums, block networks."""
 
 import dataclasses
 import functools
-import json
 import math
 import re
 import tracemalloc
@@ -474,7 +473,7 @@ def test_direct_sum_carries_contraction_certificate():
     s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
     rep = rc.certify_esp(rc.direct_sum_sas(s1, s2))
-    assert rep.certified
+    assert rep.certified and rep.method == "spectral"
     assert rep.bound == pytest.approx(0.8, rel=1e-9)
     rng = np.random.default_rng(25)
     b1 = s1, rc.LinearReadout(rng.normal(size=3))
@@ -485,14 +484,18 @@ def test_direct_sum_carries_contraction_certificate():
 
 
 def test_direct_sum_certificate_survives_a_system_document_round_trip():
+    # the system's document is its field dict; a TrigSAS rebuilt from copies
+    # of those arrays proves the same spectral certificate afresh
     s1 = rc.random_trig_sas(3, 1, terms=2, seed=23, contraction=0.6)
     s2 = rc.random_trig_sas(4, 1, terms=2, seed=24, contraction=0.8)
-    doc = json.loads(json.dumps(rc.system_to_dict(rc.direct_sum_sas(s1, s2))))
-    back, _ = rc.system_from_dict(doc)
+    system = rc.direct_sum_sas(s1, s2)
+    doc = dataclasses.asdict(system)
+    back = rc.TrigSAS(*(rc.TrigPolynomial(**{k: np.array(v) for k, v in doc[part].items()})
+                        for part in ("P", "Q")))
     rep = rc.certify_esp(back)
     assert rep.certified and rep.method == "spectral"
     assert rep.bound == pytest.approx(0.8, rel=1e-9)
-    assert dataclasses.asdict(rep) == doc["esp"]
+    assert rep == rc.certify_esp(system) and rep is not rc.certify_esp(system)
 
 
 def _term_norm_sum(P):
@@ -706,7 +709,7 @@ def test_builders_check_their_sizes_before_any_draw(monkeypatch, build, message)
 
 
 # ---------------------------------------------------------------------------
-# one system interface, readouts and serialization
+# one system interface and readouts
 
 
 def _interface(cls):
@@ -722,38 +725,29 @@ def test_system_types_share_one_interface():
         assert "W" not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
-def _built_pairs():
-    """Builder name -> (system, readout) of the system's outputs."""
+def _built_systems():
+    """Builder name -> a system it built."""
     rng = np.random.default_rng(80)
-    s1, r1 = rc.build_nilpotent_trig_sas(rng.normal(size=(3, 1)), sine_lags=(1,))
-    s2, r2 = rc.build_nilpotent_trig_sas(rng.normal(size=(2, 1)))
+    s1, _ = rc.build_nilpotent_trig_sas(rng.normal(size=(3, 1)), sine_lags=(1,))
+    s2, _ = rc.build_nilpotent_trig_sas(rng.normal(size=(2, 1)))
     inner = rc.NetworkReadout(rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=4),
                               "tanh")
     nets, _ = rc.fit_identity_network(1, half_width=3.0, hidden_units=8, activation="tanh",
                                       seed=81)
     return {
-        "build_shift_register": (rc.build_shift_register(1, 2),
-                                 rc.PolynomialReadout(3, 2, {(1, 1, 0): 1.0, (0, 0, 2): -0.5})),
-        "build_nilpotent_trig_sas": (s1, r1),
-        "direct_sum_sas": (rc.direct_sum_sas(s1, s2),
-                           rc.LinearReadout(np.concatenate([r1.W, -2.0 * r2.W]))),
-        "build_block_esn": rc.build_block_esn(inner, nets, 1),
-        "random_esn": (rc.random_esn(6, 1, seed=82), rc.LinearReadout(rng.normal(size=6))),
-        "random_trig_sas": (rc.random_trig_sas(5, 1, terms=2, seed=83),
-                            rc.NetworkReadout(rng.normal(size=3), rng.normal(size=(3, 5)),
-                                              rng.normal(size=3), "logistic")),
+        "build_shift_register": rc.build_shift_register(1, 2),
+        "build_nilpotent_trig_sas": s1,
+        "direct_sum_sas": rc.direct_sum_sas(s1, s2),
+        "build_block_esn": rc.build_block_esn(inner, nets, 1)[0],
+        "random_esn": rc.random_esn(6, 1, seed=82),
+        "random_trig_sas": rc.random_trig_sas(5, 1, terms=2, seed=83),
     }
 
 
-@pytest.mark.parametrize("name", sorted(_built_pairs()))
-def test_built_pairs_round_trip_with_bit_identical_outputs(name):
-    system, readout = _built_pairs()[name]
-    assert not hasattr(system, "W")
-    doc = json.loads(json.dumps(rc.system_to_dict(system, readout)))
-    back, back_readout = rc.system_from_dict(doc)
-    assert type(back) is type(system) and type(back_readout) is type(readout)
-    data = _gauss_windows(5, system.n, 40, 84)
-    _assert_same_bits(_outputs((back, back_readout), data), _outputs((system, readout), data))
+@pytest.mark.parametrize("name", sorted(_built_systems()))
+def test_built_systems_have_no_output_weights(name):
+    # outputs go through a readout; a system is a state map only
+    assert not hasattr(_built_systems()[name], "W")
 
 
 def test_model_batch_matches_single():
@@ -766,7 +760,7 @@ def test_model_batch_matches_single():
     np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
 
 
-def test_serialization_round_trips():
+def test_trajectory_ends_where_final_states_does():
     rng = np.random.default_rng(44)
     systems = [
         rc.LinearReservoir(rng.normal(size=(3, 3)) * 0.2, rng.normal(size=(3, 2))),
@@ -775,19 +769,11 @@ def test_serialization_round_trips():
         rc.random_esn(5, 2, seed=46, activation="hard_sigmoid"),
     ]
     for system in systems:
-        doc = json.loads(json.dumps(rc.system_to_dict(system)))
-        back, embedded = rc.system_from_dict(doc)
-        assert embedded is None
-        assert type(back) is type(system)
         w = rng.normal(size=(6, system.n))
-        states_a, states_b = _trajectory(system, w), _trajectory(back, w)
-        np.testing.assert_array_equal(states_a, states_b)
-        assert doc["esp"]["certified"] == rc.certify_esp(system).certified
-        # the recorded trajectory ends exactly where the batch loop does
         x0 = rng.normal(size=system.N)
-        np.testing.assert_array_equal(states_a[0], final_states(system, w[None])[0])
-        np.testing.assert_array_equal(_trajectory(system, w, x0)[0],
-                                      final_states(system, w[None], x0)[0])
+        for x_init in (None, x0):
+            np.testing.assert_array_equal(_trajectory(system, w, x_init)[0],
+                                          final_states(system, w[None], x_init)[0])
 
 
 def _block_run_system(kind):
@@ -980,23 +966,6 @@ def _system_and_its_inputs(kind):
     return rc.EchoStateNetwork(*arrays, "tanh"), arrays
 
 
-@pytest.mark.parametrize("kind", ["linear", "trig_sas", "esn"])
-def test_systems_copy_their_inputs_and_keep_their_certificate(kind):
-    system, inputs = _system_and_its_inputs(kind)
-    before = json.dumps(rc.system_to_dict(system))
-    report = rc.certify_esp(system)
-    for arr in inputs:
-        arr[...] = 7.0  # would break every certificate if it reached the system
-    assert json.dumps(rc.system_to_dict(system)) == before
-    assert rc.certify_esp(system) is report and report.certified
-    frozen = [v for v in vars(system).values() if isinstance(v, np.ndarray)]
-    if kind == "trig_sas":
-        frozen.append(system.P.sin_mats)
-    for arr in frozen:
-        with pytest.raises(ValueError, match="read-only"):
-            arr[...] = 0.0
-
-
 _SYSTEM_ARRAYS = {
     "linear": [("A",), ("c",)],
     "esn": [("A",), ("C",), ("bias",)],
@@ -1005,27 +974,44 @@ _SYSTEM_ARRAYS = {
 }
 
 
+def _array(system, path):
+    """The array at path, e.g. ("A",) or ("P", "cos_mats")."""
+    return functools.reduce(getattr, path, system)
+
+
+@pytest.mark.parametrize("kind", ["linear", "trig_sas", "esn"])
+def test_systems_copy_their_inputs_and_keep_their_certificate(kind):
+    system, inputs = _system_and_its_inputs(kind)
+    before = {path: _array(system, path).copy() for path in _SYSTEM_ARRAYS[kind]}
+    report = rc.certify_esp(system)
+    for arr in inputs:
+        arr[...] = 7.0  # would break every certificate if it reached the system
+    for path, arr in before.items():
+        np.testing.assert_array_equal(_array(system, path), arr)
+    assert rc.certify_esp(system) is report and report.certified
+    for path in _SYSTEM_ARRAYS[kind]:
+        with pytest.raises(ValueError, match="read-only"):
+            _array(system, path)[...] = 0.0
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("kind, path", [(kind, path) for kind, paths in _SYSTEM_ARRAYS.items()
                                         for path in paths],
                          ids=lambda v: v if isinstance(v, str) else ".".join(v))
 def test_systems_reject_non_finite_arrays_by_name(kind, path, bad):
     system, _ = _system_and_its_inputs(kind)
-    doc = rc.system_to_dict(system)
     *outer, name = path
-    entries = doc[outer[0]] if outer else doc
-    arr = np.array(entries[name])
+    owner = _array(system, outer)  # the system, or its P or Q
+    arr = np.array(getattr(owner, name))
     arr.flat[-1] = bad
-    entries[name] = arr.tolist()
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
-        rc.system_from_dict(doc)
+        dataclasses.replace(owner, **{name: arr})
 
 
 def test_random_esn_with_an_infinite_input_scale_is_rejected():
     # once built, it would fail only at its first state step
     with pytest.raises(ValueError, match="^input_scale must be a finite number, got inf$"):
         rc.random_esn(3, 1, seed=0, input_scale=math.inf)
-
 
 
 @pytest.mark.parametrize("contraction", [-0.5, 0, math.nan, True])
@@ -1036,88 +1022,3 @@ def test_random_trig_sas_takes_a_positive_contraction_only(contraction):
         rc.random_trig_sas(4, 1, terms=2, seed=0, contraction=contraction)
     assert rc.certify_esp(rc.random_trig_sas(4, 1, terms=2, seed=0, contraction=0.5)).bound \
         == pytest.approx(0.5, rel=1e-12)
-
-def test_serialization_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        rc.system_from_dict({"variant": "mystery"})
-
-
-def test_serialization_rejects_unknown_keys():
-    doc = rc.system_to_dict(rc.random_esn(4, 1, seed=3), rc.LinearReadout(np.ones(4)))
-    rc.system_from_dict(doc)
-    # output weights stored on the system, as documents once did, are not dropped silently
-    with pytest.raises(ValueError, match="'readout' entry"):
-        rc.system_from_dict({**doc, "W": [0.0] * 4})
-    for system in (rc.random_trig_sas(3, 1, terms=2, seed=4), rc.build_shift_register(1, 2)):
-        with pytest.raises(ValueError, match=r"unknown keys \['spectral'\]"):
-            rc.system_from_dict({**rc.system_to_dict(system), "spectral": 0.9})
-
-
-# the JSON text of one small system per variant, each with a readout of another type
-_PINNED_DOCUMENTS = [
-    ('{"variant": "linear", "A": [[0.0, 0.0], [1.0, 0.0]], "c": [[1.0], [0.5]], '
-     '"esp": {"certified": true, "method": "nilpotent", "bound": 1.0, "nilpotency_index": 2}, '
-     '"readout": {"variant": "polynomial", "n_vars": 2, "degree": 2, "terms": '
-     '[{"exponents": [0, 1], "coefficient": 1.5}, {"exponents": [2, 0], "coefficient": -0.25}]}}'),
-    ('{"variant": "trig_sas", "P": {"shape": [0, 1, 1, 1], "cos_mats": [], "sin_mats": [], '
-     '"cos_freqs": [], "sin_freqs": []}, "Q": {"shape": [1, 1, 1, 1], "cos_mats": [[[1.0]]], '
-     '"sin_mats": [[[0.0]]], "cos_freqs": [[0.5]], "sin_freqs": [[0.0]]}, '
-     '"esp": {"certified": true, "method": "nilpotent", "bound": 0.0, "nilpotency_index": 1}, '
-     '"readout": {"variant": "linear", "W": [1.0]}}'),
-    ('{"variant": "esn", "A": [[0.0]], "C": [[2.0]], "bias": [0.5], "activation": "tanh", '
-     '"esp": {"certified": true, "method": "nilpotent", "bound": 0.0, "nilpotency_index": 1}, '
-     '"readout": {"variant": "network", "beta": [1.0], "alpha": [[2.0]], "theta": [-0.5], '
-     '"activation": "logistic"}}'),
-]
-
-
-def test_documents_keep_their_json_text():
-    built = [
-        (rc.LinearReservoir([[0.0, 0.0], [1.0, 0.0]], [[1.0], [0.5]]),
-         rc.PolynomialReadout(2, 2, {(2, 0): -0.25, (0, 1): 1.5})),
-        rc.build_nilpotent_trig_sas([[0.5]]),  # K = 0: P has no terms
-        (rc.EchoStateNetwork([[0.0]], [[2.0]], [0.5], "tanh"),
-         rc.NetworkReadout([1.0], [[2.0]], [-0.5], "logistic")),
-    ]
-    for (system, readout), text in zip(built, _PINNED_DOCUMENTS):
-        assert json.dumps(rc.system_to_dict(system, readout)) == text
-        assert json.dumps(rc.system_to_dict(*rc.system_from_dict(json.loads(text)))) == text
-
-
-def _field_paths(doc):
-    """Key paths of a system document's fields: top level, and inside P and Q."""
-    for key, value in doc.items():
-        if key in ("variant", "esp", "readout"):
-            continue
-        yield (key,)
-        if isinstance(value, dict):
-            yield from ((key, inner) for inner in value)
-
-
-@pytest.mark.parametrize("index", range(len(_PINNED_DOCUMENTS)),
-                         ids=["linear", "trig_sas", "esn"])
-def test_system_documents_name_each_missing_field(index):
-    doc = json.loads(_PINNED_DOCUMENTS[index])
-    paths = list(_field_paths(doc))
-    assert len(paths) == {0: 2, 1: 12, 2: 4}[index]
-    for path in paths:
-        broken = json.loads(_PINNED_DOCUMENTS[index])
-        *outer, name = path
-        del (broken[outer[0]] if outer else broken)[name]
-        where = f"{outer[0]} of a " if outer else "a "
-        message = f"missing keys ['{name}'] in {where}'{doc['variant']}' system document"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            rc.system_from_dict(broken)
-
-
-@pytest.mark.parametrize("call, message", [
-    (lambda: rc.system_from_dict([1]), "a system document must be a JSON object, got list"),
-    (lambda: rc.system_from_dict({**json.loads(_PINNED_DOCUMENTS[0]), "readout": [1]}),
-     "a readout document must be a JSON object, got list"),
-    (lambda: rc.system_from_dict({**json.loads(_PINNED_DOCUMENTS[1]), "P": [[1.0]]}),
-     "P of a 'trig_sas' system document must be a JSON object, got list"),
-    (lambda: rc.system_from_dict({"A": [[0.0]]}), "missing keys ['variant'] in a system document"),
-], ids=["system", "readout_entry", "P_entry", "no_variant"])
-def test_non_object_documents_raise_value_errors(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()

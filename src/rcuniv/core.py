@@ -229,43 +229,60 @@ def _positive_int(raw: str | None) -> int | None:
     return value if value > 0 else None
 
 
-def _worker_count(blas: bool = True) -> int:
-    """Threads for block runs: RCUNIV_WORKERS, else usable CPUs (per BLAS thread).
+# A past-resampling task (truncated_conditional_error) re-keys path_rng for
+# each path's window and redrawn past while holding the GIL (about 2 us a
+# key) and drops the GIL only to fill them (1.4 us for 38 normals).  When a
+# path's redrawn past, R * deepest * n values, is shorter than this, the
+# fills are too short for a second thread to gain anything, and two threads
+# only hand the GIL back and forth.  Four sweeps of R at window 40, K 1 on a
+# 2-vCPU guest put the crossover of one worker and two between 1216 and 2128
+# values.  At 1024 paths, one worker against two took 11 against 26 ms at 38
+# values, 21 against 39 ms at 608 and 159 against 89 ms at 7600.
+_THREADED_PAST_VALUES = 1536
 
-    Blocks that spend next to none of their time in BLAS (blas=False) use
-    every usable CPU.  For other blocks, the CPUs are divided by the BLAS
-    thread count, read from the first of OPENBLAS_NUM_THREADS,
-    MKL_NUM_THREADS and OMP_NUM_THREADS that is set; unset (or not a
-    positive integer) lets BLAS use every core and gives one worker, so
-    workers are never stacked on a threaded BLAS.
+
+def _worker_count(work: str = "blas") -> int:
+    """Threads for a block run of the given kind of work: RCUNIV_WORKERS, else by kind.
+
+    "blas": blocks spend their time in BLAS (state runs).  The usable CPUs
+    are divided by the BLAS thread count, read from the first of
+    OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS that is set;
+    unset (or not a positive integer) lets BLAS use every core and gives one
+    worker, so workers are never stacked on a threaded BLAS.
+    "draws": blocks spend their time in numpy fills that release the GIL
+    (the noise of an ARMA/GARCH path block, long redrawn pasts): every
+    usable CPU.
+    "gil": blocks spend their time holding the GIL (redrawn pasts shorter
+    than _THREADED_PAST_VALUES): one, the calling thread.
     """
     raw = os.environ.get("RCUNIV_WORKERS")
     if raw is not None:
         return _positive_int(raw) or 1
+    if work == "gil":
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    if not blas:
+    if work == "draws":
         return cpus
     blas_threads = next((os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None)
     return max(1, cpus // (_positive_int(blas_threads) or cpus))
 
 
-def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, blas: bool = True) -> None:
+def _run_blocks(fill: Callable[[int, int], None], M: int, rows: int, work: str = "blas") -> None:
     """Call fill(start, stop) on each fixed block of rows rows covering range(M).
 
-    The calling thread and a pool of _worker_count(blas) - 1 threads take
-    blocks in turn, and the call returns when every block is done; pass
-    blas=False when fill spends next to none of its time in BLAS (the
-    noise draws of an ARMA/GARCH path block; the past-resampling tasks,
-    about 3% in matvecs) to use every CPU.  fill must write only its own
-    rows, so results do not depend on the worker count.
+    The calling thread and a pool of _worker_count(work) - 1 threads take
+    blocks in turn, and the call returns when every block is done; with one
+    worker the calling thread takes them all, in order, and no pool is made.
+    fill must write only its own rows, so results do not depend on the
+    worker count.
     When blocks raise, the exception of the lowest-index one is raised,
     whatever the worker count.
     """
     blocks = range(0, M, rows)
-    workers = min(_worker_count(blas), len(blocks))
+    workers = min(_worker_count(work), len(blocks))
     starts = iter(blocks)
     lock = threading.Lock()
     failed: dict[int, Exception] = {}
@@ -317,8 +334,11 @@ def truncated_conditional_error(
     truncation tail of the functional is negligible (by default it follows
     the largest cutoff).  Path i's window is sample_paths path i and its
     redrawn deeper pasts are the rows of path M + i, both under seed.
-    Tasks of 16 paths draw, evaluate and difference on the worker threads,
-    with one replica buffer per thread, so memory does not grow with M.
+    Tasks of 16 paths draw, evaluate and difference in one block run, with
+    one replica buffer per thread, so memory does not grow with M.  The run
+    uses the worker threads when a path's redrawn past holds at least
+    _THREADED_PAST_VALUES values and the calling thread alone below that
+    (RCUNIV_WORKERS, when set, fixes the count); values do not depend on it.
     A cutoff with nothing to redraw (window_length == k + 1) reads exactly
     0; when every cutoff is such, no path is drawn.
 
@@ -397,8 +417,9 @@ def truncated_conditional_error(
             diffs[j, start:stop] = values - cond.reshape(m, R).mean(axis=1)
 
     if max(deeps) > 0:
-        # each path has its own streams and output rows, so the 16-path tasks move no value
-        _run_blocks(fill, M, 16, blas=False)
+        # each path has its own streams and output rows, so neither the 16-path
+        # tasks nor the worker count moves a value
+        _run_blocks(fill, M, 16, "draws" if R * max(deeps) * n >= _THREADED_PAST_VALUES else "gil")
     if p == 2:
         diffs *= np.sqrt(R / (R + 1))
     return [metrics.lp_norm_of_values(d, p=p, seed=seed) for d in diffs]

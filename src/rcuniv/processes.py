@@ -244,7 +244,7 @@ def sample_paths(s: ProcessSampler, T: int, M: int, seed: int, path_offset: int 
             for k in range(i, j):
                 path_rng(seed, path_offset + start + k).standard_normal(total, out=eps[k])
 
-        _run_blocks(draw, len(eps), 64, blas=False)
+        _run_blocks(draw, len(eps), 64, "draws")
         out[start : start + len(eps), :, 0] = _simulate(s, eps, burn)[:, ::-1]
     return out
 

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 import rcuniv as rc
 from rcuniv.core import (
+    _THREADED_PAST_VALUES,
     _run_blocks,
     _worker_count,
     evaluate_functional_batch,
@@ -702,7 +704,59 @@ def test_blas_free_worker_count_is_every_cpu(monkeypatch, env, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert _worker_count(blas=False) == workers
+    assert _worker_count("draws") == workers
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1),
+    ({"RCUNIV_WORKERS": "3"}, 3),
+    ({"RCUNIV_WORKERS": "0"}, 1),
+])
+def test_gil_bound_worker_count_is_the_calling_thread(monkeypatch, env, workers):
+    for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _worker_count("gil") == workers
+
+
+def test_short_redrawn_pasts_run_on_the_calling_thread(monkeypatch):
+    # verify's own call redraws 38 values per path: it makes no pool, on 8
+    # CPUs with BLAS pinned, and gives the bits RCUNIV_WORKERS=3 gives
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a GIL-bound estimate made a thread pool")
+
+    for var in ("RCUNIV_WORKERS",) + _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    spec, sampler = rc.geometric_ma(0.5), rc.iid_gaussian(1)
+    verify = dict(sampler=sampler, p=2.0, M=4000, seed=11, window_length=40, inner_samples=1)
+    assert 1 * 38 * 1 < _THREADED_PAST_VALUES <= 200 * 46 * 1
+
+    monkeypatch.setattr("rcuniv.core.ThreadPoolExecutor", NoPool)
+    serial = rc.truncated_conditional_error(spec, (1, 3), **verify)
+    monkeypatch.setattr("rcuniv.core.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("RCUNIV_WORKERS", "3")
+    threaded = rc.truncated_conditional_error(spec, (1, 3), **verify)
+    assert pools == [2]
+    assert [(e.value, e.stderr) for e in serial] == [(e.value, e.stderr) for e in threaded]
+
+    # 200 redrawn pasts of 46 rows: 9200 values per path, one worker per task
+    monkeypatch.delenv("RCUNIV_WORKERS")
+    rc.truncated_conditional_error(spec, (1,), sampler, p=2.0, M=64, seed=11,
+                                   window_length=48, inner_samples=200)
+    assert pools == [2, 3]
 
 
 def test_worker_count_without_affinity_uses_cpu_count(monkeypatch):

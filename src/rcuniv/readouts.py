@@ -261,23 +261,32 @@ def _random_features(X: np.ndarray, units: int, scale: float, activation: str,
     return alpha, theta, get_activation(activation).fn(proj - theta)
 
 
-def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float):
+def _ridge_solve(X: np.ndarray, y: np.ndarray, lam: float, rows=None):
     """Least squares with penalty lam in unit-RMS feature scaling.
 
-    The normal equations are never formed: the penalized system goes
-    through an SVD-based least-squares factorization.  Returns (weights in
-    original feature space, numerical rank).
+    Fits the rows of X and y where the boolean mask rows is True (all rows
+    when rows is None).  The normal equations are never formed: the
+    penalized system goes through an SVD-based least-squares factorization.
+    It allocates that system, m + k rows of the k features for lam > 0 and
+    m rows otherwise, with the m fitted rows written straight into it and
+    standardized in place, plus one (m, k) temporary for the squares that
+    give the scale; np.linalg.lstsq works on its own copy.  Returns
+    (weights in original feature space, numerical rank).
     """
-    scale = np.sqrt(np.mean(X**2, axis=0))
+    if rows is not None:
+        y = y[rows]
+    m, k = len(y), X.shape[1]
+    lhs = np.zeros((m + k if lam > 0 else m, k))
+    fit = lhs[:m]
+    if rows is not None:
+        X = np.compress(rows, X, axis=0, out=fit)
+    scale = np.sqrt(np.mean(np.square(X), axis=0))
     scale[scale == 0.0] = 1.0
-    Xs = X / scale
-    k = X.shape[1]
+    np.divide(X, scale, out=fit)
     if lam > 0:
-        lhs = np.vstack([Xs, np.sqrt(lam) * np.eye(k)])
-        rhs = np.concatenate([y, np.zeros(k)])
-    else:
-        lhs, rhs = Xs, y
-    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+        np.fill_diagonal(lhs[m:], np.sqrt(lam))
+        y = np.concatenate([y, np.zeros(k)])
+    beta, _, rank, _ = np.linalg.lstsq(lhs, y, rcond=None)
     return beta / scale, int(rank)
 
 

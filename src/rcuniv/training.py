@@ -86,7 +86,7 @@ def _training_arrays(states, y, ridge, seed):
 
 def _fit_on_features(feats: np.ndarray, y: np.ndarray, ridge: float, seed: int):
     hold = _holdout_mask(len(y))
-    w, rank = _ridge_solve(feats[~hold], y[~hold], ridge)
+    w, rank = _ridge_solve(feats, y, ridge, ~hold)
     if rank < feats.shape[1] and ridge == 0.0:
         warnings.warn(
             f"normal equations are singular (rank {rank} of {feats.shape[1]}); "

@@ -340,10 +340,23 @@ def _peak_bytes(s, T, M):
 
 @pytest.mark.parametrize("s", [_GARCH, _ARMA], ids=["garch11", "arma"])
 def test_dependent_paths_memory_does_not_grow_with_M(s):
-    # tracemalloc slows the per-path draws, so this takes a few seconds; it
-    # has no time bound.  Full (M, burn_in + 3) arrays would make the first
-    # peak about 5x the second.
-    assert _peak_bytes(s, 3, 40_000) <= 1.1 * _peak_bytes(s, 3, 2 * _block_paths(s, 3))
+    # sample_paths promises that memory beyond the (M, T, n) result grows
+    # neither with M nor with the worker count, so the peaks are compared net
+    # of the result.  tracemalloc slows the per-path draws, so this takes a
+    # few seconds; it has no time bound.  Full (M, burn_in + 3) arrays would
+    # make the first net peak about 38x the second.
+    def beyond_result(M):
+        return _peak_bytes(s, 3, M) - M * 3 * 8
+
+    assert beyond_result(40_000) <= 1.1 * beyond_result(2 * _block_paths(s, 3))
+
+
+def test_garch_paths_peak_within_one_noise_block():
+    # 2048 paths of burn-in 1000 + T 40: one 8 MiB noise block (1008 paths),
+    # the result, and 1 MiB for the kept window and the per-path vectors; a
+    # buffer for all 2048 paths' noise would be 17 MB
+    T, M = 40, 2048
+    assert _peak_bytes(_GARCH, T, M) < (8 << 20) + M * T * 8 + (1 << 20)
 
 
 @pytest.mark.parametrize("s", [_ARMA, rc.arma(ma=(0.3,))], ids=["arma", "ma_only"])

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 import rcuniv as rc
 from rcuniv.processes import sample_paths
 from rcuniv.readouts import _ridge_solve, get_activation
-from rcuniv.reservoirs import final_states
+from rcuniv.reservoirs import _IDENTITY_GRID, _IDENTITY_RANDOM, _IDENTITY_RIDGE, final_states
 from rcuniv.training import _holdout_mask
 
 DIAG_KEYS = {"lambda", "paths", "rmse_train", "rmse_holdout", "coeff_count", "seed", "rank"}
@@ -38,6 +39,72 @@ def test_ridge_solver_matches_normal_equations():
     beta = np.linalg.solve(Xs.T @ Xs + lam * np.eye(6), Xs.T @ y)
     np.testing.assert_allclose(w, beta / scale, rtol=1e-8)
     assert rank == 6
+
+
+def _written_out_ridge(X, y, lam):
+    """The ridge solve on separate arrays: X**2, X / scale, np.vstack."""
+    scale = np.sqrt(np.mean(X**2, axis=0))
+    scale[scale == 0.0] = 1.0
+    Xs = X / scale
+    k = X.shape[1]
+    if lam > 0:
+        lhs = np.vstack([Xs, np.sqrt(lam) * np.eye(k)])
+        rhs = np.concatenate([y, np.zeros(k)])
+    else:
+        lhs, rhs = Xs, y
+    beta, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    return beta / scale, int(rank)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-6])
+def test_ridge_solve_on_a_holdout_mask_matches_the_written_out_solve(lam):
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(503, 9)) * np.geomspace(1e-3, 1e3, 9)
+    X[:, 4] = 0.0  # a zero column keeps scale 1
+    y = rng.normal(size=503)
+    hold = _holdout_mask(503)
+    w, rank = _ridge_solve(X, y, lam, ~hold)
+    want, want_rank = _written_out_ridge(X[~hold], y[~hold], lam)
+    assert _same_bits(w, want) and rank == want_rank
+
+
+@pytest.mark.parametrize("n", [1, 3])  # grid inputs for n <= 2, random inputs above
+def test_identity_network_weights_match_the_written_out_solve(n):
+    # fit_identity_network solves on every row: rebuild its inputs and check
+    # each channel's output weights against the solve on separate arrays
+    m, seed = 3.0, 41
+    nets, _ = rc.fit_identity_network(n, half_width=m, hidden_units=16, seed=seed)
+    rng = np.random.default_rng(seed)
+    if n <= 2:
+        grid = np.linspace(-m, m, _IDENTITY_GRID)[:, None]
+    else:
+        grid = rng.uniform(-m, m, size=(_IDENTITY_GRID**2, n))
+    X = np.vstack([grid, rng.uniform(-m, m, size=(_IDENTITY_RANDOM, n))])
+    for i, net in enumerate(nets):
+        feats = get_activation(net.activation).fn(X @ net.alpha.T - net.theta)
+        want, _ = _written_out_ridge(feats, X[:, i], _IDENTITY_RIDGE)
+        assert _same_bits(net.beta, want)
+
+
+def test_ridge_solve_holds_little_beyond_the_penalized_system():
+    # the fitted rows are written into the penalized system and standardized
+    # there; holding a copy of the rows, X / scale and a stacked copy at once
+    # would peak near 2.9x the system's bytes
+    rng = np.random.default_rng(42)
+    X, y = rng.normal(size=(2000, 201)), rng.normal(size=2000)
+    hold = _holdout_mask(2000)
+    system_bytes = (np.count_nonzero(~hold) + 201) * 201 * 8
+    tracemalloc.start()
+    try:
+        _ridge_solve(X, y, 1e-6, ~hold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * system_bytes
 
 
 def test_ridge_shrinks_to_zero():

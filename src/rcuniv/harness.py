@@ -12,6 +12,7 @@ evaluation pass.  Identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -23,7 +24,7 @@ import numpy as np
 from . import metrics, processes, reservoirs, targets, training
 from .core import (FunctionalSpec, _integer, _require_choice, _require_integers, _require_keys,
                    _require_numbers, _require_seed, truncated_conditional_error, write_window_csv)
-from .readouts import ACTIVATIONS, LinearReadout, _coefficients, eval_readout
+from .readouts import ACTIVATIONS, LinearReadout, NetworkReadout, _coefficients, eval_readout
 from .reservoirs import (
     EspNotCertifiedError,
     build_block_esn,
@@ -405,8 +406,6 @@ def _verify_product_rule() -> list[PropertyCheck]:
     # link s = N - 1 - j, term j of the chain build_nilpotent_trig_sas writes, moves
     # basis vector s - 1 to s; links s_0, ..., s_L applied in turn give the unit
     # matrix at (s_L, s_0 - 1) when s_i = s_0 + i (a run down the chain), else zero
-    import itertools
-
     worst = 0.0
     count = 0
     for N in range(2, 5):
@@ -527,8 +526,6 @@ def _verify_block_esn() -> list[PropertyCheck]:
 
 
 def _random_inner_net(rng, n: int, K: int, units: int, activation: str):
-    from .readouts import NetworkReadout
-
     return NetworkReadout(
         rng.standard_normal(units),
         rng.standard_normal((units, n * (K + 1))),

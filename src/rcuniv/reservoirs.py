@@ -10,7 +10,6 @@ accepted as a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -178,10 +177,13 @@ class LinearReservoir(_ReservoirSystem):
 class TrigPolynomial:
     """Matrix-valued trig polynomial R(z) = sum_k A_k cos(u_k.z) + B_k sin(v_k.z).
 
-    Stored as stacked read-only arrays: cos_mats/sin_mats have shape
-    (r, rows, cols) and cos_freqs/sin_freqs shape (r, n), so a polynomial
-    with no terms (r = 0) still carries its input channel count n.  A term
-    may use only one of its two matrices (the other all zeros).
+    Built from cos_mats/sin_mats of shape (r, rows, cols) and
+    cos_freqs/sin_freqs of shape (r, n), so a polynomial with no terms
+    (r = 0) still carries its input channel count n.  A term may use only
+    one of its two matrices (the other all zeros).  The terms are stored
+    once, as the read-only stacks _mats (2r, rows, cols) and _freqs (2r, n)
+    in the order A_1, B_1, ..., A_r, B_r that apply runs; the four fields
+    are read-only views of that store.
     """
 
     cos_mats: np.ndarray
@@ -190,12 +192,21 @@ class TrigPolynomial:
     sin_freqs: np.ndarray
 
     def __post_init__(self):
-        for name, ndim in (("cos_mats", 3), ("sin_mats", 3), ("cos_freqs", 2), ("sin_freqs", 2)):
-            object.__setattr__(self, name, _frozen(getattr(self, name), name, ndim))
-        if self.sin_mats.shape != self.cos_mats.shape:
+        cm, sm, cf, sf = (_frozen(getattr(self, name), name, ndim) for name, ndim in
+                          (("cos_mats", 3), ("sin_mats", 3), ("cos_freqs", 2), ("sin_freqs", 2)))
+        if sm.shape != cm.shape:
             raise ValueError("cos_mats and sin_mats must share shape (r, rows, cols)")
-        if self.cos_freqs.shape[0] != self.r or self.sin_freqs.shape != self.cos_freqs.shape:
+        if cf.shape[0] != cm.shape[0] or sf.shape != cf.shape:
             raise ValueError("frequency arrays must have shape (r, n)")
+        # the one store, each pair interleaved term by term: (r, 2, ...) -> (2r, ...)
+        mats = np.stack([cm, sm], axis=1).reshape(2 * len(cm), *cm.shape[1:])
+        freqs = np.stack([cf, sf], axis=1).reshape(2 * len(cf), cf.shape[1])
+        mats.setflags(write=False)
+        freqs.setflags(write=False)
+        for name, value in (("_mats", mats), ("_freqs", freqs),
+                            ("cos_mats", mats[0::2]), ("sin_mats", mats[1::2]),
+                            ("cos_freqs", freqs[0::2]), ("sin_freqs", freqs[1::2])):
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -213,18 +224,9 @@ class TrigPolynomial:
     def n(self) -> int:
         return self.cos_freqs.shape[1]
 
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only frequencies (2r, n) and matrices (2r rows, cols) of the
-        terms, stacked in the order A_1, B_1, ..., A_r, B_r."""
-        freqs = np.stack([self.cos_freqs, self.sin_freqs], axis=1).reshape(2 * self.r, self.n)
-        mats = np.stack([self.cos_mats, self.sin_mats], axis=1)
-        return (_frozen(freqs, "freqs", 2),
-                _frozen(mats.reshape(2 * self.r * self.rows, self.cols), "mats", 2))
-
     def _weights(self, z: np.ndarray) -> np.ndarray:
         """cos(u_k.z_m) and sin(v_k.z_m) per row, (M, 2r) in the stacked order."""
-        w = z @ self._stacked[0].T
+        w = z @ self._freqs.T
         np.cos(w[:, 0::2], out=w[:, 0::2])
         np.sin(w[:, 1::2], out=w[:, 1::2])
         return w
@@ -238,7 +240,7 @@ class TrigPolynomial:
         rows entries at least, holds; one batched product with the slice's
         weights reduces it into out.  Neither may share memory with x.
         """
-        w, mats = self._weights(z), self._stacked[1]
+        w, mats = self._weights(z), self._mats.reshape(2 * self.r * self.rows, self.cols)
         step = max(1, work.size // len(mats) if len(mats) else len(x))
         product = work.reshape(-1)[: step * len(mats)].reshape(step, len(mats))
         for i in range(0, len(x), step):
@@ -248,7 +250,7 @@ class TrigPolynomial:
 
     def support(self) -> np.ndarray:
         """Boolean (rows, cols) union of coefficient supports."""
-        return np.any(self.cos_mats != 0.0, axis=0) | np.any(self.sin_mats != 0.0, axis=0)
+        return np.any(self._mats != 0.0, axis=0)
 
 
 def _components(support: np.ndarray) -> list[np.ndarray]:
@@ -265,7 +267,8 @@ def _components(support: np.ndarray) -> list[np.ndarray]:
 
 
 def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
-    """sup_z ||P(z)||_2 <= max over blocks c of sum_k ||A_k[c, c]||_2 + ||B_k[c, c]||_2.
+    """sup_z ||P(z)||_2 <= max over blocks c of sum_k ||A_k[c, c]||_2 + ||B_k[c, c]||_2,
+    summed in the stacked order A_1, B_1, ..., A_r, B_r.
 
     The blocks are the connected components of P's support, over which
     P(z) is block diagonal up to a permutation, so its norm is the largest
@@ -273,8 +276,7 @@ def _block_norm_bound(P: TrigPolynomial, support: np.ndarray) -> float:
     bound is the sum of all term norms.
     """
     return max((
-        float(sum(np.linalg.norm(mats[k][np.ix_(c, c)], 2)
-                  for k in range(P.r) for mats in (P.cos_mats, P.sin_mats)))
+        float(sum(np.linalg.norm(mat[np.ix_(c, c)], 2) for mat in P._mats))
         for c in _components(support)
     ), default=0.0)
 
@@ -308,16 +310,17 @@ class TrigSAS(_ReservoirSystem):
 
     def scratch_slots(self, M: int) -> int:
         # slot 0 takes P(z) x, the others row slices of P's stacked product: all 2r
-        # if _PRODUCT_BYTES holds them, else as many, but _SLICE_ROWS rows at least
-        terms, rows = 2 * self.P.r, min(M, _SLICE_ROWS)
-        return 1 + min(terms, max(-(-rows * terms // M), _PRODUCT_BYTES // (8 * M * self.N)))
+        # if _PRODUCT_BYTES holds them, else as many, but _SLICE_ROWS rows at least;
+        # a slot of N = 0 states is sized as one of N = 1
+        terms, rows, slot_bytes = 2 * self.P.r, min(M, _SLICE_ROWS), 8 * M * max(1, self.N)
+        return 1 + min(terms, max(-(-rows * terms // M), _PRODUCT_BYTES // slot_bytes))
 
     def step(self, x: np.ndarray, z: np.ndarray, scratch: np.ndarray) -> None:
         # overflow surfaces as a StateOverflowError from the finite check
         with np.errstate(over="ignore", invalid="ignore"):
             self.P.apply(z, x, scratch[0], scratch[1:])
             # Q(z) is its (M, 2r) weights times its (2r, N) stacked columns
-            np.matmul(self.Q._weights(z), self.Q._stacked[1].reshape(-1, self.N), out=x)
+            np.matmul(self.Q._weights(z), self.Q._mats.reshape(2 * self.Q.r, self.N), out=x)
             x += scratch[0]
 
     def _prove(self) -> EspReport:
@@ -498,12 +501,12 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadou
 
     def factors(lags, shape, unit):
         """One term per lag k: g_k(freqs[k] . z) times the matrix with a 1 at unit(k)."""
-        mats, term_freqs = np.zeros((2, len(lags), *shape)), np.zeros((2, len(lags), n))
+        mats, term_freqs = np.zeros((len(lags), 2, *shape)), np.zeros((len(lags), 2, n))
         for t, k in enumerate(lags):
             g = int(k in sine_lags)  # 0: cos, 1: sin
-            mats[(g, t, *unit(k))] = 1.0
-            term_freqs[g, t] = freqs[k]
-        return TrigPolynomial(mats[0], mats[1], term_freqs[0], term_freqs[1])
+            mats[(t, g, *unit(k))] = 1.0
+            term_freqs[t, g] = freqs[k]
+        return TrigPolynomial(mats[:, 0], mats[:, 1], term_freqs[:, 0], term_freqs[:, 1])
 
     # term j of P carries the lag-j factor on the shift matrix with unit entry
     # at (K - j + 1, K - j), 1-indexed; Q carries the lag-K factor into row 1
@@ -517,13 +520,11 @@ def build_nilpotent_trig_sas(freqs, sine_lags=()) -> tuple[TrigSAS, LinearReadou
 def _block_terms(p1: TrigPolynomial, p2: TrigPolynomial, rows: int, cols: int,
                  r0: int, c0: int) -> TrigPolynomial:
     """The terms of p1 placed at (0, 0) and of p2 at (r0, c0) of a (rows, cols) polynomial."""
-    parts = []
-    for poly, i, j in ((p1, 0, 0), (p2, r0, c0)):
-        cm, sm = np.zeros((2, poly.r, rows, cols))
-        cm[:, i : i + poly.rows, j : j + poly.cols] = poly.cos_mats
-        sm[:, i : i + poly.rows, j : j + poly.cols] = poly.sin_mats
-        parts.append((cm, sm, poly.cos_freqs, poly.sin_freqs))
-    return TrigPolynomial(*(np.concatenate(arrays) for arrays in zip(*parts)))
+    mats = np.zeros((2 * (p1.r + p2.r), rows, cols))
+    mats[: 2 * p1.r, : p1.rows, : p1.cols] = p1._mats
+    mats[2 * p1.r :, r0 : r0 + p2.rows, c0 : c0 + p2.cols] = p2._mats
+    freqs = np.concatenate([p1._freqs, p2._freqs])
+    return TrigPolynomial(mats[0::2], mats[1::2], freqs[0::2], freqs[1::2])
 
 
 def direct_sum_sas(s1: TrigSAS, s2: TrigSAS) -> TrigSAS:

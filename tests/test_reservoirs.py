@@ -381,15 +381,18 @@ def _per_term_final_states(system, data):
     return x
 
 
-def test_stacked_product_workspace_stays_bounded():
-    # ten nilpotent chains of length 10 in one direct sum: N = 100, r = 90
+def _ten_chains():
+    """Ten nilpotent chains of length 10 in one direct sum: N = 100, r = 90."""
     rng = np.random.default_rng(78)
-    system = functools.reduce(rc.direct_sum_sas, [
+    return functools.reduce(rc.direct_sum_sas, [
         rc.build_nilpotent_trig_sas(rng.normal(size=(10, 1)), sine_lags=(j,))[0]
         for j in range(10)])
+
+
+def test_stacked_product_workspace_stays_bounded():
+    system = _ten_chains()
     assert (system.N, system.P.r) == (100, 90)
     data = _gauss_windows(10, 1, 512, 79)
-    final_states(system, data[:1])  # builds the cached stacked terms, 14.4 MB
     tracemalloc.start()
     try:
         got = final_states(system, data)
@@ -401,6 +404,67 @@ def test_stacked_product_workspace_stays_bounded():
     # the states and the (512, 2r) weights 1.1 MB; the unsliced (512, 2r N)
     # product of the block would take 74 MB
     assert peak < 16e6
+
+
+def test_trig_system_holds_its_terms_once():
+    # the terms take 14.4 MB; a second, stacked copy of them kept for the
+    # step would double what a run leaves held
+    data = _gauss_windows(10, 1, 1, 79)
+    tracemalloc.start()
+    try:
+        system = _ten_chains()
+        final_states(system, data)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    terms = sum(getattr(poly, name).nbytes for poly in (system.P, system.Q)
+                for name in ("cos_mats", "sin_mats", "cos_freqs", "sin_freqs"))
+    assert terms > 14e6
+    assert held < 1.25 * terms
+
+
+@pytest.mark.parametrize("name", sorted(set(_polynomials()) - {"empty"}))
+def test_trig_fields_are_read_only_views_of_the_stacked_terms(name):
+    poly = _polynomials()[name]
+    for field, store in (("cos_mats", poly._mats), ("sin_mats", poly._mats),
+                         ("cos_freqs", poly._freqs), ("sin_freqs", poly._freqs)):
+        view = getattr(poly, field)
+        assert not view.flags.writeable and np.shares_memory(view, store)
+
+
+def test_replacing_a_trig_field_replaces_the_terms_apply_runs():
+    poly = _polynomials()["random_P"]
+    rng = np.random.default_rng(27)
+    sin_mats = rng.normal(size=poly.sin_mats.shape)
+    new = dataclasses.replace(poly, sin_mats=sin_mats)
+    assert not np.shares_memory(new._mats, poly._mats)
+    z, x = rng.normal(size=(300, poly.n)), rng.normal(size=(300, poly.cols))
+    old_out, new_out, work = np.empty((3, 300, poly.rows))
+    poly.apply(z, x, old_out, work)
+    new.apply(z, x, new_out, work)
+    # R_new(z) x = R(z) x + sum_k sin(v_k . z) (B'_k - B_k) x
+    s = np.sin(z @ poly.sin_freqs.T)
+    want = old_out + np.einsum("mk,kij,mj->mi", s, sin_mats - poly.sin_mats, x)
+    np.testing.assert_allclose(new_out, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def _stateless_system(kind):
+    """A system of kind with N = 0 and one input channel."""
+    if kind == "linear":
+        return rc.LinearReservoir(np.zeros((0, 0)), np.zeros((0, 1)))
+    if kind == "esn":
+        return rc.EchoStateNetwork(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros(0))
+    P, Q = (TrigPolynomial(np.zeros((1, 0, cols)), np.zeros((1, 0, cols)), np.ones((1, 1)),
+                           np.ones((1, 1))) for cols in (0, 1))
+    return rc.TrigSAS(P, Q)
+
+
+@pytest.mark.parametrize("kind", ["linear", "trig_sas", "esn"])
+def test_a_system_with_no_state_runs_to_empty_states(kind):
+    system = _stateless_system(kind)
+    assert system.N == 0 and rc.certify_esp(system).certified
+    # 600 windows: a full block of 512 and a partial one
+    assert final_states(system, _gauss_windows(5, 1, 600, 80)).shape == (600, 0)
 
 
 def test_trig_polynomial_takes_r_by_n_frequencies_only():
